@@ -34,6 +34,7 @@ from .matcore import (
     load_matrix,
     matrix_to_json,
     save_matrix,
+    svd,
 )
 
 EXIT_OK = 0
@@ -116,7 +117,7 @@ def cmd_polar(args) -> int:
         "factorization_residual": float(
             np.linalg.norm(parts.polar_factor @ parts.modulus - a)),
         "initial_projector_residual": float(np.linalg.norm(vtv @ vtv - vtv)),
-        "modulus_rank": int(np.linalg.matrix_rank(parts.modulus)),
+        "modulus_rank": svd(parts.modulus).rank,
     }, args)
     return EXIT_OK
 
@@ -212,8 +213,7 @@ def cmd_census(args) -> int:
         if k != k_target:
             raise ConsistencyError(
                 f"census sample landed in stratum {k}, wanted {k_target}")
-        res = pinv.moore_penrose(b)
-        pinv_norm = 1.0 / res.gamma if res.rank else 0.0
+        pinv_norm = pinv.moore_penrose(b).pinv_norm
         lines.append(
             f"{trial},{k},{_fmt(pinv_norm)},{_fmt(gauge_norm(b - a, g))}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -258,42 +258,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--dim", type=int, default=4)
-        sp.add_argument("--trials", type=int, default=20)
-        sp.add_argument("--gauge", default="op",
-                        help="op | s1 | s2 | sp:<p> | kyfan:<k>")
+    shared = {
+        "--seed": dict(type=int, default=0),
+        "--dim": dict(type=int, default=4),
+        "--trials": dict(type=int, default=20),
+        "--gauge": dict(default="op", help="op | s1 | s2 | sp:<p> | kyfan:<k>"),
+        "--json": dict(action="store_true"),
+    }
+
+    def options(sp, *flags):
+        """--out, and those of the shared options the subcommand reads."""
         sp.add_argument("--out", default=None)
-        sp.add_argument("--json", action="store_true")
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("pinv", help="pseudoinverse of a matrix file")
     sp.add_argument("--input", required=True)
     sp.add_argument("--matrix-out", default=None)
-    common(sp)
+    options(sp, "--json")
     sp.set_defaults(func=cmd_pinv)
 
     sp = sub.add_parser("codim", help="index of a pair of projector files")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
-    common(sp)
+    options(sp, "--json")
     sp.set_defaults(func=cmd_codim)
 
     sp = sub.add_parser("stratify", help="stratum index of B relative to A")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    common(sp)
+    options(sp, "--json")
     sp.set_defaults(func=cmd_stratify)
 
     sp = sub.add_parser("polar", help="polar decomposition of a matrix file")
     sp.add_argument("--input", required=True)
     sp.add_argument("--matrix-out", default=None)
-    common(sp)
+    options(sp, "--json")
     sp.set_defaults(func=cmd_polar)
 
     sp = sub.add_parser("continuity",
                         help="six-condition certification of random families")
-    common(sp)
+    options(sp, "--seed", "--dim", "--trials", "--gauge")
     sp.set_defaults(func=cmd_continuity)
 
     sp = sub.add_parser("taylor", help="Taylor remainder decay experiment")
@@ -301,15 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sqrt | atomic:<json-file>")
     sp.add_argument("--mmax", type=int, default=6)
     sp.add_argument("--delta-scale", type=float, default=0.3)
-    common(sp)
+    options(sp, "--seed", "--dim", "--gauge")
     sp.set_defaults(func=cmd_taylor)
 
     sp = sub.add_parser("census", help="stratum histogram of perturbations")
-    common(sp)
+    options(sp, "--seed", "--dim", "--trials", "--gauge")
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("fiber", help="chart round-trip experiment")
-    common(sp)
+    options(sp, "--seed", "--dim", "--trials", "--json")
     sp.set_defaults(func=cmd_fiber)
     return parser
 

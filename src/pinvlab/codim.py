@@ -10,6 +10,7 @@ tolerance is caught instead of silently corrupting indices downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,11 @@ _INTERSECTION_COS = 1.0 - 1e-8
 
 @dataclass(frozen=True)
 class Projector:
-    """Validated orthogonal projection matrix."""
+    """Orthogonal projection matrix.
+
+    Its rank, basis and complement basis come from one eigh, taken on
+    first use and kept.
+    """
 
     matrix: np.ndarray
 
@@ -35,66 +40,70 @@ class Projector:
             raise PreconditionError("matrix is not idempotent")
         if np.linalg.norm(p - p.conj().T) > 1e-9:
             raise PreconditionError("matrix is not Hermitian")
-        _, w = eigh(p, tol)
+        proj = Projector(p)
+        _, w = proj._eigh
         if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > 1e-8):
             raise PreconditionError("eigenvalues are not within 1e-8 of {0,1}")
-        return Projector(p)
+        return proj
 
     @staticmethod
     def onto(cols) -> "Projector":
         """Projector onto the span of (not necessarily orthonormal) columns."""
         c = np.asarray(cols, dtype=complex)
-        res = svd(c) if c.shape[1] else None
-        if res is None or res.rank == 0:
+        if c.shape[1] == 0:
             return Projector(np.zeros((c.shape[0], c.shape[0]), dtype=complex))
-        u = res.U[:, : res.rank]
+        u = svd(c).range_basis
         return Projector(u @ u.conj().T)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def rank(self, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    @cached_property
+    def _eigh(self):
         # eigenvalues of a projector cluster at 0 and 1, so 1/2 separates
-        # them regardless of scale; a relative SVD cutoff would miscount
-        # the rank of a numerically-zero projector
-        _, w = eigh(self.matrix, tol)
-        return int(np.sum(w > 0.5))
+        # them regardless of scale and of ``tol``; a relative SVD cutoff
+        # would miscount the rank of a numerically-zero projector
+        return eigh(self.matrix)
+
+    def rank(self, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+        return int(np.sum(self._eigh[1] > 0.5))
 
     def basis(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        q, w = eigh(self.matrix, tol)
+        q, w = self._eigh
         return q[:, w > 0.5]
 
     def complement_basis(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        q, w = eigh(self.matrix, tol)
+        q, w = self._eigh
         return q[:, w <= 0.5]
 
 
-def intersection_dim(x, y) -> int:
-    """dim(span(x) ∩ span(y)) for orthonormal column blocks x, y.
+def intersection_basis(x, y) -> np.ndarray:
+    """Orthonormal basis of span(x) ∩ span(y) for orthonormal column blocks.
 
-    Counted as the number of principal-angle cosines above 1 - 1e-8.
+    Spanned by the principal vectors whose cosines are at least 1 - 1e-8.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape[1] == 0 or y.shape[1] == 0:
-        return 0
-    cos = np.linalg.svd(x.conj().T @ y, compute_uv=False)
-    return int(np.sum(cos >= _INTERSECTION_COS))
+        return np.zeros((x.shape[0], 0), dtype=complex)
+    w, cos, _ = np.linalg.svd(x.conj().T @ y, full_matrices=False)
+    return x @ w[:, : int(np.sum(cos >= _INTERSECTION_COS))]
 
 
-def essential_codimension(p: Projector, q: Projector,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Fredholm index of the pair (P, Q).
+def intersection_dim(x, y) -> int:
+    """dim(span(x) ∩ span(y)) for orthonormal column blocks x, y."""
+    return intersection_basis(x, y).shape[1]
 
-    Computed as dim(N(Q) ∩ R(P)) - dim(R(Q) ∩ N(P)) through principal
-    angles and cross-checked against rank(P) - rank(Q); a disagreement
-    raises ConsistencyError.
+
+def subspace_index(rp, np_, rq, nq) -> int:
+    """Fredholm index of the projections onto span(rp) and span(rq).
+
+    rp, rq are orthonormal bases of R(P), R(Q) and np_, nq of their
+    complements N(P), N(Q).  Computed as dim(N(Q) ∩ R(P)) -
+    dim(R(Q) ∩ N(P)) through principal angles and cross-checked against
+    rank(P) - rank(Q); a disagreement raises ConsistencyError.
     """
-    if p.dim != q.dim:
-        raise PreconditionError("projections must act on the same space")
-    rp, rq = p.basis(tol), q.basis(tol)
-    np_, nq = p.complement_basis(tol), q.complement_basis(tol)
     by_angles = intersection_dim(nq, rp) - intersection_dim(rq, np_)
     by_rank = rp.shape[1] - rq.shape[1]
     if by_angles != by_rank:
@@ -103,6 +112,15 @@ def essential_codimension(p: Projector, q: Projector,
             f"rank difference gives {by_rank}"
         )
     return by_rank
+
+
+def essential_codimension(p: Projector, q: Projector,
+                          tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Fredholm index of the pair (P, Q), by ``subspace_index`` on their bases."""
+    if p.dim != q.dim:
+        raise PreconditionError("projections must act on the same space")
+    return subspace_index(p.basis(tol), p.complement_basis(tol),
+                          q.basis(tol), q.complement_basis(tol))
 
 
 def direct_rotation(p: Projector, q: Projector,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionError
 from .matcore import DEFAULT_TOL, svd
 
 
@@ -33,7 +34,7 @@ def unitary(rng, n: int) -> np.ndarray:
 def fixed_rank(rng, m: int, n: int, r: int, sv_range=(0.5, 2.0)) -> np.ndarray:
     """Random m x n matrix of exact rank r with singular values in sv_range."""
     if not 0 <= r <= min(m, n):
-        raise ValueError(f"rank {r} infeasible for shape {(m, n)}")
+        raise PreconditionError(f"rank {r} infeasible for shape {(m, n)}")
     if r == 0:
         return np.zeros((m, n), dtype=complex)
     u = unitary(rng, m)[:, :r]
@@ -77,13 +78,14 @@ def rank_jump_perturbation(rng, b, eps: float,
                            tol=DEFAULT_TOL) -> np.ndarray:
     """B plus eps times a partial isometry from N(B) into R(B)^perp.
 
-    Raises ValueError when B has neither nullspace nor corange to spare.
+    Raises PreconditionError when B has neither nullspace nor corange to
+    spare.
     """
     res = svd(b, tol)
     r = res.rank
     m, n = b.shape
     if r >= min(m, n):
-        raise ValueError("no room to increase the rank of B")
+        raise PreconditionError("no room to increase the rank of B")
     left = res.U[:, r]
     right = res.Vt[r, :].conj()
     return b + eps * np.outer(left, right.conj())

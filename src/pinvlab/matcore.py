@@ -1,6 +1,6 @@
 """Dense complex linear-algebra kernel.
 
-Factorizations, numerical rank, subspace operations and symmetric gauge
+Factorizations, numerical rank, subspace bases and symmetric gauge
 norms (operator, Schatten-p, Ky Fan-k).  Everything downstream builds on
 the routines here.  Matrices are plain complex ``numpy`` arrays; helpers
 validate shape and finiteness at the boundaries.
@@ -184,11 +184,37 @@ def gauge_norm(a, g: GaugeNorm = OP_NORM) -> float:
 
 @dataclass(frozen=True)
 class SvdResult:
+    """Full SVD of A with its numerical rank r.
+
+    The four fundamental subspaces of A are read off the factors as
+    orthonormal column blocks; no further factorization is needed.
+    """
+
     U: np.ndarray        # rows x rows, unitary
     singular_values: np.ndarray  # length min(rows, cols), nonincreasing
     Vt: np.ndarray       # cols x cols, rows of V-conjugate-transpose
     rank: int
     rank_tolerance: float
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis of R(A)."""
+        return self.U[:, : self.rank]
+
+    @property
+    def corange_basis(self) -> np.ndarray:
+        """Orthonormal basis of R(A)^perp."""
+        return self.U[:, self.rank :]
+
+    @property
+    def row_basis(self) -> np.ndarray:
+        """Orthonormal basis of N(A)^perp."""
+        return self.Vt[: self.rank, :].conj().T
+
+    @property
+    def null_basis(self) -> np.ndarray:
+        """Orthonormal basis of N(A)."""
+        return self.Vt[self.rank :, :].conj().T
 
     def reconstruct(self) -> np.ndarray:
         m, n = self.U.shape[0], self.Vt.shape[0]
@@ -238,41 +264,3 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     return q, w
-
-
-# ---------------------------------------------------------------------------
-# Subspace bases.
-
-
-def range_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space, as columns."""
-    res = svd(a, tol)
-    return res.U[:, : res.rank]
-
-
-def null_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the nullspace, as columns."""
-    res = svd(a, tol)
-    return res.Vt[res.rank :, :].conj().T
-
-
-def orthonormal_complement_basis(cols, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(cols).
-
-    ``cols`` may have zero columns, in which case the identity basis of
-    the ambient space is returned.
-    """
-    c = np.asarray(cols, dtype=complex)
-    if c.ndim != 2:
-        raise PreconditionError("expected a 2-d array of columns")
-    n = c.shape[0]
-    if c.shape[1] == 0:
-        return np.eye(n, dtype=complex)
-    res = svd(c, tol)
-    return res.U[:, res.rank :]
-
-
-def projector_onto(cols) -> np.ndarray:
-    """Orthogonal projector onto span(cols) (columns assumed orthonormal)."""
-    c = np.asarray(cols, dtype=complex)
-    return c @ c.conj().T

@@ -3,24 +3,45 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .matcore import DEFAULT_TOL, GaugeNorm, ToleranceConfig, as_matrix, svd
-
-# Relative slack allowed when comparing a computed quantity against a
-# proved bound; absorbs double-precision SVD noise.
-BOUND_SLACK = 1e-9
+from .matcore import DEFAULT_TOL, GaugeNorm, SvdResult, ToleranceConfig, as_matrix, svd
 
 
 @dataclass(frozen=True)
 class PinvResult:
+    """A^+ and gamma(A), together with the SVD of A they come from.
+
+    The range/null projectors are built from the SVD bases on first read.
+    """
+
     pinv: np.ndarray
     gamma: float          # reduced minimum modulus; 0 for the zero matrix
-    range_proj: np.ndarray   # projector onto R(A)
-    null_proj: np.ndarray    # projector onto N(A)
-    rank: int
+    svd: SvdResult
+
+    @property
+    def rank(self) -> int:
+        return self.svd.rank
+
+    @property
+    def pinv_norm(self) -> float:
+        """||A^+|| = 1/gamma(A); 0 for the zero matrix."""
+        return 1.0 / self.gamma if self.rank else 0.0
+
+    @cached_property
+    def range_proj(self) -> np.ndarray:
+        """Projector onto R(A)."""
+        u_r = self.svd.range_basis
+        return u_r @ u_r.conj().T
+
+    @cached_property
+    def null_proj(self) -> np.ndarray:
+        """Projector onto N(A)."""
+        v_r = self.svd.row_basis
+        return np.eye(v_r.shape[0], dtype=complex) - v_r @ v_r.conj().T
 
 
 @dataclass(frozen=True)
@@ -40,21 +61,11 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> PinvResult:
     gamma(A) is the smallest nonzero singular value (= 1/||A^+||).  For
     the zero matrix gamma is reported as 0 with rank 0.
     """
-    m = as_matrix(a)
-    res = svd(m, tol)
-    r = res.rank
-    u_r = res.U[:, :r]
-    v_r = res.Vt[:r, :].conj().T
-    s_r = res.singular_values[:r]
-    if r > 0:
-        pinv = (v_r / s_r) @ u_r.conj().T
-        gamma = float(s_r[-1])
-    else:
-        pinv = np.zeros((m.shape[1], m.shape[0]), dtype=complex)
-        gamma = 0.0
-    range_proj = u_r @ u_r.conj().T
-    null_proj = np.eye(m.shape[1], dtype=complex) - v_r @ v_r.conj().T
-    return PinvResult(pinv, gamma, range_proj, null_proj, r)
+    res = svd(a, tol)
+    s_r = res.singular_values[: res.rank]
+    pinv = (res.row_basis / s_r) @ res.range_basis.conj().T
+    gamma = float(s_r[-1]) if res.rank else 0.0
+    return PinvResult(pinv, gamma, res)
 
 
 def pinv_matrix(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -93,37 +104,17 @@ def _norm_bound(gamma_a: float, norm_a_pinv: float, dist: float) -> float:
 
 
 def same_rank_bound(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
-    """Norm bound for B^+ under an equal-rank perturbation within gamma(A)."""
+    """Norm bound for B^+ under an equal-rank perturbation within gamma(A).
+
+    For a fixed shape equal nullity is equal rank, so the same hypothesis
+    stated through the index of the pair of null projectors adds nothing.
+    """
     ra = moore_penrose(a, tol)
     rb = moore_penrose(b, tol)
     dist = float(np.linalg.norm(as_matrix(a) - as_matrix(b), 2))
-    norm_a_pinv = 1.0 / ra.gamma if ra.rank > 0 else float("inf")
-    actual = float(np.linalg.norm(rb.pinv, 2))
     met = ra.rank == rb.rank and ra.rank > 0 and dist < ra.gamma
-    bound = _norm_bound(ra.gamma, norm_a_pinv, dist) if ra.rank > 0 else float("inf")
-    return BoundReport(met, bound, actual)
-
-
-def index_bound(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
-    """Same bound with the hypothesis stated through the nullspace index.
-
-    In finite dimension a vanishing index of the pair of null projectors
-    is exactly equality of nullities.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise PreconditionError("A and B must have the same shape")
-    ra = moore_penrose(a, tol)
-    rb = moore_penrose(b, tol)
-    nullity_a = a.shape[1] - ra.rank
-    nullity_b = b.shape[1] - rb.rank
-    dist = float(np.linalg.norm(a - b, 2))
-    norm_a_pinv = 1.0 / ra.gamma if ra.rank > 0 else float("inf")
-    actual = float(np.linalg.norm(rb.pinv, 2))
-    met = nullity_a == nullity_b and ra.rank > 0 and dist < ra.gamma
-    bound = _norm_bound(ra.gamma, norm_a_pinv, dist) if ra.rank > 0 else float("inf")
-    return BoundReport(met, bound, actual)
+    bound = _norm_bound(ra.gamma, ra.pinv_norm, dist) if ra.rank > 0 else float("inf")
+    return BoundReport(met, bound, rb.pinv_norm)
 
 
 def lipschitz_constant(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -135,6 +126,6 @@ def lipschitz_constant(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     res = moore_penrose(a, tol)
     if res.rank == 0:
         raise PreconditionError("Lipschitz constant undefined for the zero matrix")
-    norm_a = float(np.linalg.norm(as_matrix(a), 2))
-    norm_pinv = 1.0 / res.gamma
+    norm_a = float(res.svd.singular_values[0])
+    norm_pinv = res.pinv_norm
     return (norm_a + 0.5 / norm_pinv) ** 2 + 8.0 * norm_pinv**2

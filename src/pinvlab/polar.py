@@ -93,14 +93,15 @@ def congruence_witness(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         )
     sqrt_c = _psd_sqrt(c, tol)
     sqrt_d = _psd_sqrt(d, tol)
+    inv_sqrt_c = pinv_matrix(sqrt_c, tol)
     n = c.shape[0]
     ident = np.eye(n, dtype=complex)
-    null_c = Projector(ident - sqrt_c @ pinv_matrix(sqrt_c, tol))
+    null_c = Projector(ident - sqrt_c @ inv_sqrt_c)
     null_d = Projector(ident - sqrt_d @ pinv_matrix(sqrt_d, tol))
     u = codim.conjugating_unitary(null_d, null_c, tol)
     b2 = u @ sqrt_d @ u.conj().T
     p = ident - null_c.matrix
-    g0 = b2 @ pinv_matrix(sqrt_c, tol) + (ident - p)
+    g0 = b2 @ inv_sqrt_c + (ident - p)
     return u.conj().T @ g0
 
 
@@ -123,7 +124,8 @@ def positive_section(c, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     sqrt_b = _psd_sqrt(b, tol)
     n = c.shape[0]
     ident = np.eye(n, dtype=complex)
-    p = sqrt_c @ pinv_matrix(sqrt_c, tol)
+    inv_sqrt_c = pinv_matrix(sqrt_c, tol)
+    p = sqrt_c @ inv_sqrt_c
     q = sqrt_b @ pinv_matrix(sqrt_b, tol)
     s = q @ p + (ident - q) @ (ident - p)
     sing = np.linalg.svd(s, compute_uv=False)
@@ -132,7 +134,6 @@ def positive_section(c, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             "range projectors too far apart; section undefined here"
         )
     s_unitary = _unitary_polar_factor(s, tol)
-    inv_sqrt_c = pinv_matrix(sqrt_c, tol)
     return sqrt_b @ s_unitary @ inv_sqrt_c + (ident - q) @ s_unitary @ (ident - p)
 
 
@@ -262,7 +263,7 @@ def trivialize_alpha(b, c0, a, tol: ToleranceConfig = DEFAULT_TOL):
     parts = polar_decompose(b, tol)
     try:
         gamma = positive_section(c0, parts.modulus, tol)
-        u = aligning_unitary(gamma, _range_basis_of(c0, tol), tol)
+        u = aligning_unitary(gamma, svd(c0, tol).range_basis, tol)
     except PinvLabError as exc:
         raise OutsideNeighborhoodError(
             f"modulus chart undefined at this B: {exc}"
@@ -280,7 +281,7 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0,
     c0 = as_matrix(c0)
     fiber_elem = as_matrix(fiber_elem)
     gamma = positive_section(c0, modulus, tol)
-    u = aligning_unitary(gamma, _range_basis_of(c0, tol), tol)
+    u = aligning_unitary(gamma, svd(c0, tol).range_basis, tol)
     v = fiber_elem @ pinv_matrix(c0, tol)
     return v @ u.conj().T @ modulus
 
@@ -316,7 +317,3 @@ def trivialize_v_inverse(factor, fiber_elem, v0,
     core = v0.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
     return v @ w @ core @ w.conj().T
 
-
-def _range_basis_of(c, tol: ToleranceConfig) -> np.ndarray:
-    res = svd(as_matrix(c), tol)
-    return res.U[:, : res.rank]

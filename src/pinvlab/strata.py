@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codim
-from .codim import Projector
 from .errors import (
     ConsistencyError,
     ObstructionError,
@@ -32,11 +31,9 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     gauge_norm,
-    null_basis,
-    range_basis,
     svd,
 )
-from .pinv import moore_penrose, pinv_matrix
+from .pinv import PinvResult, moore_penrose, pinv_matrix
 
 
 @dataclass(frozen=True)
@@ -82,34 +79,45 @@ def stratum_index(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> StratumIndex:
     Null-projector index, negated range-projector index and the rank
     difference are all computed; disagreement raises ConsistencyError.
     """
+    rb, ra = _pinv_pair(b, a, tol)
+    return StratumIndex(_index(rb, ra))
+
+
+def _pinv_pair(b, a, tol: ToleranceConfig):
+    """Pseudoinverse reports of B and A, which must have the same shape."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise PreconditionError("A and B must have the same shape")
-    ra = moore_penrose(a, tol)
-    rb = moore_penrose(b, tol)
-    k_null = codim.essential_codimension(
-        Projector(rb.null_proj), Projector(ra.null_proj), tol
-    )
-    k_range = codim.essential_codimension(
-        Projector(rb.range_proj), Projector(ra.range_proj), tol
-    )
+    return moore_penrose(b, tol), moore_penrose(a, tol)
+
+
+def _index(rb: PinvResult, ra: PinvResult) -> int:
+    """stratum_index on the SVD bases of B and A."""
+    sb, sa = rb.svd, ra.svd
+    k_null = codim.subspace_index(sb.null_basis, sb.row_basis,
+                                  sa.null_basis, sa.row_basis)
+    k_range = codim.subspace_index(sb.range_basis, sb.corange_basis,
+                                   sa.range_basis, sa.corange_basis)
     k_rank = ra.rank - rb.rank
     if not (k_null == -k_range == k_rank):
         raise ConsistencyError(
             f"stratum index disagreement: null {k_null}, "
             f"range {-k_range}, rank {k_rank}"
         )
-    return StratumIndex(k_null)
+    return k_null
 
 
 def index_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> IndexRange:
     """Admissible indices around A: -min(dim N(A), dim R(A)^perp) .. dim N(A)^perp."""
     a = as_matrix(a)
-    r = svd(a, tol).rank
-    n1 = a.shape[1] - r      # dim N(A)
-    n2 = r                   # dim N(A)^perp
-    n3 = a.shape[0] - r      # dim R(A)^perp
+    return _index_range(a.shape, svd(a, tol).rank)
+
+
+def _index_range(shape, r: int) -> IndexRange:
+    n1 = shape[1] - r      # dim N(A)
+    n2 = r                 # dim N(A)^perp
+    n3 = shape[0] - r      # dim R(A)^perp
     return IndexRange(-min(n1, n3), n2)
 
 
@@ -122,18 +130,17 @@ def stratum_representative(a, k: StratumIndex | int,
     """
     a = as_matrix(a)
     kk = k.k if isinstance(k, StratumIndex) else int(k)
-    if kk not in index_range(a, tol):
+    res = svd(a, tol)
+    r = res.rank
+    if kk not in _index_range(a.shape, r):
         raise PreconditionError(f"index {kk} outside the admissible range")
     if kk == 0:
         return a.copy()
-    res = svd(a, tol)
-    r = res.rank
     if kk < 0:
-        l = -kk
-        right = res.Vt[r : r + l, :].conj().T       # l vectors in N(A)
-        left = res.U[:, r : r + l]                  # l vectors in R(A)^perp
+        right = res.null_basis[:, :-kk]             # -k vectors in N(A)
+        left = res.corange_basis[:, :-kk]           # -k vectors in R(A)^perp
         return a + left @ right.conj().T
-    v_keep = res.Vt[: r - kk, :].conj().T           # corank-k subspace of N(A)^perp
+    v_keep = res.row_basis[:, : r - kk]             # corank-k subspace of N(A)^perp
     return a @ (v_keep @ v_keep.conj().T)
 
 
@@ -178,14 +185,12 @@ def local_section_sigma(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPair:
     invertible for B close to A in the zero stratum, and
     sigma_1 A sigma_2^{-1} = B.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if stratum_index(b, a, tol).k != 0:
+    rb, ra = _pinv_pair(b, a, tol)
+    if _index(rb, ra) != 0:
         raise StratumError("the section is only defined on the zero stratum")
-    ra = moore_penrose(a, tol)
-    rb = moore_penrose(b, tol)
-    ident_m = np.eye(a.shape[0], dtype=complex)
-    ident_n = np.eye(a.shape[1], dtype=complex)
+    b = as_matrix(b)
+    ident_m = np.eye(b.shape[0], dtype=complex)
+    ident_n = np.eye(b.shape[1], dtype=complex)
     s1 = b @ ra.pinv + (ident_m - rb.range_proj) @ (ident_m - ra.range_proj)
     s2 = rb.null_proj @ ra.null_proj + (ident_n - rb.null_proj) @ (ident_n - ra.null_proj)
     for name, m in (("first", s1), ("second", s2)):
@@ -206,28 +211,25 @@ def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
     bumps B on an m-dimensional subspace of N(B) by a partial isometry
     into R(B)^perp scaled by eps/m, where m is the required rank jump.
     """
-    a = as_matrix(a)
+    rb, ra = _pinv_pair(b, a, tol)
     b = as_matrix(b)
     kk = k_target.k if isinstance(k_target, StratumIndex) else int(k_target)
-    if kk not in index_range(a, tol):
+    if kk not in _index_range(b.shape, ra.rank):
         raise PreconditionError(f"index {kk} outside the admissible range")
-    rank_a = svd(a, tol).rank
-    res_b = svd(b, tol)
-    m_jump = (rank_a - kk) - res_b.rank
+    m_jump = (ra.rank - kk) - rb.rank
     if m_jump < 0:
         raise ObstructionError(
             "rank can only increase under arbitrarily small perturbations; "
-            f"target rank {rank_a - kk} < rank(B) = {res_b.rank}"
+            f"target rank {ra.rank - kk} < rank(B) = {rb.rank}"
         )
     if m_jump == 0:
         return b.copy()
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    r = res_b.rank
-    right = res_b.Vt[r : r + m_jump, :].conj().T   # inside N(B)
-    left = res_b.U[:, r : r + m_jump]              # inside R(B)^perp
+    right = rb.svd.null_basis[:, :m_jump]          # inside N(B)
+    left = rb.svd.corange_basis[:, :m_jump]        # inside R(B)^perp
     out = b + (eps / m_jump) * (left @ right.conj().T)
-    got = stratum_index(out, a, tol).k
+    got = _index(moore_penrose(out, tol), ra)
     if got != kk:
         raise ConsistencyError(f"bump landed in stratum {got}, wanted {kk}")
     return out
@@ -241,20 +243,18 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     N(B) ∩ N(A)^perp (C = A P).  rank(C) = |k| and the gauge norm of C
     is controlled by the distance from A to B.
     """
+    rb, ra = _pinv_pair(b, a, tol)
     a = as_matrix(a)
     b = as_matrix(b)
-    k = stratum_index(b, a, tol).k
+    k = _index(rb, ra)
     if k == 0:
         raise PreconditionError("B is already in the zero stratum")
-    na = null_basis(a, tol)
-    nb = null_basis(b, tol)
-    nb_perp = codim.Projector(np.eye(b.shape[1], dtype=complex) - nb @ nb.conj().T)
-    na_perp = codim.Projector(np.eye(a.shape[1], dtype=complex) - na @ na.conj().T)
+    sa, sb = ra.svd, rb.svd
     if k < 0:
-        basis = _intersection_basis(na, nb_perp.basis(tol))
+        basis = codim.intersection_basis(sa.null_basis, sb.row_basis)
         need = -k
     else:
-        basis = _intersection_basis(nb, na_perp.basis(tol))
+        basis = codim.intersection_basis(sb.null_basis, sa.row_basis)
         need = k
     if basis.shape[1] < need:
         raise OutsideNeighborhoodError(
@@ -264,18 +264,9 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     sub = basis[:, :need]
     proj = sub @ sub.conj().T
     c = -b @ proj if k < 0 else a @ proj
-    if stratum_index(b + c, a, tol).k != 0:
+    if _index(moore_penrose(b + c, tol), ra) != 0:
         raise ConsistencyError("correction failed to reach the zero stratum")
     return c
-
-
-def _intersection_basis(x, y) -> np.ndarray:
-    """Orthonormal basis of span(x) ∩ span(y) (orthonormal column inputs)."""
-    if x.shape[1] == 0 or y.shape[1] == 0:
-        return np.zeros((x.shape[0], 0), dtype=complex)
-    w, cos, _ = np.linalg.svd(x.conj().T @ y)
-    d = int(np.sum(cos >= 1.0 - 1e-8))
-    return x @ w[:, :d]
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +336,21 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
         raise PreconditionError("sequence must be nonempty")
     if not 0 <= n0 < len(seq):
         raise PreconditionError("n0 must index into the sequence")
+    if any(bn.shape != b.shape for bn in seq):
+        raise PreconditionError("sequence terms must have the shape of B")
     rb = moore_penrose(b, tol)
-    norm_b_pinv = float(np.linalg.norm(rb.pinv, 2))
-    norm_b = float(np.linalg.norm(b, 2))
-    nb = null_basis(b, tol)
+    norm_b_pinv = rb.pinv_norm
+    norm_b = float(rb.svd.singular_values[0])
     rows = []
     for n, bn in enumerate(seq):
         rn = moore_penrose(bn, tol)
-        idx = stratum_index(bn, b, tol).k
-        pinv_norm = float(np.linalg.norm(rn.pinv, 2))
-        pinv_gap = gauge_norm(rn.pinv - rb.pinv, g)
-        null_gap_gauge = gauge_norm(rn.null_proj - rb.null_proj, g)
-        null_gap_op = float(np.linalg.norm(rn.null_proj - rb.null_proj, 2))
-        perp = range_basis(bn.conj().T, tol)   # basis of N(B_n)^perp
-        inter = codim.intersection_dim(perp, nb)
-        rows.append(ContinuityRow(n, idx, pinv_norm, pinv_gap,
-                                  null_gap_gauge, null_gap_op, inter))
+        null_gaps = np.linalg.svd(rn.null_proj - rb.null_proj, compute_uv=False)
+        inter = codim.intersection_dim(rn.svd.row_basis, rb.svd.null_basis)
+        rows.append(ContinuityRow(n, _index(rn, rb), rn.pinv_norm,
+                                  gauge_norm(rn.pinv - rb.pinv, g),
+                                  g.of_singular_values(null_gaps),
+                                  float(null_gaps[0]), inter))
+    norm_last = float(rn.svd.singular_values[0])   # rn reports the last term
     tail = rows[n0:]
     last = tail[-1]
     # (iii): under a bounded tail the pseudoinverse gap is dominated by a
@@ -368,7 +358,7 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
     # by orders of magnitude.
     last_input_gap = gauge_norm(seq[-1] - b, g)
     iii_threshold = (
-        (float(np.linalg.norm(seq[-1], 2)) * norm_b
+        (norm_last * norm_b
          + (BOUNDEDNESS_FACTOR * norm_b_pinv) ** 2 + norm_b_pinv**2)
         * last_input_gap
         + tol.residual_abs
@@ -395,17 +385,14 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
 
 def mp_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """B -> B^+, asserting that the stratum index is preserved relative to A^+."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    k = stratum_index(b, a, tol).k
-    b_pinv = pinv_matrix(b, tol)
-    a_pinv = pinv_matrix(a, tol)
-    k_image = stratum_index(b_pinv, a_pinv, tol).k
+    rb, ra = _pinv_pair(b, a, tol)
+    k = _index(rb, ra)
+    k_image = stratum_index(rb.pinv, ra.pinv, tol).k
     if k_image != k:
         raise ConsistencyError(
             f"pseudoinverse map moved stratum index from {k} to {k_image}"
         )
-    return b_pinv
+    return rb.pinv
 
 
 def tangent_membership(b, z, tol: ToleranceConfig = DEFAULT_TOL,

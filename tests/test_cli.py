@@ -172,3 +172,16 @@ def test_determinism(capsys, tmp_path):
                                "--trials", "12", "--out", str(path)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_continuity_without_room_for_a_jump(capsys):
+    # at --dim 1 a jump family has no rank to gain: a typed error, exit 2
+    code = cli.main(["continuity", "--dim", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_subcommands_reject_options_they_do_not_read(capsys, matrix_file):
+    assert cli.main(["pinv", "--input", matrix_file, "--gauge", "s2"]) == 2
+    assert cli.main(["continuity", "--json"]) == 2
+    assert cli.main(["taylor", "--trials", "3"]) == 2

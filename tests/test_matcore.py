@@ -20,9 +20,6 @@ from pinvlab.matcore import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
-    null_basis,
-    orthonormal_complement_basis,
-    range_basis,
     save_matrix,
     svd,
 )
@@ -171,22 +168,22 @@ def test_eigh_ascending(rng):
 @given(seeds, st.integers(min_value=0, max_value=3))
 def test_subspace_bases(seed, r):
     a = generate.fixed_rank(np.random.default_rng(seed), 5, 4, r)
-    rb = range_basis(a)
-    nb = null_basis(a)
-    assert rb.shape == (5, r)
-    assert nb.shape == (4, 4 - r)
-    assert np.linalg.norm(rb.conj().T @ rb - np.eye(r)) < 1e-10
-    assert np.linalg.norm(a @ nb) < 1e-9
-
-
-def test_complement_basis_empty_input():
-    cols = np.zeros((4, 0), dtype=complex)
-    comp = orthonormal_complement_basis(cols)
-    assert np.array_equal(comp, np.eye(4, dtype=complex))
+    res = svd(a)
+    assert res.range_basis.shape == (5, r)
+    assert res.corange_basis.shape == (5, 5 - r)
+    assert res.row_basis.shape == (4, r)
+    assert res.null_basis.shape == (4, 4 - r)
+    for basis in (res.range_basis, res.corange_basis, res.row_basis, res.null_basis):
+        k = basis.shape[1]
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(k)) < 1e-10
+    assert np.linalg.norm(a @ res.null_basis) < 1e-9
+    assert np.linalg.norm(res.corange_basis.conj().T @ a) < 1e-9
+    # the row basis spans N(A)^perp: A loses nothing on it
+    assert np.linalg.norm(a @ res.row_basis @ res.row_basis.conj().T - a) < 1e-9
 
 
 def test_complement_basis(rng):
     cols = generate.unitary(rng, 5)[:, :2]
-    comp = orthonormal_complement_basis(cols)
+    comp = svd(cols).corange_basis
     assert comp.shape == (5, 3)
     assert np.linalg.norm(cols.conj().T @ comp) < 1e-10

@@ -7,7 +7,6 @@ from pinvlab import generate
 from pinvlab.errors import PreconditionError
 from pinvlab.matcore import FROBENIUS_NORM, OP_NORM, TRACE_NORM
 from pinvlab.pinv import (
-    index_bound,
     lipschitz_constant,
     moore_penrose,
     pinv_matrix,
@@ -97,16 +96,6 @@ def test_bound_hypothesis_not_met_on_rank_change(rng):
     a = generate.fixed_rank(rng, 4, 4, 2)
     b = generate.fixed_rank(rng, 4, 4, 3)
     assert not same_rank_bound(a, b).hypothesis_met
-    assert not index_bound(a, b).hypothesis_met
-
-
-def test_index_bound_matches_same_rank_for_square(rng):
-    a = generate.fixed_rank(rng, 4, 4, 2)
-    b = generate.rank_preserving_perturbation(rng, a, 0.01)
-    r1 = same_rank_bound(a, b)
-    r2 = index_bound(a, b)
-    assert r1.hypothesis_met == r2.hypothesis_met
-    assert r1.bound == pytest.approx(r2.bound)
 
 
 def test_bound_infinite_outside_radius():
