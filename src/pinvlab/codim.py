@@ -62,18 +62,18 @@ class Projector:
     @cached_property
     def _eigh(self):
         # eigenvalues of a projector cluster at 0 and 1, so 1/2 separates
-        # them regardless of scale and of ``tol``; a relative SVD cutoff
-        # would miscount the rank of a numerically-zero projector
+        # them at any scale and no rank tolerance is read; a relative SVD
+        # cutoff would miscount the rank of a numerically-zero projector
         return eigh(self.matrix)
 
-    def rank(self, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    def rank(self) -> int:
         return int(np.sum(self._eigh[1] > 0.5))
 
-    def basis(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    def basis(self) -> np.ndarray:
         q, w = self._eigh
         return q[:, w > 0.5]
 
-    def complement_basis(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    def complement_basis(self) -> np.ndarray:
         q, w = self._eigh
         return q[:, w <= 0.5]
 
@@ -114,13 +114,12 @@ def subspace_index(rp, np_, rq, nq) -> int:
     return by_rank
 
 
-def essential_codimension(p: Projector, q: Projector,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def essential_codimension(p: Projector, q: Projector) -> int:
     """Fredholm index of the pair (P, Q), by ``subspace_index`` on their bases."""
     if p.dim != q.dim:
         raise PreconditionError("projections must act on the same space")
-    return subspace_index(p.basis(tol), p.complement_basis(tol),
-                          q.basis(tol), q.complement_basis(tol))
+    return subspace_index(p.basis(), p.complement_basis(),
+                          q.basis(), q.complement_basis())
 
 
 def direct_rotation(p: Projector, q: Projector,
@@ -149,18 +148,17 @@ def direct_rotation(p: Projector, q: Projector,
     return inv_sqrt @ w
 
 
-def basis_matching_unitary(p: Projector, q: Projector,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def basis_matching_unitary(p: Projector, q: Projector) -> np.ndarray:
     """Some unitary with U P U* = Q, valid for any equal-rank pair.
 
     Fallback used when the projections are too far apart for the direct
     rotation; the witness is basis-dependent but satisfies the same
     conjugation contract.
     """
-    if p.rank(tol) != q.rank(tol):
+    if p.rank() != q.rank():
         raise PreconditionError("projections must have equal rank")
-    bp = np.hstack([p.basis(tol), p.complement_basis(tol)])
-    bq = np.hstack([q.basis(tol), q.complement_basis(tol)])
+    bp = np.hstack([p.basis(), p.complement_basis()])
+    bq = np.hstack([q.basis(), q.complement_basis()])
     return bq @ bp.conj().T
 
 
@@ -170,4 +168,4 @@ def conjugating_unitary(p: Projector, q: Projector,
     try:
         return direct_rotation(p, q, tol)
     except GapTooLargeError:
-        return basis_matching_unitary(p, q, tol)
+        return basis_matching_unitary(p, q)

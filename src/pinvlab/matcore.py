@@ -264,3 +264,21 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     return q, w
+
+
+def psd_eigh(c, tol: ToleranceConfig = DEFAULT_TOL):
+    """Spectral decomposition of a Hermitian positive semidefinite matrix.
+
+    Eigenvalues below -1e-10 max(|w|, 1) are rejected; those at or below
+    the rank cutoff tol.rank_rel * n * max|w| are set to 0.  Returns
+    (Q, w, rank) with w ascending, so Q[:, n - rank:] spans R(C) and
+    Q[:, :n - rank] spans N(C).
+    """
+    q, w = eigh(c, tol)
+    scale = float(np.max(np.abs(w)))
+    if w[0] < -1e-10 * max(scale, 1.0):
+        raise PreconditionError(
+            f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
+        )
+    w = np.where(w > tol.rank_rel * len(w) * scale, w, 0.0)
+    return q, w, int(np.count_nonzero(w))

@@ -10,6 +10,11 @@ quadrature -- kept separate so each can serve as the other's oracle.
 Taylor terms of the matrix map C -> f(C), their gauge-norm bounds, a
 first-order perturbation bound and dyadic Riemann operator sums with a
 proved O(2^-p) gap complete the module.
+
+Each positive matrix is factorized once, by ``matcore.psd_eigh``, and the
+Taylor, perturbation and Riemann integrands run in its eigenbasis, where
+the resolvent (tI+C)^{-1} is diagonal.  Only ``matrix_eval_integral``, the
+spectral route's oracle, keeps matrix resolvents.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .matcore import (
     OP_NORM,
     ToleranceConfig,
     as_matrix,
-    eigh,
     gauge_norm,
+    psd_eigh,
 )
 from .pinv import BoundReport
 
@@ -164,8 +169,7 @@ def _admissibility(f: MonotoneFunction) -> float:
 
 
 def _check_monotone(f: MonotoneFunction):
-    grid = np.linspace(0.0, 100.0, 41)
-    vals = [scalar_eval(f, lam) for lam in grid]
+    vals = scalar_eval(f, np.linspace(0.0, 100.0, 41))
     if np.any(np.diff(vals) < -1e-10):
         raise PreconditionError(
             "representation data is not nondecreasing on [0, 100]"
@@ -231,60 +235,49 @@ def monotone_from_json(obj) -> MonotoneFunction:
 # Evaluation.
 
 
-def scalar_eval(f: MonotoneFunction, lam: float, skip_cache: bool = False) -> float:
-    """f(lambda) for lambda >= 0 from the representation data."""
-    lam = float(lam)
-    if lam < 0:
+def scalar_eval(f: MonotoneFunction, lam, skip_cache: bool = False):
+    """f(lambda) for lambda >= 0 from the representation data.
+
+    A float for a scalar ``lam``; for an array, one quadrature serves every
+    entry.  Entries equal to 0 take the stored f(0) unless ``skip_cache``.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
         raise PreconditionError("scalar argument must be nonnegative")
-    if lam == 0.0 and not skip_cache:
+    if lam.ndim == 0 and lam == 0.0 and not skip_cache:
         return f.f0
-    # combined form of 1/(t+lam) - t/(t^2+1): stable for large t
-    integral = measure_integral(
-        f, lambda t: (1.0 - lam * t) / ((t + lam) * (t * t + 1.0))
-    )
-    return f.alpha + f.beta * lam - float(integral)
+
+    def fn(t):
+        t = t.reshape(t.shape + (1,) * lam.ndim)
+        # combined form of 1/(t+lam) - t/(t^2+1): stable for large t
+        return (1.0 - lam * t) / ((t + lam) * (t * t + 1.0))
+
+    vals = f.alpha + f.beta * lam - measure_integral(f, fn)
+    if lam.ndim == 0:
+        return float(vals)
+    return vals if skip_cache else np.where(lam == 0.0, f.f0, vals)
 
 
-def _psd_eigs(c, tol: ToleranceConfig):
-    c = as_matrix(c)
-    if c.shape[0] != c.shape[1]:
-        raise PreconditionError("functional calculus requires a square matrix")
-    q, w = eigh(c, tol)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if np.any(w < -1e-10 * max(scale, 1.0)):
-        raise PreconditionError(
-            f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
-        )
-    return q, np.maximum(w, 0.0)
-
-
-def _pd_gamma(c, tol: ToleranceConfig) -> float:
-    """Smallest eigenvalue of a Hermitian positive definite matrix."""
-    q, w = _psd_eigs(c, tol)
-    cutoff = tol.rank_rel * len(w) * float(w[-1])
-    if w[0] <= cutoff:
+def _pd_eigs(c, tol: ToleranceConfig):
+    """psd_eigh of a matrix that must be positive definite: (Q, w)."""
+    q, w, rank = psd_eigh(c, tol)
+    if rank < len(w):
         raise PreconditionError("matrix must be positive definite")
-    return float(w[0])
+    return q, w
+
+
+def _spectral(f: MonotoneFunction, q, w) -> np.ndarray:
+    """f(C) from the eigenpairs (Q, w) of C."""
+    out = (q * scalar_eval(f, w)) @ q.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def matrix_eval_spectral(f: MonotoneFunction, c,
                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """f(C) through the spectral theorem: scalar f applied to eigenvalues."""
-    q, w = _psd_eigs(c, tol)
-    # snap numerically-zero eigenvalues to 0 so the scalar route agrees
-    # with the rank split used by the resolvent route
-    cutoff = tol.rank_rel * len(w) * float(w[-1]) if w.size else 0.0
-    w = np.where(w > cutoff, w, 0.0)
-    vals = np.array([scalar_eval(f, lam) for lam in w])
-    out = (q * vals) @ q.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def _resolvents(t, c) -> np.ndarray:
-    """Stacked (t_i I + C)^{-1} for an array of t values."""
-    d = c.shape[0]
-    ident = np.eye(d, dtype=complex)
-    return np.linalg.inv(t[:, None, None] * ident + c)
+    """f(C) through the spectral theorem: scalar f applied to eigenvalues,
+    those at or below the rank cutoff taken as 0 (as in the integral route)."""
+    q, w, _ = psd_eigh(c, tol)
+    return _spectral(f, q, w)
 
 
 def matrix_eval_integral(f: MonotoneFunction, c,
@@ -297,28 +290,21 @@ def matrix_eval_integral(f: MonotoneFunction, c,
     the value is f(0) times the projector).
     """
     c = as_matrix(c)
-    q, w = _psd_eigs(c, tol)
+    q, _, rank = psd_eigh(c, tol)
     d = c.shape[0]
-    cutoff = tol.rank_rel * d * float(w[-1]) if w.size else 0.0
-    rank = int(np.sum(w > cutoff))
     if rank < d:
         if rank == 0:
             return f.f0 * np.eye(d, dtype=complex)
-        basis = q[:, d - rank:]          # eigenvalues ascending
-        core = basis.conj().T @ c @ basis
-        inner = matrix_eval_integral(f, core, tol)
-        proj = basis @ basis.conj().T
-        return basis @ inner @ basis.conj().T + f.f0 * (
-            np.eye(d, dtype=complex) - proj
-        )
+        basis, null = q[:, d - rank:], q[:, :d - rank]   # eigenvalues ascending
+        inner = matrix_eval_integral(f, basis.conj().T @ c @ basis, tol)
+        return basis @ inner @ basis.conj().T + f.f0 * (null @ null.conj().T)
     ident = np.eye(d, dtype=complex)
 
     def fn(t):
         # (tI+C)^{-1} - t/(t^2+1) I rewritten as a product to avoid the
         # large-t cancellation of the two O(1/t) pieces
-        res = _resolvents(t, c)
-        core = ident[None, :, :] - t[:, None, None] * c[None, :, :]
-        return (res @ core) / (t * t + 1.0)[:, None, None]
+        t = t[:, None, None]
+        return np.linalg.solve(t * ident + c, ident - t * c) / (t * t + 1.0)
 
     integral = measure_integral(f, fn)
     out = f.alpha * ident + f.beta * c - integral
@@ -334,7 +320,9 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int,
     """n-th term of the expansion of f(C + Delta) around positive definite C.
 
     f_1(D) = beta D + ∫ R D R dν and, for n >= 2,
-    f_n(D) = (-1)^{n+1} ∫ (R D)^n R dν with R = (tI+C)^{-1}.
+    f_n(D) = (-1)^{n+1} ∫ (R D)^n R dν with R = (tI+C)^{-1}.  The
+    integrand is (R X)^n R in the eigenbasis Q of C, where R is diagonal
+    and X = Q* Delta Q; the integral is conjugated back once.
     """
     if n < 1:
         raise PreconditionError("term order must be >= 1")
@@ -345,17 +333,18 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int,
     if np.linalg.norm(delta - delta.conj().T) > 1e-10 * max(
             1.0, np.linalg.norm(delta)):
         raise PreconditionError("Delta must be Hermitian")
-    _pd_gamma(c, tol)
+    q, w = _pd_eigs(c, tol)
+    x = q.conj().T @ delta @ q
 
     def fn(t):
-        res = _resolvents(t, c)
-        prod = res @ delta
+        r = 1.0 / (t[:, None] + w)
+        prod = r[:, :, None] * x
         acc = prod
         for _ in range(n - 1):
             acc = acc @ prod
-        return acc @ res
+        return acc * r[:, None, :]
 
-    integral = measure_integral(f, fn)
+    integral = q @ measure_integral(f, fn) @ q.conj().T
     sign = 1.0 if n % 2 == 1 else -1.0
     out = sign * integral
     if n == 1:
@@ -374,7 +363,7 @@ def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
     """
     if n < 1:
         raise PreconditionError("term order must be >= 1")
-    gamma = _pd_gamma(c, tol)
+    gamma = float(_pd_eigs(c, tol)[1][0])
     dist = gauge_norm(delta, g)
     if dist >= gamma:
         raise OutsideNeighborhoodError(
@@ -394,14 +383,14 @@ def perturbation_bound(f: MonotoneFunction, c, d,
     d = as_matrix(d)
     if c.shape != d.shape:
         raise PreconditionError("C and D must have the same shape")
-    gamma_c = _pd_gamma(c, tol)
-    gamma_d = _pd_gamma(d, tol)
+    qc, wc = _pd_eigs(c, tol)
+    qd, wd = _pd_eigs(d, tol)
+    gamma_c, gamma_d = float(wc[0]), float(wd[0])
     dist = gauge_norm(d - c, g)
     coeff = float(measure_integral(
         f, lambda t: 1.0 / ((t + gamma_c) * (t + gamma_d))))
     bound = dist * (f.beta + coeff)
-    actual = gauge_norm(
-        matrix_eval_spectral(f, d, tol) - matrix_eval_spectral(f, c, tol), g)
+    actual = gauge_norm(_spectral(f, qd, wd) - _spectral(f, qc, wc), g)
     return BoundReport(True, bound, actual)
 
 
@@ -428,10 +417,6 @@ class RiemannSumReport:
     eta: float
 
 
-def _riemann_h(t, c, d, diff) -> np.ndarray:
-    return _resolvents(t, c) @ diff @ _resolvents(t, d)
-
-
 def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
                 g: GaugeNorm = OP_NORM,
                 tol: ToleranceConfig = DEFAULT_TOL,
@@ -442,7 +427,9 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
     measure mass times h at the right endpoint.  The truncation tail of
     q(t) = ||D-C||_g/((t+γ_C)(t+γ_D)) beyond t_max must stay below the
     relative allowance ``tail_tol``; the reference integral is taken on
-    the same truncated domain as the sum.
+    the same truncated domain as the sum.  Both run on the Daleckii-Krein
+    form h(t) = Q_C (K(t) ∘ X) Q_D* with X = Q_C*(D-C)Q_D and
+    K_ij(t) = 1/((t+λ_i)(t+μ_j)) for the eigenpairs of C and D.
     """
     if p < 0:
         raise PreconditionError("dyadic depth must be nonnegative")
@@ -450,10 +437,12 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
         raise PreconditionError("t_max must be positive")
     c = as_matrix(c)
     d = as_matrix(d)
-    gamma_c = _pd_gamma(c, tol)
-    gamma_d = _pd_gamma(d, tol)
+    qc, wc = _pd_eigs(c, tol)
+    qd, wd = _pd_eigs(d, tol)
+    gamma_c, gamma_d = float(wc[0]), float(wd[0])
     diff = d - c
     dist = gauge_norm(diff, g)
+    x = qc.conj().T @ diff @ qd
 
     def q(t):
         return dist / ((t + gamma_c) * (t + gamma_d))
@@ -471,11 +460,14 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
     lefts = width * np.arange(n_cells)
     rights = np.minimum(lefts + width, t_max)
     masses = np.array([measure_mass(f, a, b) for a, b in zip(lefts, rights)])
-    h_vals = _riemann_h(lefts + width, c, d, diff)
-    value = np.einsum("m,mij->ij", masses, h_vals)
-
-    reference = measure_integral(
-        f, lambda t: _riemann_h(t, c, d, diff), t_max=t_max)
+    samples = (lefts + width)[:, None]
+    # Σ m K(t_m) as one product of the sampled diagonal resolvents of C and D
+    k_sum = (masses[:, None] / (samples + wc)).T @ (1.0 / (samples + wd))
+    k_ref = measure_integral(
+        f, lambda t: 1.0 / ((t[:, None, None] + wc[:, None])
+                            * (t[:, None, None] + wd)), t_max=t_max)
+    value = qc @ (k_sum * x) @ qd.conj().T
+    reference = qc @ (k_ref * x) @ qd.conj().T
     gap = gauge_norm(value - reference, g)
 
     def r(t):
@@ -537,18 +529,14 @@ def continuity_in_stratum(f: MonotoneFunction, c, seq,
     a tail that jumps stratum shows a value gap of larger order.
     """
     c = as_matrix(c)
-    _psd_eigs(c, tol)
     fc = matrix_eval_spectral(f, c, tol)
     rows = []
     for n, dn in enumerate(seq):
         dn = as_matrix(dn)
-        _psd_eigs(dn, tol)
+        fd = matrix_eval_spectral(f, dn, tol)
         idx = strata.stratum_index(dn, c, tol).k
         rows.append(StratumContinuityRow(
-            n, idx,
-            gauge_norm(dn - c, g),
-            gauge_norm(matrix_eval_spectral(f, dn, tol) - fc, g),
-        ))
+            n, idx, gauge_norm(dn - c, g), gauge_norm(fd - fc, g)))
     if not rows:
         raise PreconditionError("sequence must be nonempty")
     return StratumContinuityReport(rows)

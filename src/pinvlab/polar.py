@@ -12,6 +12,7 @@ cross-section, the range-aligning unitary, and the two local chart maps
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     PreconditionError,
     StratumError,
 )
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, eigh, svd
+from .matcore import DEFAULT_TOL, SvdResult, ToleranceConfig, as_matrix, psd_eigh, svd
 from .pinv import pinv_matrix
 
 
@@ -47,24 +48,44 @@ class PartialIsometry:
         return PartialIsometry(v)
 
 
-def _psd_sqrt(c, tol: ToleranceConfig) -> np.ndarray:
-    q, w = eigh(c, tol)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if np.any(w < -1e-10 * max(scale, 1.0)):
-        raise PreconditionError("matrix is not positive semidefinite")
-    w = np.maximum(w, 0.0)
-    # zero the below-cutoff eigenvalues so the square root does not
-    # inflate the numerical rank (sqrt of 1e-16 noise is 1e-8)
-    w[w <= tol.rank_rel * len(w) * scale] = 0.0
-    return (q * np.sqrt(w)) @ q.conj().T
+class _Root(NamedTuple):
+    sqrt: np.ndarray          # C^{1/2}
+    pinv_sqrt: np.ndarray     # (C^{1/2})^+
+    range_proj: np.ndarray
+    null_proj: np.ndarray
+
+
+def _equal_rank_roots(c, d, tol: ToleranceConfig):
+    """_Root of square PSD C and D of one size and equal rank, one eigh each.
+
+    ``psd_eigh`` zeroes the below-cutoff eigenvalues, so the square root
+    does not inflate the numerical rank (sqrt of 1e-16 noise is 1e-8).
+    """
+    c = as_matrix(c)
+    d = as_matrix(d)
+    if c.shape != d.shape or c.shape[0] != c.shape[1]:
+        raise PreconditionError("PSD matrices must be square of equal size")
+    (qc, wc, rank_c), (qd, wd, rank_d) = psd_eigh(c, tol), psd_eigh(d, tol)
+    if rank_c != rank_d:
+        raise StratumError(f"no congruence across ranks: {rank_c} vs {rank_d}")
+    k = len(wc) - rank_c       # eigenvalues ascending: Q[:, k:] spans the range
+
+    def root(q, w):
+        q_r, q_n, s = q[:, k:], q[:, :k], np.sqrt(w[k:])
+        return _Root((q_r * s) @ q_r.conj().T, (q_r / s) @ q_r.conj().T,
+                     q_r @ q_r.conj().T, q_n @ q_n.conj().T)
+    return root(qc, wc), root(qd, wd)
 
 
 def polar_decompose(a, tol: ToleranceConfig = DEFAULT_TOL) -> PolarParts:
     """A = V|A| with V = A|A|^+ a partial isometry sharing the nullspace of A."""
-    a = as_matrix(a)
-    res = svd(a, tol)
+    return _polar_parts(svd(a, tol))
+
+
+def _polar_parts(res: SvdResult) -> PolarParts:
+    """Polar parts of A from its SVD."""
     r = res.rank
-    n = a.shape[1]
+    n = res.Vt.shape[0]
     s_full = np.zeros(n)
     s_full[: len(res.singular_values)] = res.singular_values
     v = res.Vt.conj().T
@@ -81,27 +102,10 @@ def congruence_witness(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     B2 = U D^{1/2} U* sharing the range of C, G0 = B2 B1^+ + (I - P)
     solves G0 B1 = B2, and G = U* G0 conjugates C to D.
     """
-    c = as_matrix(c)
-    d = as_matrix(d)
-    if c.shape != d.shape or c.shape[0] != c.shape[1]:
-        raise PreconditionError("C and D must be square of equal size")
-    rank_c = svd(c, tol).rank
-    rank_d = svd(d, tol).rank
-    if rank_c != rank_d:
-        raise StratumError(
-            f"no congruence witness across ranks: {rank_c} vs {rank_d}"
-        )
-    sqrt_c = _psd_sqrt(c, tol)
-    sqrt_d = _psd_sqrt(d, tol)
-    inv_sqrt_c = pinv_matrix(sqrt_c, tol)
-    n = c.shape[0]
-    ident = np.eye(n, dtype=complex)
-    null_c = Projector(ident - sqrt_c @ inv_sqrt_c)
-    null_d = Projector(ident - sqrt_d @ pinv_matrix(sqrt_d, tol))
-    u = codim.conjugating_unitary(null_d, null_c, tol)
-    b2 = u @ sqrt_d @ u.conj().T
-    p = ident - null_c.matrix
-    g0 = b2 @ inv_sqrt_c + (ident - p)
+    rc, rd = _equal_rank_roots(c, d, tol)
+    u = codim.conjugating_unitary(Projector(rd.null_proj), Projector(rc.null_proj), tol)
+    b2 = u @ rd.sqrt @ u.conj().T
+    g0 = b2 @ rc.pinv_sqrt + rc.null_proj
     return u.conj().T @ g0
 
 
@@ -114,34 +118,21 @@ def positive_section(c, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The raw S is checked for invertibility, which delimits the section's
     neighborhood of validity.
     """
-    c = as_matrix(c)
-    b = as_matrix(b)
-    if c.shape != b.shape or c.shape[0] != c.shape[1]:
-        raise PreconditionError("C and B must be square of equal size")
-    if svd(c, tol).rank != svd(b, tol).rank:
-        raise StratumError("section requires rank(B) = rank(C)")
-    sqrt_c = _psd_sqrt(c, tol)
-    sqrt_b = _psd_sqrt(b, tol)
-    n = c.shape[0]
-    ident = np.eye(n, dtype=complex)
-    inv_sqrt_c = pinv_matrix(sqrt_c, tol)
-    p = sqrt_c @ inv_sqrt_c
-    q = sqrt_b @ pinv_matrix(sqrt_b, tol)
-    s = q @ p + (ident - q) @ (ident - p)
-    sing = np.linalg.svd(s, compute_uv=False)
-    if sing[-1] <= tol.rank_rel * n * max(sing[0], 1.0):
+    rc, rb = _equal_rank_roots(c, b, tol)
+    p_null, q_null = rc.null_proj, rb.null_proj
+    u, sing, vh = np.linalg.svd(rb.range_proj @ rc.range_proj + q_null @ p_null)
+    if sing[-1] <= tol.rank_rel * len(p_null) * max(sing[0], 1.0):
         raise OutsideNeighborhoodError(
             "range projectors too far apart; section undefined here"
         )
-    s_unitary = _unitary_polar_factor(s, tol)
-    return sqrt_b @ s_unitary @ inv_sqrt_c + (ident - q) @ s_unitary @ (ident - p)
+    s_unitary = u @ vh
+    return rb.sqrt @ s_unitary @ rc.pinv_sqrt + q_null @ s_unitary @ p_null
 
 
-def _unitary_polar_factor(t, tol: ToleranceConfig) -> np.ndarray:
-    """T |T|^{-1} for invertible T."""
-    q, w = eigh(t.conj().T @ t, tol)
-    inv_sqrt = (q / np.sqrt(np.maximum(w, 0.0))) @ q.conj().T
-    return t @ inv_sqrt
+def _unitary_polar_factor(t) -> np.ndarray:
+    """U V* from the SVD T = U S V*: the unitary polar factor of invertible T."""
+    u, _, vh = np.linalg.svd(t)
+    return u @ vh
 
 
 def aligning_unitary(t, s_basis, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -159,12 +150,11 @@ def aligning_unitary(t, s_basis, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     s_basis = np.asarray(s_basis, dtype=complex)
     n = t.shape[0]
     ident = np.eye(n, dtype=complex)
-    p_s = s_basis @ s_basis.conj().T
-    q = t @ p_s @ np.linalg.inv(t)
+    q = t @ s_basis @ s_basis.conj().T @ np.linalg.inv(t)
     p = Projector.onto(t @ s_basis).matrix
     t0 = q + (ident - p) @ (ident - q)
     t1 = t0 @ t
-    u = _unitary_polar_factor(t1, tol)
+    u = _unitary_polar_factor(t1)
     if np.linalg.norm(u @ u.conj().T - ident) > 1e-10 * n:
         raise ConsistencyError("aligning construction produced a non-unitary")
     return u
@@ -239,16 +229,15 @@ def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometr
 
 def fiber_membership_alpha(x, c0, a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Does X lie in the modulus fiber over C0 within the stratum of C0?"""
-    x = as_matrix(x)
     c0 = as_matrix(c0)
-    a = as_matrix(a)
-    mod_x = polar_decompose(x, tol).modulus
+    rx, ra = strata._pinv_pair(x, a, tol)
+    mod_x = _polar_parts(rx.svd).modulus
     scale = max(1.0, float(np.linalg.norm(c0)))
     if np.linalg.norm(mod_x - c0) > 1e-8 * scale:
         return False
-    mod_a = polar_decompose(a, tol).modulus
-    k = strata.stratum_index(c0, mod_a, tol).k
-    return strata.stratum_index(x, a, tol).k == k
+    k_x, mod_a = strata._index(rx, ra), _polar_parts(ra.svd).modulus
+    del rx, ra      # free both full SVDs: the chart's memory peak is in the next call
+    return strata.stratum_index(c0, mod_a, tol).k == k_x
 
 
 def trivialize_alpha(b, c0, a, tol: ToleranceConfig = DEFAULT_TOL):

@@ -262,8 +262,9 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
             "B is not close enough to A for the correction"
         )
     sub = basis[:, :need]
-    proj = sub @ sub.conj().T
-    c = -b @ proj if k < 0 else a @ proj
+    # (X sub) sub* rather than X (sub sub*): the product then has rank
+    # |k| to roundoff relative to C, not relative to B or A
+    c = (-b @ sub if k < 0 else a @ sub) @ sub.conj().T
     if _index(moore_penrose(b + c, tol), ra) != 0:
         raise ConsistencyError("correction failed to reach the zero stratum")
     return c

@@ -1,9 +1,11 @@
-"""Pinned dense-factorization counts of calls that share one SVD per matrix.
+"""Pinned dense-factorization counts of calls that factorize each matrix once.
 
-A counter wraps ``numpy.linalg.svd``, ``eigh`` and ``inv``; ``norm`` of
-order 2, -2 or 'nuc' and ``matrix_rank`` count as one SVD each, because
-numpy runs one inside them.  A change that factorizes a matrix again, or
-re-derives a subspace basis its SVD already holds, moves these counts.
+A counter wraps ``numpy.linalg.svd``, ``eigh``, ``inv`` and ``solve``;
+``inv`` and ``solve`` count once per stacked matrix.  ``norm`` of order
+2, -2 or 'nuc' and ``matrix_rank`` count as one SVD each, because numpy
+runs one inside them.  A change that factorizes a matrix again,
+re-derives a subspace basis its SVD or eigh already holds, or inverts a
+resolvent the eigenbasis makes diagonal, moves these counts.
 """
 
 from collections import Counter
@@ -11,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pinvlab import generate, polar, strata
+from pinvlab import generate, monotone, polar, strata
 from pinvlab.matcore import OP_NORM
 
 D = 16
@@ -21,19 +23,25 @@ D = 16
 def count(monkeypatch):
     counts = Counter()
 
-    def wrap(name, kind, counts_call=lambda *args, **kwargs: True):
+    def wrap(name, kind, weight=lambda *args, **kwargs: 1):
         orig = getattr(np.linalg, name)
 
         def counted(*args, **kwargs):
-            if counts_call(*args, **kwargs):
-                counts[kind] += 1
+            n = weight(*args, **kwargs)
+            if n:
+                counts[kind] += n
             return orig(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 
-    for name in ("svd", "eigh", "inv"):
+    def stacked(x, *args, **kwargs):
+        return int(np.prod(np.shape(x)[:-2], dtype=int))
+
+    for name in ("svd", "eigh"):
         wrap(name, name)
+    for name in ("inv", "solve"):
+        wrap(name, name, stacked)
     wrap("matrix_rank", "svd")
-    wrap("norm", "svd", lambda x, ord=None, *args, **kwargs: ord in (2, -2, "nuc"))
+    wrap("norm", "svd", lambda x, ord=None, *args, **kwargs: int(ord in (2, -2, "nuc")))
 
     def run(call):
         counts.clear()
@@ -49,6 +57,23 @@ def inputs():
     b = generate.rank_preserving_perturbation(rng, a, 0.05)
     seq = generate.in_stratum_family(rng, a, 8)
     return a, b, seq
+
+
+@pytest.fixture
+def positive():
+    rng = generate.rng_from_seed(0)
+    c = generate.positive_definite(rng, D)
+    d = c + 0.1 * generate.hermitian(rng, D) / D
+    delta = generate.hermitian(rng, D, 0.05)
+    return c, d, delta
+
+
+@pytest.fixture
+def semidefinite():
+    rng = generate.rng_from_seed(0)
+    c = generate.psd_fixed_rank(rng, D, D // 2)
+    g = generate.near_identity(rng, D)
+    return c, g @ c @ g.conj().T
 
 
 def test_counter_sees_hidden_svds(count):
@@ -78,4 +103,47 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    assert count(round_trip) == {"svd": 32, "eigh": 8, "inv": 2}
+    # was 32 svd + 8 eigh: the positive section takes one eigh per positive
+    # matrix and one SVD of S, and fiber membership one SVD of X and of A
+    assert count(round_trip) == {"svd": 24, "eigh": 4, "inv": 2}
+
+
+def test_stacked_inverses_count_per_matrix(count):
+    x = np.stack([np.eye(3)] * 4)
+    assert count(lambda: (np.linalg.inv(x), np.linalg.solve(x, x))) == {
+        "inv": 4, "solve": 4}
+
+
+def test_riemann_sum_counts(count, positive):
+    c, d, _ = positive
+    # one eigh of C and of D; the gauge norms of D - C and of the gap.
+    # The kernel 1/((t+λ_i)(t+μ_j)) needs no inverse or solve.
+    report = count(lambda: monotone.riemann_sum(monotone.make_sqrt(), c, d, 7, 64.0))
+    assert report == {"eigh": 2, "svd": 2}
+
+
+def test_taylor_term_counts(count, positive):
+    c, _, delta = positive
+    f = monotone.make_sqrt()
+    assert count(lambda: monotone.taylor_term(f, c, delta, 3)) == {"eigh": 1}
+
+
+def test_perturbation_bound_counts(count, positive):
+    c, d, _ = positive
+    f = monotone.make_sqrt()
+    # the eighs that check C and D are positive definite also give f(C), f(D)
+    assert count(lambda: monotone.perturbation_bound(f, c, d)) == {"eigh": 2, "svd": 2}
+
+
+def test_congruence_witness_counts(count, semidefinite):
+    c, d = semidefinite
+    # one eigh of C and of D; direct rotation of the null projectors takes
+    # the gap norm and the eigh of I - (P - Q)^2
+    assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 3, "svd": 1}
+
+
+def test_positive_section_counts(count, semidefinite):
+    c, b = semidefinite
+    # one eigh of C and of B, one SVD of S for its invertibility and its
+    # unitary polar factor
+    assert count(lambda: polar.positive_section(c, b)) == {"eigh": 2, "svd": 1}

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pinvlab import generate
-from pinvlab.errors import PreconditionError
+from pinvlab import generate, monotone, polar
+from pinvlab.errors import PreconditionError, StratumError
 from pinvlab.matcore import (
     DEFAULT_TOL,
     FROBENIUS_NORM,
@@ -20,6 +20,7 @@ from pinvlab.matcore import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
+    psd_eigh,
     save_matrix,
     svd,
 )
@@ -187,3 +188,37 @@ def test_complement_basis(rng):
     comp = svd(cols).corange_basis
     assert comp.shape == (5, 3)
     assert np.linalg.norm(cols.conj().T @ comp) < 1e-10
+
+
+def test_psd_eigh_rejects_indefinite():
+    with pytest.raises(PreconditionError):
+        psd_eigh(np.diag([1.0, -1e-6]))
+
+
+def test_psd_eigh_zero_matrix():
+    _, w, rank = psd_eigh(np.zeros((3, 3)))
+    assert rank == 0 and np.all(w == 0.0)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_rank_cutoff_boundary(factor):
+    # one eigenvalue of C at 0.5x or 2x the rank cutoff: rank, congruence
+    # and both functional-calculus routes must take the same side of it
+    n = 5
+    q = generate.unitary(generate.rng_from_seed(3), n)
+    w = np.array([2.0, 1.5, 1.0, 0.7, 0.0])
+    d = (q[:, ::-1] * w) @ q[:, ::-1].conj().T           # rank n - 1
+    w[-1] = factor * DEFAULT_TOL.rank_rel * n * w[0]
+    c = (q * w) @ q.conj().T
+    _, _, rank = psd_eigh(c)
+    assert rank == svd(c).rank == (n - 1 if factor < 1 else n)
+    if rank == n - 1:
+        g = polar.congruence_witness(c, d)
+        assert np.linalg.norm(g @ c @ g.conj().T - d) < 1e-8
+    else:
+        with pytest.raises(StratumError):
+            polar.congruence_witness(c, d)
+    f = monotone.make_sqrt()
+    spec = monotone.matrix_eval_spectral(f, c)
+    intg = monotone.matrix_eval_integral(f, c)
+    assert np.linalg.norm(spec - intg) <= 1e-9 * (1 + np.linalg.norm(spec))

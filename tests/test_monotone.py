@@ -167,6 +167,58 @@ def test_taylor_atomic_scalar_example():
     assert np.linalg.norm(t2 - (-(eps**2) / 8) * np.eye(3)) < 1e-12
 
 
+def _inv_resolvents(t, c):
+    """Stacked (t_i I + C)^{-1} by explicit inversion: the matrix-resolvent oracle."""
+    return np.linalg.inv(np.multiply.outer(t, np.eye(len(c))) + c)
+
+
+ATOMIC = monotone.make_atomic(0.25, 0.5, [(0.5, 0.4), (3.0, 1.0)])
+
+
+@pytest.mark.parametrize("f", [SQRT, ATOMIC])
+def test_taylor_term_matches_resolvent_products(rng, f):
+    c = generate.positive_definite(rng, 4)
+    delta = generate.hermitian(rng, 4, 0.2)
+    for n in (1, 2, 3):
+        def fn(t):
+            r = _inv_resolvents(t, c)
+            return np.linalg.matrix_power(r @ delta, n) @ r
+        expected = (-1.0) ** (n + 1) * monotone.measure_integral(f, fn)
+        if n == 1:
+            expected = expected + f.beta * delta
+        term = monotone.taylor_term(f, c, delta, n)
+        assert np.linalg.norm(term - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_riemann_matches_resolvent_products(rng):
+    # R_p = Σ m_i (t_i I + C)^{-1} (D - C) (t_i I + D)^{-1}, t_i the right endpoints
+    c = generate.positive_definite(rng, 4)
+    d = generate.positive_definite(rng, 4)
+    p, t_max = 3, 64.0
+    report = monotone.riemann_sum(SQRT, c, d, p, t_max)
+
+    def h(t):
+        return _inv_resolvents(t, c) @ (d - c) @ _inv_resolvents(t, d)
+    width = 2.0**-p
+    rights = width * np.arange(1, int(t_max / width) + 1)
+    masses = [monotone.measure_mass(SQRT, b - width, min(b, t_max)) for b in rights]
+    value = np.einsum("m,mij->ij", masses, h(rights))
+    reference = monotone.measure_integral(SQRT, h, t_max=t_max)
+    assert np.linalg.norm(report.value - value) <= 1e-10 * np.linalg.norm(value)
+    gap = np.linalg.norm(report.reference - reference)
+    assert gap <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_scalar_eval_vectorized():
+    lams = np.array([0.0, 0.25, 1.0, 4.0, 100.0])
+    vals = monotone.scalar_eval(SQRT, lams)
+    assert vals.shape == lams.shape and vals[0] == SQRT.f0
+    assert np.all(np.abs(vals - np.sqrt(lams)) <= 1e-8)
+    assert isinstance(monotone.scalar_eval(SQRT, 4.0), float)
+    with pytest.raises(PreconditionError):
+        monotone.scalar_eval(SQRT, np.array([1.0, -1.0]))
+
+
 def test_taylor_term_validation(rng):
     c = generate.positive_definite(rng, 3)
     delta = generate.hermitian(rng, 3)
