@@ -202,20 +202,21 @@ def cmd_census(args) -> int:
     g = GaugeNorm.parse(args.gauge)
     d = args.dim
     a = generate.fixed_rank(rng, d, d, max(1, d - 1))
-    admissible = strata.index_range(a)
+    res_a = svd(a)      # serves the index range, every representative and index
+    admissible = strata._index_range(a.shape, res_a.rank)
     ks = list(range(admissible.k_min, admissible.k_max + 1))
     lines = ["trial,k,pinv_norm,dist_gauge"]
     for trial in range(args.trials):
         k_target = ks[trial % len(ks)]
-        rep = strata.stratum_representative(a, k_target)
+        rep = strata._representative(a, res_a, k_target)
         b = generate.rank_preserving_perturbation(rng, rep, 0.02)
-        k = strata.stratum_index(b, a).k
+        rb = pinv.moore_penrose(b)
+        k = strata._index(rb.svd, res_a)
         if k != k_target:
             raise ConsistencyError(
                 f"census sample landed in stratum {k}, wanted {k_target}")
-        pinv_norm = pinv.moore_penrose(b).pinv_norm
         lines.append(
-            f"{trial},{k},{_fmt(pinv_norm)},{_fmt(gauge_norm(b - a, g))}")
+            f"{trial},{k},{_fmt(rb.pinv_norm)},{_fmt(gauge_norm(b - a, g))}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -225,15 +226,16 @@ def cmd_fiber(args) -> int:
     d = args.dim
     r = max(1, d // 2)
     a = generate.fixed_rank(rng, d, d, r)
-    parts = polar.polar_decompose(a)
-    c0, v0 = parts.modulus, parts.polar_factor
+    # both charts' base points, from one SVD of A, factorized once per run
+    base = polar.ModulusBase.of(a)
+    v0 = base.polar_factor()
     alpha_res, v_res = [], []
     outside = 0
     for _ in range(args.trials):
         b = generate.rank_preserving_perturbation(rng, a, 0.05)
         try:
-            mod, fib = polar.trivialize_alpha(b, c0, a)
-            back = polar.trivialize_alpha_inverse(mod, fib, c0)
+            mod, fib = polar.trivialize_alpha(b, base)
+            back = polar.trivialize_alpha_inverse(mod, fib, base)
             alpha_res.append(float(np.linalg.norm(back - b)))
             fac, fib = polar.trivialize_v(b, v0, a)
             back = polar.trivialize_v_inverse(fac, fib, v0)

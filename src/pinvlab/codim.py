@@ -104,14 +104,20 @@ def subspace_index(rp, np_, rq, nq) -> int:
     dim(R(Q) ∩ N(P)) through principal angles and cross-checked against
     rank(P) - rank(Q); a disagreement raises ConsistencyError.
     """
-    by_angles = intersection_dim(nq, rp) - intersection_dim(rq, np_)
+    return _subspace_index(rp, np_, rq, nq)[0]
+
+
+def _subspace_index(rp, np_, rq, nq) -> tuple:
+    """subspace_index, and the dim(R(Q) ∩ N(P)) it subtracts."""
+    overlap = intersection_dim(rq, np_)
+    by_angles = intersection_dim(nq, rp) - overlap
     by_rank = rp.shape[1] - rq.shape[1]
     if by_angles != by_rank:
         raise ConsistencyError(
             f"index mismatch: principal angles give {by_angles}, "
             f"rank difference gives {by_rank}"
         )
-    return by_rank
+    return by_rank, overlap
 
 
 def essential_codimension(p: Projector, q: Projector) -> int:

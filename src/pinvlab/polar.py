@@ -12,6 +12,7 @@ cross-section, the range-aligning unitary, and the two local chart maps
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,38 +44,147 @@ class PartialIsometry:
     def from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> "PartialIsometry":
         v = as_matrix(m)
         p = v.conj().T @ v
-        if np.linalg.norm(p @ p - p) > 1e-9 * max(1.0, np.linalg.norm(p)):
+        if np.linalg.norm(p @ p - p) > tol.isometry_rel * max(1.0, np.linalg.norm(p)):
             raise PreconditionError("V*V is not a projector; not a partial isometry")
         return PartialIsometry(v)
 
+    @cached_property
+    def rank(self) -> int:
+        """rank(V), from one SVD taken on first use and kept."""
+        # the singular values of a partial isometry are 0 or 1, so 1/2
+        # separates them at any scale and no rank tolerance is read
+        return int(np.sum(np.linalg.svd(self.matrix, compute_uv=False) > 0.5))
+
+
+def _isometry(matrix: np.ndarray, rank: int) -> PartialIsometry:
+    """A PartialIsometry whose rank is already known, so none is taken."""
+    v = PartialIsometry(matrix)
+    vars(v)["rank"] = rank
+    return v
+
+
+def _isometry_of(v, tol: ToleranceConfig) -> PartialIsometry:
+    """v as a PartialIsometry; a matrix is wrapped, unchecked, with its SVD rank."""
+    if isinstance(v, PartialIsometry):
+        return v
+    v = as_matrix(v)
+    return _isometry(v, svd(v, tol).rank)
+
 
 class _Root(NamedTuple):
-    sqrt: np.ndarray          # C^{1/2}
-    pinv_sqrt: np.ndarray     # (C^{1/2})^+
-    range_proj: np.ndarray
-    null_proj: np.ndarray
+    """C^{1/2} = R diag(s) R*, with R and N orthonormal bases of R(C), N(C).
+
+    The matrices are built on each call, so a caller holds only those it
+    uses and only while it uses them.
+    """
+
+    q_r: np.ndarray
+    q_n: np.ndarray
+    s: np.ndarray
+
+    def sqrt(self) -> np.ndarray:
+        return (self.q_r * self.s) @ self.q_r.conj().T
+
+    def pinv_sqrt(self) -> np.ndarray:
+        return (self.q_r / self.s) @ self.q_r.conj().T
+
+    def range_proj(self) -> np.ndarray:
+        return self.q_r @ self.q_r.conj().T
+
+    def null_proj(self) -> np.ndarray:
+        return self.q_n @ self.q_n.conj().T
 
 
-def _equal_rank_roots(c, d, tol: ToleranceConfig):
-    """_Root of square PSD C and D of one size and equal rank, one eigh each.
+def _root(q, w, rank) -> _Root:
+    """_Root of a PSD matrix from its ``psd_eigh``."""
+    k = len(w) - rank          # eigenvalues ascending: Q[:, k:] spans the range
+    return _Root(q[:, k:], q[:, :k], np.sqrt(w[k:]))
+
+
+def _equal_rank_roots(eig_c, d, tol: ToleranceConfig):
+    """_Root of PSD C, given by its psd_eigh, and of PSD D of C's size and rank.
 
     ``psd_eigh`` zeroes the below-cutoff eigenvalues, so the square root
     does not inflate the numerical rank (sqrt of 1e-16 noise is 1e-8).
     """
-    c = as_matrix(c)
     d = as_matrix(d)
-    if c.shape != d.shape or c.shape[0] != c.shape[1]:
+    n = len(eig_c[1])
+    if d.shape != (n, n):
         raise PreconditionError("PSD matrices must be square of equal size")
-    (qc, wc, rank_c), (qd, wd, rank_d) = psd_eigh(c, tol), psd_eigh(d, tol)
-    if rank_c != rank_d:
-        raise StratumError(f"no congruence across ranks: {rank_c} vs {rank_d}")
-    k = len(wc) - rank_c       # eigenvalues ascending: Q[:, k:] spans the range
+    eig_d = psd_eigh(d, tol)
+    if eig_c[2] != eig_d[2]:
+        raise StratumError(f"no congruence across ranks: {eig_c[2]} vs {eig_d[2]}")
+    return _root(*eig_c), _root(*eig_d)
 
-    def root(q, w):
-        q_r, q_n, s = q[:, k:], q[:, :k], np.sqrt(w[k:])
-        return _Root((q_r * s) @ q_r.conj().T, (q_r / s) @ q_r.conj().T,
-                     q_r @ q_r.conj().T, q_n @ q_n.conj().T)
-    return root(qc, wc), root(qd, wd)
+
+class ModulusBase:
+    """The base point (C0, A) of the modulus chart, factorized once.
+
+    It holds psd_eigh(C0), svd(A) and k0, the stratum index of C0
+    relative to |A| (``stratum_index``, three-way check included); each
+    is taken on first use and kept, so one base serves every B of a
+    run, and an inverse chart, which never reads A, never factorizes it.
+    The roots, projectors and pseudoinverse of C0 are built from the
+    eigh on each call: products cost no factorization, and keeping them
+    would hold several more n x n matrices per base.
+    """
+
+    def __init__(self, c0, a=None, tol: ToleranceConfig = DEFAULT_TOL):
+        self.c0 = as_matrix(c0)
+        self.a = None if a is None else as_matrix(a)
+        self.tol = tol
+        if self.a is not None and self.c0.shape != (self.a.shape[1],) * 2:
+            raise PreconditionError("C0 must be n x n for an m x n matrix A")
+
+    @staticmethod
+    def of(a, tol: ToleranceConfig = DEFAULT_TOL) -> "ModulusBase":
+        """The base point (|A|, A), keeping the SVD of A that gives |A|."""
+        res = svd(a, tol)
+        base = ModulusBase(_polar_parts(res).modulus, a, tol)
+        base.svd_a = res
+        return base
+
+    @cached_property
+    def eigh(self):
+        """psd_eigh(C0): (Q, w, rank)."""
+        return psd_eigh(self.c0, self.tol)
+
+    @cached_property
+    def svd_a(self) -> SvdResult:
+        return svd(self.a, self.tol)
+
+    @cached_property
+    def k0(self) -> int:
+        mod_a = _polar_parts(self.svd_a).modulus
+        return strata.stratum_index(self.c0, mod_a, self.tol).k
+
+    def polar_factor(self) -> PartialIsometry:
+        """V_A, with its rank read from the SVD of A."""
+        return _isometry(_polar_parts(self.svd_a).polar_factor, self.svd_a.rank)
+
+    def _range(self):
+        """An orthonormal basis of R(C0) and the nonzero eigenvalues on it."""
+        q, w, rank = self.eigh
+        return q[:, len(w) - rank:], w[len(w) - rank:]
+
+
+def _base(c0, a, tol: ToleranceConfig, need_a: bool = True) -> ModulusBase:
+    """The base point in the c0 position of a modulus-chart call.
+
+    A matrix C0 is wrapped together with A; a ModulusBase already holds
+    A, and its tolerances must be those of the call.
+    """
+    if isinstance(c0, ModulusBase):
+        if a is not None:
+            raise PreconditionError("A is part of the ModulusBase; pass it once")
+        if c0.tol != tol:
+            raise PreconditionError("the ModulusBase was built with other tolerances")
+        base = c0
+    else:
+        base = ModulusBase(c0, a, tol)
+    if need_a and base.a is None:
+        raise PreconditionError("the modulus chart needs the matrix A")
+    return base
 
 
 def polar_decompose(a, tol: ToleranceConfig = DEFAULT_TOL) -> PolarParts:
@@ -102,10 +212,11 @@ def congruence_witness(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     B2 = U D^{1/2} U* sharing the range of C, G0 = B2 B1^+ + (I - P)
     solves G0 B1 = B2, and G = U* G0 conjugates C to D.
     """
-    rc, rd = _equal_rank_roots(c, d, tol)
-    u = codim.conjugating_unitary(Projector(rd.null_proj), Projector(rc.null_proj), tol)
-    b2 = u @ rd.sqrt @ u.conj().T
-    g0 = b2 @ rc.pinv_sqrt + rc.null_proj
+    rc, rd = _equal_rank_roots(psd_eigh(c, tol), d, tol)
+    p_null = rc.null_proj()
+    u = codim.conjugating_unitary(Projector(rd.null_proj()), Projector(p_null), tol)
+    b2 = u @ rd.sqrt() @ u.conj().T
+    g0 = b2 @ rc.pinv_sqrt() + p_null
     return u.conj().T @ g0
 
 
@@ -118,15 +229,19 @@ def positive_section(c, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The raw S is checked for invertibility, which delimits the section's
     neighborhood of validity.
     """
-    rc, rb = _equal_rank_roots(c, b, tol)
-    p_null, q_null = rc.null_proj, rb.null_proj
-    u, sing, vh = np.linalg.svd(rb.range_proj @ rc.range_proj + q_null @ p_null)
+    return _section(*_equal_rank_roots(psd_eigh(c, tol), b, tol), tol)
+
+
+def _section(rc: _Root, rb: _Root, tol: ToleranceConfig) -> np.ndarray:
+    """positive_section from the roots of C and B."""
+    p_null, q_null = rc.null_proj(), rb.null_proj()
+    u, sing, vh = np.linalg.svd(rb.range_proj() @ rc.range_proj() + q_null @ p_null)
     if sing[-1] <= tol.rank_rel * len(p_null) * max(sing[0], 1.0):
         raise OutsideNeighborhoodError(
             "range projectors too far apart; section undefined here"
         )
     s_unitary = u @ vh
-    return rb.sqrt @ s_unitary @ rc.pinv_sqrt + q_null @ s_unitary @ p_null
+    return rb.sqrt() @ s_unitary @ rc.pinv_sqrt() + q_null @ s_unitary @ p_null
 
 
 def _unitary_polar_factor(t) -> np.ndarray:
@@ -155,7 +270,7 @@ def aligning_unitary(t, s_basis, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     t0 = q + (ident - p) @ (ident - q)
     t1 = t0 @ t
     u = _unitary_polar_factor(t1)
-    if np.linalg.norm(u @ u.conj().T - ident) > 1e-10 * n:
+    if np.linalg.norm(u @ u.conj().T - ident) > tol.unitary_rel * n:
         raise ConsistencyError("aligning construction produced a non-unitary")
     return u
 
@@ -165,16 +280,15 @@ def isometry_orbit_witness(v0, v, tol: ToleranceConfig = DEFAULT_TOL):
 
     W conjugates the initial projector V0*V0 to V*V; Z conjugates the
     final projector V0V0* to VV*; then U = V W V0* + Z (I - V0 V0*) is
-    unitary and carries V0 to V.
+    unitary and carries V0 to V.  The rank of a PartialIsometry is its
+    cached one; a plain matrix costs one SVD.
     """
-    v0 = v0.matrix if isinstance(v0, PartialIsometry) else as_matrix(v0)
-    v = v.matrix if isinstance(v, PartialIsometry) else as_matrix(v)
-    if v0.shape != v.shape:
+    v0, v = _isometry_of(v0, tol), _isometry_of(v, tol)
+    if v0.matrix.shape != v.matrix.shape:
         raise PreconditionError("partial isometries must have the same shape")
-    r0 = svd(v0, tol).rank
-    r1 = svd(v, tol).rank
-    if r0 != r1:
-        raise StratumError(f"no orbit witness across ranks: {r0} vs {r1}")
+    if v0.rank != v.rank:
+        raise StratumError(f"no orbit witness across ranks: {v0.rank} vs {v.rank}")
+    v0, v = v0.matrix, v.matrix
     init0 = Projector(v0.conj().T @ v0)
     init1 = Projector(v.conj().T @ v)
     fin0 = Projector(v0 @ v0.conj().T)
@@ -216,7 +330,7 @@ def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometr
     lhs = pa.polar_factor - pb.polar_factor
     rhs = a @ (mod_a_pinv - mod_b_pinv) + (a - b) @ mod_b_pinv
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    if np.linalg.norm(lhs - rhs) > 1e-8 * scale:
+    if np.linalg.norm(lhs - rhs) > tol.identity_rel * scale:
         raise ConsistencyError("polar factor difference identity violated")
     k = strata.stratum_index(b, a, tol).k
     k_v = strata.stratum_index(pb.polar_factor, pa.polar_factor, tol).k
@@ -227,51 +341,66 @@ def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometr
     return PartialIsometry(pb.polar_factor)
 
 
-def fiber_membership_alpha(x, c0, a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Does X lie in the modulus fiber over C0 within the stratum of C0?"""
-    c0 = as_matrix(c0)
-    rx, ra = strata._pinv_pair(x, a, tol)
-    mod_x = _polar_parts(rx.svd).modulus
-    scale = max(1.0, float(np.linalg.norm(c0)))
-    if np.linalg.norm(mod_x - c0) > 1e-8 * scale:
+def fiber_membership_alpha(x, c0, a=None, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Does X lie in the modulus fiber over C0 within the stratum of C0?
+
+    That is, |X| = C0 and the index of X relative to A is the index k0
+    of C0 relative to |A|; c0 and a are as in trivialize_alpha.
+    """
+    base = _base(c0, a, tol)
+    x = as_matrix(x)
+    if x.shape != base.a.shape:
+        raise PreconditionError("X and A must have the same shape")
+    rx = svd(x, tol)
+    scale = max(1.0, float(np.linalg.norm(base.c0)))
+    if np.linalg.norm(_polar_parts(rx).modulus - base.c0) > tol.identity_rel * scale:
         return False
-    k_x, mod_a = strata._index(rx, ra), _polar_parts(ra.svd).modulus
-    del rx, ra      # free both full SVDs: the chart's memory peak is in the next call
-    return strata.stratum_index(c0, mod_a, tol).k == k_x
+    k_x = strata._index(rx, base.svd_a)
+    del rx      # free X's SVD before a new base takes the two SVDs of k0
+    return base.k0 == k_x
 
 
-def trivialize_alpha(b, c0, a, tol: ToleranceConfig = DEFAULT_TOL):
+def trivialize_alpha(b, c0, a=None, tol: ToleranceConfig = DEFAULT_TOL):
     """Chart of the modulus fibration: B -> (|B|, V_B U C0).
 
     U is the range-aligning unitary of the positive section carrying C0
-    to |B|, so the second component keeps modulus exactly C0.  Inverted
-    by trivialize_alpha_inverse.
+    to |B|, so the second component keeps modulus exactly C0.  The base
+    point is given as the matrix C0 together with a = A, or as a
+    ModulusBase, which holds A and is factorized once for every B it
+    serves.  Inverted by trivialize_alpha_inverse.
     """
-    b = as_matrix(b)
-    c0 = as_matrix(c0)
+    base = _base(c0, a, tol)
     parts = polar_decompose(b, tol)
     try:
-        gamma = positive_section(c0, parts.modulus, tol)
-        u = aligning_unitary(gamma, svd(c0, tol).range_basis, tol)
+        u = _chart_unitary(base, parts.modulus, tol)
     except PinvLabError as exc:
         raise OutsideNeighborhoodError(
             f"modulus chart undefined at this B: {exc}"
         ) from exc
-    fiber_elem = parts.polar_factor @ u @ c0
-    if not fiber_membership_alpha(fiber_elem, c0, a, tol):
+    fiber_elem = parts.polar_factor @ u @ base.c0
+    if not fiber_membership_alpha(fiber_elem, base, tol=tol):
         raise ConsistencyError("chart output left the fiber over C0")
     return parts.modulus, fiber_elem
 
 
+def _chart_unitary(base: ModulusBase, modulus, tol: ToleranceConfig) -> np.ndarray:
+    """The range-aligning unitary of the positive section carrying C0 to modulus."""
+    gamma = _section(*_equal_rank_roots(base.eigh, modulus, tol), tol)
+    return aligning_unitary(gamma, base._range()[0], tol)
+
+
 def trivialize_alpha_inverse(modulus, fiber_elem, c0,
                              tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """(C, V C0) -> V U* C, undoing trivialize_alpha."""
+    """(C, V C0) -> V U* C, undoing trivialize_alpha.
+
+    c0 is the matrix C0 or a ModulusBase; only the eigh of C0 is read.
+    """
+    base = _base(c0, None, tol, need_a=False)
     modulus = as_matrix(modulus)
-    c0 = as_matrix(c0)
     fiber_elem = as_matrix(fiber_elem)
-    gamma = positive_section(c0, modulus, tol)
-    u = aligning_unitary(gamma, svd(c0, tol).range_basis, tol)
-    v = fiber_elem @ pinv_matrix(c0, tol)
+    u = _chart_unitary(base, modulus, tol)
+    q_r, w_r = base._range()
+    v = fiber_elem @ ((q_r / w_r) @ q_r.conj().T)      # C0^+, from the eigh
     return v @ u.conj().T @ modulus
 
 
@@ -281,28 +410,34 @@ def trivialize_v(b, v0, a, tol: ToleranceConfig = DEFAULT_TOL):
     W is the initial-projector conjugating unitary of the orbit witness
     from V0 to V_B; it transports |B| to a positive matrix supported on
     the initial space of V0, so the second component sits in the fiber
-    over V0.  Inverted by trivialize_v_inverse.
+    over V0.  A PartialIsometry V0 gives its cached rank, and V_B is
+    returned with the rank of the SVD of B, so neither costs an SVD.
+    Inverted by trivialize_v_inverse.
     """
-    b = as_matrix(b)
-    v0 = v0.matrix if isinstance(v0, PartialIsometry) else as_matrix(v0)
-    parts = polar_decompose(b, tol)
+    v0 = _isometry_of(v0, tol)
+    res = svd(b, tol)
+    parts = _polar_parts(res)
+    factor = _isometry(parts.polar_factor, res.rank)
+    del res     # the SVD of B is not needed past its polar parts
     try:
-        _, w = isometry_orbit_witness(v0, parts.polar_factor, tol)
+        _, w = isometry_orbit_witness(v0, factor, tol)
     except PinvLabError as exc:
         raise OutsideNeighborhoodError(
             f"polar-factor chart undefined at this B: {exc}"
         ) from exc
-    fiber_elem = v0 @ (w.conj().T @ parts.modulus @ w)
-    return PartialIsometry(parts.polar_factor), fiber_elem
+    fiber_elem = v0.matrix @ (w.conj().T @ parts.modulus @ w)
+    return factor, fiber_elem
 
 
 def trivialize_v_inverse(factor, fiber_elem, v0,
                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """(V, V0 C) -> V (W C W*), undoing trivialize_v."""
-    v = factor.matrix if isinstance(factor, PartialIsometry) else as_matrix(factor)
-    v0 = v0.matrix if isinstance(v0, PartialIsometry) else as_matrix(v0)
+    """(V, V0 C) -> V (W C W*), undoing trivialize_v.
+
+    PartialIsometry arguments give their cached ranks; a plain matrix
+    costs one SVD.
+    """
+    v, v0 = _isometry_of(factor, tol), _isometry_of(v0, tol)
     fiber_elem = as_matrix(fiber_elem)
     _, w = isometry_orbit_witness(v0, v, tol)
-    core = v0.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
-    return v @ w @ core @ w.conj().T
-
+    core = v0.matrix.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
+    return v.matrix @ w @ core @ w.conj().T

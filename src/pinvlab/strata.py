@@ -28,12 +28,13 @@ from .matcore import (
     DEFAULT_TOL,
     GaugeNorm,
     OP_NORM,
+    SvdResult,
     ToleranceConfig,
     as_matrix,
     gauge_norm,
     svd,
 )
-from .pinv import PinvResult, moore_penrose, pinv_matrix
+from .pinv import moore_penrose, pinv_matrix
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def stratum_index(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> StratumIndex:
     difference are all computed; disagreement raises ConsistencyError.
     """
     rb, ra = _pinv_pair(b, a, tol)
-    return StratumIndex(_index(rb, ra))
+    return StratumIndex(_index(rb.svd, ra.svd))
 
 
 def _pinv_pair(b, a, tol: ToleranceConfig):
@@ -92,20 +93,24 @@ def _pinv_pair(b, a, tol: ToleranceConfig):
     return moore_penrose(b, tol), moore_penrose(a, tol)
 
 
-def _index(rb: PinvResult, ra: PinvResult) -> int:
+def _index(sb: SvdResult, sa: SvdResult) -> int:
     """stratum_index on the SVD bases of B and A."""
-    sb, sa = rb.svd, ra.svd
-    k_null = codim.subspace_index(sb.null_basis, sb.row_basis,
-                                  sa.null_basis, sa.row_basis)
+    return _index_overlap(sb, sa)[0]
+
+
+def _index_overlap(sb: SvdResult, sa: SvdResult) -> tuple:
+    """_index, and dim(N(A) ∩ N(B)^perp), one principal-angle term of it."""
+    k_null, overlap = codim._subspace_index(sb.null_basis, sb.row_basis,
+                                            sa.null_basis, sa.row_basis)
     k_range = codim.subspace_index(sb.range_basis, sb.corange_basis,
                                    sa.range_basis, sa.corange_basis)
-    k_rank = ra.rank - rb.rank
+    k_rank = sa.rank - sb.rank
     if not (k_null == -k_range == k_rank):
         raise ConsistencyError(
             f"stratum index disagreement: null {k_null}, "
             f"range {-k_range}, rank {k_rank}"
         )
-    return k_null
+    return k_null, overlap
 
 
 def index_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> IndexRange:
@@ -130,7 +135,11 @@ def stratum_representative(a, k: StratumIndex | int,
     """
     a = as_matrix(a)
     kk = k.k if isinstance(k, StratumIndex) else int(k)
-    res = svd(a, tol)
+    return _representative(a, svd(a, tol), kk)
+
+
+def _representative(a: np.ndarray, res: SvdResult, kk: int) -> np.ndarray:
+    """stratum_representative from the SVD of A."""
     r = res.rank
     if kk not in _index_range(a.shape, r):
         raise PreconditionError(f"index {kk} outside the admissible range")
@@ -186,7 +195,7 @@ def local_section_sigma(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPair:
     sigma_1 A sigma_2^{-1} = B.
     """
     rb, ra = _pinv_pair(b, a, tol)
-    if _index(rb, ra) != 0:
+    if _index(rb.svd, ra.svd) != 0:
         raise StratumError("the section is only defined on the zero stratum")
     b = as_matrix(b)
     ident_m = np.eye(b.shape[0], dtype=complex)
@@ -229,7 +238,7 @@ def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
     right = rb.svd.null_basis[:, :m_jump]          # inside N(B)
     left = rb.svd.corange_basis[:, :m_jump]        # inside R(B)^perp
     out = b + (eps / m_jump) * (left @ right.conj().T)
-    got = _index(moore_penrose(out, tol), ra)
+    got = _index(svd(out, tol), ra.svd)
     if got != kk:
         raise ConsistencyError(f"bump landed in stratum {got}, wanted {kk}")
     return out
@@ -246,7 +255,7 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     rb, ra = _pinv_pair(b, a, tol)
     a = as_matrix(a)
     b = as_matrix(b)
-    k = _index(rb, ra)
+    k = _index(rb.svd, ra.svd)
     if k == 0:
         raise PreconditionError("B is already in the zero stratum")
     sa, sb = ra.svd, rb.svd
@@ -265,7 +274,7 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     # (X sub) sub* rather than X (sub sub*): the product then has rank
     # |k| to roundoff relative to C, not relative to B or A
     c = (-b @ sub if k < 0 else a @ sub) @ sub.conj().T
-    if _index(moore_penrose(b + c, tol), ra) != 0:
+    if _index(svd(b + c, tol), ra.svd) != 0:
         raise ConsistencyError("correction failed to reach the zero stratum")
     return c
 
@@ -346,8 +355,9 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
     for n, bn in enumerate(seq):
         rn = moore_penrose(bn, tol)
         null_gaps = np.linalg.svd(rn.null_proj - rb.null_proj, compute_uv=False)
-        inter = codim.intersection_dim(rn.svd.row_basis, rb.svd.null_basis)
-        rows.append(ContinuityRow(n, _index(rn, rb), rn.pinv_norm,
+        # the overlap N(B) ∩ N(B_n)^perp is a term of the index of B_n
+        index, inter = _index_overlap(rn.svd, rb.svd)
+        rows.append(ContinuityRow(n, index, rn.pinv_norm,
                                   gauge_norm(rn.pinv - rb.pinv, g),
                                   g.of_singular_values(null_gaps),
                                   float(null_gaps[0]), inter))
@@ -387,7 +397,7 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
 def mp_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """B -> B^+, asserting that the stratum index is preserved relative to A^+."""
     rb, ra = _pinv_pair(b, a, tol)
-    k = _index(rb, ra)
+    k = _index(rb.svd, ra.svd)
     k_image = stratum_index(rb.pinv, ra.pinv, tol).k
     if k_image != k:
         raise ConsistencyError(

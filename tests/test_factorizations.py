@@ -8,12 +8,14 @@ re-derives a subspace basis its SVD or eigh already holds, or inverts a
 resolvent the eigenbasis makes diagonal, moves these counts.
 """
 
+import io
 from collections import Counter
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from pinvlab import generate, monotone, polar, strata
+from pinvlab import cli, generate, monotone, polar, strata
 from pinvlab.matcore import OP_NORM
 
 D = 16
@@ -90,10 +92,11 @@ def test_stratum_index_counts(count, inputs):
 
 def test_continuity_report_counts(count, inputs):
     a, _, seq = inputs
-    # B once; per term its SVD, four principal-angle SVDs, the pseudoinverse
-    # gap, the null-projector gap and the intersection; the last input gap
+    # B once; per term its SVD, four principal-angle SVDs (one of which is
+    # the intersection), the pseudoinverse gap and the null-projector gap;
+    # the last input gap.  Was 66: the intersection took its own SVD.
     report = count(lambda: strata.continuity_report(a, seq, n0=2, g=OP_NORM))
-    assert report == {"svd": 1 + 8 * 8 + 1}
+    assert report == {"svd": 1 + 8 * 7 + 1}
 
 
 def test_trivialize_alpha_round_trip_counts(count, inputs):
@@ -103,9 +106,59 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    # was 32 svd + 8 eigh: the positive section takes one eigh per positive
-    # matrix and one SVD of S, and fiber membership one SVD of X and of A
-    assert count(round_trip) == {"svd": 24, "eigh": 4, "inv": 2}
+    # was 24 svd: a base point wrapped per call factorizes C0 once (its eigh
+    # gives the range basis and C0^+) and A once, and the inverse never
+    # factorizes A
+    assert count(round_trip) == {"svd": 21, "eigh": 4, "inv": 2}
+
+
+def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
+    a, b, _ = inputs
+    base = polar.ModulusBase.of(a)
+    polar.trivialize_alpha(b, base)
+
+    def round_trip():
+        mod, fib = polar.trivialize_alpha(b, base)
+        polar.trivialize_alpha_inverse(mod, fib, base)
+    # per chart: the positive section's eigh of |B| and SVD of S, three
+    # SVDs and an inverse in the aligning unitary; forward also the SVD of
+    # B, and fiber membership the SVD of X and four principal angles
+    assert count(round_trip) == {"svd": 14, "eigh": 2, "inv": 2}
+
+
+def test_trivialize_v_round_trip_counts(count, inputs):
+    a, b, _ = inputs
+    v0 = polar.polar_decompose(a).polar_factor
+    warm = polar.ModulusBase.of(a).polar_factor()
+
+    def round_trip(v0):
+        factor, fib = polar.trivialize_v(b, v0, a)
+        polar.trivialize_v_inverse(factor, fib, v0)
+    # the SVD of B and two direct rotations (gap norm + eigh) per witness;
+    # V_B comes back with the rank of the SVD of B, so the inverse takes
+    # none.  A matrix V0 costs one SVD per call (was 9 svd in all).
+    assert count(lambda: round_trip(v0)) == {"svd": 7, "eigh": 4}
+    assert count(lambda: round_trip(warm)) == {"svd": 5, "eigh": 4}
+
+
+def _cli(*argv):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([str(x) for x in argv]) == 0
+
+
+def test_cmd_fiber_counts(count):
+    # was 141 svd + 32 eigh: both base points come from one SVD of A and
+    # one eigh of C0 per run, and k0 is taken once
+    assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {
+        "svd": 91, "eigh": 25, "inv": 8}
+
+
+def test_cmd_census_counts(count):
+    # was 43 svd: A once; per sample the generator's two operator norms, its
+    # SVD and its gauge distance; 14 principal angles in all (an empty
+    # subspace basis takes none)
+    assert count(lambda: _cli("census", "--dim", D, "--trials", 4)) == {
+        "svd": 1 + 4 * 4 + 14}
 
 
 def test_stacked_inverses_count_per_matrix(count):

@@ -9,6 +9,7 @@ from pinvlab.errors import (
     PreconditionError,
     StratumError,
 )
+from pinvlab.matcore import ToleranceConfig
 from pinvlab.pinv import pinv_matrix
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -304,3 +305,71 @@ def test_trivialize_v_outside_chart(rng):
     b = generate.fixed_rank(rng, 4, 4, 3)
     with pytest.raises(OutsideNeighborhoodError):
         polar.trivialize_v(b, v0, a)
+
+
+@given(seeds, st.sampled_from([(6, 4, 2), (4, 6, 2), (5, 3, 3), (3, 5, 3)]))
+def test_chart_round_trips_rectangular(seed, shape):
+    m, n, r = shape
+    rng = np.random.default_rng(seed)
+    a = generate.fixed_rank(rng, m, n, r)
+    b = generate.rank_preserving_perturbation(rng, a, 0.05)
+    parts = polar.polar_decompose(a)
+    mod, fiber_elem = polar.trivialize_alpha(b, parts.modulus, a)
+    assert polar.fiber_membership_alpha(fiber_elem, parts.modulus, a)
+    back = polar.trivialize_alpha_inverse(mod, fiber_elem, parts.modulus)
+    assert np.linalg.norm(back - b) < 1e-12
+    factor, fiber_elem = polar.trivialize_v(b, parts.polar_factor, a)
+    back = polar.trivialize_v_inverse(factor, fiber_elem, parts.polar_factor)
+    assert np.linalg.norm(back - b) < 1e-12
+
+
+def test_modulus_base_reused_matches_matrix_calls(rng):
+    a = generate.fixed_rank(rng, 6, 6, 3)
+    parts = polar.polar_decompose(a)
+    base = polar.ModulusBase.of(a)
+    v0 = base.polar_factor()
+    assert np.linalg.norm(v0.matrix - parts.polar_factor) < 1e-12
+    assert v0.rank == polar.PartialIsometry(parts.polar_factor).rank == 3
+    for _ in range(4):
+        b = generate.rank_preserving_perturbation(rng, a, 0.05)
+        mod, fib = polar.trivialize_alpha(b, base)
+        mod_m, fib_m = polar.trivialize_alpha(b, parts.modulus, a)
+        assert np.linalg.norm(mod - mod_m) < 1e-12
+        assert np.linalg.norm(fib - fib_m) < 1e-12
+        assert polar.fiber_membership_alpha(fib, base)
+        back = polar.trivialize_alpha_inverse(mod, fib, base)
+        back_m = polar.trivialize_alpha_inverse(mod_m, fib_m, parts.modulus)
+        assert np.linalg.norm(back - back_m) < 1e-12
+        factor, fib = polar.trivialize_v(b, v0, a)
+        factor_m, fib_m = polar.trivialize_v(b, parts.polar_factor, a)
+        assert np.linalg.norm(factor.matrix - factor_m.matrix) < 1e-12
+        assert np.linalg.norm(fib - fib_m) < 1e-12
+        back = polar.trivialize_v_inverse(factor, fib, v0)
+        back_m = polar.trivialize_v_inverse(factor_m.matrix, fib_m, parts.polar_factor)
+        assert np.linalg.norm(back - back_m) < 1e-12
+
+
+def test_modulus_base_rejects_misuse(rng):
+    a = generate.fixed_rank(rng, 4, 4, 2)
+    b = generate.rank_preserving_perturbation(rng, a, 0.05)
+    c0 = polar.polar_decompose(a).modulus
+    base = polar.ModulusBase(c0, a)
+    with pytest.raises(PreconditionError):
+        polar.trivialize_alpha(b, base, a)            # A given twice
+    with pytest.raises(PreconditionError):
+        polar.trivialize_alpha(b, c0)                 # a matrix C0 without A
+    with pytest.raises(PreconditionError):
+        polar.trivialize_alpha(b, polar.ModulusBase(c0))
+    with pytest.raises(PreconditionError):
+        polar.fiber_membership_alpha(a[:, :3], base)  # X not of A's shape
+    with pytest.raises(PreconditionError):
+        polar.trivialize_alpha(b, base, tol=ToleranceConfig(rank_rel=1e-9))
+    with pytest.raises(PreconditionError):
+        polar.ModulusBase(c0[:3, :3], a)
+
+
+def test_partial_isometry_check_reads_tolerance():
+    v = np.diag([1.0 + 1e-8, 0.0])
+    with pytest.raises(PreconditionError):
+        polar.PartialIsometry.from_matrix(v)
+    polar.PartialIsometry.from_matrix(v, ToleranceConfig(isometry_rel=1e-7))
