@@ -203,15 +203,15 @@ def cmd_census(args) -> int:
     d = args.dim
     a = generate.fixed_rank(rng, d, d, max(1, d - 1))
     res_a = svd(a)      # serves the index range, every representative and index
-    admissible = strata._index_range(a.shape, res_a.rank)
+    admissible = strata.index_range_from_svd(res_a)
     ks = list(range(admissible.k_min, admissible.k_max + 1))
     lines = ["trial,k,pinv_norm,dist_gauge"]
     for trial in range(args.trials):
         k_target = ks[trial % len(ks)]
-        rep = strata._representative(a, res_a, k_target)
+        rep = strata.representative_from_svd(a, res_a, k_target)
         b = generate.rank_preserving_perturbation(rng, rep, 0.02)
         rb = pinv.moore_penrose(b)
-        k = strata._index(rb.svd, res_a)
+        k = strata.index_from_svds(rb.svd, res_a)
         if k != k_target:
             raise ConsistencyError(
                 f"census sample landed in stratum {k}, wanted {k_target}")

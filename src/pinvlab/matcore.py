@@ -23,31 +23,31 @@ class ToleranceConfig:
     rank_rel: relative singular-value cutoff for numerical rank.
     residual_abs: absolute residual floor for consistency checks.
     neighborhood_shrink: safety factor in (0,1) for local constructions.
-    isometry_rel: ||P^2 - P|| <= isometry_rel max(1, ||P||) for P = V*V
-        accepts V as a partial isometry.
-    unitary_rel: ||UU* - I|| <= unitary_rel n accepts a constructed n x n
-        unitary.
-    identity_rel: an exact identity (the polar-factor difference
-        identity, |X| = C0 for fiber membership) holds when its residual
-        is at most identity_rel times the scale of its inputs.
     """
 
     rank_rel: float = 1e-10
     residual_abs: float = 1e-10
     neighborhood_shrink: float = 0.5
-    isometry_rel: float = 1e-9
-    unitary_rel: float = 1e-10
-    identity_rel: float = 1e-8
 
     def __post_init__(self):
-        if min(self.rank_rel, self.residual_abs, self.isometry_rel,
-               self.unitary_rel, self.identity_rel) <= 0:
+        if self.rank_rel <= 0 or self.residual_abs <= 0:
             raise PreconditionError("tolerances must be strictly positive")
         if not 0 < self.neighborhood_shrink < 1:
             raise PreconditionError("neighborhood_shrink must lie in (0,1)")
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# Acceptance thresholds of checks on constructions that are exact in exact
+# arithmetic; one value serves every caller.
+#   ISOMETRY_REL: V is a partial isometry when P = V*V has
+#       ||P^2 - P|| <= ISOMETRY_REL max(1, ||P||).
+#   UNITARY_REL: a constructed n x n U is unitary when ||UU* - I|| <= UNITARY_REL n.
+#   IDENTITY_REL: an exact identity holds when its residual is at most
+#       IDENTITY_REL times the scale of its inputs.
+ISOMETRY_REL = 1e-9
+UNITARY_REL = 1e-10
+IDENTITY_REL = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:

@@ -26,7 +26,17 @@ from .errors import (
     PreconditionError,
     StratumError,
 )
-from .matcore import DEFAULT_TOL, SvdResult, ToleranceConfig, as_matrix, psd_eigh, svd
+from .matcore import (
+    DEFAULT_TOL,
+    IDENTITY_REL,
+    ISOMETRY_REL,
+    UNITARY_REL,
+    SvdResult,
+    ToleranceConfig,
+    as_matrix,
+    psd_eigh,
+    svd,
+)
 from .pinv import pinv_matrix
 
 
@@ -44,16 +54,19 @@ class PartialIsometry:
     def from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> "PartialIsometry":
         v = as_matrix(m)
         p = v.conj().T @ v
-        if np.linalg.norm(p @ p - p) > tol.isometry_rel * max(1.0, np.linalg.norm(p)):
+        if np.linalg.norm(p @ p - p) > ISOMETRY_REL * max(1.0, np.linalg.norm(p)):
             raise PreconditionError("V*V is not a projector; not a partial isometry")
         return PartialIsometry(v)
 
     @cached_property
     def rank(self) -> int:
-        """rank(V), from one SVD taken on first use and kept."""
-        # the singular values of a partial isometry are 0 or 1, so 1/2
-        # separates them at any scale and no rank tolerance is read
-        return int(np.sum(np.linalg.svd(self.matrix, compute_uv=False) > 0.5))
+        """rank(V) under the default tolerances, from one SVD taken on first use.
+
+        It is the rank ``svd`` gives the matrix, whether or not V is a
+        partial isometry; for one, whose singular values are 0 or 1, any
+        rank cutoff below 1 gives the same.
+        """
+        return svd(self.matrix).rank
 
 
 def _isometry(matrix: np.ndarray, rank: int) -> PartialIsometry:
@@ -122,7 +135,8 @@ class ModulusBase:
 
     It holds psd_eigh(C0), svd(A) and k0, the stratum index of C0
     relative to |A| (``stratum_index``, three-way check included); each
-    is taken on first use and kept, so one base serves every B of a
+    is taken on first use under its tolerances ``tol``, which the charts
+    read, and is kept, so one base serves every B of a
     run, and an inverse chart, which never reads A, never factorizes it.
     The roots, projectors and pseudoinverse of C0 are built from the
     eigh on each call: products cost no factorization, and keeping them
@@ -168,20 +182,19 @@ class ModulusBase:
         return q[:, len(w) - rank:], w[len(w) - rank:]
 
 
-def _base(c0, a, tol: ToleranceConfig, need_a: bool = True) -> ModulusBase:
+def _base(c0, a, tol: ToleranceConfig | None, need_a: bool = True) -> ModulusBase:
     """The base point in the c0 position of a modulus-chart call.
 
-    A matrix C0 is wrapped together with A; a ModulusBase already holds
-    A, and its tolerances must be those of the call.
+    A matrix C0 is wrapped together with A under tol (the defaults when
+    None); a ModulusBase already holds A and its tolerances, and the
+    chart reads those.
     """
     if isinstance(c0, ModulusBase):
         if a is not None:
             raise PreconditionError("A is part of the ModulusBase; pass it once")
-        if c0.tol != tol:
-            raise PreconditionError("the ModulusBase was built with other tolerances")
         base = c0
     else:
-        base = ModulusBase(c0, a, tol)
+        base = ModulusBase(c0, a, DEFAULT_TOL if tol is None else tol)
     if need_a and base.a is None:
         raise PreconditionError("the modulus chart needs the matrix A")
     return base
@@ -270,7 +283,7 @@ def aligning_unitary(t, s_basis, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     t0 = q + (ident - p) @ (ident - q)
     t1 = t0 @ t
     u = _unitary_polar_factor(t1)
-    if np.linalg.norm(u @ u.conj().T - ident) > tol.unitary_rel * n:
+    if np.linalg.norm(u @ u.conj().T - ident) > UNITARY_REL * n:
         raise ConsistencyError("aligning construction produced a non-unitary")
     return u
 
@@ -330,7 +343,7 @@ def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometr
     lhs = pa.polar_factor - pb.polar_factor
     rhs = a @ (mod_a_pinv - mod_b_pinv) + (a - b) @ mod_b_pinv
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    if np.linalg.norm(lhs - rhs) > tol.identity_rel * scale:
+    if np.linalg.norm(lhs - rhs) > IDENTITY_REL * scale:
         raise ConsistencyError("polar factor difference identity violated")
     k = strata.stratum_index(b, a, tol).k
     k_v = strata.stratum_index(pb.polar_factor, pa.polar_factor, tol).k
@@ -341,64 +354,66 @@ def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometr
     return PartialIsometry(pb.polar_factor)
 
 
-def fiber_membership_alpha(x, c0, a=None, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def fiber_membership_alpha(x, c0, a=None, tol: ToleranceConfig | None = None) -> bool:
     """Does X lie in the modulus fiber over C0 within the stratum of C0?
 
     That is, |X| = C0 and the index of X relative to A is the index k0
-    of C0 relative to |A|; c0 and a are as in trivialize_alpha.
+    of C0 relative to |A|; c0, a and tol are as in trivialize_alpha.
     """
     base = _base(c0, a, tol)
     x = as_matrix(x)
     if x.shape != base.a.shape:
         raise PreconditionError("X and A must have the same shape")
-    rx = svd(x, tol)
+    rx = svd(x, base.tol)
     scale = max(1.0, float(np.linalg.norm(base.c0)))
-    if np.linalg.norm(_polar_parts(rx).modulus - base.c0) > tol.identity_rel * scale:
+    if np.linalg.norm(_polar_parts(rx).modulus - base.c0) > IDENTITY_REL * scale:
         return False
-    k_x = strata._index(rx, base.svd_a)
+    k_x = strata.index_from_svds(rx, base.svd_a)
     del rx      # free X's SVD before a new base takes the two SVDs of k0
     return base.k0 == k_x
 
 
-def trivialize_alpha(b, c0, a=None, tol: ToleranceConfig = DEFAULT_TOL):
+def trivialize_alpha(b, c0, a=None, tol: ToleranceConfig | None = None):
     """Chart of the modulus fibration: B -> (|B|, V_B U C0).
 
     U is the range-aligning unitary of the positive section carrying C0
     to |B|, so the second component keeps modulus exactly C0.  The base
-    point is given as the matrix C0 together with a = A, or as a
-    ModulusBase, which holds A and is factorized once for every B it
-    serves.  Inverted by trivialize_alpha_inverse.
+    point is given as the matrix C0 together with a = A, under tol (the
+    defaults when None), or as a ModulusBase, which holds A and its
+    tolerances and is factorized once for every B it serves; tol is not
+    read then.  Inverted by trivialize_alpha_inverse.
     """
     base = _base(c0, a, tol)
-    parts = polar_decompose(b, tol)
+    parts = polar_decompose(b, base.tol)
     try:
-        u = _chart_unitary(base, parts.modulus, tol)
+        u = _chart_unitary(base, parts.modulus)
     except PinvLabError as exc:
         raise OutsideNeighborhoodError(
             f"modulus chart undefined at this B: {exc}"
         ) from exc
     fiber_elem = parts.polar_factor @ u @ base.c0
-    if not fiber_membership_alpha(fiber_elem, base, tol=tol):
+    if not fiber_membership_alpha(fiber_elem, base):
         raise ConsistencyError("chart output left the fiber over C0")
     return parts.modulus, fiber_elem
 
 
-def _chart_unitary(base: ModulusBase, modulus, tol: ToleranceConfig) -> np.ndarray:
+def _chart_unitary(base: ModulusBase, modulus) -> np.ndarray:
     """The range-aligning unitary of the positive section carrying C0 to modulus."""
-    gamma = _section(*_equal_rank_roots(base.eigh, modulus, tol), tol)
-    return aligning_unitary(gamma, base._range()[0], tol)
+    gamma = _section(*_equal_rank_roots(base.eigh, modulus, base.tol), base.tol)
+    return aligning_unitary(gamma, base._range()[0], base.tol)
 
 
 def trivialize_alpha_inverse(modulus, fiber_elem, c0,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+                             tol: ToleranceConfig | None = None) -> np.ndarray:
     """(C, V C0) -> V U* C, undoing trivialize_alpha.
 
-    c0 is the matrix C0 or a ModulusBase; only the eigh of C0 is read.
+    c0 and tol are as in trivialize_alpha, but no A is needed: only the
+    eigh of C0 is read.
     """
     base = _base(c0, None, tol, need_a=False)
     modulus = as_matrix(modulus)
     fiber_elem = as_matrix(fiber_elem)
-    u = _chart_unitary(base, modulus, tol)
+    u = _chart_unitary(base, modulus)
     q_r, w_r = base._range()
     v = fiber_elem @ ((q_r / w_r) @ q_r.conj().T)      # C0^+, from the eigh
     return v @ u.conj().T @ modulus

@@ -81,7 +81,7 @@ def stratum_index(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> StratumIndex:
     difference are all computed; disagreement raises ConsistencyError.
     """
     rb, ra = _pinv_pair(b, a, tol)
-    return StratumIndex(_index(rb.svd, ra.svd))
+    return StratumIndex(index_from_svds(rb.svd, ra.svd))
 
 
 def _pinv_pair(b, a, tol: ToleranceConfig):
@@ -93,13 +93,13 @@ def _pinv_pair(b, a, tol: ToleranceConfig):
     return moore_penrose(b, tol), moore_penrose(a, tol)
 
 
-def _index(sb: SvdResult, sa: SvdResult) -> int:
-    """stratum_index on the SVD bases of B and A."""
+def index_from_svds(sb: SvdResult, sa: SvdResult) -> int:
+    """stratum_index(B, A).k from the SVDs of B and A, taking none itself."""
     return _index_overlap(sb, sa)[0]
 
 
 def _index_overlap(sb: SvdResult, sa: SvdResult) -> tuple:
-    """_index, and dim(N(A) ∩ N(B)^perp), one principal-angle term of it."""
+    """index_from_svds, and dim(N(A) ∩ N(B)^perp), one principal-angle term of it."""
     k_null, overlap = codim._subspace_index(sb.null_basis, sb.row_basis,
                                             sa.null_basis, sa.row_basis)
     k_range = codim.subspace_index(sb.range_basis, sb.corange_basis,
@@ -116,13 +116,15 @@ def _index_overlap(sb: SvdResult, sa: SvdResult) -> tuple:
 def index_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> IndexRange:
     """Admissible indices around A: -min(dim N(A), dim R(A)^perp) .. dim N(A)^perp."""
     a = as_matrix(a)
-    return _index_range(a.shape, svd(a, tol).rank)
+    return index_range_from_svd(svd(a, tol))
 
 
-def _index_range(shape, r: int) -> IndexRange:
-    n1 = shape[1] - r      # dim N(A)
-    n2 = r                 # dim N(A)^perp
-    n3 = shape[0] - r      # dim R(A)^perp
+def index_range_from_svd(res: SvdResult) -> IndexRange:
+    """index_range from the SVD of A."""
+    r = res.rank
+    n1 = res.Vt.shape[0] - r      # dim N(A)
+    n2 = r                        # dim N(A)^perp
+    n3 = res.U.shape[0] - r       # dim R(A)^perp
     return IndexRange(-min(n1, n3), n2)
 
 
@@ -134,14 +136,15 @@ def stratum_representative(a, k: StratumIndex | int,
     R(A)^perp; k > 0 compresses A onto a corank-k subspace of N(A)^perp.
     """
     a = as_matrix(a)
+    return representative_from_svd(a, svd(a, tol), k)
+
+
+def representative_from_svd(a, res: SvdResult, k: StratumIndex | int) -> np.ndarray:
+    """stratum_representative from A and its SVD."""
+    a = as_matrix(a)
     kk = k.k if isinstance(k, StratumIndex) else int(k)
-    return _representative(a, svd(a, tol), kk)
-
-
-def _representative(a: np.ndarray, res: SvdResult, kk: int) -> np.ndarray:
-    """stratum_representative from the SVD of A."""
     r = res.rank
-    if kk not in _index_range(a.shape, r):
+    if kk not in index_range_from_svd(res):
         raise PreconditionError(f"index {kk} outside the admissible range")
     if kk == 0:
         return a.copy()
@@ -195,7 +198,7 @@ def local_section_sigma(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPair:
     sigma_1 A sigma_2^{-1} = B.
     """
     rb, ra = _pinv_pair(b, a, tol)
-    if _index(rb.svd, ra.svd) != 0:
+    if index_from_svds(rb.svd, ra.svd) != 0:
         raise StratumError("the section is only defined on the zero stratum")
     b = as_matrix(b)
     ident_m = np.eye(b.shape[0], dtype=complex)
@@ -223,7 +226,7 @@ def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
     rb, ra = _pinv_pair(b, a, tol)
     b = as_matrix(b)
     kk = k_target.k if isinstance(k_target, StratumIndex) else int(k_target)
-    if kk not in _index_range(b.shape, ra.rank):
+    if kk not in index_range_from_svd(ra.svd):
         raise PreconditionError(f"index {kk} outside the admissible range")
     m_jump = (ra.rank - kk) - rb.rank
     if m_jump < 0:
@@ -238,7 +241,7 @@ def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
     right = rb.svd.null_basis[:, :m_jump]          # inside N(B)
     left = rb.svd.corange_basis[:, :m_jump]        # inside R(B)^perp
     out = b + (eps / m_jump) * (left @ right.conj().T)
-    got = _index(svd(out, tol), ra.svd)
+    got = index_from_svds(svd(out, tol), ra.svd)
     if got != kk:
         raise ConsistencyError(f"bump landed in stratum {got}, wanted {kk}")
     return out
@@ -255,7 +258,7 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     rb, ra = _pinv_pair(b, a, tol)
     a = as_matrix(a)
     b = as_matrix(b)
-    k = _index(rb.svd, ra.svd)
+    k = index_from_svds(rb.svd, ra.svd)
     if k == 0:
         raise PreconditionError("B is already in the zero stratum")
     sa, sb = ra.svd, rb.svd
@@ -274,7 +277,7 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     # (X sub) sub* rather than X (sub sub*): the product then has rank
     # |k| to roundoff relative to C, not relative to B or A
     c = (-b @ sub if k < 0 else a @ sub) @ sub.conj().T
-    if _index(svd(b + c, tol), ra.svd) != 0:
+    if index_from_svds(svd(b + c, tol), ra.svd) != 0:
         raise ConsistencyError("correction failed to reach the zero stratum")
     return c
 
@@ -397,7 +400,7 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
 def mp_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """B -> B^+, asserting that the stratum index is preserved relative to A^+."""
     rb, ra = _pinv_pair(b, a, tol)
-    k = _index(rb.svd, ra.svd)
+    k = index_from_svds(rb.svd, ra.svd)
     k_image = stratum_index(rb.pinv, ra.pinv, tol).k
     if k_image != k:
         raise ConsistencyError(

@@ -9,7 +9,7 @@ from pinvlab.errors import (
     PreconditionError,
     StratumError,
 )
-from pinvlab.matcore import ToleranceConfig
+from pinvlab.matcore import ToleranceConfig, svd
 from pinvlab.pinv import pinv_matrix
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -185,6 +185,18 @@ def test_orbit_witness_property(seed, r):
     assert np.linalg.norm(u @ u.conj().T - np.eye(5)) < 1e-9
     assert np.linalg.norm(w @ w.conj().T - np.eye(4)) < 1e-9
     assert np.linalg.norm(u @ v0 @ w.conj().T - v) < 1e-8
+
+
+def test_partial_isometry_rank_matches_matrix_rank(rng):
+    # an unchecked PartialIsometry gets the rank svd gives its matrix, so
+    # it and the plain matrix give the same witness
+    v0 = 0.3 * generate.partial_isometry(rng, 5, 4, 2)
+    v = generate.partial_isometry(rng, 5, 4, 2)
+    wrapped = polar.PartialIsometry(v0)
+    assert wrapped.rank == svd(v0).rank == 2
+    u, w = polar.isometry_orbit_witness(wrapped, v)
+    u_m, w_m = polar.isometry_orbit_witness(v0, v)
+    assert np.array_equal(u, u_m) and np.array_equal(w, w_m)
 
 
 def test_orbit_witness_rejects_rank_mismatch(rng):
@@ -363,13 +375,14 @@ def test_modulus_base_rejects_misuse(rng):
     with pytest.raises(PreconditionError):
         polar.fiber_membership_alpha(a[:, :3], base)  # X not of A's shape
     with pytest.raises(PreconditionError):
-        polar.trivialize_alpha(b, base, tol=ToleranceConfig(rank_rel=1e-9))
-    with pytest.raises(PreconditionError):
         polar.ModulusBase(c0[:3, :3], a)
 
 
-def test_partial_isometry_check_reads_tolerance():
-    v = np.diag([1.0 + 1e-8, 0.0])
-    with pytest.raises(PreconditionError):
-        polar.PartialIsometry.from_matrix(v)
-    polar.PartialIsometry.from_matrix(v, ToleranceConfig(isometry_rel=1e-7))
+def test_modulus_base_keeps_its_tolerances(rng):
+    a = generate.fixed_rank(rng, 4, 4, 2)
+    b = generate.rank_preserving_perturbation(rng, a, 0.05)
+    c0 = polar.polar_decompose(a).modulus
+    tol = ToleranceConfig(rank_rel=1e-9)
+    mod, fib = polar.trivialize_alpha(b, polar.ModulusBase(c0, a, tol))
+    mod_m, fib_m = polar.trivialize_alpha(b, c0, a, tol)
+    assert np.array_equal(mod, mod_m) and np.array_equal(fib, fib_m)
