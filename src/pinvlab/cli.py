@@ -28,6 +28,8 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    ROUND_TRIP_ABS,
+    TAYLOR_RATIO_SLACK,
     GaugeNorm,
     as_matrix,
     gauge_norm,
@@ -191,7 +193,7 @@ def cmd_taylor(args) -> int:
         ratio_rad = dist / gamma
         bound = tail_coeff * ratio_rad**m * dist / (1.0 - ratio_rad)
         ratio = remainder / bound if bound > 0 else 0.0
-        ok = ok and ratio <= 1.0 + 1e-6
+        ok = ok and ratio <= 1.0 + TAYLOR_RATIO_SLACK
         lines.append(f"{m},{_fmt(remainder)},{_fmt(bound)},{_fmt(ratio)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_INCONSISTENT
@@ -211,7 +213,7 @@ def cmd_census(args) -> int:
         rep = strata.representative_from_svd(a, res_a, k_target)
         b = generate.rank_preserving_perturbation(rng, rep, 0.02)
         rb = pinv.moore_penrose(b)
-        k = strata.index_from_svds(rb.svd, res_a)
+        k = strata.index_from_svds(rb, res_a)
         if k != k_target:
             raise ConsistencyError(
                 f"census sample landed in stratum {k}, wanted {k_target}")
@@ -250,7 +252,7 @@ def cmd_fiber(args) -> int:
     }
     _report(report, args)
     worst = max(report["alpha_max_residual"], report["v_max_residual"])
-    return EXIT_OK if worst <= 1e-7 else EXIT_INCONSISTENT
+    return EXIT_OK if worst <= ROUND_TRIP_ABS else EXIT_INCONSISTENT
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,10 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, GapTooLargeError, PreconditionError
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, eigh, svd
-
-# cos(theta) above this value counts as a zero principal angle.
-_INTERSECTION_COS = 1.0 - 1e-8
+from .matcore import (DEFAULT_TOL, INTERSECTION_COS, PROJECTOR_REL,
+                      PROJECTOR_SPECTRUM, ToleranceConfig, as_matrix, eigh, svd)
 
 
 @dataclass(frozen=True)
@@ -36,14 +34,15 @@ class Projector:
         p = as_matrix(m)
         if p.shape[0] != p.shape[1]:
             raise PreconditionError("a projector must be square")
-        if np.linalg.norm(p @ p - p) > 1e-9 * max(1.0, np.linalg.norm(p)):
+        if np.linalg.norm(p @ p - p) > PROJECTOR_REL * max(1.0, np.linalg.norm(p)):
             raise PreconditionError("matrix is not idempotent")
-        if np.linalg.norm(p - p.conj().T) > 1e-9:
+        if np.linalg.norm(p - p.conj().T) > PROJECTOR_REL:
             raise PreconditionError("matrix is not Hermitian")
         proj = Projector(p)
         _, w = proj._eigh
-        if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > 1e-8):
-            raise PreconditionError("eigenvalues are not within 1e-8 of {0,1}")
+        if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > PROJECTOR_SPECTRUM):
+            raise PreconditionError(
+                f"eigenvalues are not within {PROJECTOR_SPECTRUM:g} of {{0,1}}")
         return proj
 
     @staticmethod
@@ -81,14 +80,15 @@ class Projector:
 def intersection_basis(x, y) -> np.ndarray:
     """Orthonormal basis of span(x) ∩ span(y) for orthonormal column blocks.
 
-    Spanned by the principal vectors whose cosines are at least 1 - 1e-8.
+    Spanned by the principal vectors whose cosines are at least
+    INTERSECTION_COS (1 - 1e-8).
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape[1] == 0 or y.shape[1] == 0:
         return np.zeros((x.shape[0], 0), dtype=complex)
     w, cos, _ = np.linalg.svd(x.conj().T @ y, full_matrices=False)
-    return x @ w[:, : int(np.sum(cos >= _INTERSECTION_COS))]
+    return x @ w[:, : int(np.sum(cos >= INTERSECTION_COS))]
 
 
 def intersection_dim(x, y) -> int:

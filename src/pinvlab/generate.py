@@ -64,7 +64,7 @@ def positive_definite(rng, n: int, ev_range=(0.5, 2.0)) -> np.ndarray:
 def near_identity(rng, n: int, scale: float = 0.05) -> np.ndarray:
     """Invertible matrix within ``scale`` of the identity in operator norm."""
     g = ginibre(rng, n, n)
-    g *= scale / max(np.linalg.norm(g, 2), 1e-300)
+    g *= scale / max(np.linalg.norm(g, 2), np.finfo(float).tiny)
     return np.eye(n, dtype=complex) + g
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +45,22 @@ DEFAULT_TOL = ToleranceConfig()
 #   ISOMETRY_REL: V is a partial isometry when P = V*V has
 #       ||P^2 - P|| <= ISOMETRY_REL max(1, ||P||).
 #   UNITARY_REL: a constructed n x n U is unitary when ||UU* - I|| <= UNITARY_REL n.
-#   IDENTITY_REL: an exact identity holds when its residual is at most
-#       IDENTITY_REL times the scale of its inputs.
+#   IDENTITY_REL: an exact identity holds, or a block that vanishes
+#       exactly vanishes, when its residual is at most IDENTITY_REL times
+#       the scale of its inputs.
 ISOMETRY_REL = 1e-9
 UNITARY_REL = 1e-10
 IDENTITY_REL = 1e-8
+# Checks on input matrices, and decisions of the certifiers:
+HERMITIAN_REL = 1e-10       # ||H - H*||_F, or -min eig of PSD C, <= this max(1, scale)
+PROJECTOR_REL = 1e-9        # projector: ||P^2 - P|| <= this max(1, ||P||), ||P - P*|| <= this
+PROJECTOR_SPECTRUM = 1e-8   # and each eigenvalue of P lies within this of 0 or 1
+INTERSECTION_COS = 1.0 - 1e-8   # principal angles with cosine at least this are zero
+GAP_MARGIN = 1e-6           # a projector gap above 1 - GAP_MARGIN does not count as < 1
+MONOTONE_SLACK = 1e-10      # sampled values of a monotone f drop by at most this
+REPRESENTATION_ABS = 1e-12  # JSON (alpha, beta) of sqrt match the built-in's to this
+TAYLOR_RATIO_SLACK = 1e-6   # a Taylor remainder passes at remainder/bound <= 1 + this
+ROUND_TRIP_ABS = 1e-7       # a chart round trip passes at ||back - B||_F <= this
 
 
 def as_matrix(a) -> np.ndarray:
@@ -195,10 +208,11 @@ def gauge_norm(a, g: GaugeNorm = OP_NORM) -> float:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full SVD of A with its numerical rank r.
+    """Full SVD of A with its numerical rank r: the pseudoinverse report.
 
-    The four fundamental subspaces of A are read off the factors as
-    orthonormal column blocks; no further factorization is needed.
+    The four fundamental subspaces of A, A^+, gamma(A) and the range/null
+    projectors are read off the factors; no further factorization is
+    needed.  A^+ and the projectors are built on first read and kept.
     """
 
     U: np.ndarray        # rows x rows, unitary
@@ -226,6 +240,34 @@ class SvdResult:
     def null_basis(self) -> np.ndarray:
         """Orthonormal basis of N(A)."""
         return self.Vt[self.rank :, :].conj().T
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """A^+ = V_r S_r^{-1} U_r*."""
+        s_r = self.singular_values[: self.rank]
+        return (self.row_basis / s_r) @ self.range_basis.conj().T
+
+    @property
+    def gamma(self) -> float:
+        """Reduced minimum modulus: the least nonzero singular value; 0 for rank 0."""
+        return float(self.singular_values[self.rank - 1]) if self.rank else 0.0
+
+    @property
+    def pinv_norm(self) -> float:
+        """||A^+|| = 1/gamma(A); 0 for the zero matrix."""
+        return 1.0 / self.gamma if self.rank else 0.0
+
+    @cached_property
+    def range_proj(self) -> np.ndarray:
+        """Projector onto R(A)."""
+        u_r = self.range_basis
+        return u_r @ u_r.conj().T
+
+    @cached_property
+    def null_proj(self) -> np.ndarray:
+        """Projector onto N(A)."""
+        v_r = self.row_basis
+        return np.eye(v_r.shape[0], dtype=complex) - v_r @ v_r.conj().T
 
     def reconstruct(self) -> np.ndarray:
         m, n = self.U.shape[0], self.Vt.shape[0]
@@ -257,7 +299,7 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
     """Spectral decomposition of a Hermitian matrix.
 
     The input is symmetrized internally; inputs that are not Hermitian to
-    a 1e-10 relative tolerance are rejected.  Returns (Q, eigenvalues)
+    the relative tolerance HERMITIAN_REL are rejected.  Returns (Q, eigenvalues)
     with eigenvalues ascending.
     """
     m = as_matrix(h)
@@ -265,7 +307,7 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
         raise PreconditionError("eigh requires a square matrix")
     scale = np.linalg.norm(m)
     skew = np.linalg.norm(m - m.conj().T)
-    if skew > 1e-10 * max(scale, 1.0):
+    if skew > HERMITIAN_REL * max(scale, 1.0):
         raise PreconditionError(
             f"matrix is not Hermitian: ||H - H*||_F = {skew:.3e}"
         )
@@ -277,19 +319,69 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
     return q, w
 
 
-def psd_eigh(c, tol: ToleranceConfig = DEFAULT_TOL):
+class PsdEig(NamedTuple):
+    """C = Q diag(w) Q* for PSD C, w ascending with below-cutoff values 0.
+
+    The last ``rank`` columns of Q span R(C), the others N(C).  Roots,
+    pseudoinverse and projectors are built on each call, not kept.
+    """
+
+    Q: np.ndarray
+    w: np.ndarray
+    rank: int
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis of R(C)."""
+        return self.Q[:, len(self.w) - self.rank:]
+
+    @property
+    def null_basis(self) -> np.ndarray:
+        """Orthonormal basis of N(C)."""
+        return self.Q[:, : len(self.w) - self.rank]
+
+    @property
+    def range_values(self) -> np.ndarray:
+        """The nonzero eigenvalues, in the order of ``range_basis``."""
+        return self.w[len(self.w) - self.rank:]
+
+    def sqrt(self) -> np.ndarray:
+        """C^{1/2}."""
+        q_r = self.range_basis
+        return (q_r * np.sqrt(self.range_values)) @ q_r.conj().T
+
+    def pinv_sqrt(self) -> np.ndarray:
+        """(C^{1/2})^+."""
+        q_r = self.range_basis
+        return (q_r / np.sqrt(self.range_values)) @ q_r.conj().T
+
+    def pinv(self) -> np.ndarray:
+        """C^+."""
+        q_r = self.range_basis
+        return (q_r / self.range_values) @ q_r.conj().T
+
+    def range_proj(self) -> np.ndarray:
+        """Projector onto R(C)."""
+        q_r = self.range_basis
+        return q_r @ q_r.conj().T
+
+    def null_proj(self) -> np.ndarray:
+        """Projector onto N(C)."""
+        q_n = self.null_basis
+        return q_n @ q_n.conj().T
+
+
+def psd_eigh(c, tol: ToleranceConfig = DEFAULT_TOL) -> PsdEig:
     """Spectral decomposition of a Hermitian positive semidefinite matrix.
 
-    Eigenvalues below -1e-10 max(|w|, 1) are rejected; those at or below
-    the rank cutoff tol.rank_rel * n * max|w| are set to 0.  Returns
-    (Q, w, rank) with w ascending, so Q[:, n - rank:] spans R(C) and
-    Q[:, :n - rank] spans N(C).
+    Eigenvalues below -HERMITIAN_REL max(|w|, 1) are rejected; those at or below
+    the rank cutoff tol.rank_rel * n * max|w| are set to 0.
     """
     q, w = eigh(c, tol)
     scale = float(np.max(np.abs(w)))
-    if w[0] < -1e-10 * max(scale, 1.0):
+    if w[0] < -HERMITIAN_REL * max(scale, 1.0):
         raise PreconditionError(
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
         )
     w = np.where(w > tol.rank_rel * len(w) * scale, w, 0.0)
-    return q, w, int(np.count_nonzero(w))
+    return PsdEig(q, w, int(np.count_nonzero(w)))

@@ -29,6 +29,9 @@ from . import strata
 from .errors import ConvergenceError, OutsideNeighborhoodError, PreconditionError
 from .matcore import (
     DEFAULT_TOL,
+    HERMITIAN_REL,
+    MONOTONE_SLACK,
+    REPRESENTATION_ABS,
     GaugeNorm,
     OP_NORM,
     ToleranceConfig,
@@ -170,7 +173,7 @@ def _admissibility(f: MonotoneFunction) -> float:
 
 def _check_monotone(f: MonotoneFunction):
     vals = scalar_eval(f, np.linspace(0.0, 100.0, 41))
-    if np.any(np.diff(vals) < -1e-10):
+    if np.any(np.diff(vals) < -MONOTONE_SLACK):
         raise PreconditionError(
             "representation data is not nondecreasing on [0, 100]"
         )
@@ -223,7 +226,8 @@ def monotone_from_json(obj) -> MonotoneFunction:
         return make_atomic(alpha, beta, obj["atoms"])
     if obj.get("density") == "sqrt":
         f = make_sqrt()
-        if abs(alpha - f.alpha) > 1e-12 or abs(beta - f.beta) > 1e-12:
+        if (abs(alpha - f.alpha) > REPRESENTATION_ABS
+                or abs(beta - f.beta) > REPRESENTATION_ABS):
             raise PreconditionError(
                 "the sqrt density requires alpha = 1/sqrt(2), beta = 0"
             )
@@ -290,12 +294,12 @@ def matrix_eval_integral(f: MonotoneFunction, c,
     the value is f(0) times the projector).
     """
     c = as_matrix(c)
-    q, _, rank = psd_eigh(c, tol)
+    eig = psd_eigh(c, tol)
     d = c.shape[0]
-    if rank < d:
-        if rank == 0:
+    if eig.rank < d:
+        if eig.rank == 0:
             return f.f0 * np.eye(d, dtype=complex)
-        basis, null = q[:, d - rank:], q[:, :d - rank]   # eigenvalues ascending
+        basis, null = eig.range_basis, eig.null_basis
         inner = matrix_eval_integral(f, basis.conj().T @ c @ basis, tol)
         return basis @ inner @ basis.conj().T + f.f0 * (null @ null.conj().T)
     ident = np.eye(d, dtype=complex)
@@ -330,7 +334,7 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int,
     delta = as_matrix(delta)
     if c.shape != delta.shape:
         raise PreconditionError("C and Delta must have the same shape")
-    if np.linalg.norm(delta - delta.conj().T) > 1e-10 * max(
+    if np.linalg.norm(delta - delta.conj().T) > HERMITIAN_REL * max(
             1.0, np.linalg.norm(delta)):
         raise PreconditionError("Delta must be Hermitian")
     q, w = _pd_eigs(c, tol)

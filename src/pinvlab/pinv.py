@@ -3,45 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
 from .matcore import DEFAULT_TOL, GaugeNorm, SvdResult, ToleranceConfig, as_matrix, svd
-
-
-@dataclass(frozen=True)
-class PinvResult:
-    """A^+ and gamma(A), together with the SVD of A they come from.
-
-    The range/null projectors are built from the SVD bases on first read.
-    """
-
-    pinv: np.ndarray
-    gamma: float          # reduced minimum modulus; 0 for the zero matrix
-    svd: SvdResult
-
-    @property
-    def rank(self) -> int:
-        return self.svd.rank
-
-    @property
-    def pinv_norm(self) -> float:
-        """||A^+|| = 1/gamma(A); 0 for the zero matrix."""
-        return 1.0 / self.gamma if self.rank else 0.0
-
-    @cached_property
-    def range_proj(self) -> np.ndarray:
-        """Projector onto R(A)."""
-        u_r = self.svd.range_basis
-        return u_r @ u_r.conj().T
-
-    @cached_property
-    def null_proj(self) -> np.ndarray:
-        """Projector onto N(A)."""
-        v_r = self.svd.row_basis
-        return np.eye(v_r.shape[0], dtype=complex) - v_r @ v_r.conj().T
 
 
 @dataclass(frozen=True)
@@ -55,17 +21,11 @@ class BoundReport:
         return self.bound - self.actual
 
 
-def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> PinvResult:
-    """Pseudoinverse together with gamma(A) and the range/null projectors.
-
-    gamma(A) is the smallest nonzero singular value (= 1/||A^+||).  For
-    the zero matrix gamma is reported as 0 with rank 0.
-    """
-    res = svd(a, tol)
-    s_r = res.singular_values[: res.rank]
-    pinv = (res.row_basis / s_r) @ res.range_basis.conj().T
-    gamma = float(s_r[-1]) if res.rank else 0.0
-    return PinvResult(pinv, gamma, res)
+def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> SvdResult:
+    """The pseudoinverse report of A: its SVD, which carries A^+ (``pinv``),
+    gamma(A) (= 1/||A^+||; 0 for the zero matrix) and the range/null
+    projectors."""
+    return svd(a, tol)
 
 
 def pinv_matrix(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -126,6 +86,6 @@ def lipschitz_constant(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     res = moore_penrose(a, tol)
     if res.rank == 0:
         raise PreconditionError("Lipschitz constant undefined for the zero matrix")
-    norm_a = float(res.svd.singular_values[0])
+    norm_a = float(res.singular_values[0])
     norm_pinv = res.pinv_norm
     return (norm_a + 0.5 / norm_pinv) ** 2 + 8.0 * norm_pinv**2

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +30,13 @@ from .matcore import (
     IDENTITY_REL,
     ISOMETRY_REL,
     UNITARY_REL,
+    PsdEig,
     SvdResult,
     ToleranceConfig,
     as_matrix,
     psd_eigh,
     svd,
 )
-from .pinv import pinv_matrix
 
 
 @dataclass(frozen=True)
@@ -53,81 +52,32 @@ class PartialIsometry:
     @staticmethod
     def from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> "PartialIsometry":
         v = as_matrix(m)
-        p = v.conj().T @ v
-        if np.linalg.norm(p @ p - p) > ISOMETRY_REL * max(1.0, np.linalg.norm(p)):
-            raise PreconditionError("V*V is not a projector; not a partial isometry")
+        _initial_projector(v)
         return PartialIsometry(v)
 
-    @cached_property
-    def rank(self) -> int:
-        """rank(V) under the default tolerances, from one SVD taken on first use.
 
-        It is the rank ``svd`` gives the matrix, whether or not V is a
-        partial isometry; for one, whose singular values are 0 or 1, any
-        rank cutoff below 1 gives the same.
-        """
-        return svd(self.matrix).rank
+def _initial_projector(v: np.ndarray) -> np.ndarray:
+    """V*V, checked to be a projector, that is, V to be a partial isometry."""
+    p = v.conj().T @ v
+    if np.linalg.norm(p @ p - p) > ISOMETRY_REL * max(1.0, np.linalg.norm(p)):
+        raise PreconditionError("V*V is not a projector; not a partial isometry")
+    return p
 
 
-def _isometry(matrix: np.ndarray, rank: int) -> PartialIsometry:
-    """A PartialIsometry whose rank is already known, so none is taken."""
-    v = PartialIsometry(matrix)
-    vars(v)["rank"] = rank
-    return v
-
-
-def _isometry_of(v, tol: ToleranceConfig) -> PartialIsometry:
-    """v as a PartialIsometry; a matrix is wrapped, unchecked, with its SVD rank."""
-    if isinstance(v, PartialIsometry):
-        return v
-    v = as_matrix(v)
-    return _isometry(v, svd(v, tol).rank)
-
-
-class _Root(NamedTuple):
-    """C^{1/2} = R diag(s) R*, with R and N orthonormal bases of R(C), N(C).
-
-    The matrices are built on each call, so a caller holds only those it
-    uses and only while it uses them.
-    """
-
-    q_r: np.ndarray
-    q_n: np.ndarray
-    s: np.ndarray
-
-    def sqrt(self) -> np.ndarray:
-        return (self.q_r * self.s) @ self.q_r.conj().T
-
-    def pinv_sqrt(self) -> np.ndarray:
-        return (self.q_r / self.s) @ self.q_r.conj().T
-
-    def range_proj(self) -> np.ndarray:
-        return self.q_r @ self.q_r.conj().T
-
-    def null_proj(self) -> np.ndarray:
-        return self.q_n @ self.q_n.conj().T
-
-
-def _root(q, w, rank) -> _Root:
-    """_Root of a PSD matrix from its ``psd_eigh``."""
-    k = len(w) - rank          # eigenvalues ascending: Q[:, k:] spans the range
-    return _Root(q[:, k:], q[:, :k], np.sqrt(w[k:]))
-
-
-def _equal_rank_roots(eig_c, d, tol: ToleranceConfig):
-    """_Root of PSD C, given by its psd_eigh, and of PSD D of C's size and rank.
+def _equal_rank_roots(eig_c: PsdEig, d, tol: ToleranceConfig):
+    """The psd_eighs of PSD C, given, and of PSD D of C's size and rank.
 
     ``psd_eigh`` zeroes the below-cutoff eigenvalues, so the square root
     does not inflate the numerical rank (sqrt of 1e-16 noise is 1e-8).
     """
     d = as_matrix(d)
-    n = len(eig_c[1])
+    n = len(eig_c.w)
     if d.shape != (n, n):
         raise PreconditionError("PSD matrices must be square of equal size")
     eig_d = psd_eigh(d, tol)
-    if eig_c[2] != eig_d[2]:
-        raise StratumError(f"no congruence across ranks: {eig_c[2]} vs {eig_d[2]}")
-    return _root(*eig_c), _root(*eig_d)
+    if eig_c.rank != eig_d.rank:
+        raise StratumError(f"no congruence across ranks: {eig_c.rank} vs {eig_d.rank}")
+    return eig_c, eig_d
 
 
 class ModulusBase:
@@ -138,9 +88,8 @@ class ModulusBase:
     is taken on first use under its tolerances ``tol``, which the charts
     read, and is kept, so one base serves every B of a
     run, and an inverse chart, which never reads A, never factorizes it.
-    The roots, projectors and pseudoinverse of C0 are built from the
-    eigh on each call: products cost no factorization, and keeping them
-    would hold several more n x n matrices per base.
+    The roots, projectors and pseudoinverse of C0 are products of the
+    ``PsdEig``, which keeps none of them.
     """
 
     def __init__(self, c0, a=None, tol: ToleranceConfig = DEFAULT_TOL):
@@ -159,8 +108,8 @@ class ModulusBase:
         return base
 
     @cached_property
-    def eigh(self):
-        """psd_eigh(C0): (Q, w, rank)."""
+    def eigh(self) -> PsdEig:
+        """psd_eigh(C0)."""
         return psd_eigh(self.c0, self.tol)
 
     @cached_property
@@ -173,13 +122,8 @@ class ModulusBase:
         return strata.stratum_index(self.c0, mod_a, self.tol).k
 
     def polar_factor(self) -> PartialIsometry:
-        """V_A, with its rank read from the SVD of A."""
-        return _isometry(_polar_parts(self.svd_a).polar_factor, self.svd_a.rank)
-
-    def _range(self):
-        """An orthonormal basis of R(C0) and the nonzero eigenvalues on it."""
-        q, w, rank = self.eigh
-        return q[:, len(w) - rank:], w[len(w) - rank:]
+        """V_A, from the SVD of A."""
+        return PartialIsometry(_polar_parts(self.svd_a).polar_factor)
 
 
 def _base(c0, a, tol: ToleranceConfig | None, need_a: bool = True) -> ModulusBase:
@@ -225,11 +169,11 @@ def congruence_witness(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     B2 = U D^{1/2} U* sharing the range of C, G0 = B2 B1^+ + (I - P)
     solves G0 B1 = B2, and G = U* G0 conjugates C to D.
     """
-    rc, rd = _equal_rank_roots(psd_eigh(c, tol), d, tol)
-    p_null = rc.null_proj()
-    u = codim.conjugating_unitary(Projector(rd.null_proj()), Projector(p_null), tol)
-    b2 = u @ rd.sqrt() @ u.conj().T
-    g0 = b2 @ rc.pinv_sqrt() + p_null
+    ec, ed = _equal_rank_roots(psd_eigh(c, tol), d, tol)
+    p_null = ec.null_proj()
+    u = codim.conjugating_unitary(Projector(ed.null_proj()), Projector(p_null), tol)
+    b2 = u @ ed.sqrt() @ u.conj().T
+    g0 = b2 @ ec.pinv_sqrt() + p_null
     return u.conj().T @ g0
 
 
@@ -245,16 +189,16 @@ def positive_section(c, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _section(*_equal_rank_roots(psd_eigh(c, tol), b, tol), tol)
 
 
-def _section(rc: _Root, rb: _Root, tol: ToleranceConfig) -> np.ndarray:
-    """positive_section from the roots of C and B."""
-    p_null, q_null = rc.null_proj(), rb.null_proj()
-    u, sing, vh = np.linalg.svd(rb.range_proj() @ rc.range_proj() + q_null @ p_null)
+def _section(ec: PsdEig, eb: PsdEig, tol: ToleranceConfig) -> np.ndarray:
+    """positive_section from the psd_eighs of C and B."""
+    p_null, q_null = ec.null_proj(), eb.null_proj()
+    u, sing, vh = np.linalg.svd(eb.range_proj() @ ec.range_proj() + q_null @ p_null)
     if sing[-1] <= tol.rank_rel * len(p_null) * max(sing[0], 1.0):
         raise OutsideNeighborhoodError(
             "range projectors too far apart; section undefined here"
         )
     s_unitary = u @ vh
-    return rb.sqrt() @ s_unitary @ rc.pinv_sqrt() + q_null @ s_unitary @ p_null
+    return eb.sqrt() @ s_unitary @ ec.pinv_sqrt() + q_null @ s_unitary @ p_null
 
 
 def _unitary_polar_factor(t) -> np.ndarray:
@@ -293,34 +237,35 @@ def isometry_orbit_witness(v0, v, tol: ToleranceConfig = DEFAULT_TOL):
 
     W conjugates the initial projector V0*V0 to V*V; Z conjugates the
     final projector V0V0* to VV*; then U = V W V0* + Z (I - V0 V0*) is
-    unitary and carries V0 to V.  The rank of a PartialIsometry is its
-    cached one; a plain matrix costs one SVD.
+    unitary and carries V0 to V.  Each argument, a matrix or a
+    PartialIsometry, is checked to be a partial isometry (PreconditionError
+    otherwise); its rank is then the trace of its initial projector.
     """
-    v0, v = _isometry_of(v0, tol), _isometry_of(v, tol)
-    if v0.matrix.shape != v.matrix.shape:
+    v0, v = _matrix_of(v0), _matrix_of(v)
+    if v0.shape != v.shape:
         raise PreconditionError("partial isometries must have the same shape")
-    if v0.rank != v.rank:
-        raise StratumError(f"no orbit witness across ranks: {v0.rank} vs {v.rank}")
-    v0, v = v0.matrix, v.matrix
-    init0 = Projector(v0.conj().T @ v0)
-    init1 = Projector(v.conj().T @ v)
+    p0, p1 = _initial_projector(v0), _initial_projector(v)
+    r0, r1 = round(np.trace(p0).real), round(np.trace(p1).real)
+    if r0 != r1:
+        raise StratumError(f"no orbit witness across ranks: {r0} vs {r1}")
     fin0 = Projector(v0 @ v0.conj().T)
-    fin1 = Projector(v @ v.conj().T)
-    w = codim.conjugating_unitary(init0, init1, tol)
-    z = codim.conjugating_unitary(fin0, fin1, tol)
+    w = codim.conjugating_unitary(Projector(p0), Projector(p1), tol)
+    z = codim.conjugating_unitary(fin0, Projector(v @ v.conj().T), tol)
     m = v0.shape[0]
     u = v @ w @ v0.conj().T + z @ (np.eye(m, dtype=complex) - fin0.matrix)
     return u, w
 
 
+def _matrix_of(v) -> np.ndarray:
+    return v.matrix if isinstance(v, PartialIsometry) else as_matrix(v)
+
+
 def modulus_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """B -> |B|, checking that the stratum index relative to |A| is preserved."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    mod_b = polar_decompose(b, tol).modulus
-    mod_a = polar_decompose(a, tol).modulus
-    k = strata.stratum_index(b, a, tol).k
-    k_mod = strata.stratum_index(mod_b, mod_a, tol).k
+    sb, sa = strata._svd_pair(b, a, tol)
+    mod_b = _polar_parts(sb).modulus
+    k = strata.index_from_svds(sb, sa)
+    k_mod = strata.stratum_index(mod_b, _polar_parts(sa).modulus, tol).k
     if k != k_mod:
         raise ConsistencyError(
             f"modulus map moved stratum index from {k} to {k_mod}"
@@ -333,19 +278,20 @@ def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometr
 
     V_A - V_B = A(|A|^+ - |B|^+) + (A - B)|B|^+ holds exactly; its
     residual is asserted, as is preservation of the stratum index.
+    |A|^+ = A^+ V_A is read from the SVD of A, and likewise for B.
     """
+    sb, sa = strata._svd_pair(b, a, tol)
     a = as_matrix(a)
     b = as_matrix(b)
-    pa = polar_decompose(a, tol)
-    pb = polar_decompose(b, tol)
-    mod_a_pinv = pinv_matrix(pa.modulus, tol)
-    mod_b_pinv = pinv_matrix(pb.modulus, tol)
+    pa, pb = _polar_parts(sa), _polar_parts(sb)
+    mod_a_pinv = sa.pinv @ pa.polar_factor
+    mod_b_pinv = sb.pinv @ pb.polar_factor
     lhs = pa.polar_factor - pb.polar_factor
     rhs = a @ (mod_a_pinv - mod_b_pinv) + (a - b) @ mod_b_pinv
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     if np.linalg.norm(lhs - rhs) > IDENTITY_REL * scale:
         raise ConsistencyError("polar factor difference identity violated")
-    k = strata.stratum_index(b, a, tol).k
+    k = strata.index_from_svds(sb, sa)
     k_v = strata.stratum_index(pb.polar_factor, pa.polar_factor, tol).k
     if k != k_v:
         raise ConsistencyError(
@@ -400,7 +346,7 @@ def trivialize_alpha(b, c0, a=None, tol: ToleranceConfig | None = None):
 def _chart_unitary(base: ModulusBase, modulus) -> np.ndarray:
     """The range-aligning unitary of the positive section carrying C0 to modulus."""
     gamma = _section(*_equal_rank_roots(base.eigh, modulus, base.tol), base.tol)
-    return aligning_unitary(gamma, base._range()[0], base.tol)
+    return aligning_unitary(gamma, base.eigh.range_basis, base.tol)
 
 
 def trivialize_alpha_inverse(modulus, fiber_elem, c0,
@@ -414,8 +360,7 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0,
     modulus = as_matrix(modulus)
     fiber_elem = as_matrix(fiber_elem)
     u = _chart_unitary(base, modulus)
-    q_r, w_r = base._range()
-    v = fiber_elem @ ((q_r / w_r) @ q_r.conj().T)      # C0^+, from the eigh
+    v = fiber_elem @ base.eigh.pinv()
     return v @ u.conj().T @ modulus
 
 
@@ -425,34 +370,31 @@ def trivialize_v(b, v0, a, tol: ToleranceConfig = DEFAULT_TOL):
     W is the initial-projector conjugating unitary of the orbit witness
     from V0 to V_B; it transports |B| to a positive matrix supported on
     the initial space of V0, so the second component sits in the fiber
-    over V0.  A PartialIsometry V0 gives its cached rank, and V_B is
-    returned with the rank of the SVD of B, so neither costs an SVD.
+    over V0.  A V0 that is not a partial isometry raises PreconditionError.
     Inverted by trivialize_v_inverse.
     """
-    v0 = _isometry_of(v0, tol)
-    res = svd(b, tol)
-    parts = _polar_parts(res)
-    factor = _isometry(parts.polar_factor, res.rank)
-    del res     # the SVD of B is not needed past its polar parts
+    v0 = _matrix_of(v0)
+    parts = polar_decompose(b, tol)
     try:
-        _, w = isometry_orbit_witness(v0, factor, tol)
+        _, w = isometry_orbit_witness(v0, parts.polar_factor, tol)
+    except PreconditionError:
+        raise
     except PinvLabError as exc:
         raise OutsideNeighborhoodError(
             f"polar-factor chart undefined at this B: {exc}"
         ) from exc
-    fiber_elem = v0.matrix @ (w.conj().T @ parts.modulus @ w)
-    return factor, fiber_elem
+    fiber_elem = v0 @ (w.conj().T @ parts.modulus @ w)
+    return PartialIsometry(parts.polar_factor), fiber_elem
 
 
 def trivialize_v_inverse(factor, fiber_elem, v0,
                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(V, V0 C) -> V (W C W*), undoing trivialize_v.
 
-    PartialIsometry arguments give their cached ranks; a plain matrix
-    costs one SVD.
+    V and V0 are checked as in isometry_orbit_witness.
     """
-    v, v0 = _isometry_of(factor, tol), _isometry_of(v0, tol)
+    v, v0 = _matrix_of(factor), _matrix_of(v0)
     fiber_elem = as_matrix(fiber_elem)
     _, w = isometry_orbit_witness(v0, v, tol)
-    core = v0.matrix.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
-    return v.matrix @ w @ core @ w.conj().T
+    core = v0.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
+    return v @ w @ core @ w.conj().T

@@ -26,6 +26,8 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    GAP_MARGIN,
+    IDENTITY_REL,
     GaugeNorm,
     OP_NORM,
     SvdResult,
@@ -80,17 +82,16 @@ def stratum_index(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> StratumIndex:
     Null-projector index, negated range-projector index and the rank
     difference are all computed; disagreement raises ConsistencyError.
     """
-    rb, ra = _pinv_pair(b, a, tol)
-    return StratumIndex(index_from_svds(rb.svd, ra.svd))
+    return StratumIndex(index_from_svds(*_svd_pair(b, a, tol)))
 
 
-def _pinv_pair(b, a, tol: ToleranceConfig):
-    """Pseudoinverse reports of B and A, which must have the same shape."""
+def _svd_pair(b, a, tol: ToleranceConfig):
+    """SVDs of B and A, which must have the same shape."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise PreconditionError("A and B must have the same shape")
-    return moore_penrose(b, tol), moore_penrose(a, tol)
+    return svd(b, tol), svd(a, tol)
 
 
 def index_from_svds(sb: SvdResult, sa: SvdResult) -> int:
@@ -197,8 +198,8 @@ def local_section_sigma(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPair:
     invertible for B close to A in the zero stratum, and
     sigma_1 A sigma_2^{-1} = B.
     """
-    rb, ra = _pinv_pair(b, a, tol)
-    if index_from_svds(rb.svd, ra.svd) != 0:
+    rb, ra = _svd_pair(b, a, tol)
+    if index_from_svds(rb, ra) != 0:
         raise StratumError("the section is only defined on the zero stratum")
     b = as_matrix(b)
     ident_m = np.eye(b.shape[0], dtype=complex)
@@ -223,10 +224,10 @@ def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
     bumps B on an m-dimensional subspace of N(B) by a partial isometry
     into R(B)^perp scaled by eps/m, where m is the required rank jump.
     """
-    rb, ra = _pinv_pair(b, a, tol)
+    rb, ra = _svd_pair(b, a, tol)
     b = as_matrix(b)
     kk = k_target.k if isinstance(k_target, StratumIndex) else int(k_target)
-    if kk not in index_range_from_svd(ra.svd):
+    if kk not in index_range_from_svd(ra):
         raise PreconditionError(f"index {kk} outside the admissible range")
     m_jump = (ra.rank - kk) - rb.rank
     if m_jump < 0:
@@ -238,10 +239,10 @@ def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
         return b.copy()
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    right = rb.svd.null_basis[:, :m_jump]          # inside N(B)
-    left = rb.svd.corange_basis[:, :m_jump]        # inside R(B)^perp
+    right = rb.null_basis[:, :m_jump]          # inside N(B)
+    left = rb.corange_basis[:, :m_jump]        # inside R(B)^perp
     out = b + (eps / m_jump) * (left @ right.conj().T)
-    got = index_from_svds(svd(out, tol), ra.svd)
+    got = index_from_svds(svd(out, tol), ra)
     if got != kk:
         raise ConsistencyError(f"bump landed in stratum {got}, wanted {kk}")
     return out
@@ -255,13 +256,12 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     N(B) ∩ N(A)^perp (C = A P).  rank(C) = |k| and the gauge norm of C
     is controlled by the distance from A to B.
     """
-    rb, ra = _pinv_pair(b, a, tol)
+    sb, sa = _svd_pair(b, a, tol)
     a = as_matrix(a)
     b = as_matrix(b)
-    k = index_from_svds(rb.svd, ra.svd)
+    k = index_from_svds(sb, sa)
     if k == 0:
         raise PreconditionError("B is already in the zero stratum")
-    sa, sb = ra.svd, rb.svd
     if k < 0:
         basis = codim.intersection_basis(sa.null_basis, sb.row_basis)
         need = -k
@@ -277,7 +277,7 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     # (X sub) sub* rather than X (sub sub*): the product then has rank
     # |k| to roundoff relative to C, not relative to B or A
     c = (-b @ sub if k < 0 else a @ sub) @ sub.conj().T
-    if index_from_svds(svd(b + c, tol), ra.svd) != 0:
+    if index_from_svds(svd(b + c, tol), sa) != 0:
         raise ConsistencyError("correction failed to reach the zero stratum")
     return c
 
@@ -331,8 +331,6 @@ class ContinuityReport:
 # Boundedness proxy: the tail sup of ||B_n^+|| may exceed ||B^+|| by at
 # most this factor before condition (ii) is declared failed.
 BOUNDEDNESS_FACTOR = 10.0
-# Projector gaps this close to 1 count as "not < 1".
-_GAP_MARGIN = 1e-6
 
 
 def continuity_report(b, seq, n0: int, g: GaugeNorm,
@@ -353,18 +351,18 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
         raise PreconditionError("sequence terms must have the shape of B")
     rb = moore_penrose(b, tol)
     norm_b_pinv = rb.pinv_norm
-    norm_b = float(rb.svd.singular_values[0])
+    norm_b = float(rb.singular_values[0])
     rows = []
     for n, bn in enumerate(seq):
         rn = moore_penrose(bn, tol)
         null_gaps = np.linalg.svd(rn.null_proj - rb.null_proj, compute_uv=False)
         # the overlap N(B) ∩ N(B_n)^perp is a term of the index of B_n
-        index, inter = _index_overlap(rn.svd, rb.svd)
+        index, inter = _index_overlap(rn, rb)
         rows.append(ContinuityRow(n, index, rn.pinv_norm,
                                   gauge_norm(rn.pinv - rb.pinv, g),
                                   g.of_singular_values(null_gaps),
                                   float(null_gaps[0]), inter))
-    norm_last = float(rn.svd.singular_values[0])   # rn reports the last term
+    norm_last = float(rn.singular_values[0])   # rn reports the last term
     tail = rows[n0:]
     last = tail[-1]
     # (iii): under a bounded tail the pseudoinverse gap is dominated by a
@@ -383,10 +381,10 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
         <= BOUNDEDNESS_FACTOR * max(norm_b_pinv, tol.residual_abs),
         "pinv_gap_vanishes": last.pinv_gap <= iii_threshold,
         "nullproj_gauge_below_one": all(
-            r.nullproj_gap_gauge < 1.0 - _GAP_MARGIN for r in tail
+            r.nullproj_gap_gauge < 1.0 - GAP_MARGIN for r in tail
         ),
         "nullproj_op_below_one": all(
-            r.nullproj_gap_op < 1.0 - _GAP_MARGIN for r in tail
+            r.nullproj_gap_op < 1.0 - GAP_MARGIN for r in tail
         ),
         "trivial_intersection": all(r.intersection_dim == 0 for r in tail),
     }
@@ -399,8 +397,8 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
 
 def mp_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """B -> B^+, asserting that the stratum index is preserved relative to A^+."""
-    rb, ra = _pinv_pair(b, a, tol)
-    k = index_from_svds(rb.svd, ra.svd)
+    rb, ra = _svd_pair(b, a, tol)
+    k = index_from_svds(rb, ra)
     k_image = stratum_index(rb.pinv, ra.pinv, tol).k
     if k_image != k:
         raise ConsistencyError(
@@ -425,7 +423,7 @@ def tangent_membership(b, z, tol: ToleranceConfig = DEFAULT_TOL,
     ident_m = np.eye(b.shape[0], dtype=complex)
     corner = (ident_m - rb.range_proj) @ z @ rb.null_proj
     scale = float(np.linalg.norm(z))
-    ok = float(np.linalg.norm(corner)) <= max(tol.residual_abs, 1e-8 * scale)
+    ok = float(np.linalg.norm(corner)) <= max(tol.residual_abs, IDENTITY_REL * scale)
     if not return_witness:
         return ok
     x = (ident_m - rb.range_proj) @ z @ rb.pinv

@@ -129,16 +129,35 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
 def test_trivialize_v_round_trip_counts(count, inputs):
     a, b, _ = inputs
     v0 = polar.polar_decompose(a).polar_factor
-    warm = polar.ModulusBase.of(a).polar_factor()
 
-    def round_trip(v0):
+    def round_trip():
         factor, fib = polar.trivialize_v(b, v0, a)
         polar.trivialize_v_inverse(factor, fib, v0)
     # the SVD of B and two direct rotations (gap norm + eigh) per witness;
-    # V_B comes back with the rank of the SVD of B, so the inverse takes
-    # none.  A matrix V0 costs one SVD per call (was 9 svd in all).
-    assert count(lambda: round_trip(v0)) == {"svd": 7, "eigh": 4}
-    assert count(lambda: round_trip(warm)) == {"svd": 5, "eigh": 4}
+    # ranks are traces of the checked initial projectors, so a matrix V0
+    # costs no SVD (was 7 svd)
+    assert count(round_trip) == {"svd": 5, "eigh": 4}
+
+
+def test_isometry_orbit_witness_counts(count, inputs):
+    a, b, _ = inputs
+    v0 = polar.polar_decompose(a).polar_factor
+    v = polar.polar_decompose(b).polar_factor
+    # two direct rotations; no SVD for the ranks (was 4 svd + 2 eigh)
+    assert count(lambda: polar.isometry_orbit_witness(v0, v)) == {"svd": 2, "eigh": 2}
+
+
+def test_modulus_map_counts(count, inputs):
+    a, b, _ = inputs
+    # one SVD of A and of B give both moduli and the index of B; the index
+    # of the moduli takes six (was 14)
+    assert count(lambda: polar.modulus_map(b, a)) == {"svd": 12}
+
+
+def test_polar_factor_map_counts(count, inputs):
+    a, b, _ = inputs
+    # as modulus_map, with |A|^+ = A^+ V_A read from the same SVD (was 16)
+    assert count(lambda: polar.polar_factor_map(b, a)) == {"svd": 12}
 
 
 def _cli(*argv):

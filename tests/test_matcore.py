@@ -200,6 +200,37 @@ def test_psd_eigh_zero_matrix():
     assert rank == 0 and np.all(w == 0.0)
 
 
+@pytest.mark.parametrize("r", [0, 2])
+def test_svd_result_pseudoinverse_fields(rng, r):
+    # rank-deficient and zero matrices: A^+, gamma and the projectors
+    a = generate.fixed_rank(rng, 5, 4, r)
+    res = svd(a)
+    a_pinv = np.linalg.pinv(a, rcond=1e-10)
+    assert np.linalg.norm(res.pinv - a_pinv) < 1e-10
+    s = np.linalg.svd(a, compute_uv=False)
+    assert res.gamma == (s[r - 1] if r else 0.0)
+    assert res.pinv_norm == (1.0 / s[r - 1] if r else 0.0)
+    assert np.linalg.norm(res.range_proj - a @ a_pinv) < 1e-10
+    assert np.linalg.norm(res.null_proj - (np.eye(4) - a_pinv @ a)) < 1e-10
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_psd_eig_accessors(rng, r):
+    c = generate.psd_fixed_rank(rng, 5, r) if r else np.zeros((5, 5))
+    eig = psd_eigh(c)
+    q, w, rank = eig
+    assert rank == r and eig.range_basis.shape == (5, r)
+    assert eig.null_basis.shape == (5, 5 - r)
+    assert np.array_equal(eig.range_values, w[5 - r:]) and np.all(eig.range_values > 0)
+    root = eig.sqrt()
+    assert np.linalg.norm(root @ root - c) < 1e-10
+    c_pinv = np.linalg.pinv(c, rcond=1e-10, hermitian=True)
+    assert np.linalg.norm(eig.pinv() - c_pinv) < 1e-10
+    assert np.linalg.norm(eig.pinv_sqrt() @ eig.pinv_sqrt() - c_pinv) < 1e-10
+    assert np.linalg.norm(eig.range_proj() - c @ c_pinv) < 1e-10
+    assert np.linalg.norm(eig.null_proj() - (np.eye(5) - c @ c_pinv)) < 1e-10
+
+
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_rank_cutoff_boundary(factor):
     # one eigenvalue of C at 0.5x or 2x the rank cutoff: rank, congruence

@@ -9,7 +9,7 @@ from pinvlab.errors import (
     PreconditionError,
     StratumError,
 )
-from pinvlab.matcore import ToleranceConfig, svd
+from pinvlab.matcore import ToleranceConfig
 from pinvlab.pinv import pinv_matrix
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -187,16 +187,26 @@ def test_orbit_witness_property(seed, r):
     assert np.linalg.norm(u @ v0 @ w.conj().T - v) < 1e-8
 
 
-def test_partial_isometry_rank_matches_matrix_rank(rng):
-    # an unchecked PartialIsometry gets the rank svd gives its matrix, so
-    # it and the plain matrix give the same witness
-    v0 = 0.3 * generate.partial_isometry(rng, 5, 4, 2)
-    v = generate.partial_isometry(rng, 5, 4, 2)
-    wrapped = polar.PartialIsometry(v0)
-    assert wrapped.rank == svd(v0).rank == 2
-    u, w = polar.isometry_orbit_witness(wrapped, v)
-    u_m, w_m = polar.isometry_orbit_witness(v0, v)
-    assert np.array_equal(u, u_m) and np.array_equal(w, w_m)
+@pytest.mark.parametrize("case", ["scaled_identity", "scaled_isometry"])
+def test_orbit_witnesses_reject_non_isometries(rng, case):
+    # 2I and 0.3 V have the rank of I and V but are no partial isometries;
+    # an unchecked witness for them would not conjugate
+    if case == "scaled_identity":
+        v0, v = 2.0 * np.eye(3), np.eye(3)
+    else:
+        v = generate.partial_isometry(rng, 5, 4, 2)
+        v0 = 0.3 * generate.partial_isometry(rng, 5, 4, 2)
+    for bad, good in ((v0, v), (polar.PartialIsometry(v0), v)):
+        with pytest.raises(PreconditionError):
+            polar.isometry_orbit_witness(bad, good)
+        with pytest.raises(PreconditionError):
+            polar.isometry_orbit_witness(good, bad)
+        with pytest.raises(PreconditionError):
+            polar.trivialize_v_inverse(good, good, bad)
+        with pytest.raises(PreconditionError):
+            polar.trivialize_v_inverse(bad, good, good)
+    with pytest.raises(PreconditionError):
+        polar.trivialize_v(v, v0, v)
 
 
 def test_orbit_witness_rejects_rank_mismatch(rng):
@@ -341,7 +351,6 @@ def test_modulus_base_reused_matches_matrix_calls(rng):
     base = polar.ModulusBase.of(a)
     v0 = base.polar_factor()
     assert np.linalg.norm(v0.matrix - parts.polar_factor) < 1e-12
-    assert v0.rank == polar.PartialIsometry(parts.polar_factor).rank == 3
     for _ in range(4):
         b = generate.rank_preserving_perturbation(rng, a, 0.05)
         mod, fib = polar.trivialize_alpha(b, base)
