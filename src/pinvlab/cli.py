@@ -163,8 +163,13 @@ def _load_function(name: str) -> monotone.MonotoneFunction:
     if name == "sqrt":
         return monotone.make_sqrt()
     if name.startswith("atomic:"):
-        with open(name[len("atomic:"):]) as fh:
-            return monotone.monotone_from_json(json.load(fh))
+        path = name[len("atomic:"):]
+        with open(path) as fh:
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise PreconditionError(f"invalid JSON in {path}: {exc}") from exc
+        return monotone.monotone_from_json(obj)
     raise PreconditionError(f"unknown function {name!r}")
 
 
@@ -328,6 +333,8 @@ def _validate(args) -> None:
         raise PreconditionError("--dim must be between 1 and 64")
     if getattr(args, "trials", 1) < 1:
         raise PreconditionError("--trials must be at least 1")
+    if getattr(args, "mmax", 1) < 1:
+        raise PreconditionError("--mmax must be at least 1")
     GaugeNorm.parse(getattr(args, "gauge", "op"))
 
 

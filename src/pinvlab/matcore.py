@@ -58,6 +58,8 @@ PROJECTOR_SPECTRUM = 1e-8   # and each eigenvalue of P lies within this of 0 or 
 INTERSECTION_COS = 1.0 - 1e-8   # principal angles with cosine at least this are zero
 GAP_MARGIN = 1e-6           # a projector gap above 1 - GAP_MARGIN does not count as < 1
 MONOTONE_SLACK = 1e-10      # sampled values of a monotone f drop by at most this
+CANCELLATION_REL = 1e-8     # f(lambda) = alpha + beta lambda - integral keeps this
+                            # relative resolution after rounding of its terms
 REPRESENTATION_ABS = 1e-12  # JSON (alpha, beta) of sqrt match the built-in's to this
 TAYLOR_RATIO_SLACK = 1e-6   # a Taylor remainder passes at remainder/bound <= 1 + this
 ROUND_TRIP_ABS = 1e-7       # a chart round trip passes at ||back - B||_F <= this
@@ -143,7 +145,7 @@ class GaugeNorm:
 
     @staticmethod
     def schatten(p: float) -> "GaugeNorm":
-        if p < 1:
+        if not p >= 1:      # NaN fails too
             raise PreconditionError("Schatten exponent must satisfy p >= 1")
         return GaugeNorm("schatten", p=float(p))
 
@@ -162,10 +164,13 @@ class GaugeNorm:
             return GaugeNorm.schatten(1)
         if text == "s2":
             return GaugeNorm.schatten(2)
-        if text.startswith("sp:"):
-            return GaugeNorm.schatten(float(text[3:]))
-        if text.startswith("kyfan:"):
-            return GaugeNorm.kyfan(int(text[6:]))
+        try:
+            if text.startswith("sp:"):
+                return GaugeNorm.schatten(float(text[3:]))
+            if text.startswith("kyfan:"):
+                return GaugeNorm.kyfan(int(text[6:]))
+        except ValueError as exc:
+            raise PreconditionError(f"malformed gauge spec {text!r}: {exc}") from exc
         raise PreconditionError(f"unknown gauge spec {text!r}")
 
     def of_singular_values(self, s) -> float:

@@ -15,19 +15,29 @@ Each positive matrix is factorized once, by ``matcore.psd_eigh``, and the
 Taylor, perturbation and Riemann integrands run in its eigenbasis, where
 the resolvent (tI+C)^{-1} is diagonal.  Only ``matrix_eval_integral``, the
 spectral route's oracle, keeps matrix resolvents.
+
+Integrals against the sqrt density use one nested trapezoid rule in a
+double-exponential variable x: t = exp(pi/2 sinh x) on (0, inf), and
+tanh-sinh in s = sqrt(t) on [0, t_max).  Halving the step adds only the
+new midpoints to a running sum, so a refinement reuses every node already
+evaluated, and the integrand sees a fixed chunk of nodes at a time, so a
+matrix integrand holds O(chunk d^2) memory at any depth.  The rule stops
+when two levels agree to ``tol`` times ∫‖fn‖dν, and raises
+ConvergenceError rather than return a value the fixed x-window truncates:
+an end term above that allowance is such a value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import strata
 from .errors import ConvergenceError, OutsideNeighborhoodError, PreconditionError
 from .matcore import (
+    CANCELLATION_REL,
     DEFAULT_TOL,
     HERMITIAN_REL,
     MONOTONE_SLACK,
@@ -44,23 +54,27 @@ from .pinv import BoundReport
 
 @dataclass(frozen=True)
 class QuadraturePlan:
-    """Gauss-Legendre plan on a transformed axis with doubling refinement.
+    """Nested trapezoid plan in a double-exponential variable x.
 
-    The half line is reached through t = s^2 with s = u/(1-u), u in
-    (0,1); the extra square removes the half-integer endpoint behaviour
-    of sqrt-type densities, so the transformed integrands are smooth and
-    the rule converges at spectral rate.  Node counts double from
-    ``nodes`` until successive values differ by less than ``tol``, up to
-    ``max_nodes``.
+    The sqrt density is integrated over (0, inf) through
+    t = exp(pi/2 sinh x), and over [0, t_max) through tanh-sinh in
+    s = sqrt(t); either way the integrand decays double exponentially in
+    x and the trapezoid rule on a fixed x-window converges at that rate.
+    The first level splits the window into ``nodes`` intervals; each
+    halving of the step evaluates only the new midpoints, until
+    successive levels differ by less than ``tol`` max(1, |value|) or the
+    interval count would pass ``max_nodes``.  An end term of the window
+    above that same allowance raises instead of truncating the integral.
     """
 
-    nodes: int = 256
+    nodes: int = 32
     tol: float = 1e-10
     max_nodes: int = 8192
 
     def __post_init__(self):
-        if self.nodes < 2 or self.max_nodes < self.nodes:
-            raise PreconditionError("need 2 <= nodes <= max_nodes")
+        if self.nodes < 2 or self.max_nodes < 2 * self.nodes:
+            raise PreconditionError("need 2 <= nodes and room for one halving: "
+                                    "2 nodes <= max_nodes")
         if self.tol <= 0:
             raise PreconditionError("quadrature tolerance must be positive")
 
@@ -85,55 +99,95 @@ class MonotoneFunction:
     f0: float = field(default=0.0, compare=False)
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+# Windows of the nested trapezoid rule in the double-exponential variable x,
+# wide enough that every integrand of this module passes the end-term check
+# at lambda = 0 and for spectra in [1e-12, 1e12].  At x = 5 the half-line
+# node is t = 4e50 (t^2 still fits a double), at x = -4.5 it is t = 2e-31.
+_HALF_LINE_WINDOW = (-4.5, 5.0)     # t = exp(pi/2 sinh x) on (0, inf)
+_TRUNCATED_WINDOW = (-3.5, 3.5)     # tanh-sinh in s = sqrt(t) on [0, t_max)
+_CHUNK = 64                         # nodes per call of the integrand
 
 
-def _grid_full(n: int):
-    """Nodes t_i and weights for integrating fn(t) * sqrt(t)/pi over (0, inf)."""
-    x, w = _leggauss(n)
-    u = 0.5 * (x + 1.0)
-    du = 0.5 * w
-    s = u / (1.0 - u)
-    t = s * s
-    weight = (2.0 * s * s / math.pi) / (1.0 - u) ** 2 * du
-    return t, weight
+def _half_line_nodes(x):
+    """t = exp(pi/2 sinh x) and dnu/dx = t^{3/2} cosh(x)/2 for the sqrt density."""
+    t = np.exp(0.5 * math.pi * np.sinh(x))
+    return t, 0.5 * t**1.5 * np.cosh(x)
 
 
-def _grid_truncated(n: int, t_max: float):
-    """Nodes and weights for the same density restricted to [0, t_max]."""
-    s_max = math.sqrt(t_max)
-    x, w = _leggauss(n)
-    s = 0.5 * s_max * (x + 1.0)
-    ds = 0.5 * s_max * w
-    t = s * s
-    weight = (2.0 * s * s / math.pi) * ds
-    return t, weight
+def _truncated_nodes(x, s_max: float):
+    """t = s^2 and dnu/dx for s = s_max (1 + tanh u)/2, u = pi/2 sinh x.
+
+    dnu = (2 s^2/pi) ds; (1 + tanh u)/2 and its derivative are written in
+    e = exp(-2|u|), which neither overflows nor cancels at either end.
+    """
+    u = 0.5 * math.pi * np.sinh(x)
+    e = np.exp(-2.0 * np.abs(u))
+    s = s_max * np.where(u >= 0, 1.0, e) / (1.0 + e)
+    ds = s_max * math.pi * np.cosh(x) * e / (1.0 + e) ** 2
+    return s * s, (2.0 / math.pi) * s * s * ds
 
 
 def _sqrt_integral(fn, plan: QuadraturePlan, t_max: float | None = None):
-    """∫ fn dν for the sqrt density, with doubling refinement.
+    """∫ fn dν for the sqrt density by the nested double-exponential rule.
 
     ``fn`` maps an array of t values (M,) to stacked values (M, ...);
-    the result is the weight-contracted sum.  Non-convergence at the
-    node cap raises ConvergenceError carrying the last difference.
+    the result is the weight-contracted sum.  Each halving of the step
+    evaluates only the new midpoints, ``_CHUNK`` nodes per call of
+    ``fn``, and adds them to one running sum.  The allowance is ``tol``
+    times the mass ∫‖fn‖dν, summed alongside: relative for a one-signed
+    integrand, and the rounding scale of the sum when it cancels.
+    ConvergenceError, with the offending size as ``residual``, when
+    successive levels still differ at the node cap, or when an end term
+    of the window exceeds the allowance (the window would truncate).
     """
-    grid = (lambda n: _grid_full(n)) if t_max is None else (
-        lambda n: _grid_truncated(n, t_max))
+    if t_max is None:
+        lo, hi = _HALF_LINE_WINDOW
+        grid = _half_line_nodes
+    else:
+        lo, hi = _TRUNCATED_WINDOW
+        s_max = math.sqrt(t_max)
+
+        def grid(x):
+            return _truncated_nodes(x, s_max)
+
+    def level(x):
+        """Σ w fn(t) and Σ w ‖fn(t)‖ over the nodes x, _CHUNK at a time."""
+        total, mass = 0.0, 0.0
+        for k in range(0, len(x), _CHUNK):
+            t, w = grid(x[k:k + _CHUNK])
+            vals = fn(t)
+            total = total + np.tensordot(w, vals, axes=(0, 0))
+            mass += float(w @ np.linalg.norm(vals.reshape(len(t), -1), axis=1))
+        return total, mass
+
     n = plan.nodes
-    t, w = grid(n)
-    prev = np.tensordot(w, fn(t), axes=(0, 0))
-    while n < plan.max_nodes:
+    h = (hi - lo) / n
+    (sum_lo, end_lo), (sum_hi, end_hi) = (level(np.array([x])) for x in (lo, hi))
+    acc, mass = level(lo + h * np.arange(1, n))
+    acc = acc + 0.5 * (sum_lo + sum_hi)
+    mass += 0.5 * (end_lo + end_hi)
+    prev = h * acc
+    while 2 * n <= plan.max_nodes:
         n *= 2
-        t, w = grid(n)
-        cur = np.tensordot(w, fn(t), axes=(0, 0))
+        h *= 0.5
+        new, new_mass = level(lo + h * np.arange(1, n, 2))
+        acc = acc + new
+        mass += new_mass
+        cur = h * acc
+        allowed = plan.tol * h * mass
         diff = float(np.linalg.norm(np.atleast_1d(cur - prev)))
-        if diff < plan.tol * max(1.0, float(np.linalg.norm(np.atleast_1d(cur)))):
+        if diff <= allowed:
+            end = h * max(end_lo, end_hi)
+            if end > allowed:
+                raise ConvergenceError(
+                    f"quadrature end term {end:.3e} exceeds {allowed:.3e}: "
+                    "the integrand is not negligible at the window's ends",
+                    residual=end,
+                )
             return cur
         prev = cur
     raise ConvergenceError(
-        f"quadrature failed to converge within {plan.max_nodes} nodes",
+        f"quadrature failed to converge within {plan.max_nodes} intervals",
         residual=diff,
     )
 
@@ -141,8 +195,8 @@ def _sqrt_integral(fn, plan: QuadraturePlan, t_max: float | None = None):
 def measure_integral(f: MonotoneFunction, fn, t_max: float | None = None):
     """∫ fn(t) dν(t) over (0, inf), or over [0, t_max) when given.
 
-    Exact weighted sum for atomic measures, adaptive quadrature for the
-    built-in density.
+    Exact weighted sum for atomic measures, the nested double-exponential
+    rule of ``QuadraturePlan`` for the built-in density.
     """
     if f.atoms is not None:
         ts = [t for t, _ in f.atoms if t_max is None or t < t_max]
@@ -156,15 +210,24 @@ def measure_integral(f: MonotoneFunction, fn, t_max: float | None = None):
     return _sqrt_integral(fn, f.plan, t_max)
 
 
-def measure_mass(f: MonotoneFunction, a: float, b: float) -> float:
-    """nu([a, b)).  Closed form for the sqrt density, exact for atoms."""
-    if a < 0 or b < a:
+def measure_mass(f: MonotoneFunction, a, b):
+    """nu([a, b)) for scalar or array ends: a float, or one mass per pair.
+
+    Closed form for the sqrt density; for atoms a difference of the
+    cumulative weights over the atoms sorted by position.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.any(a < 0) or np.any(b < a):
         raise PreconditionError("need 0 <= a <= b")
     if f.atoms is not None:
-        return float(sum(w for t, w in f.atoms if a <= t < b))
-    if f.density != "sqrt":
+        atoms = np.array(sorted(f.atoms), dtype=float).reshape(-1, 2)
+        cum = np.concatenate(([0.0], np.cumsum(atoms[:, 1])))
+        mass = cum[np.searchsorted(atoms[:, 0], b)] - cum[np.searchsorted(atoms[:, 0], a)]
+    elif f.density == "sqrt":
+        mass = (2.0 / (3.0 * math.pi)) * (b**1.5 - a**1.5)
+    else:
         raise PreconditionError(f"unknown density {f.density!r}")
-    return (2.0 / (3.0 * math.pi)) * (b**1.5 - a**1.5)
+    return float(mass) if mass.ndim == 0 else mass
 
 
 def _admissibility(f: MonotoneFunction) -> float:
@@ -256,7 +319,20 @@ def scalar_eval(f: MonotoneFunction, lam, skip_cache: bool = False):
         # combined form of 1/(t+lam) - t/(t^2+1): stable for large t
         return (1.0 - lam * t) / ((t + lam) * (t * t + 1.0))
 
-    vals = f.alpha + f.beta * lam - measure_integral(f, fn)
+    integral = measure_integral(f, fn)
+    vals = f.alpha + f.beta * lam - integral
+    pos = lam > 0
+    if np.any(pos):
+        # the value is a difference of O(alpha + beta lambda + |∫|) terms:
+        # below their rounding times 1/CANCELLATION_REL it is noise
+        floor = np.finfo(float).eps * np.max(
+            (abs(f.alpha) + f.beta * lam + np.abs(integral))[pos])
+        if floor > CANCELLATION_REL * np.max(np.abs(vals[pos])):
+            raise ConvergenceError(
+                f"f(lambda) is below the rounding {floor:.3e} of "
+                "alpha + beta lambda - ∫ dnu: too small to resolve",
+                residual=floor,
+            )
     if lam.ndim == 0:
         return float(vals)
     return vals if skip_cache else np.where(lam == 0.0, f.f0, vals)
@@ -463,7 +539,7 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
     n_cells = int(math.ceil(t_max / width))
     lefts = width * np.arange(n_cells)
     rights = np.minimum(lefts + width, t_max)
-    masses = np.array([measure_mass(f, a, b) for a, b in zip(lefts, rights)])
+    masses = measure_mass(f, lefts, rights)
     samples = (lefts + width)[:, None]
     # Σ m K(t_m) as one product of the sampled diagonal resolvents of C and D
     k_sum = (masses[:, None] / (samples + wc)).T @ (1.0 / (samples + wd))

@@ -50,7 +50,7 @@ class PartialIsometry:
     matrix: np.ndarray
 
     @staticmethod
-    def from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> "PartialIsometry":
+    def from_matrix(m) -> "PartialIsometry":
         v = as_matrix(m)
         _initial_projector(v)
         return PartialIsometry(v)

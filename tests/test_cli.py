@@ -185,3 +185,22 @@ def test_subcommands_reject_options_they_do_not_read(capsys, matrix_file):
     assert cli.main(["pinv", "--input", matrix_file, "--gauge", "s2"]) == 2
     assert cli.main(["continuity", "--json"]) == 2
     assert cli.main(["taylor", "--trials", "3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--gauge", "sp:abc"],
+    ["census", "--gauge", "kyfan:x"],
+    ["census", "--gauge", "sp:nan"],
+    ["census", "--gauge", "kyfan:1.5"],
+    ["taylor", "--mmax", "0"],
+    ["taylor", "--function", "atomic:{bad_json}"],
+])
+def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
+    bad_json = tmp_path / "f.json"
+    bad_json.write_text("{not json")
+    code = cli.main([a.format(bad_json=bad_json) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -186,6 +186,15 @@ def test_stacked_inverses_count_per_matrix(count):
         "inv": 4, "solve": 4}
 
 
+def test_matrix_eval_integral_counts(count):
+    c = generate.positive_definite(generate.rng_from_seed(0), 8)
+    f = monotone.make_sqrt()
+    # one eigh for the rank check, one solve per node: the first level's
+    # 33 nodes and the 32 midpoints of the one halving that converges
+    # (was 256 + 512 = 768: Gauss-Legendre rules do not nest)
+    assert count(lambda: monotone.matrix_eval_integral(f, c)) == {"eigh": 1, "solve": 65}
+
+
 def test_riemann_sum_counts(count, positive):
     c, d, _ = positive
     # one eigh of C and of D; the gauge norms of D - C and of the gap.

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pinvlab import generate, monotone
 from pinvlab.errors import (
+    ConvergenceError,
     OutsideNeighborhoodError,
     PreconditionError,
 )
@@ -80,6 +82,89 @@ def test_measure_mass_atomic():
     assert monotone.measure_mass(f, 0.0, 10.0) == 2.5
 
 
+def test_measure_mass_vectorized():
+    # the Riemann cells of [0, t_max), against the per-cell loop the array
+    # form replaced; the sums run in another order, so a tolerance of a
+    # few ulps of the total mass
+    width, t_max = 2.0**-5, 7.9
+    lefts = width * np.arange(int(math.ceil(t_max / width)))
+    rights = np.minimum(lefts + width, t_max)
+    atoms = [(3.0, 0.5), (1.0, 2.0), (0.5, 0.25), (7.9, 4.0), (0.5, 0.125)]
+    f = monotone.make_atomic(0.0, 0.0, atoms)
+    loops = {
+        SQRT: [(2 / (3 * math.pi)) * (b**1.5 - a**1.5) for a, b in zip(lefts, rights)],
+        f: [sum(w for t, w in atoms if a <= t < b) for a, b in zip(lefts, rights)],
+    }
+    for g, expected in loops.items():
+        masses = monotone.measure_mass(g, lefts, rights)
+        assert masses.shape == lefts.shape
+        atol = 8 * np.finfo(float).eps * monotone.measure_mass(g, 0.0, t_max + 1.0)
+        assert np.allclose(masses, expected, rtol=0.0, atol=atol)
+    # [a, b) takes an atom at a and not one at b
+    assert monotone.measure_mass(f, 0.5, 1.0) == 0.375
+    assert monotone.measure_mass(f, 1.0, 7.9) == 2.5
+    assert monotone.measure_mass(monotone.make_atomic(1.0, 0.0, []), 0.0, 5.0) == 0.0
+    with pytest.raises(PreconditionError):
+        monotone.measure_mass(SQRT, np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-6, 1.0, 1e6, 1e8, 1e12])
+def test_sqrt_scalar_relative_accuracy_across_scales(lam):
+    assert monotone.scalar_eval(SQRT, lam) == pytest.approx(math.sqrt(lam), rel=1e-8)
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e20])
+def test_sqrt_scalar_far_out_is_accurate_or_raises(lam):
+    try:
+        value = monotone.scalar_eval(SQRT, lam)
+    except ConvergenceError:
+        return
+    assert value == pytest.approx(math.sqrt(lam), rel=1e-8)
+
+
+def test_scalar_eval_rejects_values_below_rounding():
+    # lambda/(1+lambda) = 1/2 - (1/(1+lambda) - 1/2): at 1e-20 the rounding
+    # of the two halves is 1e-16, four orders above the value
+    f = monotone.make_atomic(0.5, 0.0, [(1.0, 1.0)])
+    with pytest.raises(ConvergenceError):
+        monotone.scalar_eval(f, 1e-20)
+    # an array is judged by its largest value, as a matrix norm would be,
+    # and lambda = 0 takes the stored f(0)
+    vals = monotone.scalar_eval(f, np.array([0.0, 1e-20, 1.0]))
+    assert vals[0] == f.f0 and vals[2] == pytest.approx(0.5)
+
+
+def test_quadrature_of_zero_integrand_is_zero():
+    # a zero allowance must still accept two equal levels
+    assert monotone.measure_integral(SQRT, lambda t: np.zeros((len(t), 2))).tolist() == [0.0, 0.0]
+
+
+def test_quadrature_closed_forms_hold_relatively():
+    # ∫ (t+γ)^{-(n+1)} sqrt(t)/pi dt = γ^{1/2-n} Γ(3/2) Γ(n-1/2) / (π n!): values
+    # down to 1e-40 keep their relative accuracy
+    for gamma in (1e-6, 1e-2, 1.0, 30.0, 1e6):
+        for n in (1, 3, 6):
+            exact = (gamma ** (0.5 - n) * math.gamma(1.5) * math.gamma(n - 0.5)
+                     / (math.pi * math.factorial(n)))
+            got = float(monotone.measure_integral(SQRT, lambda t: (t + gamma) ** (-(n + 1))))
+            assert got == pytest.approx(exact, rel=1e-12)
+    # ∫_0^T sqrt(t)/pi dt = (2/3pi) T^{3/2}, by the truncated rule
+    for t_max in (1e-4, 1.0, 64.0, 1e6):
+        got = float(monotone.measure_integral(SQRT, np.ones_like, t_max=t_max))
+        assert got == pytest.approx(monotone.measure_mass(SQRT, 0.0, t_max), rel=1e-12)
+
+
+def test_quadrature_refuses_a_truncated_integral():
+    # the x-integrand of this fn is 1 across the window of t = exp(pi/2 sinh x):
+    # every level agrees, and only the end terms show that the integral
+    # (which diverges) does not fit in the window
+    def flat(t):
+        y = 2.0 * np.log(t) / math.pi
+        return 2.0 / (t**1.5 * np.sqrt(1.0 + y * y))
+    with pytest.raises(ConvergenceError, match="end term"):
+        monotone.measure_integral(SQRT, flat)
+
+
 def test_spectral_diagonal_example():
     out = monotone.matrix_eval_spectral(SQRT, np.diag([4.0, 0.0]))
     assert np.linalg.norm(out - np.diag([2.0, 0.0])) < 1e-8
@@ -118,6 +203,27 @@ def test_integral_diagonal():
 def test_integral_zero_matrix():
     out = monotone.matrix_eval_integral(SQRT, np.zeros((3, 3)))
     assert np.linalg.norm(out - SQRT.f0 * np.eye(3)) < 1e-10
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6, 1e12])
+def test_integral_route_matches_spectral_across_scales(rng, s):
+    c = s * generate.positive_definite(rng, 5)
+    spec = monotone.matrix_eval_spectral(SQRT, c)
+    intg = monotone.matrix_eval_integral(SQRT, c)
+    assert np.linalg.norm(intg - spec) <= 1e-9 * np.linalg.norm(spec)
+
+
+def test_integral_route_memory_is_bounded():
+    # fn sees 64 nodes at a time: a (64, d, d) stack, not (nodes, d, d)
+    c = generate.positive_definite(np.random.default_rng(0), 32)
+    monotone.matrix_eval_integral(SQRT, c)
+    tracemalloc.start()
+    try:
+        monotone.matrix_eval_integral(SQRT, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @given(seeds, st.integers(min_value=1, max_value=4))
