@@ -244,7 +244,7 @@ def cmd_fiber(args) -> int:
             mod, fib = polar.trivialize_alpha(b, base)
             back = polar.trivialize_alpha_inverse(mod, fib, base)
             alpha_res.append(float(np.linalg.norm(back - b)))
-            fac, fib = polar.trivialize_v(b, v0, a)
+            fac, fib = polar.trivialize_v(b, v0)
             back = polar.trivialize_v_inverse(fac, fib, v0)
             v_res.append(float(np.linalg.norm(back - b)))
         except OutsideNeighborhoodError:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, GapTooLargeError, PreconditionError
 from .matcore import (DEFAULT_TOL, INTERSECTION_COS, PROJECTOR_REL,
-                      PROJECTOR_SPECTRUM, ToleranceConfig, as_matrix, eigh, svd)
+                      PROJECTOR_SPECTRUM, ToleranceConfig, as_matrix, eigh)
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class Projector:
     matrix: np.ndarray
 
     @staticmethod
-    def from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> "Projector":
+    def from_matrix(m) -> "Projector":
         p = as_matrix(m)
         if p.shape[0] != p.shape[1]:
             raise PreconditionError("a projector must be square")
@@ -44,15 +44,6 @@ class Projector:
             raise PreconditionError(
                 f"eigenvalues are not within {PROJECTOR_SPECTRUM:g} of {{0,1}}")
         return proj
-
-    @staticmethod
-    def onto(cols) -> "Projector":
-        """Projector onto the span of (not necessarily orthonormal) columns."""
-        c = np.asarray(cols, dtype=complex)
-        if c.shape[1] == 0:
-            return Projector(np.zeros((c.shape[0], c.shape[0]), dtype=complex))
-        u = svd(c).range_basis
-        return Projector(u @ u.conj().T)
 
     @property
     def dim(self) -> int:
@@ -134,21 +125,20 @@ def direct_rotation(p: Projector, q: Projector,
 
     U is the unitary polar factor of W = QP + (I-Q)(I-P); the inverse
     square root of I - (P-Q)^2 is taken spectrally with eigenvalues
-    clamped below at the rank tolerance.
+    clamped below at the rank tolerance.  The same eigh gives the gap:
+    the least eigenvalue of I - (P-Q)^2 is 1 - ||P - Q||^2.
     """
     if p.dim != q.dim:
         raise PreconditionError("projections must act on the same space")
     pm, qm = p.matrix, q.matrix
-    gap = float(np.linalg.norm(pm - qm, 2))
+    ident = np.eye(p.dim, dtype=complex)
+    vec, val = eigh(ident - (pm - qm) @ (pm - qm), tol)
+    gap = float(np.sqrt(max(1.0 - val[0], 0.0)))
     if gap >= 1.0 - tol.rank_rel:
         raise GapTooLargeError(
             f"||P - Q|| = {gap:.6f} >= 1; projections are not directly rotatable"
         )
-    n = p.dim
-    ident = np.eye(n, dtype=complex)
     w = qm @ pm + (ident - qm) @ (ident - pm)
-    m = ident - (pm - qm) @ (pm - qm)
-    vec, val = eigh(m, tol)
     val = np.maximum(val, tol.rank_rel)
     inv_sqrt = (vec / np.sqrt(val)) @ vec.conj().T
     return inv_sqrt @ w

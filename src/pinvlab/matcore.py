@@ -24,18 +24,14 @@ class ToleranceConfig:
 
     rank_rel: relative singular-value cutoff for numerical rank.
     residual_abs: absolute residual floor for consistency checks.
-    neighborhood_shrink: safety factor in (0,1) for local constructions.
     """
 
     rank_rel: float = 1e-10
     residual_abs: float = 1e-10
-    neighborhood_shrink: float = 0.5
 
     def __post_init__(self):
         if self.rank_rel <= 0 or self.residual_abs <= 0:
             raise PreconditionError("tolerances must be strictly positive")
-        if not 0 < self.neighborhood_shrink < 1:
-            raise PreconditionError("neighborhood_shrink must lie in (0,1)")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -63,6 +59,8 @@ CANCELLATION_REL = 1e-8     # f(lambda) = alpha + beta lambda - integral keeps t
 REPRESENTATION_ABS = 1e-12  # JSON (alpha, beta) of sqrt match the built-in's to this
 TAYLOR_RATIO_SLACK = 1e-6   # a Taylor remainder passes at remainder/bound <= 1 + this
 ROUND_TRIP_ABS = 1e-7       # a chart round trip passes at ||back - B||_F <= this
+RIEMANN_MAX_CELLS = 2**18   # most cells a dyadic Riemann sum allocates (p = 12
+                            # at t_max = 64); a request for more is refused
 
 
 def as_matrix(a) -> np.ndarray:
@@ -273,13 +271,6 @@ class SvdResult:
         """Projector onto N(A)."""
         v_r = self.row_basis
         return np.eye(v_r.shape[0], dtype=complex) - v_r @ v_r.conj().T
-
-    def reconstruct(self) -> np.ndarray:
-        m, n = self.U.shape[0], self.Vt.shape[0]
-        sigma = np.zeros((m, n))
-        k = len(self.singular_values)
-        sigma[:k, :k] = np.diag(self.singular_values)
-        return self.U @ sigma @ self.Vt
 
 
 def svd(a, tol: ToleranceConfig = DEFAULT_TOL) -> SvdResult:

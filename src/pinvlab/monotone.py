@@ -22,7 +22,7 @@ tanh-sinh in s = sqrt(t) on [0, t_max).  Halving the step adds only the
 new midpoints to a running sum, so a refinement reuses every node already
 evaluated, and the integrand sees a fixed chunk of nodes at a time, so a
 matrix integrand holds O(chunk d^2) memory at any depth.  The rule stops
-when two levels agree to ``tol`` times ∫‖fn‖dν, and raises
+when two levels agree to ``_QUAD_TOL`` times ∫‖fn‖dν, and raises
 ConvergenceError rather than return a value the fixed x-window truncates:
 an end term above that allowance is such a value.
 """
@@ -42,6 +42,7 @@ from .matcore import (
     HERMITIAN_REL,
     MONOTONE_SLACK,
     REPRESENTATION_ABS,
+    RIEMANN_MAX_CELLS,
     GaugeNorm,
     OP_NORM,
     ToleranceConfig,
@@ -50,36 +51,6 @@ from .matcore import (
     psd_eigh,
 )
 from .pinv import BoundReport
-
-
-@dataclass(frozen=True)
-class QuadraturePlan:
-    """Nested trapezoid plan in a double-exponential variable x.
-
-    The sqrt density is integrated over (0, inf) through
-    t = exp(pi/2 sinh x), and over [0, t_max) through tanh-sinh in
-    s = sqrt(t); either way the integrand decays double exponentially in
-    x and the trapezoid rule on a fixed x-window converges at that rate.
-    The first level splits the window into ``nodes`` intervals; each
-    halving of the step evaluates only the new midpoints, until
-    successive levels differ by less than ``tol`` max(1, |value|) or the
-    interval count would pass ``max_nodes``.  An end term of the window
-    above that same allowance raises instead of truncating the integral.
-    """
-
-    nodes: int = 32
-    tol: float = 1e-10
-    max_nodes: int = 8192
-
-    def __post_init__(self):
-        if self.nodes < 2 or self.max_nodes < 2 * self.nodes:
-            raise PreconditionError("need 2 <= nodes and room for one halving: "
-                                    "2 nodes <= max_nodes")
-        if self.tol <= 0:
-            raise PreconditionError("quadrature tolerance must be positive")
-
-
-DEFAULT_PLAN = QuadraturePlan()
 
 
 @dataclass(frozen=True)
@@ -95,7 +66,6 @@ class MonotoneFunction:
     beta: float
     atoms: tuple | None = None
     density: str | None = None
-    plan: QuadraturePlan = DEFAULT_PLAN
     f0: float = field(default=0.0, compare=False)
 
 
@@ -106,6 +76,9 @@ class MonotoneFunction:
 _HALF_LINE_WINDOW = (-4.5, 5.0)     # t = exp(pi/2 sinh x) on (0, inf)
 _TRUNCATED_WINDOW = (-3.5, 3.5)     # tanh-sinh in s = sqrt(t) on [0, t_max)
 _CHUNK = 64                         # nodes per call of the integrand
+_FIRST_INTERVALS = 32               # intervals of the window at the first level
+_MAX_INTERVALS = 8192               # no halving past this many intervals
+_QUAD_TOL = 1e-10                   # successive levels agree to this times ∫‖fn‖dν
 
 
 def _half_line_nodes(x):
@@ -127,18 +100,21 @@ def _truncated_nodes(x, s_max: float):
     return s * s, (2.0 / math.pi) * s * s * ds
 
 
-def _sqrt_integral(fn, plan: QuadraturePlan, t_max: float | None = None):
+def _sqrt_integral(fn, t_max: float | None = None):
     """∫ fn dν for the sqrt density by the nested double-exponential rule.
 
     ``fn`` maps an array of t values (M,) to stacked values (M, ...);
-    the result is the weight-contracted sum.  Each halving of the step
-    evaluates only the new midpoints, ``_CHUNK`` nodes per call of
-    ``fn``, and adds them to one running sum.  The allowance is ``tol``
-    times the mass ∫‖fn‖dν, summed alongside: relative for a one-signed
-    integrand, and the rounding scale of the sum when it cancels.
-    ConvergenceError, with the offending size as ``residual``, when
-    successive levels still differ at the node cap, or when an end term
-    of the window exceeds the allowance (the window would truncate).
+    the result is the weight-contracted sum.  On either window the
+    integrand decays double exponentially in x, and the trapezoid rule
+    converges at that rate.  The first level splits the window
+    into ``_FIRST_INTERVALS``; each halving of the step evaluates only the
+    new midpoints, ``_CHUNK`` nodes per call of ``fn``, and adds them to
+    one running sum.  The allowance is ``_QUAD_TOL`` times the mass
+    ∫‖fn‖dν, summed alongside: relative for a one-signed integrand, and
+    the rounding scale of the sum when it cancels.  ConvergenceError,
+    with the offending size as ``residual``, when successive levels still
+    differ at ``_MAX_INTERVALS``, or when an end term of the window
+    exceeds the allowance (the window would truncate).
     """
     if t_max is None:
         lo, hi = _HALF_LINE_WINDOW
@@ -160,21 +136,21 @@ def _sqrt_integral(fn, plan: QuadraturePlan, t_max: float | None = None):
             mass += float(w @ np.linalg.norm(vals.reshape(len(t), -1), axis=1))
         return total, mass
 
-    n = plan.nodes
+    n = _FIRST_INTERVALS
     h = (hi - lo) / n
     (sum_lo, end_lo), (sum_hi, end_hi) = (level(np.array([x])) for x in (lo, hi))
     acc, mass = level(lo + h * np.arange(1, n))
     acc = acc + 0.5 * (sum_lo + sum_hi)
     mass += 0.5 * (end_lo + end_hi)
     prev = h * acc
-    while 2 * n <= plan.max_nodes:
+    while 2 * n <= _MAX_INTERVALS:
         n *= 2
         h *= 0.5
         new, new_mass = level(lo + h * np.arange(1, n, 2))
         acc = acc + new
         mass += new_mass
         cur = h * acc
-        allowed = plan.tol * h * mass
+        allowed = _QUAD_TOL * h * mass
         diff = float(np.linalg.norm(np.atleast_1d(cur - prev)))
         if diff <= allowed:
             end = h * max(end_lo, end_hi)
@@ -187,7 +163,7 @@ def _sqrt_integral(fn, plan: QuadraturePlan, t_max: float | None = None):
             return cur
         prev = cur
     raise ConvergenceError(
-        f"quadrature failed to converge within {plan.max_nodes} intervals",
+        f"quadrature failed to converge within {_MAX_INTERVALS} intervals",
         residual=diff,
     )
 
@@ -196,7 +172,7 @@ def measure_integral(f: MonotoneFunction, fn, t_max: float | None = None):
     """∫ fn(t) dν(t) over (0, inf), or over [0, t_max) when given.
 
     Exact weighted sum for atomic measures, the nested double-exponential
-    rule of ``QuadraturePlan`` for the built-in density.
+    rule of ``_sqrt_integral`` for the built-in density.
     """
     if f.atoms is not None:
         ts = [t for t, _ in f.atoms if t_max is None or t < t_max]
@@ -207,7 +183,7 @@ def measure_integral(f: MonotoneFunction, fn, t_max: float | None = None):
         return np.tensordot(np.array(ws), fn(np.array(ts)), axes=(0, 0))
     if f.density != "sqrt":
         raise PreconditionError(f"unknown density {f.density!r}")
-    return _sqrt_integral(fn, f.plan, t_max)
+    return _sqrt_integral(fn, t_max)
 
 
 def measure_mass(f: MonotoneFunction, a, b):
@@ -242,15 +218,13 @@ def _check_monotone(f: MonotoneFunction):
         )
 
 
-def make_sqrt(plan: QuadraturePlan = DEFAULT_PLAN) -> MonotoneFunction:
+def make_sqrt() -> MonotoneFunction:
     """The square root: alpha = 1/sqrt(2), beta = 0, density sqrt(t)/pi."""
-    f = MonotoneFunction(alpha=1.0 / math.sqrt(2.0), beta=0.0,
-                         density="sqrt", plan=plan)
+    f = MonotoneFunction(alpha=1.0 / math.sqrt(2.0), beta=0.0, density="sqrt")
     if not math.isfinite(_admissibility(f)):
         raise PreconditionError("density fails the admissibility integral")
     f0 = scalar_eval(f, 0.0, skip_cache=True)
-    f = MonotoneFunction(alpha=f.alpha, beta=f.beta, density="sqrt",
-                         plan=plan, f0=f0)
+    f = MonotoneFunction(alpha=f.alpha, beta=f.beta, density="sqrt", f0=f0)
     _check_monotone(f)
     return f
 
@@ -509,12 +483,20 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
     relative allowance ``tail_tol``; the reference integral is taken on
     the same truncated domain as the sum.  Both run on the Daleckii-Krein
     form h(t) = Q_C (K(t) ∘ X) Q_D* with X = Q_C*(D-C)Q_D and
-    K_ij(t) = 1/((t+λ_i)(t+μ_j)) for the eigenpairs of C and D.
+    K_ij(t) = 1/((t+λ_i)(t+μ_j)) for the eigenpairs of C and D.  More
+    than ``RIEMANN_MAX_CELLS`` cells raise PreconditionError before any
+    is allocated.
     """
     if p < 0:
         raise PreconditionError("dyadic depth must be nonnegative")
-    if t_max <= 0:
-        raise PreconditionError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise PreconditionError("t_max must be positive and finite")
+    width = 2.0 ** (-p)
+    n_cells = math.ceil(t_max / width)
+    if n_cells > RIEMANN_MAX_CELLS:
+        raise PreconditionError(
+            f"{n_cells} cells at p = {p}, t_max = {t_max} exceed "
+            f"the cap of {RIEMANN_MAX_CELLS}")
     c = as_matrix(c)
     d = as_matrix(d)
     qc, wc = _pd_eigs(c, tol)
@@ -535,8 +517,6 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
             f"the relative allowance {tail_tol}"
         )
 
-    width = 2.0 ** (-p)
-    n_cells = int(math.ceil(t_max / width))
     lefts = width * np.arange(n_cells)
     rights = np.minimum(lefts + width, t_max)
     masses = measure_mass(f, lefts, rights)

@@ -16,10 +16,6 @@ class BoundReport:
     bound: float
     actual: float
 
-    @property
-    def slack(self) -> float:
-        return self.bound - self.actual
-
 
 def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> SvdResult:
     """The pseudoinverse report of A: its SVD, which carries A^+ (``pinv``),
@@ -36,7 +32,10 @@ def wedin_residual(a, b, g: GaugeNorm, tol: ToleranceConfig = DEFAULT_TOL) -> fl
     """Gauge norm of the defect in the algebraic identity relating A^+ - B^+
     to A - B through the range and nullspace projectors.
 
-    The identity is exact, so the return value is pure roundoff.
+    The identity is exact, so the return value is pure roundoff.  The
+    Gram pseudoinverses (A*A)^+ = A^+ A^+* and (BB*)^+ = B^+* B^+ are
+    read from the two SVDs: an SVD of a Gram matrix would cut off
+    sigma_r^2 as soon as sigma_r falls below the root of the cutoff.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -46,8 +45,8 @@ def wedin_residual(a, b, g: GaugeNorm, tol: ToleranceConfig = DEFAULT_TOL) -> fl
     rb = moore_penrose(b, tol)
     ident = np.eye(a.shape[0], dtype=complex)
     ident_n = np.eye(a.shape[1], dtype=complex)
-    ata_p = pinv_matrix(a.conj().T @ a, tol)
-    bbs_p = pinv_matrix(b @ b.conj().T, tol)
+    ata_p = ra.pinv @ ra.pinv.conj().T
+    bbs_p = rb.pinv.conj().T @ rb.pinv
     lhs = ra.pinv - rb.pinv
     rhs = (
         -ra.pinv @ (a - b) @ rb.pinv

@@ -5,8 +5,8 @@ into a positive cone direction (the modulus) and a partial-isometry
 direction (the polar factor).  This module builds the decomposition,
 constructive witnesses for the congruence action on positive matrices
 and the unitary action on partial isometries, a positive-cone
-cross-section, the range-aligning unitary, and the two local chart maps
-(by modulus, by polar factor) together with their inverses.
+cross-section, and the two local chart maps (by modulus, by polar
+factor) together with their inverses.
 """
 
 from __future__ import annotations
@@ -201,37 +201,6 @@ def _section(ec: PsdEig, eb: PsdEig, tol: ToleranceConfig) -> np.ndarray:
     return eb.sqrt() @ s_unitary @ ec.pinv_sqrt() + q_null @ s_unitary @ p_null
 
 
-def _unitary_polar_factor(t) -> np.ndarray:
-    """U V* from the SVD T = U S V*: the unitary polar factor of invertible T."""
-    u, _, vh = np.linalg.svd(t)
-    return u @ vh
-
-
-def aligning_unitary(t, s_basis, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Unitary U with U P_S U* = P_{T(S)}, built from invertible T.
-
-    Q = T P_S T^{-1}, P = P_{T(S)}, T0 = Q + (I-P)(I-Q), T1 = T0 T;
-    U is the unitary polar factor of T1.
-    """
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise PreconditionError("T must be square")
-    sing = np.linalg.svd(t, compute_uv=False)
-    if sing[-1] <= tol.rank_rel * t.shape[0] * sing[0]:
-        raise PreconditionError("T must be invertible")
-    s_basis = np.asarray(s_basis, dtype=complex)
-    n = t.shape[0]
-    ident = np.eye(n, dtype=complex)
-    q = t @ s_basis @ s_basis.conj().T @ np.linalg.inv(t)
-    p = Projector.onto(t @ s_basis).matrix
-    t0 = q + (ident - p) @ (ident - q)
-    t1 = t0 @ t
-    u = _unitary_polar_factor(t1)
-    if np.linalg.norm(u @ u.conj().T - ident) > UNITARY_REL * n:
-        raise ConsistencyError("aligning construction produced a non-unitary")
-    return u
-
-
 def isometry_orbit_witness(v0, v, tol: ToleranceConfig = DEFAULT_TOL):
     """Unitaries (U, W) with U V0 W* = V for equal-rank partial isometries.
 
@@ -322,12 +291,12 @@ def fiber_membership_alpha(x, c0, a=None, tol: ToleranceConfig | None = None) ->
 def trivialize_alpha(b, c0, a=None, tol: ToleranceConfig | None = None):
     """Chart of the modulus fibration: B -> (|B|, V_B U C0).
 
-    U is the range-aligning unitary of the positive section carrying C0
-    to |B|, so the second component keeps modulus exactly C0.  The base
-    point is given as the matrix C0 together with a = A, under tol (the
-    defaults when None), or as a ModulusBase, which holds A and its
-    tolerances and is factorized once for every B it serves; tol is not
-    read then.  Inverted by trivialize_alpha_inverse.
+    U is the unitary polar factor of the positive section carrying C0 to
+    |B|; it carries R(C0) onto R(|B|), so the second component keeps
+    modulus exactly C0.  The base point is given as the matrix C0
+    together with a = A, under tol (the defaults when None), or as a
+    ModulusBase, which holds A and its tolerances and is factorized once
+    for every B it serves; tol is not read then.  Inverted by trivialize_alpha_inverse.
     """
     base = _base(c0, a, tol)
     parts = polar_decompose(b, base.tol)
@@ -344,9 +313,21 @@ def trivialize_alpha(b, c0, a=None, tol: ToleranceConfig | None = None):
 
 
 def _chart_unitary(base: ModulusBase, modulus) -> np.ndarray:
-    """The range-aligning unitary of the positive section carrying C0 to modulus."""
+    """The unitary polar factor U = XY* of the section gamma = X S Y*: C0 -> modulus.
+
+    gamma is invertible and maps R(C0) onto R(|B|) and N(C0) onto N(|B|),
+    so gamma*gamma commutes with the range projector of C0 and U, the
+    unitary polar factor of gamma, carries R(C0) onto R(|B|); it is real
+    analytic in |B|.  A numerically singular gamma is outside the chart.
+    """
     gamma = _section(*_equal_rank_roots(base.eigh, modulus, base.tol), base.tol)
-    return aligning_unitary(gamma, base.eigh.range_basis, base.tol)
+    x, sing, yh = np.linalg.svd(gamma)
+    if sing[-1] <= base.tol.rank_rel * len(sing) * sing[0]:
+        raise OutsideNeighborhoodError("positive section singular; chart undefined here")
+    u = x @ yh
+    if np.linalg.norm(u @ u.conj().T - np.eye(len(sing))) > UNITARY_REL * len(sing):
+        raise ConsistencyError("chart unitary is not unitary")
+    return u
 
 
 def trivialize_alpha_inverse(modulus, fiber_elem, c0,
@@ -364,7 +345,7 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0,
     return v @ u.conj().T @ modulus
 
 
-def trivialize_v(b, v0, a, tol: ToleranceConfig = DEFAULT_TOL):
+def trivialize_v(b, v0, tol: ToleranceConfig = DEFAULT_TOL):
     """Chart of the polar-factor fibration: B -> (V_B, V0 (W* |B| W)).
 
     W is the initial-projector conjugating unitary of the orbit witness

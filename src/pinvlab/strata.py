@@ -29,14 +29,13 @@ from .matcore import (
     GAP_MARGIN,
     IDENTITY_REL,
     GaugeNorm,
-    OP_NORM,
     SvdResult,
     ToleranceConfig,
     as_matrix,
     gauge_norm,
     svd,
 )
-from .pinv import moore_penrose, pinv_matrix
+from .pinv import moore_penrose
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,6 @@ class GroupPair:
             if s[-1] <= tol.rank_rel * len(s) * s[0]:
                 raise PreconditionError(f"{name} is numerically singular")
         return self
-
-    def distance_to_identity(self, g: GaugeNorm = OP_NORM) -> tuple:
-        ident_g = np.eye(self.G.shape[0], dtype=complex)
-        ident_k = np.eye(self.K.shape[0], dtype=complex)
-        return (gauge_norm(self.G - ident_g, g), gauge_norm(self.K - ident_k, g))
 
 
 def stratum_index(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> StratumIndex:
@@ -415,40 +409,41 @@ def tangent_membership(b, z, tol: ToleranceConfig = DEFAULT_TOL,
     (I - P_R(B)) Z P_N(B); when a witness is requested the explicit
     (X, Y) = ((I - P_R(B)) Z B^+, -B^+ Z) pair is returned.
     """
-    b = as_matrix(b)
-    z = as_matrix(z)
-    if b.shape != z.shape:
-        raise PreconditionError("B and Z must have the same shape")
-    rb = moore_penrose(b, tol)
-    ident_m = np.eye(b.shape[0], dtype=complex)
-    corner = (ident_m - rb.range_proj) @ z @ rb.null_proj
-    scale = float(np.linalg.norm(z))
-    ok = float(np.linalg.norm(corner)) <= max(tol.residual_abs, IDENTITY_REL * scale)
+    rb, z, ok = _tangent(b, z, tol)
     if not return_witness:
         return ok
+    ident_m = np.eye(z.shape[0], dtype=complex)
     x = (ident_m - rb.range_proj) @ z @ rb.pinv
     y = -rb.pinv @ z
     return ok, (x, y)
 
 
-def mp_tangent(b, v, tol: ToleranceConfig = DEFAULT_TOL,
-               check_tangent: bool = True) -> np.ndarray:
+def _tangent(b, z, tol: ToleranceConfig):
+    """svd(B), Z, and whether the corner block (I - P_R(B)) Z P_N(B) vanishes."""
+    b = as_matrix(b)
+    z = as_matrix(z)
+    if b.shape != z.shape:
+        raise PreconditionError("B and Z must have the same shape")
+    rb = svd(b, tol)
+    corner = (np.eye(z.shape[0]) - rb.range_proj) @ z @ rb.null_proj
+    scale = float(np.linalg.norm(z))
+    return rb, z, float(np.linalg.norm(corner)) <= max(tol.residual_abs,
+                                                       IDENTITY_REL * scale)
+
+
+def mp_tangent(b, v, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Derivative of the pseudoinverse map at B in the tangent direction V.
 
-    -B^+ V B^+ + (B*B)^+ V* (I - B B^+) + (I - B^+ B) V* (B B*)^+.
-    Callers generating V = X B - B Y may skip the membership check.
+    -B^+ V B^+ + (B*B)^+ V* (I - B B^+) + (I - B^+ B) V* (B B*)^+, with
+    (B*B)^+ = B^+ B^+* and (BB*)^+ = B^+* B^+ read from the one SVD of B,
+    which also checks that V is tangent (PreconditionError otherwise).
     """
-    b = as_matrix(b)
-    v = as_matrix(v)
-    if check_tangent and not tangent_membership(b, v, tol):
+    rb, v, tangent = _tangent(b, v, tol)
+    if not tangent:
         raise PreconditionError("V is not tangent at B (corner block nonzero)")
-    rb = moore_penrose(b, tol)
-    ident_m = np.eye(b.shape[0], dtype=complex)
-    ident_n = np.eye(b.shape[1], dtype=complex)
-    btb_p = pinv_matrix(b.conj().T @ b, tol)
-    bbt_p = pinv_matrix(b @ b.conj().T, tol)
+    b_pinv = rb.pinv
     return (
-        -rb.pinv @ v @ rb.pinv
-        + btb_p @ v.conj().T @ (ident_m - b @ rb.pinv)
-        + (ident_n - rb.pinv @ b) @ v.conj().T @ bbt_p
+        -b_pinv @ v @ b_pinv
+        + b_pinv @ b_pinv.conj().T @ v.conj().T @ (np.eye(v.shape[0]) - rb.range_proj)
+        + rb.null_proj @ v.conj().T @ b_pinv.conj().T @ b_pinv
     )

@@ -45,13 +45,6 @@ def test_from_matrix_rejects_rectangular():
         Projector.from_matrix(np.zeros((2, 3)))
 
 
-def test_onto_non_orthonormal_columns(rng):
-    cols = generate.ginibre(rng, 5, 2)
-    p = Projector.onto(cols)
-    assert p.rank() == 2
-    assert np.linalg.norm(p.matrix @ cols - cols) < 1e-10
-
-
 def test_zero_projector_rank():
     # numerically-zero projectors must report rank 0, not pick up noise
     p = Projector(np.zeros((4, 4), dtype=complex))

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from pinvlab import cli, generate, monotone, polar, strata
+from pinvlab import cli, generate, monotone, pinv, polar, strata
 from pinvlab.matcore import OP_NORM
 
 D = 16
@@ -106,10 +106,10 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    # was 24 svd: a base point wrapped per call factorizes C0 once (its eigh
-    # gives the range basis and C0^+) and A once, and the inverse never
-    # factorizes A
-    assert count(round_trip) == {"svd": 21, "eigh": 4, "inv": 2}
+    # a base point wrapped per call factorizes C0 once (its eigh gives the
+    # range basis and C0^+) and A once, and the inverse never factorizes A;
+    # each chart unitary is one SVD of the section
+    assert count(round_trip) == {"svd": 17, "eigh": 4}
 
 
 def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
@@ -120,10 +120,10 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, base)
         polar.trivialize_alpha_inverse(mod, fib, base)
-    # per chart: the positive section's eigh of |B| and SVD of S, three
-    # SVDs and an inverse in the aligning unitary; forward also the SVD of
-    # B, and fiber membership the SVD of X and four principal angles
-    assert count(round_trip) == {"svd": 14, "eigh": 2, "inv": 2}
+    # per chart: the positive section's eigh of |B| and SVD of S, and the
+    # SVD of the section for its unitary polar factor; forward also the SVD
+    # of B, and fiber membership the SVD of X and four principal angles
+    assert count(round_trip) == {"svd": 10, "eigh": 2}
 
 
 def test_trivialize_v_round_trip_counts(count, inputs):
@@ -131,20 +131,34 @@ def test_trivialize_v_round_trip_counts(count, inputs):
     v0 = polar.polar_decompose(a).polar_factor
 
     def round_trip():
-        factor, fib = polar.trivialize_v(b, v0, a)
+        factor, fib = polar.trivialize_v(b, v0)
         polar.trivialize_v_inverse(factor, fib, v0)
-    # the SVD of B and two direct rotations (gap norm + eigh) per witness;
+    # the SVD of B and two direct rotations, one eigh each, per witness;
     # ranks are traces of the checked initial projectors, so a matrix V0
-    # costs no SVD (was 7 svd)
-    assert count(round_trip) == {"svd": 5, "eigh": 4}
+    # costs no SVD, and each rotation reads its gap from its eigh
+    assert count(round_trip) == {"svd": 1, "eigh": 4}
 
 
 def test_isometry_orbit_witness_counts(count, inputs):
     a, b, _ = inputs
     v0 = polar.polar_decompose(a).polar_factor
     v = polar.polar_decompose(b).polar_factor
-    # two direct rotations; no SVD for the ranks (was 4 svd + 2 eigh)
-    assert count(lambda: polar.isometry_orbit_witness(v0, v)) == {"svd": 2, "eigh": 2}
+    # two direct rotations, one eigh each; no SVD for the ranks or the gaps
+    assert count(lambda: polar.isometry_orbit_witness(v0, v)) == {"eigh": 2}
+
+
+def test_mp_tangent_counts(count, inputs):
+    _, b, _ = inputs
+    rng = generate.rng_from_seed(1)
+    x, y = generate.ginibre(rng, D, D), generate.ginibre(rng, D, D)
+    # one SVD of B gives B^+, both Gram pseudoinverses and the tangent check
+    assert count(lambda: strata.mp_tangent(b, x @ b - b @ y)) == {"svd": 1}
+
+
+def test_wedin_residual_counts(count, inputs):
+    a, b, _ = inputs
+    # one SVD of A and of B, the gauge norm of the defect
+    assert count(lambda: pinv.wedin_residual(a, b, OP_NORM)) == {"svd": 3}
 
 
 def test_modulus_map_counts(count, inputs):
@@ -166,10 +180,10 @@ def _cli(*argv):
 
 
 def test_cmd_fiber_counts(count):
-    # was 141 svd + 32 eigh: both base points come from one SVD of A and
-    # one eigh of C0 per run, and k0 is taken once
+    # both base points come from one SVD of A and one eigh of C0 per run,
+    # and k0 is taken once; one SVD per chart unitary, none per rotation gap
     assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {
-        "svd": 91, "eigh": 25, "inv": 8}
+        "svd": 59, "eigh": 25}
 
 
 def test_cmd_census_counts(count):
@@ -219,8 +233,8 @@ def test_perturbation_bound_counts(count, positive):
 def test_congruence_witness_counts(count, semidefinite):
     c, d = semidefinite
     # one eigh of C and of D; direct rotation of the null projectors takes
-    # the gap norm and the eigh of I - (P - Q)^2
-    assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 3, "svd": 1}
+    # the eigh of I - (P - Q)^2, which also gives the gap
+    assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 3}
 
 
 def test_positive_section_counts(count, semidefinite):

@@ -13,7 +13,7 @@ from pinvlab.errors import (
     OutsideNeighborhoodError,
     PreconditionError,
 )
-from pinvlab.matcore import OP_NORM, gauge_norm
+from pinvlab.matcore import OP_NORM, RIEMANN_MAX_CELLS, gauge_norm
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -446,6 +446,21 @@ def test_riemann_decay_slope(rng):
     d = generate.positive_definite(rng, 3)
     slope = monotone.riemann_decay_slope(SQRT, c, d, range(4, 11), 64.0)
     assert -1.2 <= slope <= -0.8
+
+
+def test_riemann_sum_refuses_too_many_cells(rng):
+    # 64 * 2^40 cells could never be allocated: refused before any array is
+    c = generate.positive_definite(rng, 2)
+    with pytest.raises(PreconditionError):
+        monotone.riemann_sum(SQRT, c, 2.0 * c, 40, 64.0)
+    for t_max in (float("inf"), float("nan")):
+        with pytest.raises(PreconditionError):
+            monotone.riemann_sum(SQRT, c, 2.0 * c, 4, t_max)
+    # at the cap exactly the sum runs; one cell more is refused
+    t_max = RIEMANN_MAX_CELLS * 2.0**-12
+    monotone.riemann_sum(SQRT, c, 2.0 * c, 12, t_max)
+    with pytest.raises(PreconditionError):
+        monotone.riemann_sum(SQRT, c, 2.0 * c, 12, t_max + 2.0**-12)
 
 
 def test_riemann_truncation_error(rng):

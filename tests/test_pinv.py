@@ -69,6 +69,19 @@ def test_wedin_identity_random_pairs(seed, ra, rb):
         assert wedin_residual(a, b, g) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_wedin_identity_at_small_gamma(seed):
+    # sigma = (1, 0.5, 1e-5): Gram pseudoinverses taken by their own SVDs
+    # drop sigma_r^2 = 1e-10 and leave a residual of the size of A^+ - B^+
+    rng = np.random.default_rng(seed)
+    u, w = generate.unitary(rng, 6), generate.unitary(rng, 6)
+    a = (u[:, :3] * np.array([1.0, 0.5, 1e-5])) @ w[:, :3].conj().T
+    x, y = generate.ginibre(rng, 6, 6), generate.ginibre(rng, 6, 6)
+    b = (np.eye(6) + 1e-3 * x) @ a @ (np.eye(6) - 1e-3 * y)
+    gap = np.linalg.norm(moore_penrose(a).pinv - moore_penrose(b).pinv, 2)
+    assert wedin_residual(a, b, OP_NORM) <= 1e-5 * gap
+
+
 def test_wedin_shape_mismatch():
     with pytest.raises(PreconditionError):
         wedin_residual(np.eye(2), np.eye(3), OP_NORM)

@@ -9,7 +9,7 @@ from pinvlab.errors import (
     PreconditionError,
     StratumError,
 )
-from pinvlab.matcore import ToleranceConfig
+from pinvlab.matcore import ToleranceConfig, svd
 from pinvlab.pinv import pinv_matrix
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -124,39 +124,23 @@ def test_positive_section_outside_neighborhood():
 
 
 # ---------------------------------------------------------------------------
-# aligning_unitary
+# the modulus chart's unitary
 
 
-def test_aligning_unitary_of_unitary_input(rng):
-    u0 = generate.unitary(rng, 4)
-    basis = np.eye(4, dtype=complex)[:, :2]
-    u = polar.aligning_unitary(u0, basis)
-    assert np.linalg.norm(u - u0) < 1e-9
-
-
-def test_aligning_unitary_diagonal_case():
-    t = np.diag([3.0, 0.5])
-    basis = np.eye(2, dtype=complex)[:, :1]
-    u = polar.aligning_unitary(t, basis)
-    assert np.allclose(u, np.eye(2), atol=1e-10)
-
-
-def test_aligning_unitary_rejects_singular():
-    with pytest.raises(PreconditionError):
-        polar.aligning_unitary(np.diag([1.0, 0.0]), np.eye(2)[:, :1])
-
-
-@given(seeds, st.integers(min_value=1, max_value=3))
-def test_aligning_unitary_conjugates_projector(seed, r):
+@given(seeds, st.sampled_from([(4, 4, 2), (5, 5, 3), (6, 4, 2), (4, 6, 2),
+                               (5, 3, 2), (3, 5, 2)]))
+def test_chart_unitary_carries_range_projector(seed, shape):
+    # U(|B|) is unitary and U P_R(C0) U* = P_R(|B|), C0 = |A|; both range
+    # projectors are taken from SVDs of A and B, not from the chart's eighs
+    m, n, r = shape
     rng = np.random.default_rng(seed)
-    t = generate.near_identity(rng, 4, 0.5)
-    basis = generate.unitary(rng, 4)[:, :r]
-    u = polar.aligning_unitary(t, basis)
-    n = 4
-    assert np.linalg.norm(u @ u.conj().T - np.eye(n)) < 1e-9
-    p_s = basis @ basis.conj().T
-    target = polar.codim.Projector.onto(t @ basis).matrix
-    assert np.linalg.norm(u @ p_s @ u.conj().T - target) < 1e-8
+    a = generate.fixed_rank(rng, m, n, r)
+    b = generate.rank_preserving_perturbation(rng, a, 0.05)
+    u = polar._chart_unitary(polar.ModulusBase.of(a), polar.polar_decompose(b).modulus)
+    assert np.linalg.norm(u @ u.conj().T - np.eye(n)) < 1e-12
+    p_c0 = np.eye(n) - svd(a).null_proj
+    p_b = np.eye(n) - svd(b).null_proj
+    assert np.linalg.norm(u @ p_c0 @ u.conj().T - p_b) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +190,7 @@ def test_orbit_witnesses_reject_non_isometries(rng, case):
         with pytest.raises(PreconditionError):
             polar.trivialize_v_inverse(bad, good, good)
     with pytest.raises(PreconditionError):
-        polar.trivialize_v(v, v0, v)
+        polar.trivialize_v(v, v0)
 
 
 def test_orbit_witness_rejects_rank_mismatch(rng):
@@ -312,7 +296,7 @@ def test_trivialize_alpha_outside_chart():
 def test_trivialize_v_round_trip(seed):
     a, b = _chart_sample(seed)
     v0 = polar.polar_decompose(a).polar_factor
-    factor, fiber_elem = polar.trivialize_v(b, v0, a)
+    factor, fiber_elem = polar.trivialize_v(b, v0)
     assert np.array_equal(factor.matrix, polar.polar_factor_map(b, a).matrix)
     # the second component has polar factor V0
     fparts = polar.polar_decompose(fiber_elem)
@@ -326,7 +310,7 @@ def test_trivialize_v_outside_chart(rng):
     v0 = polar.polar_decompose(a).polar_factor
     b = generate.fixed_rank(rng, 4, 4, 3)
     with pytest.raises(OutsideNeighborhoodError):
-        polar.trivialize_v(b, v0, a)
+        polar.trivialize_v(b, v0)
 
 
 @given(seeds, st.sampled_from([(6, 4, 2), (4, 6, 2), (5, 3, 3), (3, 5, 3)]))
@@ -340,7 +324,7 @@ def test_chart_round_trips_rectangular(seed, shape):
     assert polar.fiber_membership_alpha(fiber_elem, parts.modulus, a)
     back = polar.trivialize_alpha_inverse(mod, fiber_elem, parts.modulus)
     assert np.linalg.norm(back - b) < 1e-12
-    factor, fiber_elem = polar.trivialize_v(b, parts.polar_factor, a)
+    factor, fiber_elem = polar.trivialize_v(b, parts.polar_factor)
     back = polar.trivialize_v_inverse(factor, fiber_elem, parts.polar_factor)
     assert np.linalg.norm(back - b) < 1e-12
 
@@ -361,8 +345,8 @@ def test_modulus_base_reused_matches_matrix_calls(rng):
         back = polar.trivialize_alpha_inverse(mod, fib, base)
         back_m = polar.trivialize_alpha_inverse(mod_m, fib_m, parts.modulus)
         assert np.linalg.norm(back - back_m) < 1e-12
-        factor, fib = polar.trivialize_v(b, v0, a)
-        factor_m, fib_m = polar.trivialize_v(b, parts.polar_factor, a)
+        factor, fib = polar.trivialize_v(b, v0)
+        factor_m, fib_m = polar.trivialize_v(b, parts.polar_factor)
         assert np.linalg.norm(factor.matrix - factor_m.matrix) < 1e-12
         assert np.linalg.norm(fib - fib_m) < 1e-12
         back = polar.trivialize_v_inverse(factor, fib, v0)
