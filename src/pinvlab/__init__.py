@@ -16,12 +16,10 @@ from .errors import (
     StratumError,
 )
 from .matcore import (
-    DEFAULT_TOL,
     FROBENIUS_NORM,
     GaugeNorm,
     OP_NORM,
     TRACE_NORM,
-    ToleranceConfig,
     gauge_norm,
 )
 from .pinv import moore_penrose, pinv_matrix
@@ -31,8 +29,8 @@ __all__ = [
     "ConsistencyError", "ConvergenceError", "GapTooLargeError",
     "ObstructionError", "OutsideNeighborhoodError", "PinvLabError",
     "PreconditionError", "StratumError",
-    "DEFAULT_TOL", "FROBENIUS_NORM", "GaugeNorm", "OP_NORM", "TRACE_NORM",
-    "ToleranceConfig", "gauge_norm", "moore_penrose", "pinv_matrix",
+    "FROBENIUS_NORM", "GaugeNorm", "OP_NORM", "TRACE_NORM",
+    "gauge_norm", "moore_penrose", "pinv_matrix",
 ]
 
 __version__ = "0.1.0"

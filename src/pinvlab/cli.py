@@ -27,7 +27,6 @@ from .errors import (
     PreconditionError,
 )
 from .matcore import (
-    DEFAULT_TOL,
     ROUND_TRIP_ABS,
     TAYLOR_RATIO_SLACK,
     GaugeNorm,
@@ -98,7 +97,7 @@ def cmd_codim(args) -> int:
 def cmd_stratify(args) -> int:
     a = load_matrix(args.a)
     b = load_matrix(args.b)
-    k = strata.stratum_index(b, a).k
+    k = strata.stratum_index(b, a)
     rng_ = strata.index_range(a)
     _report({"index": k, "k_min": rng_.k_min, "k_max": rng_.k_max}, args)
     return EXIT_OK

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, GapTooLargeError, PreconditionError
-from .matcore import (DEFAULT_TOL, INTERSECTION_COS, PROJECTOR_REL,
-                      PROJECTOR_SPECTRUM, ToleranceConfig, as_matrix, eigh)
+from .matcore import (INTERSECTION_COS, PROJECTOR_REL, PROJECTOR_SPECTRUM,
+                      RANK_REL, as_matrix, eigh)
 
 
 @dataclass(frozen=True)
@@ -119,27 +119,26 @@ def essential_codimension(p: Projector, q: Projector) -> int:
                           q.basis(), q.complement_basis())
 
 
-def direct_rotation(p: Projector, q: Projector,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def direct_rotation(p: Projector, q: Projector) -> np.ndarray:
     """Canonical unitary U with U P U* = Q, defined when ||P - Q|| < 1.
 
     U is the unitary polar factor of W = QP + (I-Q)(I-P); the inverse
     square root of I - (P-Q)^2 is taken spectrally with eigenvalues
-    clamped below at the rank tolerance.  The same eigh gives the gap:
+    clamped below at RANK_REL.  The same eigh gives the gap:
     the least eigenvalue of I - (P-Q)^2 is 1 - ||P - Q||^2.
     """
     if p.dim != q.dim:
         raise PreconditionError("projections must act on the same space")
     pm, qm = p.matrix, q.matrix
     ident = np.eye(p.dim, dtype=complex)
-    vec, val = eigh(ident - (pm - qm) @ (pm - qm), tol)
+    vec, val = eigh(ident - (pm - qm) @ (pm - qm))
     gap = float(np.sqrt(max(1.0 - val[0], 0.0)))
-    if gap >= 1.0 - tol.rank_rel:
+    if gap >= 1.0 - RANK_REL:
         raise GapTooLargeError(
             f"||P - Q|| = {gap:.6f} >= 1; projections are not directly rotatable"
         )
     w = qm @ pm + (ident - qm) @ (ident - pm)
-    val = np.maximum(val, tol.rank_rel)
+    val = np.maximum(val, RANK_REL)
     inv_sqrt = (vec / np.sqrt(val)) @ vec.conj().T
     return inv_sqrt @ w
 
@@ -158,10 +157,9 @@ def basis_matching_unitary(p: Projector, q: Projector) -> np.ndarray:
     return bq @ bp.conj().T
 
 
-def conjugating_unitary(p: Projector, q: Projector,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def conjugating_unitary(p: Projector, q: Projector) -> np.ndarray:
     """Direct rotation when the gap allows it, basis matching otherwise."""
     try:
-        return direct_rotation(p, q, tol)
+        return direct_rotation(p, q)
     except GapTooLargeError:
         return basis_matching_unitary(p, q)

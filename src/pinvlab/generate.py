@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .matcore import DEFAULT_TOL, svd
+from .matcore import svd
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -74,14 +74,13 @@ def rank_preserving_perturbation(rng, b, scale: float) -> np.ndarray:
     return near_identity(rng, m, scale) @ b @ near_identity(rng, n, scale)
 
 
-def rank_jump_perturbation(rng, b, eps: float,
-                           tol=DEFAULT_TOL) -> np.ndarray:
+def rank_jump_perturbation(rng, b, eps: float) -> np.ndarray:
     """B plus eps times a partial isometry from N(B) into R(B)^perp.
 
     Raises PreconditionError when B has neither nullspace nor corange to
     spare.
     """
-    res = svd(b, tol)
+    res = svd(b)
     r = res.rank
     m, n = b.shape
     if r >= min(m, n):

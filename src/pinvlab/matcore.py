@@ -18,23 +18,10 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances used across the package.
-
-    rank_rel: relative singular-value cutoff for numerical rank.
-    residual_abs: absolute residual floor for consistency checks.
-    """
-
-    rank_rel: float = 1e-10
-    residual_abs: float = 1e-10
-
-    def __post_init__(self):
-        if self.rank_rel <= 0 or self.residual_abs <= 0:
-            raise PreconditionError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = ToleranceConfig()
+# The rank cutoff, on which every stratum, chart domain and continuity
+# verdict turns, and the absolute residual floor:
+RANK_REL = 1e-10            # singular values <= this max(m, n) sigma_1 count as 0
+RESIDUAL_ABS = 1e-10        # a residual or norm <= this counts as 0
 
 # Acceptance thresholds of checks on constructions that are exact in exact
 # arithmetic; one value serves every caller.
@@ -61,6 +48,8 @@ TAYLOR_RATIO_SLACK = 1e-6   # a Taylor remainder passes at remainder/bound <= 1 
 ROUND_TRIP_ABS = 1e-7       # a chart round trip passes at ||back - B||_F <= this
 RIEMANN_MAX_CELLS = 2**18   # most cells a dyadic Riemann sum allocates (p = 12
                             # at t_max = 64); a request for more is refused
+RIEMANN_TAIL_REL = 0.1      # a Riemann sum's truncation tail beyond t_max stays
+                            # below this times ||D - C||_g
 
 
 def as_matrix(a) -> np.ndarray:
@@ -91,9 +80,14 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed matrix JSON: {exc}") from exc
+    # a JSON integer, not a float, string or bool that int() would accept
+    if not all(type(n) is int for n in (rows, cols)):
+        raise PreconditionError("matrix JSON rows and cols must be integers")
+    if not isinstance(data, list):
+        raise PreconditionError("matrix JSON data must be a list")
     if rows < 1 or cols < 1:
         raise PreconditionError("matrix dimensions must be positive")
     if len(data) != rows * cols:
@@ -273,10 +267,10 @@ class SvdResult:
         return np.eye(v_r.shape[0], dtype=complex) - v_r @ v_r.conj().T
 
 
-def svd(a, tol: ToleranceConfig = DEFAULT_TOL) -> SvdResult:
+def svd(a) -> SvdResult:
     """Full SVD with a declared numerical-rank cutoff.
 
-    rank_tolerance = tol.rank_rel * max(m, n) * sigma_1; the zero matrix
+    rank_tolerance = RANK_REL * max(m, n) * sigma_1; the zero matrix
     gets tolerance 0 and rank 0.  LAPACK convergence failures are
     re-raised as ConvergenceError.
     """
@@ -286,12 +280,12 @@ def svd(a, tol: ToleranceConfig = DEFAULT_TOL) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     sigma1 = float(s[0]) if s.size else 0.0
-    cutoff = tol.rank_rel * max(m.shape) * sigma1
+    cutoff = RANK_REL * max(m.shape) * sigma1
     rank = int(np.sum(s > cutoff))
     return SvdResult(u, s, vt, rank, cutoff)
 
 
-def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
+def eigh(h):
     """Spectral decomposition of a Hermitian matrix.
 
     The input is symmetrized internally; inputs that are not Hermitian to
@@ -367,17 +361,17 @@ class PsdEig(NamedTuple):
         return q_n @ q_n.conj().T
 
 
-def psd_eigh(c, tol: ToleranceConfig = DEFAULT_TOL) -> PsdEig:
+def psd_eigh(c) -> PsdEig:
     """Spectral decomposition of a Hermitian positive semidefinite matrix.
 
     Eigenvalues below -HERMITIAN_REL max(|w|, 1) are rejected; those at or below
-    the rank cutoff tol.rank_rel * n * max|w| are set to 0.
+    the rank cutoff RANK_REL * n * max|w| are set to 0.
     """
-    q, w = eigh(c, tol)
+    q, w = eigh(c)
     scale = float(np.max(np.abs(w)))
     if w[0] < -HERMITIAN_REL * max(scale, 1.0):
         raise PreconditionError(
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
         )
-    w = np.where(w > tol.rank_rel * len(w) * scale, w, 0.0)
+    w = np.where(w > RANK_REL * len(w) * scale, w, 0.0)
     return PsdEig(q, w, int(np.count_nonzero(w)))

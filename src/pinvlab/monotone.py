@@ -38,14 +38,14 @@ from . import strata
 from .errors import ConvergenceError, OutsideNeighborhoodError, PreconditionError
 from .matcore import (
     CANCELLATION_REL,
-    DEFAULT_TOL,
     HERMITIAN_REL,
     MONOTONE_SLACK,
     REPRESENTATION_ABS,
+    RESIDUAL_ABS,
     RIEMANN_MAX_CELLS,
+    RIEMANN_TAIL_REL,
     GaugeNorm,
     OP_NORM,
-    ToleranceConfig,
     as_matrix,
     gauge_norm,
     psd_eigh,
@@ -79,6 +79,7 @@ _CHUNK = 64                         # nodes per call of the integrand
 _FIRST_INTERVALS = 32               # intervals of the window at the first level
 _MAX_INTERVALS = 8192               # no halving past this many intervals
 _QUAD_TOL = 1e-10                   # successive levels agree to this times ∫‖fn‖dν
+_RIEMANN_CHUNK = 2**13              # cells per block of a dyadic Riemann sum
 
 
 def _half_line_nodes(x):
@@ -312,9 +313,9 @@ def scalar_eval(f: MonotoneFunction, lam, skip_cache: bool = False):
     return vals if skip_cache else np.where(lam == 0.0, f.f0, vals)
 
 
-def _pd_eigs(c, tol: ToleranceConfig):
+def _pd_eigs(c):
     """psd_eigh of a matrix that must be positive definite: (Q, w)."""
-    q, w, rank = psd_eigh(c, tol)
+    q, w, rank = psd_eigh(c)
     if rank < len(w):
         raise PreconditionError("matrix must be positive definite")
     return q, w
@@ -326,16 +327,14 @@ def _spectral(f: MonotoneFunction, q, w) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def matrix_eval_spectral(f: MonotoneFunction, c,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def matrix_eval_spectral(f: MonotoneFunction, c) -> np.ndarray:
     """f(C) through the spectral theorem: scalar f applied to eigenvalues,
     those at or below the rank cutoff taken as 0 (as in the integral route)."""
-    q, w, _ = psd_eigh(c, tol)
+    q, w, _ = psd_eigh(c)
     return _spectral(f, q, w)
 
 
-def matrix_eval_integral(f: MonotoneFunction, c,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
     """f(C) through resolvent quadrature, independent of the spectral route.
 
     alpha I + beta C - ∫((tI+C)^{-1} - t/(t^2+1) I) dν(t).  A singular C
@@ -344,13 +343,13 @@ def matrix_eval_integral(f: MonotoneFunction, c,
     the value is f(0) times the projector).
     """
     c = as_matrix(c)
-    eig = psd_eigh(c, tol)
+    eig = psd_eigh(c)
     d = c.shape[0]
     if eig.rank < d:
         if eig.rank == 0:
             return f.f0 * np.eye(d, dtype=complex)
         basis, null = eig.range_basis, eig.null_basis
-        inner = matrix_eval_integral(f, basis.conj().T @ c @ basis, tol)
+        inner = matrix_eval_integral(f, basis.conj().T @ c @ basis)
         return basis @ inner @ basis.conj().T + f.f0 * (null @ null.conj().T)
     ident = np.eye(d, dtype=complex)
 
@@ -369,8 +368,7 @@ def matrix_eval_integral(f: MonotoneFunction, c,
 # Taylor terms of C -> f(C) and their certified bounds.
 
 
-def taylor_term(f: MonotoneFunction, c, delta, n: int,
-                tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
     """n-th term of the expansion of f(C + Delta) around positive definite C.
 
     f_1(D) = beta D + ∫ R D R dν and, for n >= 2,
@@ -387,7 +385,7 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int,
     if np.linalg.norm(delta - delta.conj().T) > HERMITIAN_REL * max(
             1.0, np.linalg.norm(delta)):
         raise PreconditionError("Delta must be Hermitian")
-    q, w = _pd_eigs(c, tol)
+    q, w = _pd_eigs(c)
     x = q.conj().T @ delta @ q
 
     def fn(t):
@@ -407,8 +405,7 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int,
 
 
 def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
-                           g: GaugeNorm = OP_NORM,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> float:
+                           g: GaugeNorm = OP_NORM) -> float:
     """Gauge-norm bound on the n-th Taylor term.
 
     (beta + ∫(t+gamma_C)^{-2} dν) ||Delta|| for n = 1 and
@@ -417,7 +414,7 @@ def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
     """
     if n < 1:
         raise PreconditionError("term order must be >= 1")
-    gamma = float(_pd_eigs(c, tol)[1][0])
+    gamma = float(_pd_eigs(c)[1][0])
     dist = gauge_norm(delta, g)
     if dist >= gamma:
         raise OutsideNeighborhoodError(
@@ -430,15 +427,14 @@ def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
 
 
 def perturbation_bound(f: MonotoneFunction, c, d,
-                       g: GaugeNorm = OP_NORM,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
+                       g: GaugeNorm = OP_NORM) -> BoundReport:
     """Gauge bound ||f(D)-f(C)|| <= ||D-C|| (beta + ∫ dν/((t+γ_C)(t+γ_D)))."""
     c = as_matrix(c)
     d = as_matrix(d)
     if c.shape != d.shape:
         raise PreconditionError("C and D must have the same shape")
-    qc, wc = _pd_eigs(c, tol)
-    qd, wd = _pd_eigs(d, tol)
+    qc, wc = _pd_eigs(c)
+    qd, wd = _pd_eigs(d)
     gamma_c, gamma_d = float(wc[0]), float(wd[0])
     dist = gauge_norm(d - c, g)
     coeff = float(measure_integral(
@@ -472,20 +468,19 @@ class RiemannSumReport:
 
 
 def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
-                g: GaugeNorm = OP_NORM,
-                tol: ToleranceConfig = DEFAULT_TOL,
-                tail_tol: float = 0.1) -> RiemannSumReport:
+                g: GaugeNorm = OP_NORM) -> RiemannSumReport:
     """Dyadic Riemann sum R_p of ∫ h dν, h(t) = (tI+C)^{-1}(D-C)(tI+D)^{-1}.
 
     Cells [(m-1)/2^p, m/2^p) tile [0, t_max); each contributes its exact
     measure mass times h at the right endpoint.  The truncation tail of
     q(t) = ||D-C||_g/((t+γ_C)(t+γ_D)) beyond t_max must stay below the
-    relative allowance ``tail_tol``; the reference integral is taken on
-    the same truncated domain as the sum.  Both run on the Daleckii-Krein
-    form h(t) = Q_C (K(t) ∘ X) Q_D* with X = Q_C*(D-C)Q_D and
-    K_ij(t) = 1/((t+λ_i)(t+μ_j)) for the eigenpairs of C and D.  More
-    than ``RIEMANN_MAX_CELLS`` cells raise PreconditionError before any
-    is allocated.
+    relative allowance ``RIEMANN_TAIL_REL``; the reference integral is
+    taken on the same truncated domain as the sum.  Both run on the
+    Daleckii-Krein form h(t) = Q_C (K(t) ∘ X) Q_D* with X = Q_C*(D-C)Q_D
+    and K_ij(t) = 1/((t+λ_i)(t+μ_j)) for the eigenpairs of C and D.  The
+    cells are summed ``_RIEMANN_CHUNK`` at a time, in O(chunk d) memory
+    at any depth; more than ``RIEMANN_MAX_CELLS`` cells raise
+    PreconditionError before any is allocated.
     """
     if p < 0:
         raise PreconditionError("dyadic depth must be nonnegative")
@@ -499,8 +494,8 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
             f"the cap of {RIEMANN_MAX_CELLS}")
     c = as_matrix(c)
     d = as_matrix(d)
-    qc, wc = _pd_eigs(c, tol)
-    qd, wd = _pd_eigs(d, tol)
+    qc, wc = _pd_eigs(c)
+    qd, wd = _pd_eigs(d)
     gamma_c, gamma_d = float(wc[0]), float(wd[0])
     diff = d - c
     dist = gauge_norm(diff, g)
@@ -511,42 +506,47 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
 
     tail = float(measure_integral(f, q)) - float(
         measure_integral(f, q, t_max=t_max))
-    if tail > tail_tol * max(dist, tol.residual_abs):
+    if tail > RIEMANN_TAIL_REL * max(dist, RESIDUAL_ABS):
         raise PreconditionError(
             f"truncation tail {tail:.3e} beyond t_max = {t_max} exceeds "
-            f"the relative allowance {tail_tol}"
+            f"the relative allowance {RIEMANN_TAIL_REL}"
         )
 
-    lefts = width * np.arange(n_cells)
-    rights = np.minimum(lefts + width, t_max)
-    masses = measure_mass(f, lefts, rights)
-    samples = (lefts + width)[:, None]
-    # Σ m K(t_m) as one product of the sampled diagonal resolvents of C and D
-    k_sum = (masses[:, None] / (samples + wc)).T @ (1.0 / (samples + wd))
+    def r(t):
+        inv = 1.0 / ((t + gamma_c) * (t + gamma_d))
+        return dist * inv * (1.0 / (t + gamma_c) + 1.0 / (t + gamma_d))
+
+    k_sum = np.zeros((len(wc), len(wd)))
+    r_cells = 0.0
+    for start in range(0, n_cells, _RIEMANN_CHUNK):
+        lefts = width * np.arange(start, min(start + _RIEMANN_CHUNK, n_cells))
+        masses = measure_mass(f, lefts, np.minimum(lefts + width, t_max))
+        samples = (lefts + width)[:, None]
+        # Σ m K(t_m) over the block as one product of the sampled diagonal
+        # resolvents of C and D, formed in place and freed before the next
+        res_c, res_d = samples + wc, samples + wd
+        np.divide(masses[:, None], res_c, out=res_c)
+        np.divide(1.0, res_d, out=res_d)
+        k_sum += res_c.T @ res_d
+        r_cells += float(np.dot(r(lefts), masses))
+        del res_c, res_d
     k_ref = measure_integral(
         f, lambda t: 1.0 / ((t[:, None, None] + wc[:, None])
                             * (t[:, None, None] + wd)), t_max=t_max)
     value = qc @ (k_sum * x) @ qd.conj().T
     reference = qc @ (k_ref * x) @ qd.conj().T
     gap = gauge_norm(value - reference, g)
-
-    def r(t):
-        inv = 1.0 / ((t + gamma_c) * (t + gamma_d))
-        return dist * inv * (1.0 / (t + gamma_c) + 1.0 / (t + gamma_d))
-
     r_integral = float(measure_integral(f, r, t_max=t_max))
-    r_cells = float(np.dot(r(lefts), masses))
     eta = max(1.0, r_cells / r_integral) if r_integral > 0 else 1.0
     bound = (eta / 2.0**p) * r_integral
     return RiemannSumReport(p, t_max, value, reference, gap, bound, eta)
 
 
 def riemann_decay_slope(f: MonotoneFunction, c, d, ps, t_max: float,
-                        g: GaugeNorm = OP_NORM,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> float:
+                        g: GaugeNorm = OP_NORM) -> float:
     """Least-squares slope of log2(gap) against p; about -1 for h Lipschitz."""
     ps = list(ps)
-    gaps = [riemann_sum(f, c, d, p, t_max, g, tol).gap_gauge for p in ps]
+    gaps = [riemann_sum(f, c, d, p, t_max, g).gap_gauge for p in ps]
     if any(gap <= 0 for gap in gaps):
         raise PreconditionError("zero gap; slope is undefined")
     return float(np.polyfit(ps, np.log2(gaps), 1)[0])
@@ -578,9 +578,7 @@ class StratumContinuityReport:
 
 
 def continuity_in_stratum(f: MonotoneFunction, c, seq,
-                          g: GaugeNorm = OP_NORM,
-                          tol: ToleranceConfig = DEFAULT_TOL
-                          ) -> StratumContinuityReport:
+                          g: GaugeNorm = OP_NORM) -> StratumContinuityReport:
     """Track ||f(D_n) - f(C)||_g along a PSD sequence, with stratum indices.
 
     Diagnostic: the report records, per term, the stratum index of D_n
@@ -589,12 +587,12 @@ def continuity_in_stratum(f: MonotoneFunction, c, seq,
     a tail that jumps stratum shows a value gap of larger order.
     """
     c = as_matrix(c)
-    fc = matrix_eval_spectral(f, c, tol)
+    fc = matrix_eval_spectral(f, c)
     rows = []
     for n, dn in enumerate(seq):
         dn = as_matrix(dn)
-        fd = matrix_eval_spectral(f, dn, tol)
-        idx = strata.stratum_index(dn, c, tol).k
+        fd = matrix_eval_spectral(f, dn)
+        idx = strata.stratum_index(dn, c)
         rows.append(StratumContinuityRow(
             n, idx, gauge_norm(dn - c, g), gauge_norm(fd - fc, g)))
     if not rows:

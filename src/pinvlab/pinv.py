@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .matcore import DEFAULT_TOL, GaugeNorm, SvdResult, ToleranceConfig, as_matrix, svd
+from .matcore import GaugeNorm, SvdResult, as_matrix, svd
 
 
 @dataclass(frozen=True)
@@ -17,18 +17,18 @@ class BoundReport:
     actual: float
 
 
-def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> SvdResult:
+def moore_penrose(a) -> SvdResult:
     """The pseudoinverse report of A: its SVD, which carries A^+ (``pinv``),
     gamma(A) (= 1/||A^+||; 0 for the zero matrix) and the range/null
     projectors."""
-    return svd(a, tol)
+    return svd(a)
 
 
-def pinv_matrix(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    return moore_penrose(a, tol).pinv
+def pinv_matrix(a) -> np.ndarray:
+    return moore_penrose(a).pinv
 
 
-def wedin_residual(a, b, g: GaugeNorm, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def wedin_residual(a, b, g: GaugeNorm) -> float:
     """Gauge norm of the defect in the algebraic identity relating A^+ - B^+
     to A - B through the range and nullspace projectors.
 
@@ -41,8 +41,8 @@ def wedin_residual(a, b, g: GaugeNorm, tol: ToleranceConfig = DEFAULT_TOL) -> fl
     b = as_matrix(b)
     if a.shape != b.shape:
         raise PreconditionError("A and B must have the same shape")
-    ra = moore_penrose(a, tol)
-    rb = moore_penrose(b, tol)
+    ra = moore_penrose(a)
+    rb = moore_penrose(b)
     ident = np.eye(a.shape[0], dtype=complex)
     ident_n = np.eye(a.shape[1], dtype=complex)
     ata_p = ra.pinv @ ra.pinv.conj().T
@@ -62,27 +62,27 @@ def _norm_bound(gamma_a: float, norm_a_pinv: float, dist: float) -> float:
     return norm_a_pinv / (1.0 - norm_a_pinv * dist)
 
 
-def same_rank_bound(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
+def same_rank_bound(a, b) -> BoundReport:
     """Norm bound for B^+ under an equal-rank perturbation within gamma(A).
 
     For a fixed shape equal nullity is equal rank, so the same hypothesis
     stated through the index of the pair of null projectors adds nothing.
     """
-    ra = moore_penrose(a, tol)
-    rb = moore_penrose(b, tol)
+    ra = moore_penrose(a)
+    rb = moore_penrose(b)
     dist = float(np.linalg.norm(as_matrix(a) - as_matrix(b), 2))
     met = ra.rank == rb.rank and ra.rank > 0 and dist < ra.gamma
     bound = _norm_bound(ra.gamma, ra.pinv_norm, dist) if ra.rank > 0 else float("inf")
     return BoundReport(met, bound, rb.pinv_norm)
 
 
-def lipschitz_constant(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def lipschitz_constant(a) -> float:
     """Local Lipschitz constant of the pseudoinverse map around A.
 
     Valid on the ball of gauge radius 1/(2 ||A^+||) intersected with the
     equal-nullity stratum:  (||A|| + 1/(2||A^+||))^2 + 8 ||A^+||^2.
     """
-    res = moore_penrose(a, tol)
+    res = moore_penrose(a)
     if res.rank == 0:
         raise PreconditionError("Lipschitz constant undefined for the zero matrix")
     norm_a = float(res.singular_values[0])

@@ -26,13 +26,12 @@ from .errors import (
     StratumError,
 )
 from .matcore import (
-    DEFAULT_TOL,
     IDENTITY_REL,
     ISOMETRY_REL,
+    RANK_REL,
     UNITARY_REL,
     PsdEig,
     SvdResult,
-    ToleranceConfig,
     as_matrix,
     psd_eigh,
     svd,
@@ -64,7 +63,7 @@ def _initial_projector(v: np.ndarray) -> np.ndarray:
     return p
 
 
-def _equal_rank_roots(eig_c: PsdEig, d, tol: ToleranceConfig):
+def _equal_rank_roots(eig_c: PsdEig, d):
     """The psd_eighs of PSD C, given, and of PSD D of C's size and rank.
 
     ``psd_eigh`` zeroes the below-cutoff eigenvalues, so the square root
@@ -74,7 +73,7 @@ def _equal_rank_roots(eig_c: PsdEig, d, tol: ToleranceConfig):
     n = len(eig_c.w)
     if d.shape != (n, n):
         raise PreconditionError("PSD matrices must be square of equal size")
-    eig_d = psd_eigh(d, tol)
+    eig_d = psd_eigh(d)
     if eig_c.rank != eig_d.rank:
         raise StratumError(f"no congruence across ranks: {eig_c.rank} vs {eig_d.rank}")
     return eig_c, eig_d
@@ -85,68 +84,64 @@ class ModulusBase:
 
     It holds psd_eigh(C0), svd(A) and k0, the stratum index of C0
     relative to |A| (``stratum_index``, three-way check included); each
-    is taken on first use under its tolerances ``tol``, which the charts
-    read, and is kept, so one base serves every B of a
-    run, and an inverse chart, which never reads A, never factorizes it.
+    is taken on first use and kept, so one base serves every B of a run,
+    and an inverse chart, which never reads A, never factorizes it.
     The roots, projectors and pseudoinverse of C0 are products of the
     ``PsdEig``, which keeps none of them.
     """
 
-    def __init__(self, c0, a=None, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, c0, a=None):
         self.c0 = as_matrix(c0)
         self.a = None if a is None else as_matrix(a)
-        self.tol = tol
         if self.a is not None and self.c0.shape != (self.a.shape[1],) * 2:
             raise PreconditionError("C0 must be n x n for an m x n matrix A")
 
     @staticmethod
-    def of(a, tol: ToleranceConfig = DEFAULT_TOL) -> "ModulusBase":
+    def of(a) -> "ModulusBase":
         """The base point (|A|, A), keeping the SVD of A that gives |A|."""
-        res = svd(a, tol)
-        base = ModulusBase(_polar_parts(res).modulus, a, tol)
+        res = svd(a)
+        base = ModulusBase(_polar_parts(res).modulus, a)
         base.svd_a = res
         return base
 
     @cached_property
     def eigh(self) -> PsdEig:
         """psd_eigh(C0)."""
-        return psd_eigh(self.c0, self.tol)
+        return psd_eigh(self.c0)
 
     @cached_property
     def svd_a(self) -> SvdResult:
-        return svd(self.a, self.tol)
+        return svd(self.a)
 
     @cached_property
     def k0(self) -> int:
         mod_a = _polar_parts(self.svd_a).modulus
-        return strata.stratum_index(self.c0, mod_a, self.tol).k
+        return strata.stratum_index(self.c0, mod_a)
 
     def polar_factor(self) -> PartialIsometry:
         """V_A, from the SVD of A."""
         return PartialIsometry(_polar_parts(self.svd_a).polar_factor)
 
 
-def _base(c0, a, tol: ToleranceConfig | None, need_a: bool = True) -> ModulusBase:
+def _base(c0, a, need_a: bool = True) -> ModulusBase:
     """The base point in the c0 position of a modulus-chart call.
 
-    A matrix C0 is wrapped together with A under tol (the defaults when
-    None); a ModulusBase already holds A and its tolerances, and the
-    chart reads those.
+    A matrix C0 is wrapped together with A; a ModulusBase already holds A.
     """
     if isinstance(c0, ModulusBase):
         if a is not None:
             raise PreconditionError("A is part of the ModulusBase; pass it once")
         base = c0
     else:
-        base = ModulusBase(c0, a, DEFAULT_TOL if tol is None else tol)
+        base = ModulusBase(c0, a)
     if need_a and base.a is None:
         raise PreconditionError("the modulus chart needs the matrix A")
     return base
 
 
-def polar_decompose(a, tol: ToleranceConfig = DEFAULT_TOL) -> PolarParts:
+def polar_decompose(a) -> PolarParts:
     """A = V|A| with V = A|A|^+ a partial isometry sharing the nullspace of A."""
-    return _polar_parts(svd(a, tol))
+    return _polar_parts(svd(a))
 
 
 def _polar_parts(res: SvdResult) -> PolarParts:
@@ -162,22 +157,22 @@ def _polar_parts(res: SvdResult) -> PolarParts:
     return PolarParts(factor, modulus)
 
 
-def congruence_witness(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def congruence_witness(c, d) -> np.ndarray:
     """Invertible G with G C G* = D for equal-rank Hermitian PSD C, D.
 
     A unitary U carries N(D) onto N(C); with B1 = C^{1/2} and
     B2 = U D^{1/2} U* sharing the range of C, G0 = B2 B1^+ + (I - P)
     solves G0 B1 = B2, and G = U* G0 conjugates C to D.
     """
-    ec, ed = _equal_rank_roots(psd_eigh(c, tol), d, tol)
+    ec, ed = _equal_rank_roots(psd_eigh(c), d)
     p_null = ec.null_proj()
-    u = codim.conjugating_unitary(Projector(ed.null_proj()), Projector(p_null), tol)
+    u = codim.conjugating_unitary(Projector(ed.null_proj()), Projector(p_null))
     b2 = u @ ed.sqrt() @ u.conj().T
     g0 = b2 @ ec.pinv_sqrt() + p_null
     return u.conj().T @ g0
 
 
-def positive_section(c, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def positive_section(c, b) -> np.ndarray:
     """Invertible sigma with sigma C sigma* = B, for nearby equal-rank PSD B.
 
     Built from the unitary polar factor S~ of S = QP + (I-Q)(I-P), with
@@ -186,14 +181,14 @@ def positive_section(c, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The raw S is checked for invertibility, which delimits the section's
     neighborhood of validity.
     """
-    return _section(*_equal_rank_roots(psd_eigh(c, tol), b, tol), tol)
+    return _section(*_equal_rank_roots(psd_eigh(c), b))
 
 
-def _section(ec: PsdEig, eb: PsdEig, tol: ToleranceConfig) -> np.ndarray:
+def _section(ec: PsdEig, eb: PsdEig) -> np.ndarray:
     """positive_section from the psd_eighs of C and B."""
     p_null, q_null = ec.null_proj(), eb.null_proj()
     u, sing, vh = np.linalg.svd(eb.range_proj() @ ec.range_proj() + q_null @ p_null)
-    if sing[-1] <= tol.rank_rel * len(p_null) * max(sing[0], 1.0):
+    if sing[-1] <= RANK_REL * len(p_null) * max(sing[0], 1.0):
         raise OutsideNeighborhoodError(
             "range projectors too far apart; section undefined here"
         )
@@ -201,7 +196,7 @@ def _section(ec: PsdEig, eb: PsdEig, tol: ToleranceConfig) -> np.ndarray:
     return eb.sqrt() @ s_unitary @ ec.pinv_sqrt() + q_null @ s_unitary @ p_null
 
 
-def isometry_orbit_witness(v0, v, tol: ToleranceConfig = DEFAULT_TOL):
+def isometry_orbit_witness(v0, v):
     """Unitaries (U, W) with U V0 W* = V for equal-rank partial isometries.
 
     W conjugates the initial projector V0*V0 to V*V; Z conjugates the
@@ -218,8 +213,8 @@ def isometry_orbit_witness(v0, v, tol: ToleranceConfig = DEFAULT_TOL):
     if r0 != r1:
         raise StratumError(f"no orbit witness across ranks: {r0} vs {r1}")
     fin0 = Projector(v0 @ v0.conj().T)
-    w = codim.conjugating_unitary(Projector(p0), Projector(p1), tol)
-    z = codim.conjugating_unitary(fin0, Projector(v @ v.conj().T), tol)
+    w = codim.conjugating_unitary(Projector(p0), Projector(p1))
+    z = codim.conjugating_unitary(fin0, Projector(v @ v.conj().T))
     m = v0.shape[0]
     u = v @ w @ v0.conj().T + z @ (np.eye(m, dtype=complex) - fin0.matrix)
     return u, w
@@ -229,12 +224,12 @@ def _matrix_of(v) -> np.ndarray:
     return v.matrix if isinstance(v, PartialIsometry) else as_matrix(v)
 
 
-def modulus_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def modulus_map(b, a) -> np.ndarray:
     """B -> |B|, checking that the stratum index relative to |A| is preserved."""
-    sb, sa = strata._svd_pair(b, a, tol)
+    sb, sa = strata._svd_pair(b, a)
     mod_b = _polar_parts(sb).modulus
     k = strata.index_from_svds(sb, sa)
-    k_mod = strata.stratum_index(mod_b, _polar_parts(sa).modulus, tol).k
+    k_mod = strata.stratum_index(mod_b, _polar_parts(sa).modulus)
     if k != k_mod:
         raise ConsistencyError(
             f"modulus map moved stratum index from {k} to {k_mod}"
@@ -242,14 +237,14 @@ def modulus_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return mod_b
 
 
-def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometry:
+def polar_factor_map(b, a) -> PartialIsometry:
     """B -> V_B, with the difference identity against V_A checked.
 
     V_A - V_B = A(|A|^+ - |B|^+) + (A - B)|B|^+ holds exactly; its
     residual is asserted, as is preservation of the stratum index.
     |A|^+ = A^+ V_A is read from the SVD of A, and likewise for B.
     """
-    sb, sa = strata._svd_pair(b, a, tol)
+    sb, sa = strata._svd_pair(b, a)
     a = as_matrix(a)
     b = as_matrix(b)
     pa, pb = _polar_parts(sa), _polar_parts(sb)
@@ -261,7 +256,7 @@ def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometr
     if np.linalg.norm(lhs - rhs) > IDENTITY_REL * scale:
         raise ConsistencyError("polar factor difference identity violated")
     k = strata.index_from_svds(sb, sa)
-    k_v = strata.stratum_index(pb.polar_factor, pa.polar_factor, tol).k
+    k_v = strata.stratum_index(pb.polar_factor, pa.polar_factor)
     if k != k_v:
         raise ConsistencyError(
             f"polar factor map moved stratum index from {k} to {k_v}"
@@ -269,17 +264,17 @@ def polar_factor_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> PartialIsometr
     return PartialIsometry(pb.polar_factor)
 
 
-def fiber_membership_alpha(x, c0, a=None, tol: ToleranceConfig | None = None) -> bool:
+def fiber_membership_alpha(x, c0, a=None) -> bool:
     """Does X lie in the modulus fiber over C0 within the stratum of C0?
 
     That is, |X| = C0 and the index of X relative to A is the index k0
-    of C0 relative to |A|; c0, a and tol are as in trivialize_alpha.
+    of C0 relative to |A|; c0 and a are as in trivialize_alpha.
     """
-    base = _base(c0, a, tol)
+    base = _base(c0, a)
     x = as_matrix(x)
     if x.shape != base.a.shape:
         raise PreconditionError("X and A must have the same shape")
-    rx = svd(x, base.tol)
+    rx = svd(x)
     scale = max(1.0, float(np.linalg.norm(base.c0)))
     if np.linalg.norm(_polar_parts(rx).modulus - base.c0) > IDENTITY_REL * scale:
         return False
@@ -288,18 +283,18 @@ def fiber_membership_alpha(x, c0, a=None, tol: ToleranceConfig | None = None) ->
     return base.k0 == k_x
 
 
-def trivialize_alpha(b, c0, a=None, tol: ToleranceConfig | None = None):
+def trivialize_alpha(b, c0, a=None):
     """Chart of the modulus fibration: B -> (|B|, V_B U C0).
 
     U is the unitary polar factor of the positive section carrying C0 to
     |B|; it carries R(C0) onto R(|B|), so the second component keeps
     modulus exactly C0.  The base point is given as the matrix C0
-    together with a = A, under tol (the defaults when None), or as a
-    ModulusBase, which holds A and its tolerances and is factorized once
-    for every B it serves; tol is not read then.  Inverted by trivialize_alpha_inverse.
+    together with a = A, or as a ModulusBase, which holds A and is
+    factorized once for every B it serves.  Inverted by
+    trivialize_alpha_inverse.
     """
-    base = _base(c0, a, tol)
-    parts = polar_decompose(b, base.tol)
+    base = _base(c0, a)
+    parts = polar_decompose(b)
     try:
         u = _chart_unitary(base, parts.modulus)
     except PinvLabError as exc:
@@ -320,9 +315,9 @@ def _chart_unitary(base: ModulusBase, modulus) -> np.ndarray:
     unitary polar factor of gamma, carries R(C0) onto R(|B|); it is real
     analytic in |B|.  A numerically singular gamma is outside the chart.
     """
-    gamma = _section(*_equal_rank_roots(base.eigh, modulus, base.tol), base.tol)
+    gamma = _section(*_equal_rank_roots(base.eigh, modulus))
     x, sing, yh = np.linalg.svd(gamma)
-    if sing[-1] <= base.tol.rank_rel * len(sing) * sing[0]:
+    if sing[-1] <= RANK_REL * len(sing) * sing[0]:
         raise OutsideNeighborhoodError("positive section singular; chart undefined here")
     u = x @ yh
     if np.linalg.norm(u @ u.conj().T - np.eye(len(sing))) > UNITARY_REL * len(sing):
@@ -330,14 +325,13 @@ def _chart_unitary(base: ModulusBase, modulus) -> np.ndarray:
     return u
 
 
-def trivialize_alpha_inverse(modulus, fiber_elem, c0,
-                             tol: ToleranceConfig | None = None) -> np.ndarray:
+def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
     """(C, V C0) -> V U* C, undoing trivialize_alpha.
 
-    c0 and tol are as in trivialize_alpha, but no A is needed: only the
-    eigh of C0 is read.
+    c0 is as in trivialize_alpha, but no A is needed: only the eigh of
+    C0 is read.
     """
-    base = _base(c0, None, tol, need_a=False)
+    base = _base(c0, None, need_a=False)
     modulus = as_matrix(modulus)
     fiber_elem = as_matrix(fiber_elem)
     u = _chart_unitary(base, modulus)
@@ -345,7 +339,7 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0,
     return v @ u.conj().T @ modulus
 
 
-def trivialize_v(b, v0, tol: ToleranceConfig = DEFAULT_TOL):
+def trivialize_v(b, v0):
     """Chart of the polar-factor fibration: B -> (V_B, V0 (W* |B| W)).
 
     W is the initial-projector conjugating unitary of the orbit witness
@@ -355,9 +349,9 @@ def trivialize_v(b, v0, tol: ToleranceConfig = DEFAULT_TOL):
     Inverted by trivialize_v_inverse.
     """
     v0 = _matrix_of(v0)
-    parts = polar_decompose(b, tol)
+    parts = polar_decompose(b)
     try:
-        _, w = isometry_orbit_witness(v0, parts.polar_factor, tol)
+        _, w = isometry_orbit_witness(v0, parts.polar_factor)
     except PreconditionError:
         raise
     except PinvLabError as exc:
@@ -368,14 +362,13 @@ def trivialize_v(b, v0, tol: ToleranceConfig = DEFAULT_TOL):
     return PartialIsometry(parts.polar_factor), fiber_elem
 
 
-def trivialize_v_inverse(factor, fiber_elem, v0,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:
     """(V, V0 C) -> V (W C W*), undoing trivialize_v.
 
     V and V0 are checked as in isometry_orbit_witness.
     """
     v, v0 = _matrix_of(factor), _matrix_of(v0)
     fiber_elem = as_matrix(fiber_elem)
-    _, w = isometry_orbit_witness(v0, v, tol)
+    _, w = isometry_orbit_witness(v0, v)
     core = v0.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
     return v @ w @ core @ w.conj().T

@@ -25,12 +25,12 @@ from .errors import (
     StratumError,
 )
 from .matcore import (
-    DEFAULT_TOL,
     GAP_MARGIN,
     IDENTITY_REL,
+    RANK_REL,
+    RESIDUAL_ABS,
     GaugeNorm,
     SvdResult,
-    ToleranceConfig,
     as_matrix,
     gauge_norm,
     svd,
@@ -39,17 +39,12 @@ from .pinv import moore_penrose
 
 
 @dataclass(frozen=True)
-class StratumIndex:
-    k: int
-
-
-@dataclass(frozen=True)
 class IndexRange:
     k_min: int
     k_max: int
 
     def __contains__(self, k: int) -> bool:
-        return self.k_min <= k <= self.k_max
+        return isinstance(k, (int, np.integer)) and self.k_min <= k <= self.k_max
 
 
 @dataclass(frozen=True)
@@ -59,37 +54,37 @@ class GroupPair:
     G: np.ndarray
     K: np.ndarray
 
-    def validate(self, tol: ToleranceConfig = DEFAULT_TOL) -> "GroupPair":
+    def validate(self) -> "GroupPair":
         for name, m in (("G", self.G), ("K", self.K)):
             mm = as_matrix(m)
             if mm.shape[0] != mm.shape[1]:
                 raise PreconditionError(f"{name} must be square")
             s = np.linalg.svd(mm, compute_uv=False)
-            if s[-1] <= tol.rank_rel * len(s) * s[0]:
+            if s[-1] <= RANK_REL * len(s) * s[0]:
                 raise PreconditionError(f"{name} is numerically singular")
         return self
 
 
-def stratum_index(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> StratumIndex:
+def stratum_index(b, a) -> int:
     """Index of B relative to A, with a three-way consistency check.
 
     Null-projector index, negated range-projector index and the rank
     difference are all computed; disagreement raises ConsistencyError.
     """
-    return StratumIndex(index_from_svds(*_svd_pair(b, a, tol)))
+    return index_from_svds(*_svd_pair(b, a))
 
 
-def _svd_pair(b, a, tol: ToleranceConfig):
+def _svd_pair(b, a):
     """SVDs of B and A, which must have the same shape."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise PreconditionError("A and B must have the same shape")
-    return svd(b, tol), svd(a, tol)
+    return svd(b), svd(a)
 
 
 def index_from_svds(sb: SvdResult, sa: SvdResult) -> int:
-    """stratum_index(B, A).k from the SVDs of B and A, taking none itself."""
+    """stratum_index(B, A) from the SVDs of B and A, taking none itself."""
     return _index_overlap(sb, sa)[0]
 
 
@@ -108,10 +103,10 @@ def _index_overlap(sb: SvdResult, sa: SvdResult) -> tuple:
     return k_null, overlap
 
 
-def index_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> IndexRange:
+def index_range(a) -> IndexRange:
     """Admissible indices around A: -min(dim N(A), dim R(A)^perp) .. dim N(A)^perp."""
     a = as_matrix(a)
-    return index_range_from_svd(svd(a, tol))
+    return index_range_from_svd(svd(a))
 
 
 def index_range_from_svd(res: SvdResult) -> IndexRange:
@@ -123,41 +118,39 @@ def index_range_from_svd(res: SvdResult) -> IndexRange:
     return IndexRange(-min(n1, n3), n2)
 
 
-def stratum_representative(a, k: StratumIndex | int,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def stratum_representative(a, k: int) -> np.ndarray:
     """A concrete element of the index-k stratum around A.
 
     k = 0 returns A itself; k < 0 adds a partial isometry from N(A) into
     R(A)^perp; k > 0 compresses A onto a corank-k subspace of N(A)^perp.
     """
     a = as_matrix(a)
-    return representative_from_svd(a, svd(a, tol), k)
+    return representative_from_svd(a, svd(a), k)
 
 
-def representative_from_svd(a, res: SvdResult, k: StratumIndex | int) -> np.ndarray:
+def representative_from_svd(a, res: SvdResult, k: int) -> np.ndarray:
     """stratum_representative from A and its SVD."""
     a = as_matrix(a)
-    kk = k.k if isinstance(k, StratumIndex) else int(k)
     r = res.rank
-    if kk not in index_range_from_svd(res):
-        raise PreconditionError(f"index {kk} outside the admissible range")
-    if kk == 0:
+    if k not in index_range_from_svd(res):
+        raise PreconditionError(f"index {k} outside the admissible range")
+    if k == 0:
         return a.copy()
-    if kk < 0:
-        right = res.null_basis[:, :-kk]             # -k vectors in N(A)
-        left = res.corange_basis[:, :-kk]           # -k vectors in R(A)^perp
+    if k < 0:
+        right = res.null_basis[:, :-k]              # -k vectors in N(A)
+        left = res.corange_basis[:, :-k]            # -k vectors in R(A)^perp
         return a + left @ right.conj().T
-    v_keep = res.row_basis[:, : r - kk]             # corank-k subspace of N(A)^perp
+    v_keep = res.row_basis[:, : r - k]              # corank-k subspace of N(A)^perp
     return a @ (v_keep @ v_keep.conj().T)
 
 
-def act(gk: GroupPair, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def act(gk: GroupPair, b) -> np.ndarray:
     """Apply (G, K) . B = G B K^{-1}; preserves the stratum of B."""
-    gk.validate(tol)
+    gk.validate()
     return gk.G @ as_matrix(b) @ np.linalg.inv(gk.K)
 
 
-def transitivity_witness(b1, b2, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPair:
+def transitivity_witness(b1, b2) -> GroupPair:
     """Explicit (G, K) with G B1 K^{-1} = B2 for equal-rank B1, B2.
 
     From SVDs B1 = U1 S1 V1*, B2 = U2 S2 V2* with common rank r:
@@ -168,8 +161,8 @@ def transitivity_witness(b1, b2, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPai
     b2 = as_matrix(b2)
     if b1.shape != b2.shape:
         raise PreconditionError("B1 and B2 must have the same shape")
-    r1 = svd(b1, tol)
-    r2 = svd(b2, tol)
+    r1 = svd(b1)
+    r2 = svd(b2)
     if r1.rank != r2.rank:
         raise StratumError(
             f"no witness exists across strata: rank {r1.rank} vs {r2.rank}"
@@ -181,10 +174,10 @@ def transitivity_witness(b1, b2, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPai
     scale[r:, r:] = np.eye(m - r)
     g = r2.U @ scale @ r1.U.conj().T
     k = r2.Vt.conj().T @ r1.Vt
-    return GroupPair(g, k).validate(tol)
+    return GroupPair(g, k).validate()
 
 
-def local_section_sigma(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPair:
+def local_section_sigma(a, b) -> GroupPair:
     """Local cross-section of the action at A, evaluated at nearby B.
 
     sigma_1 = B A^+ + (I - P_R(B))(I - P_R(A)) and
@@ -192,7 +185,7 @@ def local_section_sigma(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPair:
     invertible for B close to A in the zero stratum, and
     sigma_1 A sigma_2^{-1} = B.
     """
-    rb, ra = _svd_pair(b, a, tol)
+    rb, ra = _svd_pair(b, a)
     if index_from_svds(rb, ra) != 0:
         raise StratumError("the section is only defined on the zero stratum")
     b = as_matrix(b)
@@ -202,15 +195,14 @@ def local_section_sigma(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> GroupPair:
     s2 = rb.null_proj @ ra.null_proj + (ident_n - rb.null_proj) @ (ident_n - ra.null_proj)
     for name, m in (("first", s1), ("second", s2)):
         s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= tol.rank_rel * len(s) * max(s[0], 1.0):
+        if s[-1] <= RANK_REL * len(s) * max(s[0], 1.0):
             raise OutsideNeighborhoodError(
                 f"{name} section component singular; B too far from A"
             )
     return GroupPair(s1, s2)
 
 
-def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def approximate_in_stratum(b, a, k_target: int, eps: float) -> np.ndarray:
     """Perturb B by at most eps (any gauge) into the index-k_target stratum.
 
     Only rank-increasing moves are possible under small perturbations;
@@ -218,16 +210,15 @@ def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
     bumps B on an m-dimensional subspace of N(B) by a partial isometry
     into R(B)^perp scaled by eps/m, where m is the required rank jump.
     """
-    rb, ra = _svd_pair(b, a, tol)
+    rb, ra = _svd_pair(b, a)
     b = as_matrix(b)
-    kk = k_target.k if isinstance(k_target, StratumIndex) else int(k_target)
-    if kk not in index_range_from_svd(ra):
-        raise PreconditionError(f"index {kk} outside the admissible range")
-    m_jump = (ra.rank - kk) - rb.rank
+    if k_target not in index_range_from_svd(ra):
+        raise PreconditionError(f"index {k_target} outside the admissible range")
+    m_jump = (ra.rank - k_target) - rb.rank
     if m_jump < 0:
         raise ObstructionError(
             "rank can only increase under arbitrarily small perturbations; "
-            f"target rank {ra.rank - kk} < rank(B) = {rb.rank}"
+            f"target rank {ra.rank - k_target} < rank(B) = {rb.rank}"
         )
     if m_jump == 0:
         return b.copy()
@@ -236,13 +227,13 @@ def approximate_in_stratum(b, a, k_target: StratumIndex | int, eps: float,
     right = rb.null_basis[:, :m_jump]          # inside N(B)
     left = rb.corange_basis[:, :m_jump]        # inside R(B)^perp
     out = b + (eps / m_jump) * (left @ right.conj().T)
-    got = index_from_svds(svd(out, tol), ra)
-    if got != kk:
-        raise ConsistencyError(f"bump landed in stratum {got}, wanted {kk}")
+    got = index_from_svds(svd(out), ra)
+    if got != k_target:
+        raise ConsistencyError(f"bump landed in stratum {got}, wanted {k_target}")
     return out
 
 
-def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def correct_to_stratum_zero(a, b) -> np.ndarray:
     """Low-rank correction C with B + C in the zero stratum of A.
 
     For k < 0 the correction kills B on a subspace of N(A) ∩ N(B)^perp
@@ -250,7 +241,7 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     N(B) ∩ N(A)^perp (C = A P).  rank(C) = |k| and the gauge norm of C
     is controlled by the distance from A to B.
     """
-    sb, sa = _svd_pair(b, a, tol)
+    sb, sa = _svd_pair(b, a)
     a = as_matrix(a)
     b = as_matrix(b)
     k = index_from_svds(sb, sa)
@@ -271,7 +262,7 @@ def correct_to_stratum_zero(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     # (X sub) sub* rather than X (sub sub*): the product then has rank
     # |k| to roundoff relative to C, not relative to B or A
     c = (-b @ sub if k < 0 else a @ sub) @ sub.conj().T
-    if index_from_svds(svd(b + c, tol), sa) != 0:
+    if index_from_svds(svd(b + c), sa) != 0:
         raise ConsistencyError("correction failed to reach the zero stratum")
     return c
 
@@ -327,8 +318,7 @@ class ContinuityReport:
 BOUNDEDNESS_FACTOR = 10.0
 
 
-def continuity_report(b, seq, n0: int, g: GaugeNorm,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> ContinuityReport:
+def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
     """Evaluate the six equivalent continuity conditions on seq -> B.
 
     Diagnostic only: never raises on failing conditions.  The report is
@@ -343,12 +333,12 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
         raise PreconditionError("n0 must index into the sequence")
     if any(bn.shape != b.shape for bn in seq):
         raise PreconditionError("sequence terms must have the shape of B")
-    rb = moore_penrose(b, tol)
+    rb = moore_penrose(b)
     norm_b_pinv = rb.pinv_norm
     norm_b = float(rb.singular_values[0])
     rows = []
     for n, bn in enumerate(seq):
-        rn = moore_penrose(bn, tol)
+        rn = moore_penrose(bn)
         null_gaps = np.linalg.svd(rn.null_proj - rb.null_proj, compute_uv=False)
         # the overlap N(B) ∩ N(B_n)^perp is a term of the index of B_n
         index, inter = _index_overlap(rn, rb)
@@ -367,12 +357,12 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
         (norm_last * norm_b
          + (BOUNDEDNESS_FACTOR * norm_b_pinv) ** 2 + norm_b_pinv**2)
         * last_input_gap
-        + tol.residual_abs
+        + RESIDUAL_ABS
     )
     verdicts = {
         "index_zero": all(r.index == 0 for r in tail),
         "pinv_bounded": max(r.pinv_norm for r in tail)
-        <= BOUNDEDNESS_FACTOR * max(norm_b_pinv, tol.residual_abs),
+        <= BOUNDEDNESS_FACTOR * max(norm_b_pinv, RESIDUAL_ABS),
         "pinv_gap_vanishes": last.pinv_gap <= iii_threshold,
         "nullproj_gauge_below_one": all(
             r.nullproj_gap_gauge < 1.0 - GAP_MARGIN for r in tail
@@ -389,11 +379,11 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm,
 # The pseudoinverse as a map between strata, and its tangent map.
 
 
-def mp_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def mp_map(b, a) -> np.ndarray:
     """B -> B^+, asserting that the stratum index is preserved relative to A^+."""
-    rb, ra = _svd_pair(b, a, tol)
+    rb, ra = _svd_pair(b, a)
     k = index_from_svds(rb, ra)
-    k_image = stratum_index(rb.pinv, ra.pinv, tol).k
+    k_image = stratum_index(rb.pinv, ra.pinv)
     if k_image != k:
         raise ConsistencyError(
             f"pseudoinverse map moved stratum index from {k} to {k_image}"
@@ -401,15 +391,14 @@ def mp_map(b, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return rb.pinv
 
 
-def tangent_membership(b, z, tol: ToleranceConfig = DEFAULT_TOL,
-                       return_witness: bool = False):
+def tangent_membership(b, z, return_witness: bool = False):
     """Test whether Z is tangent at B, i.e. Z = X B - B Y for some X, Y.
 
     Equivalent to the vanishing of the corner block
     (I - P_R(B)) Z P_N(B); when a witness is requested the explicit
     (X, Y) = ((I - P_R(B)) Z B^+, -B^+ Z) pair is returned.
     """
-    rb, z, ok = _tangent(b, z, tol)
+    rb, z, ok = _tangent(b, z)
     if not return_witness:
         return ok
     ident_m = np.eye(z.shape[0], dtype=complex)
@@ -418,27 +407,27 @@ def tangent_membership(b, z, tol: ToleranceConfig = DEFAULT_TOL,
     return ok, (x, y)
 
 
-def _tangent(b, z, tol: ToleranceConfig):
+def _tangent(b, z):
     """svd(B), Z, and whether the corner block (I - P_R(B)) Z P_N(B) vanishes."""
     b = as_matrix(b)
     z = as_matrix(z)
     if b.shape != z.shape:
         raise PreconditionError("B and Z must have the same shape")
-    rb = svd(b, tol)
+    rb = svd(b)
     corner = (np.eye(z.shape[0]) - rb.range_proj) @ z @ rb.null_proj
     scale = float(np.linalg.norm(z))
-    return rb, z, float(np.linalg.norm(corner)) <= max(tol.residual_abs,
+    return rb, z, float(np.linalg.norm(corner)) <= max(RESIDUAL_ABS,
                                                        IDENTITY_REL * scale)
 
 
-def mp_tangent(b, v, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def mp_tangent(b, v) -> np.ndarray:
     """Derivative of the pseudoinverse map at B in the tangent direction V.
 
     -B^+ V B^+ + (B*B)^+ V* (I - B B^+) + (I - B^+ B) V* (B B*)^+, with
     (B*B)^+ = B^+ B^+* and (BB*)^+ = B^+* B^+ read from the one SVD of B,
     which also checks that V is tangent (PreconditionError otherwise).
     """
-    rb, v, tangent = _tangent(b, v, tol)
+    rb, v, tangent = _tangent(b, v)
     if not tangent:
         raise PreconditionError("V is not tangent at B (corner block nonzero)")
     b_pinv = rb.pinv

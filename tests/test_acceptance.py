@@ -315,12 +315,12 @@ def test_criterion_12_index_bookkeeping():
             continue
         b = generate.rank_preserving_perturbation(
             rng, strata.stratum_representative(a, k_target), 0.02)
-        k = strata.stratum_index(b, a).k
+        k = strata.stratum_index(b, a)
         pa, pb = polar.polar_decompose(a), polar.polar_decompose(b)
         checks = (
-            strata.stratum_index(pinv_matrix(b), pinv_matrix(a)).k,
-            strata.stratum_index(pb.modulus, pa.modulus).k,
-            strata.stratum_index(pb.polar_factor, pa.polar_factor).k,
+            strata.stratum_index(pinv_matrix(b), pinv_matrix(a)),
+            strata.stratum_index(pb.modulus, pa.modulus),
+            strata.stratum_index(pb.polar_factor, pa.polar_factor),
         )
         if any(c != k for c in checks):
             violations += 1

@@ -187,6 +187,17 @@ def test_subcommands_reject_options_they_do_not_read(capsys, matrix_file):
     assert cli.main(["taylor", "--trials", "3"]) == 2
 
 
+# matrix JSON whose data is not a list, or whose rows/cols are not integers
+MALFORMED_MATRICES = {
+    "data_null": {"rows": 1, "cols": 1, "data": None},
+    "data_number": {"rows": 1, "cols": 1, "data": 5},
+    "rows_float": {"rows": 1.5, "cols": 1, "data": [[1.0, 0.0]]},
+    "cols_float": {"rows": 1, "cols": 2.0, "data": [[1.0, 0.0], [2.0, 0.0]]},
+    "rows_string": {"rows": "1", "cols": 1, "data": [[1.0, 0.0]]},
+    "rows_bool": {"rows": True, "cols": 1, "data": [[1.0, 0.0]]},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--gauge", "sp:abc"],
     ["census", "--gauge", "kyfan:x"],
@@ -194,11 +205,14 @@ def test_subcommands_reject_options_they_do_not_read(capsys, matrix_file):
     ["census", "--gauge", "kyfan:1.5"],
     ["taylor", "--mmax", "0"],
     ["taylor", "--function", "atomic:{bad_json}"],
-])
+] + [["pinv", "--input", f"{{{name}}}"] for name in MALFORMED_MATRICES])
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
-    bad_json = tmp_path / "f.json"
-    bad_json.write_text("{not json")
-    code = cli.main([a.format(bad_json=bad_json) for a in argv])
+    files = {"bad_json": tmp_path / "f.json"}
+    files["bad_json"].write_text("{not json")
+    for name, obj in MALFORMED_MATRICES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj))
+    code = cli.main([a.format(**files) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")

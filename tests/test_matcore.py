@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pinvlab
 from pinvlab import generate, monotone, polar
 from pinvlab.errors import PreconditionError, StratumError
 from pinvlab.matcore import (
-    DEFAULT_TOL,
     FROBENIUS_NORM,
     GaugeNorm,
     OP_NORM,
+    RANK_REL,
+    RESIDUAL_ABS,
     TRACE_NORM,
-    ToleranceConfig,
     as_matrix,
     eigh,
     gauge_norm,
@@ -48,11 +50,29 @@ def test_as_matrix_rejects_empty():
         as_matrix(np.zeros((0, 2)))
 
 
-def test_tolerance_config_validation():
-    with pytest.raises(PreconditionError):
-        ToleranceConfig(rank_rel=0.0)
-    cfg = ToleranceConfig(rank_rel=1e-12)
-    assert cfg.rank_rel == 1e-12
+def test_tolerances_are_constants_not_parameters():
+    # the rank cutoff and residual floor live in matcore; no routine takes
+    # a tolerance argument that could disagree with them
+    assert RANK_REL == RESIDUAL_ABS == 1e-10
+    checked = 0
+    for mod_name in pinvlab.__all__:
+        module = getattr(pinvlab, mod_name)
+        if not inspect.ismodule(module):
+            continue
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                callables = [getattr(obj, name) for name in vars(obj)]
+            else:
+                callables = [obj]
+            for fn in callables:
+                if not (inspect.isfunction(fn) or inspect.ismethod(fn)):
+                    continue
+                params = inspect.signature(fn).parameters
+                assert not {"tol", "tail_tol"} & set(params), fn
+                checked += 1
+    assert checked > 100
 
 
 @given(seeds, dims, dims)
@@ -239,7 +259,7 @@ def test_rank_cutoff_boundary(factor):
     q = generate.unitary(generate.rng_from_seed(3), n)
     w = np.array([2.0, 1.5, 1.0, 0.7, 0.0])
     d = (q[:, ::-1] * w) @ q[:, ::-1].conj().T           # rank n - 1
-    w[-1] = factor * DEFAULT_TOL.rank_rel * n * w[0]
+    w[-1] = factor * RANK_REL * n * w[0]
     c = (q * w) @ q.conj().T
     _, _, rank = psd_eigh(c)
     assert rank == svd(c).rank == (n - 1 if factor < 1 else n)

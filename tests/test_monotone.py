@@ -297,22 +297,24 @@ def test_taylor_term_matches_resolvent_products(rng, f):
 
 
 def test_riemann_matches_resolvent_products(rng):
-    # R_p = Σ m_i (t_i I + C)^{-1} (D - C) (t_i I + D)^{-1}, t_i the right endpoints
+    # R_p = Σ m_i (t_i I + C)^{-1} (D - C) (t_i I + D)^{-1}, t_i the right
+    # endpoints; at p = 9 the 32768 cells are summed in four blocks
     c = generate.positive_definite(rng, 4)
     d = generate.positive_definite(rng, 4)
-    p, t_max = 3, 64.0
-    report = monotone.riemann_sum(SQRT, c, d, p, t_max)
 
     def h(t):
         return _inv_resolvents(t, c) @ (d - c) @ _inv_resolvents(t, d)
-    width = 2.0**-p
-    rights = width * np.arange(1, int(t_max / width) + 1)
-    masses = [monotone.measure_mass(SQRT, b - width, min(b, t_max)) for b in rights]
-    value = np.einsum("m,mij->ij", masses, h(rights))
+    t_max = 64.0
     reference = monotone.measure_integral(SQRT, h, t_max=t_max)
-    assert np.linalg.norm(report.value - value) <= 1e-10 * np.linalg.norm(value)
-    gap = np.linalg.norm(report.reference - reference)
-    assert gap <= 1e-10 * np.linalg.norm(reference)
+    for p in (3, 9):
+        report = monotone.riemann_sum(SQRT, c, d, p, t_max)
+        width = 2.0**-p
+        rights = width * np.arange(1, int(t_max / width) + 1)
+        masses = monotone.measure_mass(SQRT, rights - width, np.minimum(rights, t_max))
+        value = np.einsum("m,mij->ij", masses, h(rights))
+        assert np.linalg.norm(report.value - value) <= 1e-10 * np.linalg.norm(value)
+        gap = np.linalg.norm(report.reference - reference)
+        assert gap <= 1e-10 * np.linalg.norm(reference)
 
 
 def test_scalar_eval_vectorized():
@@ -461,6 +463,24 @@ def test_riemann_sum_refuses_too_many_cells(rng):
     monotone.riemann_sum(SQRT, c, 2.0 * c, 12, t_max)
     with pytest.raises(PreconditionError):
         monotone.riemann_sum(SQRT, c, 2.0 * c, 12, t_max + 2.0**-12)
+
+
+def test_riemann_sum_memory_does_not_grow_with_d():
+    # 2^18 cells are summed 2^13 at a time: the (cells, d) resolvent
+    # samples of one block, not of all cells, are held at once
+    def peak(dim):
+        rng = generate.rng_from_seed(0)
+        c = generate.positive_definite(rng, dim)
+        d = generate.positive_definite(rng, dim)
+        monotone.riemann_sum(SQRT, c, d, 4, 64.0)
+        tracemalloc.start()
+        try:
+            monotone.riemann_sum(SQRT, c, d, 12, 64.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) - peak(4) <= 2 * 2**20
 
 
 def test_riemann_truncation_error(rng):

@@ -20,7 +20,7 @@ def test_stratum_index_of_representative(seed, k):
     a = generate.fixed_rank(np.random.default_rng(seed), 6, 6, 3)
     assert k in strata.index_range(a)
     b = strata.stratum_representative(a, k)
-    assert strata.stratum_index(b, a).k == k
+    assert strata.stratum_index(b, a) == k
 
 
 def test_index_range_values(rng):
@@ -39,8 +39,12 @@ def test_stratum_index_shape_mismatch():
 
 def test_representative_outside_range(rng):
     a = generate.fixed_rank(rng, 4, 4, 2)
-    with pytest.raises(PreconditionError):
-        strata.stratum_representative(a, 5)
+    # an index is an int: 1.0 and "1" are not in the admissible range
+    for k in (5, 1.0, 0.5, "1"):
+        with pytest.raises(PreconditionError):
+            strata.stratum_representative(a, k)
+        with pytest.raises(PreconditionError):
+            strata.approximate_in_stratum(a, a, k, 0.1)
 
 
 def test_representative_zero_is_copy(rng):
@@ -57,7 +61,7 @@ def test_group_action_preserves_stratum(seed):
     gk = strata.GroupPair(generate.near_identity(rng, 5, 0.1),
                           generate.near_identity(rng, 5, 0.1))
     b = strata.act(gk, a)
-    assert strata.stratum_index(b, a).k == 0
+    assert strata.stratum_index(b, a) == 0
 
 
 def test_act_rejects_singular_group_element(rng):
@@ -111,7 +115,7 @@ def test_approximate_in_stratum_rank_increase(seed):
     a = generate.fixed_rank(rng, 5, 5, 3)
     b = strata.stratum_representative(a, 1)          # rank 2
     out = strata.approximate_in_stratum(b, a, 0, 1e-6)
-    assert strata.stratum_index(out, a).k == 0
+    assert strata.stratum_index(out, a) == 0
     assert np.linalg.norm(out - b, 2) <= 1e-6 * (1 + 1e-9)
 
 
@@ -140,7 +144,7 @@ def test_correct_to_stratum_zero(seed, k):
             rng, strata.stratum_representative(a, k), 0.01)
     c = strata.correct_to_stratum_zero(a, b)
     assert np.linalg.matrix_rank(c) == abs(k)
-    assert strata.stratum_index(b + c, a).k == 0
+    assert strata.stratum_index(b + c, a) == 0
     dist = gauge_norm(a - b, OP_NORM)
     assert gauge_norm(c, OP_NORM) <= dist * (1 + 1e-9)
 
