@@ -34,6 +34,7 @@ from .matcore import (
     gauge_norm,
     load_matrix,
     matrix_to_json,
+    psd_eigh,
     save_matrix,
     svd,
 )
@@ -139,7 +140,7 @@ def cmd_continuity(args) -> int:
         if kind == "in_stratum":
             seq = generate.in_stratum_family(rng, b, 8)
         else:
-            seq = generate.jump_family(rng, b, 8)
+            seq = generate.jump_family(b, 8)
         report = strata.continuity_report(b, seq, n0=2, g=g)
         for row in report.rows:
             lines.append(
@@ -178,13 +179,14 @@ def cmd_taylor(args) -> int:
     f = _load_function(args.function)
     d = args.dim
     c = generate.positive_definite(rng, d)
-    gamma = float(np.linalg.eigvalsh(c)[0])
+    eig = psd_eigh(c)       # serves the radius, f(C) and every Taylor term
+    gamma = float(eig.w[0])
     delta = generate.hermitian(rng, d)
     delta *= args.delta_scale * gamma / gauge_norm(delta, g)
     # Radius check: bounds are undefined at or beyond the series radius.
-    monotone.taylor_remainder_bound(f, c, delta, 1, g)
+    monotone.taylor_remainder_bound(f, eig, delta, 1, g)
     dist = gauge_norm(delta, g)
-    fc = monotone.matrix_eval_spectral(f, c)
+    fc = monotone.matrix_eval_spectral(f, eig)
     target = monotone.matrix_eval_spectral(f, c + delta)
     tail_coeff = float(monotone.measure_integral(
         f, lambda t: (t + gamma) ** -2.0))
@@ -192,7 +194,7 @@ def cmd_taylor(args) -> int:
     lines = ["m,remainder_gauge,bound_gauge,ratio"]
     ok = True
     for m in range(1, args.mmax + 1):
-        partial = partial + monotone.taylor_term(f, c, delta, m)
+        partial = partial + monotone.taylor_term(f, eig, delta, m)
         remainder = gauge_norm(target - partial, g)
         ratio_rad = dist / gamma
         bound = tail_coeff * ratio_rad**m * dist / (1.0 - ratio_rad)
@@ -209,15 +211,15 @@ def cmd_census(args) -> int:
     d = args.dim
     a = generate.fixed_rank(rng, d, d, max(1, d - 1))
     res_a = svd(a)      # serves the index range, every representative and index
-    admissible = strata.index_range_from_svd(res_a)
+    admissible = strata.index_range(res_a)
     ks = list(range(admissible.k_min, admissible.k_max + 1))
     lines = ["trial,k,pinv_norm,dist_gauge"]
     for trial in range(args.trials):
         k_target = ks[trial % len(ks)]
-        rep = strata.representative_from_svd(a, res_a, k_target)
+        rep = strata.stratum_representative(res_a, k_target)
         b = generate.rank_preserving_perturbation(rng, rep, 0.02)
         rb = pinv.moore_penrose(b)
-        k = strata.index_from_svds(rb, res_a)
+        k = strata.stratum_index(rb, res_a)
         if k != k_target:
             raise ConsistencyError(
                 f"census sample landed in stratum {k}, wanted {k_target}")
@@ -233,17 +235,20 @@ def cmd_fiber(args) -> int:
     r = max(1, d // 2)
     a = generate.fixed_rank(rng, d, d, r)
     # both charts' base points, from one SVD of A, factorized once per run
-    base = polar.ModulusBase.of(a)
-    v0 = base.polar_factor()
+    res_a = svd(a)
+    parts_a = polar.polar_decompose(res_a)
+    c0 = psd_eigh(parts_a.modulus)
+    v0 = polar.PartialIsometry(parts_a.polar_factor)
     alpha_res, v_res = [], []
     outside = 0
     for _ in range(args.trials):
         b = generate.rank_preserving_perturbation(rng, a, 0.05)
         try:
-            mod, fib = polar.trivialize_alpha(b, base)
-            back = polar.trivialize_alpha_inverse(mod, fib, base)
+            parts = polar.polar_decompose(b)    # serves both charts
+            mod, fib = polar.trivialize_alpha(parts, c0, res_a)
+            back = polar.trivialize_alpha_inverse(mod, fib, c0)
             alpha_res.append(float(np.linalg.norm(back - b)))
-            fac, fib = polar.trivialize_v(b, v0)
+            fac, fib = polar.trivialize_v(parts, v0)
             back = polar.trivialize_v_inverse(fac, fib, v0)
             v_res.append(float(np.linalg.norm(back - b)))
         except OutsideNeighborhoodError:

@@ -74,7 +74,7 @@ def rank_preserving_perturbation(rng, b, scale: float) -> np.ndarray:
     return near_identity(rng, m, scale) @ b @ near_identity(rng, n, scale)
 
 
-def rank_jump_perturbation(rng, b, eps: float) -> np.ndarray:
+def rank_jump_perturbation(b, eps: float) -> np.ndarray:
     """B plus eps times a partial isometry from N(B) into R(B)^perp.
 
     Raises PreconditionError when B has neither nullspace nor corange to
@@ -96,9 +96,9 @@ def in_stratum_family(rng, b, length: int, scale: float = 0.2) -> list:
             for k in range(length)]
 
 
-def jump_family(rng, b, length: int, scale: float = 0.2) -> list:
+def jump_family(b, length: int, scale: float = 0.2) -> list:
     """Convergent sequence B_n -> B whose tail sits in a lower stratum."""
-    return [rank_jump_perturbation(rng, b, scale * 0.5**k)
+    return [rank_jump_perturbation(b, scale * 0.5**k)
             for k in range(length)]
 
 

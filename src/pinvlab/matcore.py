@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +52,12 @@ RIEMANN_TAIL_REL = 0.1      # a Riemann sum's truncation tail beyond t_max stays
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a 2-d complex array with finite entries."""
+    """Validate and return ``a`` as a 2-d complex array with finite entries.
+
+    An ``SvdResult`` or ``PsdEig`` gives the matrix it factorizes, as is.
+    """
+    if isinstance(a, (SvdResult, PsdEig)):
+        return a.matrix
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise PreconditionError(f"expected a 2-d array, got shape {m.shape}")
@@ -210,6 +214,7 @@ class SvdResult:
     The four fundamental subspaces of A, A^+, gamma(A) and the range/null
     projectors are read off the factors; no further factorization is
     needed.  A^+ and the projectors are built on first read and kept.
+    ``matrix`` is A itself, as validated by ``as_matrix``.
     """
 
     U: np.ndarray        # rows x rows, unitary
@@ -217,6 +222,7 @@ class SvdResult:
     Vt: np.ndarray       # cols x cols, rows of V-conjugate-transpose
     rank: int
     rank_tolerance: float
+    matrix: np.ndarray
 
     @property
     def range_basis(self) -> np.ndarray:
@@ -272,8 +278,10 @@ def svd(a) -> SvdResult:
 
     rank_tolerance = RANK_REL * max(m, n) * sigma_1; the zero matrix
     gets tolerance 0 and rank 0.  LAPACK convergence failures are
-    re-raised as ConvergenceError.
+    re-raised as ConvergenceError.  An ``SvdResult`` is returned as is.
     """
+    if isinstance(a, SvdResult):
+        return a
     m = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=True)
@@ -282,7 +290,7 @@ def svd(a) -> SvdResult:
     sigma1 = float(s[0]) if s.size else 0.0
     cutoff = RANK_REL * max(m.shape) * sigma1
     rank = int(np.sum(s > cutoff))
-    return SvdResult(u, s, vt, rank, cutoff)
+    return SvdResult(u, s, vt, rank, cutoff, m)
 
 
 def eigh(h):
@@ -309,16 +317,19 @@ def eigh(h):
     return q, w
 
 
-class PsdEig(NamedTuple):
+@dataclass(frozen=True)
+class PsdEig:
     """C = Q diag(w) Q* for PSD C, w ascending with below-cutoff values 0.
 
     The last ``rank`` columns of Q span R(C), the others N(C).  Roots,
     pseudoinverse and projectors are built on each call, not kept.
+    ``matrix`` is C itself, as validated by ``as_matrix``.
     """
 
     Q: np.ndarray
     w: np.ndarray
     rank: int
+    matrix: np.ndarray
 
     @property
     def range_basis(self) -> np.ndarray:
@@ -365,8 +376,12 @@ def psd_eigh(c) -> PsdEig:
     """Spectral decomposition of a Hermitian positive semidefinite matrix.
 
     Eigenvalues below -HERMITIAN_REL max(|w|, 1) are rejected; those at or below
-    the rank cutoff RANK_REL * n * max|w| are set to 0.
+    the rank cutoff RANK_REL * n * max|w| are set to 0.  A ``PsdEig`` is
+    returned as is.
     """
+    if isinstance(c, PsdEig):
+        return c
+    c = as_matrix(c)
     q, w = eigh(c)
     scale = float(np.max(np.abs(w)))
     if w[0] < -HERMITIAN_REL * max(scale, 1.0):
@@ -374,4 +389,4 @@ def psd_eigh(c) -> PsdEig:
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
         )
     w = np.where(w > RANK_REL * len(w) * scale, w, 0.0)
-    return PsdEig(q, w, int(np.count_nonzero(w)))
+    return PsdEig(q, w, int(np.count_nonzero(w)), c)

@@ -46,6 +46,7 @@ from .matcore import (
     RIEMANN_TAIL_REL,
     GaugeNorm,
     OP_NORM,
+    PsdEig,
     as_matrix,
     gauge_norm,
     psd_eigh,
@@ -313,25 +314,21 @@ def scalar_eval(f: MonotoneFunction, lam, skip_cache: bool = False):
     return vals if skip_cache else np.where(lam == 0.0, f.f0, vals)
 
 
-def _pd_eigs(c):
-    """psd_eigh of a matrix that must be positive definite: (Q, w)."""
-    q, w, rank = psd_eigh(c)
-    if rank < len(w):
+def _pd_eigh(c) -> PsdEig:
+    """psd_eigh of a matrix that must be positive definite."""
+    eig = psd_eigh(c)
+    if eig.rank < len(eig.w):
         raise PreconditionError("matrix must be positive definite")
-    return q, w
-
-
-def _spectral(f: MonotoneFunction, q, w) -> np.ndarray:
-    """f(C) from the eigenpairs (Q, w) of C."""
-    out = (q * scalar_eval(f, w)) @ q.conj().T
-    return 0.5 * (out + out.conj().T)
+    return eig
 
 
 def matrix_eval_spectral(f: MonotoneFunction, c) -> np.ndarray:
     """f(C) through the spectral theorem: scalar f applied to eigenvalues,
-    those at or below the rank cutoff taken as 0 (as in the integral route)."""
-    q, w, _ = psd_eigh(c)
-    return _spectral(f, q, w)
+    those at or below the rank cutoff taken as 0 (as in the integral route).
+    C is a matrix or its psd_eigh."""
+    eig = psd_eigh(c)
+    out = (eig.Q * scalar_eval(f, eig.w)) @ eig.Q.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
@@ -340,10 +337,10 @@ def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
     alpha I + beta C - ∫((tI+C)^{-1} - t/(t^2+1) I) dν(t).  A singular C
     is split into its range block (where the compression is positive
     definite and the integral applies) and its nullspace block (where
-    the value is f(0) times the projector).
+    the value is f(0) times the projector).  C is a matrix or its psd_eigh.
     """
-    c = as_matrix(c)
     eig = psd_eigh(c)
+    c = eig.matrix
     d = c.shape[0]
     if eig.rank < d:
         if eig.rank == 0:
@@ -374,18 +371,19 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
     f_1(D) = beta D + ∫ R D R dν and, for n >= 2,
     f_n(D) = (-1)^{n+1} ∫ (R D)^n R dν with R = (tI+C)^{-1}.  The
     integrand is (R X)^n R in the eigenbasis Q of C, where R is diagonal
-    and X = Q* Delta Q; the integral is conjugated back once.
+    and X = Q* Delta Q; the integral is conjugated back once.  C is a
+    matrix or its psd_eigh.
     """
     if n < 1:
         raise PreconditionError("term order must be >= 1")
-    c = as_matrix(c)
     delta = as_matrix(delta)
-    if c.shape != delta.shape:
+    if as_matrix(c).shape != delta.shape:
         raise PreconditionError("C and Delta must have the same shape")
     if np.linalg.norm(delta - delta.conj().T) > HERMITIAN_REL * max(
             1.0, np.linalg.norm(delta)):
         raise PreconditionError("Delta must be Hermitian")
-    q, w = _pd_eigs(c)
+    eig = _pd_eigh(c)
+    q, w = eig.Q, eig.w
     x = q.conj().T @ delta @ q
 
     def fn(t):
@@ -410,11 +408,12 @@ def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
 
     (beta + ∫(t+gamma_C)^{-2} dν) ||Delta|| for n = 1 and
     ∫(t+gamma_C)^{-(n+1)} dν ||Delta||^n for n >= 2; requires
-    ||Delta||_g < gamma_C so the series radius is respected.
+    ||Delta||_g < gamma_C so the series radius is respected.  C is a
+    matrix or its psd_eigh.
     """
     if n < 1:
         raise PreconditionError("term order must be >= 1")
-    gamma = float(_pd_eigs(c)[1][0])
+    gamma = float(_pd_eigh(c).w[0])
     dist = gauge_norm(delta, g)
     if dist >= gamma:
         raise OutsideNeighborhoodError(
@@ -428,19 +427,19 @@ def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
 
 def perturbation_bound(f: MonotoneFunction, c, d,
                        g: GaugeNorm = OP_NORM) -> BoundReport:
-    """Gauge bound ||f(D)-f(C)|| <= ||D-C|| (beta + ∫ dν/((t+γ_C)(t+γ_D)))."""
-    c = as_matrix(c)
-    d = as_matrix(d)
-    if c.shape != d.shape:
+    """Gauge bound ||f(D)-f(C)|| <= ||D-C|| (beta + ∫ dν/((t+γ_C)(t+γ_D))).
+
+    C and D are matrices or their psd_eighs.
+    """
+    if as_matrix(c).shape != as_matrix(d).shape:
         raise PreconditionError("C and D must have the same shape")
-    qc, wc = _pd_eigs(c)
-    qd, wd = _pd_eigs(d)
-    gamma_c, gamma_d = float(wc[0]), float(wd[0])
-    dist = gauge_norm(d - c, g)
+    ec, ed = _pd_eigh(c), _pd_eigh(d)
+    gamma_c, gamma_d = float(ec.w[0]), float(ed.w[0])
+    dist = gauge_norm(ed.matrix - ec.matrix, g)
     coeff = float(measure_integral(
         f, lambda t: 1.0 / ((t + gamma_c) * (t + gamma_d))))
     bound = dist * (f.beta + coeff)
-    actual = gauge_norm(_spectral(f, qd, wd) - _spectral(f, qc, wc), g)
+    actual = gauge_norm(matrix_eval_spectral(f, ed) - matrix_eval_spectral(f, ec), g)
     return BoundReport(True, bound, actual)
 
 
@@ -480,7 +479,8 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
     and K_ij(t) = 1/((t+λ_i)(t+μ_j)) for the eigenpairs of C and D.  The
     cells are summed ``_RIEMANN_CHUNK`` at a time, in O(chunk d) memory
     at any depth; more than ``RIEMANN_MAX_CELLS`` cells raise
-    PreconditionError before any is allocated.
+    PreconditionError before any is allocated.  C and D are matrices or
+    their psd_eighs.
     """
     if p < 0:
         raise PreconditionError("dyadic depth must be nonnegative")
@@ -492,12 +492,10 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
         raise PreconditionError(
             f"{n_cells} cells at p = {p}, t_max = {t_max} exceed "
             f"the cap of {RIEMANN_MAX_CELLS}")
-    c = as_matrix(c)
-    d = as_matrix(d)
-    qc, wc = _pd_eigs(c)
-    qd, wd = _pd_eigs(d)
+    ec, ed = _pd_eigh(c), _pd_eigh(d)
+    qc, wc, qd, wd = ec.Q, ec.w, ed.Q, ed.w
     gamma_c, gamma_d = float(wc[0]), float(wd[0])
-    diff = d - c
+    diff = ed.matrix - ec.matrix
     dist = gauge_norm(diff, g)
     x = qc.conj().T @ diff @ qd
 

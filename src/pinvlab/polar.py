@@ -12,7 +12,6 @@ factor) together with their inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .matcore import (
     ISOMETRY_REL,
     RANK_REL,
     UNITARY_REL,
-    PsdEig,
-    SvdResult,
     as_matrix,
     psd_eigh,
     svd,
@@ -63,15 +60,16 @@ def _initial_projector(v: np.ndarray) -> np.ndarray:
     return p
 
 
-def _equal_rank_roots(eig_c: PsdEig, d):
-    """The psd_eighs of PSD C, given, and of PSD D of C's size and rank.
+def _equal_rank_roots(c, d):
+    """The psd_eighs of PSD C and of PSD D of C's size and rank.
 
-    ``psd_eigh`` zeroes the below-cutoff eigenvalues, so the square root
-    does not inflate the numerical rank (sqrt of 1e-16 noise is 1e-8).
+    Each is a matrix or its psd_eigh.  ``psd_eigh`` zeroes the
+    below-cutoff eigenvalues, so the square root does not inflate the
+    numerical rank (sqrt of 1e-16 noise is 1e-8).
     """
-    d = as_matrix(d)
+    eig_c = psd_eigh(c)
     n = len(eig_c.w)
-    if d.shape != (n, n):
+    if as_matrix(d).shape != (n, n):
         raise PreconditionError("PSD matrices must be square of equal size")
     eig_d = psd_eigh(d)
     if eig_c.rank != eig_d.rank:
@@ -79,73 +77,14 @@ def _equal_rank_roots(eig_c: PsdEig, d):
     return eig_c, eig_d
 
 
-class ModulusBase:
-    """The base point (C0, A) of the modulus chart, factorized once.
-
-    It holds psd_eigh(C0), svd(A) and k0, the stratum index of C0
-    relative to |A| (``stratum_index``, three-way check included); each
-    is taken on first use and kept, so one base serves every B of a run,
-    and an inverse chart, which never reads A, never factorizes it.
-    The roots, projectors and pseudoinverse of C0 are products of the
-    ``PsdEig``, which keeps none of them.
-    """
-
-    def __init__(self, c0, a=None):
-        self.c0 = as_matrix(c0)
-        self.a = None if a is None else as_matrix(a)
-        if self.a is not None and self.c0.shape != (self.a.shape[1],) * 2:
-            raise PreconditionError("C0 must be n x n for an m x n matrix A")
-
-    @staticmethod
-    def of(a) -> "ModulusBase":
-        """The base point (|A|, A), keeping the SVD of A that gives |A|."""
-        res = svd(a)
-        base = ModulusBase(_polar_parts(res).modulus, a)
-        base.svd_a = res
-        return base
-
-    @cached_property
-    def eigh(self) -> PsdEig:
-        """psd_eigh(C0)."""
-        return psd_eigh(self.c0)
-
-    @cached_property
-    def svd_a(self) -> SvdResult:
-        return svd(self.a)
-
-    @cached_property
-    def k0(self) -> int:
-        mod_a = _polar_parts(self.svd_a).modulus
-        return strata.stratum_index(self.c0, mod_a)
-
-    def polar_factor(self) -> PartialIsometry:
-        """V_A, from the SVD of A."""
-        return PartialIsometry(_polar_parts(self.svd_a).polar_factor)
-
-
-def _base(c0, a, need_a: bool = True) -> ModulusBase:
-    """The base point in the c0 position of a modulus-chart call.
-
-    A matrix C0 is wrapped together with A; a ModulusBase already holds A.
-    """
-    if isinstance(c0, ModulusBase):
-        if a is not None:
-            raise PreconditionError("A is part of the ModulusBase; pass it once")
-        base = c0
-    else:
-        base = ModulusBase(c0, a)
-    if need_a and base.a is None:
-        raise PreconditionError("the modulus chart needs the matrix A")
-    return base
-
-
 def polar_decompose(a) -> PolarParts:
-    """A = V|A| with V = A|A|^+ a partial isometry sharing the nullspace of A."""
-    return _polar_parts(svd(a))
+    """A = V|A| with V = A|A|^+ a partial isometry sharing the nullspace of A.
 
-
-def _polar_parts(res: SvdResult) -> PolarParts:
-    """Polar parts of A from its SVD."""
+    A is a matrix or its SVD; a ``PolarParts`` is returned as is.
+    """
+    if isinstance(a, PolarParts):
+        return a
+    res = svd(a)
     r = res.rank
     n = res.Vt.shape[0]
     s_full = np.zeros(n)
@@ -164,7 +103,7 @@ def congruence_witness(c, d) -> np.ndarray:
     B2 = U D^{1/2} U* sharing the range of C, G0 = B2 B1^+ + (I - P)
     solves G0 B1 = B2, and G = U* G0 conjugates C to D.
     """
-    ec, ed = _equal_rank_roots(psd_eigh(c), d)
+    ec, ed = _equal_rank_roots(c, d)
     p_null = ec.null_proj()
     u = codim.conjugating_unitary(Projector(ed.null_proj()), Projector(p_null))
     b2 = u @ ed.sqrt() @ u.conj().T
@@ -179,13 +118,9 @@ def positive_section(c, b) -> np.ndarray:
     P, Q the range projectors of C, B:  S~ carries R(C) onto R(B), and
     sigma = B^{1/2} S~ (C^+)^{1/2} + (I-Q) S~ (I-P) conjugates exactly.
     The raw S is checked for invertibility, which delimits the section's
-    neighborhood of validity.
+    neighborhood of validity.  C and B are matrices or their psd_eighs.
     """
-    return _section(*_equal_rank_roots(psd_eigh(c), b))
-
-
-def _section(ec: PsdEig, eb: PsdEig) -> np.ndarray:
-    """positive_section from the psd_eighs of C and B."""
+    ec, eb = _equal_rank_roots(c, b)
     p_null, q_null = ec.null_proj(), eb.null_proj()
     u, sing, vh = np.linalg.svd(eb.range_proj() @ ec.range_proj() + q_null @ p_null)
     if sing[-1] <= RANK_REL * len(p_null) * max(sing[0], 1.0):
@@ -227,9 +162,9 @@ def _matrix_of(v) -> np.ndarray:
 def modulus_map(b, a) -> np.ndarray:
     """B -> |B|, checking that the stratum index relative to |A| is preserved."""
     sb, sa = strata._svd_pair(b, a)
-    mod_b = _polar_parts(sb).modulus
-    k = strata.index_from_svds(sb, sa)
-    k_mod = strata.stratum_index(mod_b, _polar_parts(sa).modulus)
+    mod_b = polar_decompose(sb).modulus
+    k = strata.stratum_index(sb, sa)
+    k_mod = strata.stratum_index(mod_b, polar_decompose(sa).modulus)
     if k != k_mod:
         raise ConsistencyError(
             f"modulus map moved stratum index from {k} to {k_mod}"
@@ -245,9 +180,8 @@ def polar_factor_map(b, a) -> PartialIsometry:
     |A|^+ = A^+ V_A is read from the SVD of A, and likewise for B.
     """
     sb, sa = strata._svd_pair(b, a)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    pa, pb = _polar_parts(sa), _polar_parts(sb)
+    a, b = sa.matrix, sb.matrix
+    pa, pb = polar_decompose(sa), polar_decompose(sb)
     mod_a_pinv = sa.pinv @ pa.polar_factor
     mod_b_pinv = sb.pinv @ pb.polar_factor
     lhs = pa.polar_factor - pb.polar_factor
@@ -255,7 +189,7 @@ def polar_factor_map(b, a) -> PartialIsometry:
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     if np.linalg.norm(lhs - rhs) > IDENTITY_REL * scale:
         raise ConsistencyError("polar factor difference identity violated")
-    k = strata.index_from_svds(sb, sa)
+    k = strata.stratum_index(sb, sa)
     k_v = strata.stratum_index(pb.polar_factor, pa.polar_factor)
     if k != k_v:
         raise ConsistencyError(
@@ -264,50 +198,58 @@ def polar_factor_map(b, a) -> PartialIsometry:
     return PartialIsometry(pb.polar_factor)
 
 
-def fiber_membership_alpha(x, c0, a=None) -> bool:
+def _base_point(c0, a):
+    """psd_eigh(C0) and svd(A), once C0 is checked to be n x n for an m x n A."""
+    if as_matrix(c0).shape != (as_matrix(a).shape[1],) * 2:
+        raise PreconditionError("C0 must be n x n for an m x n matrix A")
+    return psd_eigh(c0), svd(a)
+
+
+def fiber_membership_alpha(x, c0, a) -> bool:
     """Does X lie in the modulus fiber over C0 within the stratum of C0?
 
     That is, |X| = C0 and the index of X relative to A is the index k0
-    of C0 relative to |A|; c0 and a are as in trivialize_alpha.
+    of C0 relative to |A|; c0 and a are as in trivialize_alpha.  As
+    N(|A|) = N(A), k0 is the index of the null projectors of C0 and A,
+    read off psd_eigh(C0) and svd(A).
     """
-    base = _base(c0, a)
-    x = as_matrix(x)
-    if x.shape != base.a.shape:
+    eig, sa = _base_point(c0, a)
+    if as_matrix(x).shape != sa.matrix.shape:
         raise PreconditionError("X and A must have the same shape")
     rx = svd(x)
-    scale = max(1.0, float(np.linalg.norm(base.c0)))
-    if np.linalg.norm(_polar_parts(rx).modulus - base.c0) > IDENTITY_REL * scale:
+    scale = max(1.0, float(np.linalg.norm(eig.matrix)))
+    if np.linalg.norm(polar_decompose(rx).modulus - eig.matrix) > IDENTITY_REL * scale:
         return False
-    k_x = strata.index_from_svds(rx, base.svd_a)
-    del rx      # free X's SVD before a new base takes the two SVDs of k0
-    return base.k0 == k_x
+    k0 = codim.subspace_index(eig.null_basis, eig.range_basis,
+                              sa.null_basis, sa.row_basis)
+    return k0 == strata.stratum_index(rx, sa)
 
 
-def trivialize_alpha(b, c0, a=None):
+def trivialize_alpha(b, c0, a):
     """Chart of the modulus fibration: B -> (|B|, V_B U C0).
 
     U is the unitary polar factor of the positive section carrying C0 to
     |B|; it carries R(C0) onto R(|B|), so the second component keeps
-    modulus exactly C0.  The base point is given as the matrix C0
-    together with a = A, or as a ModulusBase, which holds A and is
-    factorized once for every B it serves.  Inverted by
+    modulus exactly C0.  B is a matrix or its polar parts, C0 a matrix or
+    its psd_eigh and A a matrix or its SVD; a run that serves many B
+    from one base point factorizes C0 and A once.  Inverted by
     trivialize_alpha_inverse.
     """
-    base = _base(c0, a)
+    eig, sa = _base_point(c0, a)
     parts = polar_decompose(b)
     try:
-        u = _chart_unitary(base, parts.modulus)
+        u = _chart_unitary(eig, parts.modulus)
     except PinvLabError as exc:
         raise OutsideNeighborhoodError(
             f"modulus chart undefined at this B: {exc}"
         ) from exc
-    fiber_elem = parts.polar_factor @ u @ base.c0
-    if not fiber_membership_alpha(fiber_elem, base):
+    fiber_elem = parts.polar_factor @ u @ eig.matrix
+    if not fiber_membership_alpha(fiber_elem, eig, sa):
         raise ConsistencyError("chart output left the fiber over C0")
     return parts.modulus, fiber_elem
 
 
-def _chart_unitary(base: ModulusBase, modulus) -> np.ndarray:
+def _chart_unitary(c0, modulus) -> np.ndarray:
     """The unitary polar factor U = XY* of the section gamma = X S Y*: C0 -> modulus.
 
     gamma is invertible and maps R(C0) onto R(|B|) and N(C0) onto N(|B|),
@@ -315,7 +257,7 @@ def _chart_unitary(base: ModulusBase, modulus) -> np.ndarray:
     unitary polar factor of gamma, carries R(C0) onto R(|B|); it is real
     analytic in |B|.  A numerically singular gamma is outside the chart.
     """
-    gamma = _section(*_equal_rank_roots(base.eigh, modulus))
+    gamma = positive_section(c0, modulus)
     x, sing, yh = np.linalg.svd(gamma)
     if sing[-1] <= RANK_REL * len(sing) * sing[0]:
         raise OutsideNeighborhoodError("positive section singular; chart undefined here")
@@ -328,14 +270,14 @@ def _chart_unitary(base: ModulusBase, modulus) -> np.ndarray:
 def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
     """(C, V C0) -> V U* C, undoing trivialize_alpha.
 
-    c0 is as in trivialize_alpha, but no A is needed: only the eigh of
-    C0 is read.
+    c0 is as in trivialize_alpha; no A is needed, as only the psd_eigh
+    of C0 is read.
     """
-    base = _base(c0, None, need_a=False)
+    eig = psd_eigh(c0)
     modulus = as_matrix(modulus)
     fiber_elem = as_matrix(fiber_elem)
-    u = _chart_unitary(base, modulus)
-    v = fiber_elem @ base.eigh.pinv()
+    u = _chart_unitary(eig, modulus)
+    v = fiber_elem @ eig.pinv()
     return v @ u.conj().T @ modulus
 
 
@@ -345,8 +287,9 @@ def trivialize_v(b, v0):
     W is the initial-projector conjugating unitary of the orbit witness
     from V0 to V_B; it transports |B| to a positive matrix supported on
     the initial space of V0, so the second component sits in the fiber
-    over V0.  A V0 that is not a partial isometry raises PreconditionError.
-    Inverted by trivialize_v_inverse.
+    over V0.  B is a matrix or its polar parts.  A V0 that is not a
+    partial isometry raises PreconditionError.  Inverted by
+    trivialize_v_inverse.
     """
     v0 = _matrix_of(v0)
     parts = polar_decompose(b)

@@ -70,26 +70,20 @@ def stratum_index(b, a) -> int:
 
     Null-projector index, negated range-projector index and the rank
     difference are all computed; disagreement raises ConsistencyError.
+    B and A are matrices or their SVDs.
     """
-    return index_from_svds(*_svd_pair(b, a))
+    return _index_overlap(*_svd_pair(b, a))[0]
 
 
 def _svd_pair(b, a):
     """SVDs of B and A, which must have the same shape."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
+    if as_matrix(a).shape != as_matrix(b).shape:
         raise PreconditionError("A and B must have the same shape")
     return svd(b), svd(a)
 
 
-def index_from_svds(sb: SvdResult, sa: SvdResult) -> int:
-    """stratum_index(B, A) from the SVDs of B and A, taking none itself."""
-    return _index_overlap(sb, sa)[0]
-
-
 def _index_overlap(sb: SvdResult, sa: SvdResult) -> tuple:
-    """index_from_svds, and dim(N(A) ∩ N(B)^perp), one principal-angle term of it."""
+    """stratum_index, and dim(N(A) ∩ N(B)^perp), one principal-angle term of it."""
     k_null, overlap = codim._subspace_index(sb.null_basis, sb.row_basis,
                                             sa.null_basis, sa.row_basis)
     k_range = codim.subspace_index(sb.range_basis, sb.corange_basis,
@@ -104,13 +98,11 @@ def _index_overlap(sb: SvdResult, sa: SvdResult) -> tuple:
 
 
 def index_range(a) -> IndexRange:
-    """Admissible indices around A: -min(dim N(A), dim R(A)^perp) .. dim N(A)^perp."""
-    a = as_matrix(a)
-    return index_range_from_svd(svd(a))
+    """Admissible indices around A: -min(dim N(A), dim R(A)^perp) .. dim N(A)^perp.
 
-
-def index_range_from_svd(res: SvdResult) -> IndexRange:
-    """index_range from the SVD of A."""
+    A is a matrix or its SVD.
+    """
+    res = svd(a)
     r = res.rank
     n1 = res.Vt.shape[0] - r      # dim N(A)
     n2 = r                        # dim N(A)^perp
@@ -123,16 +115,12 @@ def stratum_representative(a, k: int) -> np.ndarray:
 
     k = 0 returns A itself; k < 0 adds a partial isometry from N(A) into
     R(A)^perp; k > 0 compresses A onto a corank-k subspace of N(A)^perp.
+    A is a matrix or its SVD.
     """
-    a = as_matrix(a)
-    return representative_from_svd(a, svd(a), k)
-
-
-def representative_from_svd(a, res: SvdResult, k: int) -> np.ndarray:
-    """stratum_representative from A and its SVD."""
-    a = as_matrix(a)
+    res = svd(a)
+    a = res.matrix
     r = res.rank
-    if k not in index_range_from_svd(res):
+    if k not in index_range(res):
         raise PreconditionError(f"index {k} outside the admissible range")
     if k == 0:
         return a.copy()
@@ -186,9 +174,9 @@ def local_section_sigma(a, b) -> GroupPair:
     sigma_1 A sigma_2^{-1} = B.
     """
     rb, ra = _svd_pair(b, a)
-    if index_from_svds(rb, ra) != 0:
+    if stratum_index(rb, ra) != 0:
         raise StratumError("the section is only defined on the zero stratum")
-    b = as_matrix(b)
+    b = rb.matrix
     ident_m = np.eye(b.shape[0], dtype=complex)
     ident_n = np.eye(b.shape[1], dtype=complex)
     s1 = b @ ra.pinv + (ident_m - rb.range_proj) @ (ident_m - ra.range_proj)
@@ -211,8 +199,8 @@ def approximate_in_stratum(b, a, k_target: int, eps: float) -> np.ndarray:
     into R(B)^perp scaled by eps/m, where m is the required rank jump.
     """
     rb, ra = _svd_pair(b, a)
-    b = as_matrix(b)
-    if k_target not in index_range_from_svd(ra):
+    b = rb.matrix
+    if k_target not in index_range(ra):
         raise PreconditionError(f"index {k_target} outside the admissible range")
     m_jump = (ra.rank - k_target) - rb.rank
     if m_jump < 0:
@@ -227,7 +215,7 @@ def approximate_in_stratum(b, a, k_target: int, eps: float) -> np.ndarray:
     right = rb.null_basis[:, :m_jump]          # inside N(B)
     left = rb.corange_basis[:, :m_jump]        # inside R(B)^perp
     out = b + (eps / m_jump) * (left @ right.conj().T)
-    got = index_from_svds(svd(out), ra)
+    got = stratum_index(out, ra)
     if got != k_target:
         raise ConsistencyError(f"bump landed in stratum {got}, wanted {k_target}")
     return out
@@ -242,9 +230,8 @@ def correct_to_stratum_zero(a, b) -> np.ndarray:
     is controlled by the distance from A to B.
     """
     sb, sa = _svd_pair(b, a)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    k = index_from_svds(sb, sa)
+    a, b = sa.matrix, sb.matrix
+    k = stratum_index(sb, sa)
     if k == 0:
         raise PreconditionError("B is already in the zero stratum")
     if k < 0:
@@ -262,7 +249,7 @@ def correct_to_stratum_zero(a, b) -> np.ndarray:
     # (X sub) sub* rather than X (sub sub*): the product then has rank
     # |k| to roundoff relative to C, not relative to B or A
     c = (-b @ sub if k < 0 else a @ sub) @ sub.conj().T
-    if index_from_svds(svd(b + c), sa) != 0:
+    if stratum_index(b + c, sa) != 0:
         raise ConsistencyError("correction failed to reach the zero stratum")
     return c
 
@@ -382,7 +369,7 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
 def mp_map(b, a) -> np.ndarray:
     """B -> B^+, asserting that the stratum index is preserved relative to A^+."""
     rb, ra = _svd_pair(b, a)
-    k = index_from_svds(rb, ra)
+    k = stratum_index(rb, ra)
     k_image = stratum_index(rb.pinv, ra.pinv)
     if k_image != k:
         raise ConsistencyError(

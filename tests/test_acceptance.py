@@ -73,7 +73,7 @@ def test_criterion_03_continuity_equivalence():
         if family % 2 == 0:
             seq = generate.in_stratum_family(rng, b, 8)
         else:
-            seq = generate.jump_family(rng, b, 8)
+            seq = generate.jump_family(b, 8)
         if strata.continuity_report(b, seq, 2, OP_NORM).consistent:
             consistent += 1
     assert _verdict(3, "six continuity conditions agree on 50 families",

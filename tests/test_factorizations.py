@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pinvlab import cli, generate, monotone, pinv, polar, strata
-from pinvlab.matcore import OP_NORM
+from pinvlab.matcore import OP_NORM, as_matrix, psd_eigh, svd
 
 D = 16
 
@@ -106,24 +106,27 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    # a base point wrapped per call factorizes C0 once (its eigh gives the
-    # range basis and C0^+) and A once, and the inverse never factorizes A;
-    # each chart unitary is one SVD of the section
-    assert count(round_trip) == {"svd": 17, "eigh": 4}
+    # each chart factorizes C0 once (its eigh gives the range basis and
+    # C0^+), forward also A once, and hands both to fiber membership; k0
+    # is two principal angles between the null spaces of C0 and A, as
+    # N(|A|) = N(A) (was 17 svd: k0 took the SVDs of C0 and |A| and four
+    # angles); each chart unitary is one SVD of the section
+    assert count(round_trip) == {"svd": 13, "eigh": 4}
 
 
 def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
     a, b, _ = inputs
-    base = polar.ModulusBase.of(a)
-    polar.trivialize_alpha(b, base)
+    res_a = svd(a)
+    c0 = psd_eigh(polar.polar_decompose(res_a).modulus)
 
     def round_trip():
-        mod, fib = polar.trivialize_alpha(b, base)
-        polar.trivialize_alpha_inverse(mod, fib, base)
+        mod, fib = polar.trivialize_alpha(b, c0, res_a)
+        polar.trivialize_alpha_inverse(mod, fib, c0)
     # per chart: the positive section's eigh of |B| and SVD of S, and the
     # SVD of the section for its unitary polar factor; forward also the SVD
-    # of B, and fiber membership the SVD of X and four principal angles
-    assert count(round_trip) == {"svd": 10, "eigh": 2}
+    # of B, and fiber membership the SVD of X, four principal angles for
+    # its index and two for k0 (was 10: a cached k0 took none per call)
+    assert count(round_trip) == {"svd": 12, "eigh": 2}
 
 
 def test_trivialize_v_round_trip_counts(count, inputs):
@@ -181,9 +184,19 @@ def _cli(*argv):
 
 def test_cmd_fiber_counts(count):
     # both base points come from one SVD of A and one eigh of C0 per run,
-    # and k0 is taken once; one SVD per chart unitary, none per rotation gap
+    # and both charts share one polar decomposition of each B; one SVD per
+    # chart unitary, none per rotation gap (was 59 svd: B decomposed twice,
+    # and k0 took six SVDs once per run where it now takes two per trial)
     assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {
-        "svd": 59, "eigh": 25}
+        "svd": 57, "eigh": 25}
+
+
+def test_cmd_taylor_counts(count):
+    # one eigh of C serves gamma, the radius check, f(C) and the six terms,
+    # one more gives f(C + Delta); the SVDs are the gauge norms of Delta
+    # (three) and of the six remainders (was 10 eigh with gamma from
+    # eigvalsh and a factorization of C per call)
+    assert count(lambda: _cli("taylor", "--dim", D)) == {"eigh": 2, "svd": 9}
 
 
 def test_cmd_census_counts(count):
@@ -242,3 +255,104 @@ def test_positive_section_counts(count, semidefinite):
     # one eigh of C and of B, one SVD of S for its invertibility and its
     # unitary polar factor
     assert count(lambda: polar.positive_section(c, b)) == {"eigh": 2, "svd": 1}
+
+
+# ---------------------------------------------------------------------------
+# One entry per theorem: a factorization passed for a matrix is used as is.
+
+FACTORIZERS = {"svd": svd, "eigh": psd_eigh, "polar": polar.polar_decompose}
+SAVES = {"svd": "svd", "eigh": "eigh", "polar": "svd"}
+
+
+@pytest.fixture
+def operands(inputs, positive, semidefinite):
+    a, b, _ = inputs
+    c, _, delta = positive
+    c_psd, b_psd = semidefinite
+    c0 = polar.polar_decompose(a).modulus
+    mod, fib = polar.trivialize_alpha(b, c0, a)
+    return dict(a=a, b=b, c=c, delta=delta, c_psd=c_psd, b_psd=b_psd, c0=c0,
+                mod=mod, fib=fib, v0=polar.polar_decompose(a).polar_factor,
+                f=monotone.make_sqrt())
+
+
+# name -> (function, its arguments from the operands, the factorization
+# to pass at each position)
+PASS_THROUGH = {
+    "stratum_index": (strata.stratum_index, lambda o: (o["b"], o["a"]),
+                      {0: "svd", 1: "svd"}),
+    "index_range": (strata.index_range, lambda o: (o["a"],), {0: "svd"}),
+    "stratum_representative-1": (strata.stratum_representative,
+                                 lambda o: (o["a"], -1), {0: "svd"}),
+    "stratum_representative+2": (strata.stratum_representative,
+                                 lambda o: (o["a"], 2), {0: "svd"}),
+    "polar_decompose-svd": (polar.polar_decompose, lambda o: (o["b"],), {0: "svd"}),
+    "polar_decompose-parts": (polar.polar_decompose, lambda o: (o["b"],), {0: "polar"}),
+    "positive_section": (polar.positive_section, lambda o: (o["c_psd"], o["b_psd"]),
+                         {0: "eigh", 1: "eigh"}),
+    "matrix_eval_spectral": (monotone.matrix_eval_spectral, lambda o: (o["f"], o["c"]),
+                             {1: "eigh"}),
+    "taylor_term": (monotone.taylor_term, lambda o: (o["f"], o["c"], o["delta"], 2),
+                    {1: "eigh"}),
+    "taylor_remainder_bound": (monotone.taylor_remainder_bound,
+                               lambda o: (o["f"], o["c"], o["delta"], 2), {1: "eigh"}),
+    "trivialize_alpha": (polar.trivialize_alpha, lambda o: (o["b"], o["c0"], o["a"]),
+                         {0: "polar", 1: "eigh", 2: "svd"}),
+    "trivialize_alpha_inverse": (polar.trivialize_alpha_inverse,
+                                 lambda o: (o["mod"], o["fib"], o["c0"]), {2: "eigh"}),
+    "fiber_membership_alpha": (polar.fiber_membership_alpha,
+                               lambda o: (o["fib"], o["c0"], o["a"]),
+                               {0: "svd", 1: "eigh", 2: "svd"}),
+    "trivialize_v": (polar.trivialize_v, lambda o: (o["b"], o["v0"]), {0: "polar"}),
+}
+
+
+def _bits(x):
+    """x as comparable bytes, through tuples and the package's result types."""
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(y) for y in x)
+    if isinstance(x, polar.PolarParts):
+        return _bits((x.polar_factor, x.modulus))
+    if isinstance(x, polar.PartialIsometry):
+        return _bits(x.matrix)
+    if isinstance(x, np.ndarray):
+        return x.shape, x.dtype.str, x.tobytes()
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(PASS_THROUGH))
+def test_factorized_argument_passes_through(count, operands, name):
+    # the factorized argument gives a bit-identical result and saves
+    # exactly its own factorization: none is taken of it again
+    fn, build, factorized = PASS_THROUGH[name]
+    args = build(operands)
+    fact_args = list(args)
+    saved = Counter()
+    for pos, kind in factorized.items():
+        fact_args[pos] = FACTORIZERS[kind](args[pos])
+        saved[SAVES[kind]] += 1
+    out = {}
+    plain = count(lambda: out.setdefault("plain", fn(*args)))
+    fact = count(lambda: out.setdefault("fact", fn(*fact_args)))
+    assert _bits(out["fact"]) == _bits(out["plain"])
+    assert Counter(fact) + saved == Counter(plain)
+
+
+def test_factorizations_pass_through_unchanged(inputs):
+    a, _, _ = inputs
+    res, parts = svd(a), polar.polar_decompose(a)
+    eig = psd_eigh(parts.modulus)
+    assert svd(res) is res and psd_eigh(eig) is eig
+    assert polar.polar_decompose(parts) is parts
+    # each carries the validated input, which as_matrix returns uncopied
+    assert res.matrix is a and eig.matrix is parts.modulus
+    assert as_matrix(res) is res.matrix and as_matrix(eig) is eig.matrix
+
+
+@pytest.mark.parametrize("module, name", [
+    (strata, "index_from_svds"), (strata, "index_range_from_svd"),
+    (strata, "representative_from_svd"), (polar, "_polar_parts"),
+    (polar, "_section"), (polar, "ModulusBase"), (polar, "_base"),
+    (monotone, "_spectral"), (monotone, "_pd_eigs")])
+def test_twin_entry_points_are_gone(module, name):
+    assert not hasattr(module, name)

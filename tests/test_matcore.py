@@ -216,8 +216,8 @@ def test_psd_eigh_rejects_indefinite():
 
 
 def test_psd_eigh_zero_matrix():
-    _, w, rank = psd_eigh(np.zeros((3, 3)))
-    assert rank == 0 and np.all(w == 0.0)
+    eig = psd_eigh(np.zeros((3, 3)))
+    assert eig.rank == 0 and np.all(eig.w == 0.0)
 
 
 @pytest.mark.parametrize("r", [0, 2])
@@ -238,10 +238,9 @@ def test_svd_result_pseudoinverse_fields(rng, r):
 def test_psd_eig_accessors(rng, r):
     c = generate.psd_fixed_rank(rng, 5, r) if r else np.zeros((5, 5))
     eig = psd_eigh(c)
-    q, w, rank = eig
-    assert rank == r and eig.range_basis.shape == (5, r)
+    assert eig.rank == r and eig.range_basis.shape == (5, r)
     assert eig.null_basis.shape == (5, 5 - r)
-    assert np.array_equal(eig.range_values, w[5 - r:]) and np.all(eig.range_values > 0)
+    assert np.array_equal(eig.range_values, eig.w[5 - r:]) and np.all(eig.range_values > 0)
     root = eig.sqrt()
     assert np.linalg.norm(root @ root - c) < 1e-10
     c_pinv = np.linalg.pinv(c, rcond=1e-10, hermitian=True)
@@ -261,7 +260,7 @@ def test_rank_cutoff_boundary(factor):
     d = (q[:, ::-1] * w) @ q[:, ::-1].conj().T           # rank n - 1
     w[-1] = factor * RANK_REL * n * w[0]
     c = (q * w) @ q.conj().T
-    _, _, rank = psd_eigh(c)
+    rank = psd_eigh(c).rank
     assert rank == svd(c).rank == (n - 1 if factor < 1 else n)
     if rank == n - 1:
         g = polar.congruence_witness(c, d)

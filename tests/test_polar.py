@@ -9,7 +9,7 @@ from pinvlab.errors import (
     PreconditionError,
     StratumError,
 )
-from pinvlab.matcore import svd
+from pinvlab.matcore import psd_eigh, svd
 from pinvlab.pinv import pinv_matrix
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -136,7 +136,7 @@ def test_chart_unitary_carries_range_projector(seed, shape):
     rng = np.random.default_rng(seed)
     a = generate.fixed_rank(rng, m, n, r)
     b = generate.rank_preserving_perturbation(rng, a, 0.05)
-    u = polar._chart_unitary(polar.ModulusBase.of(a), polar.polar_decompose(b).modulus)
+    u = polar._chart_unitary(polar.polar_decompose(a).modulus, polar.polar_decompose(b).modulus)
     assert np.linalg.norm(u @ u.conj().T - np.eye(n)) < 1e-12
     p_c0 = np.eye(n) - svd(a).null_proj
     p_b = np.eye(n) - svd(b).null_proj
@@ -330,22 +330,27 @@ def test_chart_round_trips_rectangular(seed, shape):
 
 
 def test_modulus_base_reused_matches_matrix_calls(rng):
+    # a base point factorized once (psd_eigh of C0, svd of A, the polar
+    # parts of each B) gives what the matrix calls give
     a = generate.fixed_rank(rng, 6, 6, 3)
     parts = polar.polar_decompose(a)
-    base = polar.ModulusBase.of(a)
-    v0 = base.polar_factor()
+    res_a = svd(a)
+    parts_a = polar.polar_decompose(res_a)
+    c0 = psd_eigh(parts_a.modulus)
+    v0 = polar.PartialIsometry(parts_a.polar_factor)
     assert np.linalg.norm(v0.matrix - parts.polar_factor) < 1e-12
     for _ in range(4):
         b = generate.rank_preserving_perturbation(rng, a, 0.05)
-        mod, fib = polar.trivialize_alpha(b, base)
+        parts_b = polar.polar_decompose(b)
+        mod, fib = polar.trivialize_alpha(parts_b, c0, res_a)
         mod_m, fib_m = polar.trivialize_alpha(b, parts.modulus, a)
         assert np.linalg.norm(mod - mod_m) < 1e-12
         assert np.linalg.norm(fib - fib_m) < 1e-12
-        assert polar.fiber_membership_alpha(fib, base)
-        back = polar.trivialize_alpha_inverse(mod, fib, base)
+        assert polar.fiber_membership_alpha(fib, c0, res_a)
+        back = polar.trivialize_alpha_inverse(mod, fib, c0)
         back_m = polar.trivialize_alpha_inverse(mod_m, fib_m, parts.modulus)
         assert np.linalg.norm(back - back_m) < 1e-12
-        factor, fib = polar.trivialize_v(b, v0)
+        factor, fib = polar.trivialize_v(parts_b, v0)
         factor_m, fib_m = polar.trivialize_v(b, parts.polar_factor)
         assert np.linalg.norm(factor.matrix - factor_m.matrix) < 1e-12
         assert np.linalg.norm(fib - fib_m) < 1e-12
@@ -355,17 +360,18 @@ def test_modulus_base_reused_matches_matrix_calls(rng):
 
 
 def test_modulus_base_rejects_misuse(rng):
+    # X not of A's shape, and C0 not n x n for an n-column A, each with
+    # C0 given as a matrix and as its psd_eigh
     a = generate.fixed_rank(rng, 4, 4, 2)
     b = generate.rank_preserving_perturbation(rng, a, 0.05)
     c0 = polar.polar_decompose(a).modulus
-    base = polar.ModulusBase(c0, a)
-    with pytest.raises(PreconditionError):
-        polar.trivialize_alpha(b, base, a)            # A given twice
-    with pytest.raises(PreconditionError):
-        polar.trivialize_alpha(b, c0)                 # a matrix C0 without A
-    with pytest.raises(PreconditionError):
-        polar.trivialize_alpha(b, polar.ModulusBase(c0))
-    with pytest.raises(PreconditionError):
-        polar.fiber_membership_alpha(a[:, :3], base)  # X not of A's shape
-    with pytest.raises(PreconditionError):
-        polar.ModulusBase(c0[:3, :3], a)
+    for base in (c0, psd_eigh(c0)):
+        with pytest.raises(PreconditionError):
+            polar.fiber_membership_alpha(a[:, :3], base, a)
+        with pytest.raises(PreconditionError):
+            polar.fiber_membership_alpha(a[:, :3], base, svd(a))
+    for small in (c0[:3, :3], psd_eigh(c0[:3, :3])):
+        with pytest.raises(PreconditionError):
+            polar.trivialize_alpha(b, small, a)
+        with pytest.raises(PreconditionError):
+            polar.fiber_membership_alpha(a, small, a)

@@ -128,7 +128,7 @@ def test_approximate_in_stratum_noop_when_already_there(rng):
 
 def test_approximate_in_stratum_rank_decrease_obstructed(rng):
     a = generate.fixed_rank(rng, 5, 5, 3)
-    b = generate.rank_jump_perturbation(rng, a, 0.1)   # rank 4
+    b = generate.rank_jump_perturbation(a, 0.1)   # rank 4
     with pytest.raises(ObstructionError):
         strata.approximate_in_stratum(b, a, 0, 1e-6)
 
@@ -138,7 +138,7 @@ def test_correct_to_stratum_zero(seed, k):
     rng = np.random.default_rng(seed)
     a = generate.fixed_rank(rng, 6, 6, 3)
     if k < 0:
-        b = generate.rank_jump_perturbation(rng, a, 0.1)
+        b = generate.rank_jump_perturbation(a, 0.1)
     else:
         b = generate.rank_preserving_perturbation(
             rng, strata.stratum_representative(a, k), 0.01)
@@ -169,7 +169,7 @@ def test_continuity_report_in_stratum(seed):
 def test_continuity_report_jump(seed):
     rng = np.random.default_rng(seed)
     b = generate.fixed_rank(rng, 5, 5, 3)
-    seq = generate.jump_family(rng, b, 8)
+    seq = generate.jump_family(b, 8)
     report = strata.continuity_report(b, seq, 2, OP_NORM)
     assert report.consistent
     assert not report.all_true

@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Digest the pinvlab CLI's output over a fixed run matrix.
+
+    python3 tools/cli_digest.py <src-dir> > digest.txt
+
+Imports ``pinvlab`` from ``<src-dir>`` and runs the CLI in-process, at
+seeds 0-4, over: ``continuity`` and ``census`` at d = 8, 32, 64 with the
+gauges op, s2 and kyfan:2; ``taylor`` of sqrt at d = 4, 16 and of an
+atomic function at d = 16; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
+``pinv``, ``polar``, ``stratify`` and ``codim`` on matrix files drawn
+here with numpy.  Each run prints one line: the argv, the exit code and
+the first 16 hex digits of the sha256 of its stdout and of its stderr.
+The input files are the same for every tree, so two trees give the
+same output exactly when ``diff`` of their digests is empty.
+"""
+
+import os
+import sys
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.dont_write_bytecode = True
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+SEEDS = range(5)
+GAUGES = ("op", "s2", "kyfan:2")
+ATOMS = {"alpha": 0.25, "beta": 0.5, "atoms": [[0.5, 0.4], [3.0, 1.0], [20.0, 2.5]]}
+
+
+def write_matrix(path, x):
+    flat = np.asarray(x, dtype=complex).reshape(-1)
+    with open(path, "w") as fh:
+        json.dump({"rows": x.shape[0], "cols": x.shape[1],
+                   "data": [[z.real, z.imag] for z in flat]}, fh)
+
+
+def fixed_rank(rng, m, n, r):
+    x = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    y = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    return x @ y
+
+
+def projector(rng, n, r):
+    q, _ = np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+    return q @ q.conj().T
+
+
+def input_files(tmp, seed):
+    """Matrix files for the file-reading subcommands; names relative to tmp."""
+    rng = np.random.default_rng(1000 + seed)
+    d = 6
+    a = fixed_rank(rng, d, d, 4)
+    files = {
+        "a": a,
+        "b": a + 0.05 * fixed_rank(rng, d, d, 1 + seed % 3),
+        "p": projector(rng, d, 3),
+        "q": projector(rng, d, 2 + seed % 3),
+        "rect": fixed_rank(rng, d + 2, d, 3),
+    }
+    for name, x in files.items():
+        write_matrix(tmp / f"{name}{seed}.json", x)
+
+
+def runs():
+    for seed in SEEDS:
+        for cmd in ("continuity", "census"):
+            for d in (8, 32, 64):
+                for g in GAUGES:
+                    yield [cmd, "--seed", seed, "--dim", d, "--gauge", g]
+        for d in (4, 16):
+            yield ["taylor", "--seed", seed, "--dim", d, "--function", "sqrt"]
+        yield ["taylor", "--seed", seed, "--dim", 16, "--function", "atomic:atoms.json"]
+        for d in (4, 8, 16, 32, 64):
+            yield ["fiber", "--seed", seed, "--dim", d, "--json"]
+        for name in ("a", "rect"):
+            yield ["pinv", "--input", f"{name}{seed}.json", "--json"]
+            yield ["polar", "--input", f"{name}{seed}.json", "--json"]
+        yield ["stratify", "--a", f"a{seed}.json", "--b", f"b{seed}.json", "--json"]
+        yield ["codim", "--p", f"p{seed}.json", "--q", f"q{seed}.json", "--json"]
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def main(argv):
+    if len(argv) != 1:
+        print("usage: python3 tools/cli_digest.py <src-dir>", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    from pinvlab import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for seed in SEEDS:
+            input_files(tmp, seed)
+        (tmp / "atoms.json").write_text(json.dumps(ATOMS))
+        cwd = os.getcwd()
+        os.chdir(tmp)       # file arguments are relative, so no path shows in output
+        try:
+            for run in runs():
+                args = [str(x) for x in run]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(args)
+                print(" ".join(args), f"exit={code}",
+                      f"stdout={sha(out.getvalue())}", f"stderr={sha(err.getvalue())}",
+                      flush=True)
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
