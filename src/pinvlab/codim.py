@@ -1,10 +1,14 @@
 """Projections, essential codimension and the direct rotation.
 
 In finite dimension every pair of orthogonal projections is Fredholm and
-the essential codimension reduces to a rank difference; we nevertheless
-compute it from subspace intersections (via principal angles) and
-cross-check against the rank count, so that a misconfigured rank
-tolerance is caught instead of silently corrupting indices downstream.
+the essential codimension reduces to a rank difference.
+``essential_codimension`` nevertheless computes it by its definition,
+from subspace intersections (via principal angles), and cross-checks it
+against the rank count.  Both bases of a projector come from one eigh,
+so the rank tolerance cannot make the two disagree; the check catches a
+principal cosine within roundoff of INTERSECTION_COS that is classified
+differently in the two cross blocks.  Elsewhere the index is taken as
+the rank difference.
 """
 
 from __future__ import annotations
@@ -87,36 +91,23 @@ def intersection_dim(x, y) -> int:
     return intersection_basis(x, y).shape[1]
 
 
-def subspace_index(rp, np_, rq, nq) -> int:
-    """Fredholm index of the projections onto span(rp) and span(rq).
+def essential_codimension(p: Projector, q: Projector) -> int:
+    """Fredholm index of the pair (P, Q): dim(N(Q) ∩ R(P)) - dim(R(Q) ∩ N(P)).
 
-    rp, rq are orthonormal bases of R(P), R(Q) and np_, nq of their
-    complements N(P), N(Q).  Computed as dim(N(Q) ∩ R(P)) -
-    dim(R(Q) ∩ N(P)) through principal angles and cross-checked against
+    Computed through principal angles and cross-checked against
     rank(P) - rank(Q); a disagreement raises ConsistencyError.
     """
-    return _subspace_index(rp, np_, rq, nq)[0]
-
-
-def _subspace_index(rp, np_, rq, nq) -> tuple:
-    """subspace_index, and the dim(R(Q) ∩ N(P)) it subtracts."""
-    overlap = intersection_dim(rq, np_)
-    by_angles = intersection_dim(nq, rp) - overlap
-    by_rank = rp.shape[1] - rq.shape[1]
+    if p.dim != q.dim:
+        raise PreconditionError("projections must act on the same space")
+    by_angles = (intersection_dim(q.complement_basis(), p.basis())
+                 - intersection_dim(q.basis(), p.complement_basis()))
+    by_rank = p.rank() - q.rank()
     if by_angles != by_rank:
         raise ConsistencyError(
             f"index mismatch: principal angles give {by_angles}, "
             f"rank difference gives {by_rank}"
         )
-    return by_rank, overlap
-
-
-def essential_codimension(p: Projector, q: Projector) -> int:
-    """Fredholm index of the pair (P, Q), by ``subspace_index`` on their bases."""
-    if p.dim != q.dim:
-        raise PreconditionError("projections must act on the same space")
-    return subspace_index(p.basis(), p.complement_basis(),
-                          q.basis(), q.complement_basis())
+    return by_rank
 
 
 def direct_rotation(p: Projector, q: Projector) -> np.ndarray:

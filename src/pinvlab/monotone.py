@@ -50,6 +50,7 @@ from .matcore import (
     as_matrix,
     gauge_norm,
     psd_eigh,
+    svd,
 )
 from .pinv import BoundReport
 
@@ -586,11 +587,12 @@ def continuity_in_stratum(f: MonotoneFunction, c, seq,
     """
     c = as_matrix(c)
     fc = matrix_eval_spectral(f, c)
+    sc = svd(c)         # serves the index of every term
     rows = []
     for n, dn in enumerate(seq):
         dn = as_matrix(dn)
         fd = matrix_eval_spectral(f, dn)
-        idx = strata.stratum_index(dn, c)
+        idx = strata.stratum_index(dn, sc)
         rows.append(StratumContinuityRow(
             n, idx, gauge_norm(dn - c, g), gauge_norm(fd - fc, g)))
     if not rows:

@@ -140,6 +140,19 @@ def isometry_orbit_witness(v0, v):
     PartialIsometry, is checked to be a partial isometry (PreconditionError
     otherwise); its rank is then the trace of its initial projector.
     """
+    v0, v, w = _initial_rotation(v0, v)
+    fin0 = Projector(v0 @ v0.conj().T)
+    z = codim.conjugating_unitary(fin0, Projector(v @ v.conj().T))
+    m = v0.shape[0]
+    u = v @ w @ v0.conj().T + z @ (np.eye(m, dtype=complex) - fin0.matrix)
+    return u, w
+
+
+def _initial_rotation(v0, v):
+    """V0 and V as matrices, checked as in isometry_orbit_witness, and its W.
+
+    The charts read only W; the witness adds Z, the final-space rotation.
+    """
     v0, v = _matrix_of(v0), _matrix_of(v)
     if v0.shape != v.shape:
         raise PreconditionError("partial isometries must have the same shape")
@@ -147,12 +160,7 @@ def isometry_orbit_witness(v0, v):
     r0, r1 = round(np.trace(p0).real), round(np.trace(p1).real)
     if r0 != r1:
         raise StratumError(f"no orbit witness across ranks: {r0} vs {r1}")
-    fin0 = Projector(v0 @ v0.conj().T)
-    w = codim.conjugating_unitary(Projector(p0), Projector(p1))
-    z = codim.conjugating_unitary(fin0, Projector(v @ v.conj().T))
-    m = v0.shape[0]
-    u = v @ w @ v0.conj().T + z @ (np.eye(m, dtype=complex) - fin0.matrix)
-    return u, w
+    return v0, v, codim.conjugating_unitary(Projector(p0), Projector(p1))
 
 
 def _matrix_of(v) -> np.ndarray:
@@ -210,8 +218,8 @@ def fiber_membership_alpha(x, c0, a) -> bool:
 
     That is, |X| = C0 and the index of X relative to A is the index k0
     of C0 relative to |A|; c0 and a are as in trivialize_alpha.  As
-    N(|A|) = N(A), k0 is the index of the null projectors of C0 and A,
-    read off psd_eigh(C0) and svd(A).
+    N(|A|) = N(A), k0 = rank(A) - rank(C0), read off svd(A) and
+    psd_eigh(C0).
     """
     eig, sa = _base_point(c0, a)
     if as_matrix(x).shape != sa.matrix.shape:
@@ -220,9 +228,7 @@ def fiber_membership_alpha(x, c0, a) -> bool:
     scale = max(1.0, float(np.linalg.norm(eig.matrix)))
     if np.linalg.norm(polar_decompose(rx).modulus - eig.matrix) > IDENTITY_REL * scale:
         return False
-    k0 = codim.subspace_index(eig.null_basis, eig.range_basis,
-                              sa.null_basis, sa.row_basis)
-    return k0 == strata.stratum_index(rx, sa)
+    return sa.rank - eig.rank == strata.stratum_index(rx, sa)
 
 
 def trivialize_alpha(b, c0, a):
@@ -291,10 +297,9 @@ def trivialize_v(b, v0):
     partial isometry raises PreconditionError.  Inverted by
     trivialize_v_inverse.
     """
-    v0 = _matrix_of(v0)
     parts = polar_decompose(b)
     try:
-        _, w = isometry_orbit_witness(v0, parts.polar_factor)
+        v0, _, w = _initial_rotation(v0, parts.polar_factor)
     except PreconditionError:
         raise
     except PinvLabError as exc:
@@ -310,8 +315,7 @@ def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:
 
     V and V0 are checked as in isometry_orbit_witness.
     """
-    v, v0 = _matrix_of(factor), _matrix_of(v0)
+    v0, v, w = _initial_rotation(v0, factor)
     fiber_elem = as_matrix(fiber_elem)
-    _, w = isometry_orbit_witness(v0, v)
     core = v0.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
     return v @ w @ core @ w.conj().T

@@ -30,7 +30,6 @@ from .matcore import (
     RANK_REL,
     RESIDUAL_ABS,
     GaugeNorm,
-    SvdResult,
     as_matrix,
     gauge_norm,
     svd,
@@ -66,13 +65,12 @@ class GroupPair:
 
 
 def stratum_index(b, a) -> int:
-    """Index of B relative to A, with a three-way consistency check.
+    """Index of B relative to A: rank(A) - rank(B) = nullity(B) - nullity(A).
 
-    Null-projector index, negated range-projector index and the rank
-    difference are all computed; disagreement raises ConsistencyError.
     B and A are matrices or their SVDs.
     """
-    return _index_overlap(*_svd_pair(b, a))[0]
+    sb, sa = _svd_pair(b, a)
+    return sa.rank - sb.rank
 
 
 def _svd_pair(b, a):
@@ -80,21 +78,6 @@ def _svd_pair(b, a):
     if as_matrix(a).shape != as_matrix(b).shape:
         raise PreconditionError("A and B must have the same shape")
     return svd(b), svd(a)
-
-
-def _index_overlap(sb: SvdResult, sa: SvdResult) -> tuple:
-    """stratum_index, and dim(N(A) ∩ N(B)^perp), one principal-angle term of it."""
-    k_null, overlap = codim._subspace_index(sb.null_basis, sb.row_basis,
-                                            sa.null_basis, sa.row_basis)
-    k_range = codim.subspace_index(sb.range_basis, sb.corange_basis,
-                                   sa.range_basis, sa.corange_basis)
-    k_rank = sa.rank - sb.rank
-    if not (k_null == -k_range == k_rank):
-        raise ConsistencyError(
-            f"stratum index disagreement: null {k_null}, "
-            f"range {-k_range}, rank {k_rank}"
-        )
-    return k_null, overlap
 
 
 def index_range(a) -> IndexRange:
@@ -327,12 +310,12 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
     for n, bn in enumerate(seq):
         rn = moore_penrose(bn)
         null_gaps = np.linalg.svd(rn.null_proj - rb.null_proj, compute_uv=False)
-        # the overlap N(B) ∩ N(B_n)^perp is a term of the index of B_n
-        index, inter = _index_overlap(rn, rb)
-        rows.append(ContinuityRow(n, index, rn.pinv_norm,
+        # the index of B_n from the ranks; (vi) reads dim(N(B) ∩ N(B_n)^perp)
+        rows.append(ContinuityRow(n, rb.rank - rn.rank, rn.pinv_norm,
                                   gauge_norm(rn.pinv - rb.pinv, g),
                                   g.of_singular_values(null_gaps),
-                                  float(null_gaps[0]), inter))
+                                  float(null_gaps[0]),
+                                  codim.intersection_dim(rb.null_basis, rn.row_basis)))
     norm_last = float(rn.singular_values[0])   # rn reports the last term
     tail = rows[n0:]
     last = tail[-1]

@@ -67,6 +67,19 @@ def test_stratify_command(capsys, tmp_path, rng):
     assert (report["k_min"], report["k_max"]) == (-2, 2)
 
 
+def test_stratify_where_a_principal_cosine_straddles_the_threshold(capsys, tmp_path):
+    # two rank-3 matrices, N(B) at a cosine of 1 - 1e-8 to N(A)^perp, within
+    # roundoff of INTERSECTION_COS: index 0, not a consistency failure
+    s = 0.9999999899999996
+    n = np.array([np.sqrt(1 - s * s), s, 0.0, 0.0])
+    a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_matrix(np.diag([0.0, 1.0, 1.0, 1.0]), a_path)
+    save_matrix(np.eye(4) - np.outer(n, n), b_path)
+    code, out = run(capsys, ["stratify", "--a", a_path, "--b", b_path])
+    assert code == 0
+    assert "index: 0" in out.splitlines()
+
+
 def test_polar_command(capsys, matrix_file, tmp_path):
     out_path = str(tmp_path / "polar.json")
     code, out = run(capsys, ["polar", "--input", matrix_file,

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from pinvlab import cli, generate, monotone, pinv, polar, strata
+from pinvlab import cli, codim, generate, monotone, pinv, polar, strata
 from pinvlab.matcore import OP_NORM, as_matrix, psd_eigh, svd
 
 D = 16
@@ -86,17 +86,19 @@ def test_counter_sees_hidden_svds(count):
 
 def test_stratum_index_counts(count, inputs):
     a, b, _ = inputs
-    # one SVD of each matrix and four principal-angle SVDs; no eigh
-    assert count(lambda: strata.stratum_index(b, a)) == {"svd": 6}
+    # one SVD of each matrix, whose ranks give the index; no eigh (was 6:
+    # four principal-angle SVDs cross-checked the rank difference)
+    assert count(lambda: strata.stratum_index(b, a)) == {"svd": 2}
 
 
 def test_continuity_report_counts(count, inputs):
     a, _, seq = inputs
-    # B once; per term its SVD, four principal-angle SVDs (one of which is
-    # the intersection), the pseudoinverse gap and the null-projector gap;
-    # the last input gap.  Was 66: the intersection took its own SVD.
+    # B once; per term its SVD, the one principal-angle SVD of the
+    # intersection, the pseudoinverse gap and the null-projector gap; the
+    # last input gap.  The index is a rank difference (was 1 + 8*7 + 1:
+    # four principal-angle SVDs per term, one of them the intersection)
     report = count(lambda: strata.continuity_report(a, seq, n0=2, g=OP_NORM))
-    assert report == {"svd": 1 + 8 * 7 + 1}
+    assert report == {"svd": 1 + 8 * 4 + 1}
 
 
 def test_trivialize_alpha_round_trip_counts(count, inputs):
@@ -106,12 +108,12 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    # each chart factorizes C0 once (its eigh gives the range basis and
-    # C0^+), forward also A once, and hands both to fiber membership; k0
-    # is two principal angles between the null spaces of C0 and A, as
-    # N(|A|) = N(A) (was 17 svd: k0 took the SVDs of C0 and |A| and four
-    # angles); each chart unitary is one SVD of the section
-    assert count(round_trip) == {"svd": 13, "eigh": 4}
+    # each chart factorizes C0 once (its eigh gives the range basis, the
+    # rank and C0^+), forward also A once, and hands both to fiber
+    # membership, where k0 = rank(A) - rank(C0) as N(|A|) = N(A); each
+    # chart unitary is one SVD of the section (was 13 svd: the index of X
+    # took four principal angles and k0 two)
+    assert count(round_trip) == {"svd": 7, "eigh": 4}
 
 
 def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
@@ -124,9 +126,9 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
         polar.trivialize_alpha_inverse(mod, fib, c0)
     # per chart: the positive section's eigh of |B| and SVD of S, and the
     # SVD of the section for its unitary polar factor; forward also the SVD
-    # of B, and fiber membership the SVD of X, four principal angles for
-    # its index and two for k0 (was 10: a cached k0 took none per call)
-    assert count(round_trip) == {"svd": 12, "eigh": 2}
+    # of B, and fiber membership the SVD of X, whose rank gives its index
+    # (was 12: four principal angles for the index and two for k0)
+    assert count(round_trip) == {"svd": 6, "eigh": 2}
 
 
 def test_trivialize_v_round_trip_counts(count, inputs):
@@ -136,10 +138,19 @@ def test_trivialize_v_round_trip_counts(count, inputs):
     def round_trip():
         factor, fib = polar.trivialize_v(b, v0)
         polar.trivialize_v_inverse(factor, fib, v0)
-    # the SVD of B and two direct rotations, one eigh each, per witness;
-    # ranks are traces of the checked initial projectors, so a matrix V0
-    # costs no SVD, and each rotation reads its gap from its eigh
-    assert count(round_trip) == {"svd": 1, "eigh": 4}
+    # the SVD of B and one direct rotation, of the initial projectors, per
+    # chart; ranks are traces of the checked initial projectors, so a
+    # matrix V0 costs no SVD, and the rotation reads its gap from its eigh
+    # (was 4 eigh: each chart built the orbit witness's final-space
+    # rotation and threw it away)
+    assert count(round_trip) == {"svd": 1, "eigh": 2}
+
+
+def test_trivialize_v_counts(count, inputs):
+    a, b, _ = inputs
+    v0 = polar.polar_decompose(a).polar_factor
+    # the SVD of B and the eigh of the initial-projector rotation W
+    assert count(lambda: polar.trivialize_v(b, v0)) == {"svd": 1, "eigh": 1}
 
 
 def test_isometry_orbit_witness_counts(count, inputs):
@@ -167,14 +178,15 @@ def test_wedin_residual_counts(count, inputs):
 def test_modulus_map_counts(count, inputs):
     a, b, _ = inputs
     # one SVD of A and of B give both moduli and the index of B; the index
-    # of the moduli takes six (was 14)
-    assert count(lambda: polar.modulus_map(b, a)) == {"svd": 12}
+    # of the moduli takes one SVD of each (was 12: each index took four
+    # principal-angle SVDs more)
+    assert count(lambda: polar.modulus_map(b, a)) == {"svd": 4}
 
 
 def test_polar_factor_map_counts(count, inputs):
     a, b, _ = inputs
-    # as modulus_map, with |A|^+ = A^+ V_A read from the same SVD (was 16)
-    assert count(lambda: polar.polar_factor_map(b, a)) == {"svd": 12}
+    # as modulus_map, with |A|^+ = A^+ V_A read from the same SVD (was 12)
+    assert count(lambda: polar.polar_factor_map(b, a)) == {"svd": 4}
 
 
 def _cli(*argv):
@@ -185,10 +197,11 @@ def _cli(*argv):
 def test_cmd_fiber_counts(count):
     # both base points come from one SVD of A and one eigh of C0 per run,
     # and both charts share one polar decomposition of each B; one SVD per
-    # chart unitary, none per rotation gap (was 59 svd: B decomposed twice,
-    # and k0 took six SVDs once per run where it now takes two per trial)
+    # chart unitary, none per rotation gap or index (was 57 svd and 25
+    # eigh: per trial four principal angles for the index of X, two for
+    # k0, and the final-space rotation of both polar-factor charts)
     assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {
-        "svd": 57, "eigh": 25}
+        "svd": 33, "eigh": 17}
 
 
 def test_cmd_taylor_counts(count):
@@ -200,11 +213,11 @@ def test_cmd_taylor_counts(count):
 
 
 def test_cmd_census_counts(count):
-    # was 43 svd: A once; per sample the generator's two operator norms, its
-    # SVD and its gauge distance; 14 principal angles in all (an empty
-    # subspace basis takes none)
+    # A once; per sample the generator's two operator norms, its SVD and
+    # its gauge distance; the index is a rank difference (was 1 + 4*4 + 14:
+    # 14 principal angles in all)
     assert count(lambda: _cli("census", "--dim", D, "--trials", 4)) == {
-        "svd": 1 + 4 * 4 + 14}
+        "svd": 1 + 4 * 4}
 
 
 def test_stacked_inverses_count_per_matrix(count):
@@ -234,6 +247,18 @@ def test_taylor_term_counts(count, positive):
     c, _, delta = positive
     f = monotone.make_sqrt()
     assert count(lambda: monotone.taylor_term(f, c, delta, 3)) == {"eigh": 1}
+
+
+def test_continuity_in_stratum_counts(count, positive):
+    c, d, _ = positive
+    seq = [c + (d - c) / 2**k for k in range(4)]
+    f = monotone.make_sqrt()
+    # one eigh of C and of each term for f; one SVD of C serves every
+    # term's index, which also takes the term's SVD; the gauge norms of
+    # the input and value gaps (was one SVD of C per term, and four
+    # principal angles per index)
+    report = count(lambda: monotone.continuity_in_stratum(f, c, seq))
+    assert report == {"eigh": 1 + 4, "svd": 1 + 4 * 3}
 
 
 def test_perturbation_bound_counts(count, positive):
@@ -353,6 +378,7 @@ def test_factorizations_pass_through_unchanged(inputs):
     (strata, "index_from_svds"), (strata, "index_range_from_svd"),
     (strata, "representative_from_svd"), (polar, "_polar_parts"),
     (polar, "_section"), (polar, "ModulusBase"), (polar, "_base"),
-    (monotone, "_spectral"), (monotone, "_pd_eigs")])
+    (monotone, "_spectral"), (monotone, "_pd_eigs"), (strata, "_index_overlap"),
+    (codim, "subspace_index"), (codim, "_subspace_index")])
 def test_twin_entry_points_are_gone(module, name):
     assert not hasattr(module, name)

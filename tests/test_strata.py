@@ -32,6 +32,17 @@ def test_index_range_values(rng):
     assert 3 not in r
 
 
+@pytest.mark.parametrize("s", np.linspace(1 - 1e-8 - 4e-16, 1 - 1e-8 + 4e-16, 9))
+def test_stratum_index_where_a_principal_cosine_straddles_the_threshold(s):
+    # N(B) = span(n) meets N(A)^perp = span(e2, e3, e4) at cos = s, within
+    # roundoff of INTERSECTION_COS; both have rank 3, so the index is 0
+    # whichever side of the threshold roundoff puts the cosine
+    n = np.array([np.sqrt(1 - s * s), s, 0.0, 0.0])
+    a = np.diag([0.0, 1.0, 1.0, 1.0])
+    b = np.eye(4) - np.outer(n, n)
+    assert strata.stratum_index(b, a) == 0
+
+
 def test_stratum_index_shape_mismatch():
     with pytest.raises(PreconditionError):
         strata.stratum_index(np.eye(2), np.eye(3))
