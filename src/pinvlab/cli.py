@@ -30,6 +30,7 @@ from .matcore import (
     ROUND_TRIP_ABS,
     TAYLOR_RATIO_SLACK,
     GaugeNorm,
+    _read_json,
     as_matrix,
     gauge_norm,
     load_matrix,
@@ -105,8 +106,8 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_polar(args) -> int:
-    a = load_matrix(args.input)
-    parts = polar.polar_decompose(a)
+    res = svd(load_matrix(args.input))     # rank(|A|) = rank(A) is read here
+    parts = polar.polar_decompose(res)
     if args.matrix_out:
         payload = {
             "polar_factor": matrix_to_json(parts.polar_factor),
@@ -117,9 +118,9 @@ def cmd_polar(args) -> int:
     vtv = parts.polar_factor.conj().T @ parts.polar_factor
     _report({
         "factorization_residual": float(
-            np.linalg.norm(parts.polar_factor @ parts.modulus - a)),
+            np.linalg.norm(parts.polar_factor @ parts.modulus - res.matrix)),
         "initial_projector_residual": float(np.linalg.norm(vtv @ vtv - vtv)),
-        "modulus_rank": svd(parts.modulus).rank,
+        "modulus_rank": res.rank,
     }, args)
     return EXIT_OK
 
@@ -163,13 +164,7 @@ def _load_function(name: str) -> monotone.MonotoneFunction:
     if name == "sqrt":
         return monotone.make_sqrt()
     if name.startswith("atomic:"):
-        path = name[len("atomic:"):]
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise PreconditionError(f"invalid JSON in {path}: {exc}") from exc
-        return monotone.monotone_from_json(obj)
+        return monotone.monotone_from_json(_read_json(name[len("atomic:"):]))
     raise PreconditionError(f"unknown function {name!r}")
 
 

@@ -23,8 +23,8 @@ class ConvergenceError(PinvLabError):
 class ConsistencyError(PinvLabError):
     """Two independent computations of the same quantity disagree.
 
-    Usually signals a singular value or eigenvalue at the rank cutoff
-    ``matcore.RANK_REL``.
+    Usually signals a singular value or eigenvalue at the rank cutoff of
+    ``matcore.svd`` or ``matcore.psd_eigh``.
     """
 
 

@@ -100,8 +100,10 @@ def matrix_from_json(obj) -> np.ndarray:
         )
     try:
         flat = np.array([complex(re, im) for re, im in data])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed matrix entry: {exc}") from exc
+    if any(type(x) is bool for pair in data for x in pair):
+        raise PreconditionError("matrix entries must be numbers, not booleans")
     return as_matrix(flat.reshape(rows, cols))
 
 
@@ -111,12 +113,16 @@ def save_matrix(a, path):
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(f"invalid JSON in {path}: {exc}") from exc
-    return matrix_from_json(obj)
+    return matrix_from_json(_read_json(path))
+
+
+def _read_json(path):
+    """The JSON value in a file, or PreconditionError if it is not parseable UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise PreconditionError(f"invalid JSON in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +204,12 @@ FROBENIUS_NORM = GaugeNorm.schatten(2)
 
 def gauge_norm(a, g: GaugeNorm = OP_NORM) -> float:
     """Apply the symmetric gauge ``g`` to the singular values of ``a``."""
-    m = as_matrix(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    return g.of_singular_values(s)
+    return g.of_singular_values(_singular_values(a))
+
+
+def _singular_values(a) -> np.ndarray:
+    """The singular values of A, nonincreasing, without the singular vectors."""
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ an end term above that allowance is such a value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,21 +234,31 @@ def make_sqrt() -> MonotoneFunction:
 
 
 def make_atomic(alpha: float, beta: float, atoms) -> MonotoneFunction:
-    """Pick function with a finite atomic measure sum(w_i * delta_{t_i})."""
+    """Pick function with a finite atomic measure sum(w_i * delta_{t_i}):
+    atoms lists (t, w) pairs of real numbers, with finite t > 0 and w >= 0."""
     if beta < 0:
         raise PreconditionError("beta must be nonnegative")
-    clean = []
-    for t, w in atoms:
-        t, w = float(t), float(w)
-        if t <= 0 or w < 0:
-            raise PreconditionError("atoms need t > 0 and w >= 0")
-        clean.append((t, w))
+    if not isinstance(atoms, (list, tuple)):
+        raise PreconditionError("atoms must be a list of (t, w) pairs")
+    try:
+        clean = [(_real(t), _real(w)) for t, w in atoms]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"atoms must be (t, w) pairs of numbers: {exc}") from exc
+    if not all(0 < t < math.inf and 0 <= w < math.inf for t, w in clean):
+        raise PreconditionError("atoms need finite t > 0 and w >= 0")
     f = MonotoneFunction(alpha=float(alpha), beta=float(beta),
                          atoms=tuple(clean))
     f0 = scalar_eval(f, 0.0, skip_cache=True)
     f = MonotoneFunction(alpha=f.alpha, beta=f.beta, atoms=f.atoms, f0=f0)
     _check_monotone(f)
     return f
+
+
+def _real(x) -> float:
+    """x as a float if it is a real number, not a bool or a string."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not a real number")
+    return float(x)
 
 
 def monotone_to_json(f: MonotoneFunction) -> dict:
@@ -259,8 +270,8 @@ def monotone_to_json(f: MonotoneFunction) -> dict:
 
 def monotone_from_json(obj) -> MonotoneFunction:
     try:
-        alpha, beta = float(obj["alpha"]), float(obj["beta"])
-    except (KeyError, TypeError, ValueError) as exc:
+        alpha, beta = _real(obj["alpha"]), _real(obj["beta"])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise PreconditionError(f"malformed function JSON: {exc}") from exc
     if "atoms" in obj:
         return make_atomic(alpha, beta, obj["atoms"])

@@ -1,7 +1,14 @@
+import io
 import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pinvlab import cli, generate, polar
 from pinvlab.matcore import load_matrix, save_matrix
@@ -80,14 +87,28 @@ def test_stratify_where_a_principal_cosine_straddles_the_threshold(capsys, tmp_p
     assert "index: 0" in out.splitlines()
 
 
-def test_polar_command(capsys, matrix_file, tmp_path):
-    out_path = str(tmp_path / "polar.json")
-    code, out = run(capsys, ["polar", "--input", matrix_file,
+# name -> (A from rng, rank(|A|), bound on ||V|A| - A||_F)
+POLAR_INPUTS = {
+    "rank2": (lambda rng: generate.fixed_rank(rng, 4, 4, 2), 2, 1e-10),
+    # sigma_2 = 5e-10 lies under the cutoff 6e-10 of the 6 x 2 A but over
+    # the cutoff 2e-10 of the 2 x 2 |A|, which has the rank of A; V drops
+    # sigma_2, so V|A| misses A by it
+    "at_the_6x2_cutoff": (lambda rng: (generate.unitary(rng, 6)[:, :2] * [1.0, 5e-10])
+                          @ generate.unitary(rng, 2), 1, 6e-10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLAR_INPUTS))
+def test_polar_command(capsys, tmp_path, rng, name):
+    build, rank, residual = POLAR_INPUTS[name]
+    in_path, out_path = str(tmp_path / "a.json"), str(tmp_path / "polar.json")
+    save_matrix(build(rng), in_path)
+    code, out = run(capsys, ["polar", "--input", in_path,
                              "--matrix-out", out_path, "--json"])
     assert code == 0
     report = json.loads(out)
-    assert report["factorization_residual"] < 1e-10
-    assert report["modulus_rank"] == 2
+    assert report["factorization_residual"] < residual
+    assert report["modulus_rank"] == rank
     with open(out_path) as fh:
         payload = json.load(fh)
     assert set(payload) == {"polar_factor", "modulus"}
@@ -231,3 +252,139 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# Input fuzz: whatever malformed file, gauge spec or dim reaches the CLI, it
+# ends in exit 2 with an "error:" line, never in an exception out of main.
+
+
+def _rejects(parse):
+    """A predicate: does parse (float or int) reject the text?"""
+    def rejected(text):
+        try:
+            parse(text)
+        except ValueError:
+            return True
+        return False
+    return rejected
+
+
+def _numeric_pairs(v):
+    """Is v a list of [x, y] pairs of JSON numbers, as well-formed data or atoms are?"""
+    return isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p)
+        for p in v)
+
+
+def _is_json(content: bytes) -> bool:
+    try:
+        json.loads(content.decode("utf-8"))
+    except ValueError:
+        return False
+    return True
+
+
+def _dumps(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+def _corrupt(base, bad_values):
+    """base with one field replaced by a value drawn for it, or removed."""
+    def put(field, value):
+        out = dict(base)
+        out[field] = value
+        return out
+    removed = st.sampled_from(sorted(base)).map(
+        lambda field: {k: v for k, v in base.items() if k != field})
+    return removed | st.one_of(
+        [values.map(lambda v, f=field: put(f, v)) for field, values in bad_values.items()])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=10)
+not_json_objects = (st.binary().filter(lambda b: not _is_json(b))
+                    | json_values.filter(lambda v: not isinstance(v, dict)).map(_dumps))
+
+# rows = 2, cols = 1: a rows or cols other than those integers breaks the
+# shape, and data other than two [re, im] number pairs breaks the entries
+MATRIX = {"rows": 2, "cols": 1, "data": [[1.0, 0.0], [0.5, 0.0]]}
+bad_matrices = not_json_objects | _corrupt(MATRIX, {
+    "rows": json_values.filter(lambda v: not (type(v) is int and v == 2)),
+    "cols": json_values.filter(lambda v: not (type(v) is int and v == 1)),
+    "data": json_values.filter(lambda v: not (_numeric_pairs(v) and len(v) == 2)),
+}).map(_dumps)
+
+bad_atom = (st.tuples(st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan]),
+                      st.floats(min_value=0.0, max_value=10.0))
+            | st.tuples(st.floats(min_value=0.1, max_value=10.0),
+                        st.floats(max_value=-1e-300) | st.sampled_from([math.inf, math.nan])))
+FUNCTION = {"alpha": 0.5, "beta": 0.5, "atoms": [[1.0, 1.0]]}
+bad_functions = not_json_objects | _corrupt(FUNCTION, {
+    "alpha": json_values.filter(lambda v: type(v) not in (int, float)),
+    "beta": json_values.filter(lambda v: type(v) not in (int, float))
+    | st.floats(max_value=-1e-300),
+    "atoms": json_values.filter(lambda v: not _numeric_pairs(v))
+    | st.lists(bad_atom.map(list), min_size=1, max_size=3),
+}).map(_dumps)
+
+bad_gauges = st.one_of(
+    st.text().filter(lambda g: g not in ("op", "s1", "s2")
+                     and not g.startswith(("sp:", "kyfan:"))),
+    st.builds("sp:{}".format, st.floats(max_value=1.0, exclude_max=True)
+              | st.just(math.nan) | st.text().filter(_rejects(float))),
+    st.builds("kyfan:{}".format, st.integers(max_value=0) | st.text().filter(_rejects(int))),
+)
+bad_dims = (st.integers().filter(lambda d: not 1 <= d <= 64).map(str)
+            | st.text().filter(_rejects(int)))
+
+TAYLOR_ATOMIC = ["taylor", "--dim", "2", "--function", "atomic:{file}"]
+MATRIX_READERS = [["pinv", "--input", "{file}"], ["polar", "--input", "{file}"],
+                  ["stratify", "--a", "{file}", "--b", "{file}"],
+                  ["codim", "--p", "{file}", "--q", "{file}"]]
+NOT_UTF8 = b'\xff\xfe{"rows": 1}'
+
+
+def _atomic(atoms: str) -> bytes:
+    return ('{"alpha": 0.5, "beta": 0.5, "atoms": %s}' % atoms).encode()
+
+
+malformed_runs = st.one_of(
+    st.tuples(st.sampled_from(MATRIX_READERS), bad_matrices),
+    st.tuples(st.just(TAYLOR_ATOMIC), bad_functions),
+    st.tuples(st.sampled_from(["continuity", "census", "taylor"]), bad_gauges).map(
+        lambda run: ([run[0], "--gauge", run[1]], None)),
+    st.tuples(st.sampled_from(["continuity", "census", "taylor", "fiber"]), bad_dims).map(
+        lambda run: ([run[0], "--dim", run[1]], None)),
+)
+
+
+@settings(max_examples=200)
+@given(malformed_runs)
+@example((TAYLOR_ATOMIC, _atomic("5")))
+@example((TAYLOR_ATOMIC, _atomic("null")))
+@example((TAYLOR_ATOMIC, _atomic("[[1]]")))
+@example((TAYLOR_ATOMIC, _atomic("[[1,2,3]]")))
+@example((TAYLOR_ATOMIC, _atomic('[["x",1]]')))
+@example((TAYLOR_ATOMIC, _atomic('{"a":1}')))
+@example((TAYLOR_ATOMIC, NOT_UTF8))
+@example((["pinv", "--input", "{file}"], NOT_UTF8))
+@example((["pinv", "--input", "{file}"], b"[" * 100_000))
+@example((["pinv", "--input", "{file}"], _dumps({"rows": 1, "cols": 1, "data": [[10**400, 0]]})))
+@example((["pinv", "--input", "{file}"], _dumps({"rows": 1, "cols": 1, "data": [[True, 0]]})))
+def test_malformed_input_always_exits_2(run):
+    argv, content = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        if content is not None:
+            with open(path, "wb") as fh:
+                fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([a.replace("{file}", path) for a in argv])
+    assert code == 2
+    assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+    assert out.getvalue() == ""

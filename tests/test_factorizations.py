@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pinvlab import cli, codim, generate, monotone, pinv, polar, strata
-from pinvlab.matcore import OP_NORM, as_matrix, psd_eigh, svd
+from pinvlab.matcore import OP_NORM, as_matrix, psd_eigh, save_matrix, svd
 
 D = 16
 
@@ -175,23 +175,39 @@ def test_wedin_residual_counts(count, inputs):
     assert count(lambda: pinv.wedin_residual(a, b, OP_NORM)) == {"svd": 3}
 
 
+def test_mp_map_counts(count, inputs):
+    a, b, _ = inputs
+    # one SVD of A and of B; rank(B^+) = rank(B) by construction, so no
+    # SVD of B^+ or A^+ (was 4)
+    assert count(lambda: strata.mp_map(b, a)) == {"svd": 2}
+
+
 def test_modulus_map_counts(count, inputs):
     a, b, _ = inputs
-    # one SVD of A and of B give both moduli and the index of B; the index
-    # of the moduli takes one SVD of each (was 12: each index took four
-    # principal-angle SVDs more)
-    assert count(lambda: polar.modulus_map(b, a)) == {"svd": 4}
+    # one SVD of A and of B; |B| is read from the SVD of B, whose rank it
+    # has, so no SVD of either modulus (was 4)
+    assert count(lambda: polar.modulus_map(b, a)) == {"svd": 2}
 
 
 def test_polar_factor_map_counts(count, inputs):
     a, b, _ = inputs
-    # as modulus_map, with |A|^+ = A^+ V_A read from the same SVD (was 12)
-    assert count(lambda: polar.polar_factor_map(b, a)) == {"svd": 4}
+    # as modulus_map, with |A|^+ = A^+ V_A read from the same SVD; no SVD
+    # of V_B or V_A (was 4)
+    assert count(lambda: polar.polar_factor_map(b, a)) == {"svd": 2}
 
 
 def _cli(*argv):
     with redirect_stdout(io.StringIO()):
         assert cli.main([str(x) for x in argv]) == 0
+
+
+def test_cmd_polar_counts(count, inputs, tmp_path):
+    a, _, _ = inputs
+    path = tmp_path / "a.json"
+    save_matrix(a, path)
+    # one SVD of A gives both polar parts and the modulus rank, rank(A)
+    # (was 2: the rank came from an SVD of |A|)
+    assert count(lambda: _cli("polar", "--input", path)) == {"svd": 1}
 
 
 def test_cmd_fiber_counts(count):

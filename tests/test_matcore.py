@@ -1,5 +1,6 @@
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ def test_tolerances_are_constants_not_parameters():
                 assert not {"tol", "tail_tol"} & set(params), fn
                 checked += 1
     assert checked > 100
+
+
+def test_rank_cutoff_is_named_only_where_it_is_defined():
+    # every other rank or invertibility decision reads svd(.).rank or
+    # psd_eigh(.).rank; codim clamps its rotation's eigenvalues at RANK_REL
+    package = Path(pinvlab.__file__).parent
+    naming = {path.stem for path in package.glob("*.py") if "RANK_REL" in path.read_text("utf-8")}
+    assert naming == {"matcore", "codim"}
 
 
 @given(seeds, dims, dims)

@@ -204,11 +204,22 @@ def test_orbit_witness_rejects_rank_mismatch(rng):
 # modulus_map / polar_factor_map
 
 
-@given(seeds)
-def test_modulus_and_factor_maps_in_stratum(seed):
-    rng = np.random.default_rng(seed)
+def _near_pair(rng):
     a = generate.fixed_rank(rng, 4, 4, 2)
-    b = generate.rank_preserving_perturbation(rng, a, 0.05)
+    return generate.rank_preserving_perturbation(rng, a, 0.05), a
+
+
+def _pair_at_the_6x2_cutoff(rng):
+    # sigma_2(B) = 5e-10 lies under B's cutoff 6e-10 (6 x 2) but over the
+    # cutoff 2e-10 of the 2 x 2 |B|: index 1, whatever rank an SVD of |B| reads
+    u, v = generate.unitary(rng, 6)[:, :2], generate.unitary(rng, 2)
+    return (u * [1.0, 5e-10]) @ v, (u * [1.0, 0.5]) @ v
+
+
+@pytest.mark.parametrize("pair", [_near_pair, _pair_at_the_6x2_cutoff])
+@given(seeds)
+def test_modulus_and_factor_maps_in_stratum(pair, seed):
+    b, a = pair(np.random.default_rng(seed))
     mod = polar.modulus_map(b, a)
     factor = polar.polar_factor_map(b, a)
     parts = polar.polar_decompose(b)

@@ -9,7 +9,7 @@ from pinvlab.errors import (
     PreconditionError,
     StratumError,
 )
-from pinvlab.matcore import OP_NORM, gauge_norm
+from pinvlab.matcore import OP_NORM, gauge_norm, svd
 from pinvlab.pinv import pinv_matrix
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -212,6 +212,18 @@ def test_mp_map_preserves_index(seed):
     b = generate.rank_preserving_perturbation(rng, a, 0.05)
     bp = strata.mp_map(b, a)
     assert np.linalg.norm(bp - pinv_matrix(b)) < 1e-12
+
+
+def test_mp_map_at_the_rank_cutoff():
+    # sigma_3(B_t) = 4e-10 t sits at B's cutoff 4e-10, and the least nonzero
+    # singular value 1 of B_t^+ at the cutoff 1/t of B_t^+: the rank an SVD
+    # of B_t^+ reads differs from rank(B_t) on 28 of these t
+    rng = np.random.default_rng(0)
+    q1, q2 = generate.unitary(rng, 4), generate.unitary(rng, 4)
+    a = np.diag([1.0, 0.7, 0.5, 0.0])
+    for t in np.linspace(1 - 2e-6, 1 + 2e-6, 4001):
+        b = (q1 * [1.0, 0.7, 4e-10 * t, 0.0]) @ q2.conj().T
+        assert np.array_equal(strata.mp_map(b, a), svd(b).pinv)
 
 
 @given(seeds)
