@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConsistencyError, GapTooLargeError, PreconditionError
 from .matcore import (INTERSECTION_COS, PROJECTOR_REL, PROJECTOR_SPECTRUM,
-                      RANK_REL, as_matrix, eigh)
+                      RANK_REL, as_matrix, eigh, svd)
 
 
 @dataclass(frozen=True)
@@ -113,25 +113,23 @@ def essential_codimension(p: Projector, q: Projector) -> int:
 def direct_rotation(p: Projector, q: Projector) -> np.ndarray:
     """Canonical unitary U with U P U* = Q, defined when ||P - Q|| < 1.
 
-    U is the unitary polar factor of W = QP + (I-Q)(I-P); the inverse
-    square root of I - (P-Q)^2 is taken spectrally with eigenvalues
-    clamped below at RANK_REL.  The same eigh gives the gap:
-    the least eigenvalue of I - (P-Q)^2 is 1 - ||P - Q||^2.
+    U = XY* is the unitary polar factor of W = QP + (I-Q)(I-P) = X S Y*,
+    from one SVD.  As WW* = I - (P-Q)^2, the least singular value s of W
+    gives the gap ||P - Q|| = (1 - s^2)^{1/2}, which must stay below
+    1 - RANK_REL.  The gap is absolute: every principal angle near pi/2
+    makes all of W small, so a cutoff relative to ||W|| would not see it.
     """
     if p.dim != q.dim:
         raise PreconditionError("projections must act on the same space")
     pm, qm = p.matrix, q.matrix
     ident = np.eye(p.dim, dtype=complex)
-    vec, val = eigh(ident - (pm - qm) @ (pm - qm))
-    gap = float(np.sqrt(max(1.0 - val[0], 0.0)))
+    res = svd(qm @ pm + (ident - qm) @ (ident - pm))
+    gap = float(np.sqrt(max(1.0 - res.singular_values[-1] ** 2, 0.0)))
     if gap >= 1.0 - RANK_REL:
         raise GapTooLargeError(
             f"||P - Q|| = {gap:.6f} >= 1; projections are not directly rotatable"
         )
-    w = qm @ pm + (ident - qm) @ (ident - pm)
-    val = np.maximum(val, RANK_REL)
-    inv_sqrt = (vec / np.sqrt(val)) @ vec.conj().T
-    return inv_sqrt @ w
+    return res.U @ res.Vt
 
 
 def basis_matching_unitary(p: Projector, q: Projector) -> np.ndarray:

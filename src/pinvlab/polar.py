@@ -19,6 +19,7 @@ from . import codim, strata
 from .codim import Projector
 from .errors import (
     ConsistencyError,
+    GapTooLargeError,
     OutsideNeighborhoodError,
     PinvLabError,
     PreconditionError,
@@ -113,25 +114,15 @@ def congruence_witness(c, d) -> np.ndarray:
 def positive_section(c, b) -> np.ndarray:
     """Invertible sigma with sigma C sigma* = B, for nearby equal-rank PSD B.
 
-    Built from the unitary polar factor S~ of S = QP + (I-Q)(I-P), with
-    P, Q the range projectors of C, B:  S~ carries R(C) onto R(B), and
-    sigma = B^{1/2} S~ (C^+)^{1/2} + (I-Q) S~ (I-P) conjugates exactly.
-    The raw S is checked for invertibility, which delimits the section's
-    neighborhood of validity.  C and B are matrices or their psd_eighs.
+    With P, Q the range projectors of C, B and U = _chart_unitary(C, B)
+    their direct rotation, which carries R(C) onto R(B),
+    sigma = B^{1/2} U (C^+)^{1/2} + (I-Q) U (I-P) conjugates exactly.  The
+    rotation's domain ||P - Q|| < 1 is the section's neighborhood of
+    validity.  C and B are matrices or their psd_eighs.
     """
     ec, eb = _equal_rank_roots(c, b)
-    p_null, q_null = ec.null_proj(), eb.null_proj()
-    s_unitary = _unitary_factor(eb.range_proj() @ ec.range_proj() + q_null @ p_null,
-                                "range projectors too far apart; section undefined here")
-    return eb.sqrt() @ s_unitary @ ec.pinv_sqrt() + q_null @ s_unitary @ p_null
-
-
-def _unitary_factor(m, outside: str) -> np.ndarray:
-    """XY* for m = X S Y*, or OutsideNeighborhoodError(outside) if m is singular."""
-    res = svd(m)
-    if res.rank < len(res.singular_values):
-        raise OutsideNeighborhoodError(outside)
-    return res.U @ res.Vt
+    u = _chart_unitary(ec, eb)
+    return eb.sqrt() @ u @ ec.pinv_sqrt() + eb.null_proj() @ u @ ec.null_proj()
 
 
 def isometry_orbit_witness(v0, v):
@@ -172,9 +163,9 @@ def _matrix_of(v) -> np.ndarray:
 
 def modulus_map(b, a) -> np.ndarray:
     """B -> |B|, from the one SVD of B, whose rank |B| has by construction:
-    the index relative to |A| is that of B relative to A (the tests check it)."""
-    sb, _ = strata._svd_pair(b, a)
-    return polar_decompose(sb).modulus
+    the index relative to |A| is that of B relative to A (the tests check it).
+    A only fixes the shape; it is not factorized."""
+    return polar_decompose(strata._svd_same_shape(b, a)).modulus
 
 
 def polar_factor_map(b, a) -> PartialIsometry:
@@ -226,12 +217,11 @@ def fiber_membership_alpha(x, c0, a) -> bool:
 def trivialize_alpha(b, c0, a):
     """Chart of the modulus fibration: B -> (|B|, V_B U C0).
 
-    U is the unitary polar factor of the positive section carrying C0 to
-    |B|; it carries R(C0) onto R(|B|), so the second component keeps
-    modulus exactly C0.  B is a matrix or its polar parts, C0 a matrix or
-    its psd_eigh and A a matrix or its SVD; a run that serves many B
-    from one base point factorizes C0 and A once.  Inverted by
-    trivialize_alpha_inverse.
+    U is the direct rotation of R(C0) onto R(|B|); as V_B*V_B = P_R(|B|)
+    and U*P_R(|B|)U = P_R(C0), the second component keeps modulus exactly
+    C0.  B is a matrix or its polar parts, C0 a matrix or its psd_eigh
+    and A a matrix or its SVD; a run that serves many B from one base
+    point factorizes C0 and A once.  Inverted by trivialize_alpha_inverse.
     """
     eig, sa = _base_point(c0, a)
     parts = polar_decompose(b)
@@ -247,16 +237,18 @@ def trivialize_alpha(b, c0, a):
     return parts.modulus, fiber_elem
 
 
-def _chart_unitary(c0, modulus) -> np.ndarray:
-    """The unitary polar factor U = XY* of the section gamma = X S Y*: C0 -> modulus.
+def _chart_unitary(c, b) -> np.ndarray:
+    """The direct rotation U of R(C) onto R(B), for PSD C, B or their psd_eighs.
 
-    gamma is invertible and maps R(C0) onto R(|B|) and N(C0) onto N(|B|),
-    so gamma*gamma commutes with the range projector of C0 and U, the
-    unitary polar factor of gamma, carries R(C0) onto R(|B|); it is real
-    analytic in |B|.  A numerically singular gamma is outside the chart.
+    U, real analytic in B, carries the range projector of psd_eigh(C) to
+    that of psd_eigh(B); a gap ||P_R(C) - P_R(B)|| at 1, which unequal
+    ranks give, is outside the chart.
     """
-    u = _unitary_factor(positive_section(c0, modulus),
-                        "positive section singular; chart undefined here")
+    try:
+        u = codim.direct_rotation(Projector(psd_eigh(c).range_proj()),
+                                  Projector(psd_eigh(b).range_proj()))
+    except GapTooLargeError as exc:
+        raise OutsideNeighborhoodError(f"range projectors too far apart: {exc}") from exc
     if np.linalg.norm(u @ u.conj().T - np.eye(len(u))) > UNITARY_REL * len(u):
         raise ConsistencyError("chart unitary is not unitary")
     return u
@@ -266,7 +258,8 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
     """(C, V C0) -> V U* C, undoing trivialize_alpha.
 
     c0 is as in trivialize_alpha; no A is needed, as only the psd_eigh
-    of C0 is read.
+    of C0 is read.  Outside the chart, unequal ranks included, it raises
+    OutsideNeighborhoodError.
     """
     eig = psd_eigh(c0)
     modulus = as_matrix(modulus)

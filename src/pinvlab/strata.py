@@ -74,9 +74,14 @@ def stratum_index(b, a) -> int:
 
 def _svd_pair(b, a):
     """SVDs of B and A, which must have the same shape."""
+    return _svd_same_shape(b, a), svd(a)
+
+
+def _svd_same_shape(b, a):
+    """SVD of B, once B is checked to have the shape of A; A is not factorized."""
     if as_matrix(a).shape != as_matrix(b).shape:
         raise PreconditionError("A and B must have the same shape")
-    return svd(b), svd(a)
+    return svd(b)
 
 
 def index_range(a) -> IndexRange:
@@ -349,9 +354,9 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
 
 def mp_map(b, a) -> np.ndarray:
     """B -> B^+, from the one SVD of B, whose rank B^+ has by construction:
-    the index relative to A^+ is that of B relative to A (the tests check it)."""
-    rb, _ = _svd_pair(b, a)
-    return rb.pinv
+    the index relative to A^+ is that of B relative to A (the tests check it).
+    A only fixes the shape; it is not factorized."""
+    return _svd_same_shape(b, a).pinv
 
 
 def tangent_membership(b, z, return_witness: bool = False):

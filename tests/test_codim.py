@@ -94,11 +94,28 @@ def test_direct_rotation_identity_case():
     assert np.linalg.norm(u - np.eye(4)) < 1e-10
 
 
-def test_direct_rotation_gap_one_fails():
-    p = Projector(np.diag([1.0, 0.0]).astype(complex))
-    q = Projector(np.diag([0.0, 1.0]).astype(complex))
+def _rank_one_pair(c):
+    """P = xx*, Q = yy* in C^2 for x = e1, y = (c, (1 - c^2)^{1/2}): cos theta = c."""
+    x = np.array([1.0, 0.0], dtype=complex)
+    y = np.array([c, np.sqrt(1.0 - c * c)], dtype=complex)
+    return Projector(np.outer(x, x.conj())), Projector(np.outer(y, y.conj()))
+
+
+@pytest.mark.parametrize("c", [1e-4, 2e-5])
+def test_direct_rotation_is_accurate_near_the_gap(c):
+    # the polar factor of W from its SVD stays unitary to roundoff; an
+    # inverse square root of I - (P - Q)^2 amplifies its error by 1/c^2
+    p, q = _rank_one_pair(c)
+    u = direct_rotation(p, q)
+    assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-12
+    assert np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix) <= 1e-10
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-6])
+def test_direct_rotation_gap_one_fails(c):
+    # ||P - Q|| = (1 - c^2)^{1/2} >= 1 - RANK_REL at c = 1e-6
     with pytest.raises(GapTooLargeError):
-        direct_rotation(p, q)
+        direct_rotation(*_rank_one_pair(c))
 
 
 def test_basis_matching_handles_gap_one():

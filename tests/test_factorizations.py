@@ -111,9 +111,11 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     # each chart factorizes C0 once (its eigh gives the range basis, the
     # rank and C0^+), forward also A once, and hands both to fiber
     # membership, where k0 = rank(A) - rank(C0) as N(|A|) = N(A); each
-    # chart unitary is one SVD of the section (was 13 svd: the index of X
-    # took four principal angles and k0 two)
-    assert count(round_trip) == {"svd": 7, "eigh": 4}
+    # chart unitary is the direct rotation of R(C0) onto R(|B|), one eigh
+    # of |B| and one SVD of W (was 7 svd: the positive section's SVD of
+    # S and then the SVD of the section for its polar factor; 13 before
+    # that, when the index of X took four principal angles and k0 two)
+    assert count(round_trip) == {"svd": 5, "eigh": 4}
 
 
 def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
@@ -124,11 +126,12 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, res_a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    # per chart: the positive section's eigh of |B| and SVD of S, and the
-    # SVD of the section for its unitary polar factor; forward also the SVD
-    # of B, and fiber membership the SVD of X, whose rank gives its index
-    # (was 12: four principal angles for the index and two for k0)
-    assert count(round_trip) == {"svd": 6, "eigh": 2}
+    # per chart: the eigh of |B| and the SVD of W for the direct rotation
+    # of R(C0) onto R(|B|); forward also the SVD of B, and fiber membership
+    # the SVD of X, whose rank gives its index (was 6 svd: the chart built
+    # the positive section and took its SVD for the polar factor; 12
+    # before that, with four principal angles for the index and two for k0)
+    assert count(round_trip) == {"svd": 4, "eigh": 2}
 
 
 def test_trivialize_v_round_trip_counts(count, inputs):
@@ -140,25 +143,28 @@ def test_trivialize_v_round_trip_counts(count, inputs):
         polar.trivialize_v_inverse(factor, fib, v0)
     # the SVD of B and one direct rotation, of the initial projectors, per
     # chart; ranks are traces of the checked initial projectors, so a
-    # matrix V0 costs no SVD, and the rotation reads its gap from its eigh
-    # (was 4 eigh: each chart built the orbit witness's final-space
+    # matrix V0 costs no SVD, and the rotation is one SVD of W, which also
+    # gives its gap (was 2 eigh of I - (P - Q)^2 in its place; 4 eigh
+    # before that, when each chart built the orbit witness's final-space
     # rotation and threw it away)
-    assert count(round_trip) == {"svd": 1, "eigh": 2}
+    assert count(round_trip) == {"svd": 3}
 
 
 def test_trivialize_v_counts(count, inputs):
     a, b, _ = inputs
     v0 = polar.polar_decompose(a).polar_factor
-    # the SVD of B and the eigh of the initial-projector rotation W
-    assert count(lambda: polar.trivialize_v(b, v0)) == {"svd": 1, "eigh": 1}
+    # the SVD of B and the one SVD of the initial-projector rotation W
+    # (was an eigh of I - (P - Q)^2 for the rotation)
+    assert count(lambda: polar.trivialize_v(b, v0)) == {"svd": 2}
 
 
 def test_isometry_orbit_witness_counts(count, inputs):
     a, b, _ = inputs
     v0 = polar.polar_decompose(a).polar_factor
     v = polar.polar_decompose(b).polar_factor
-    # two direct rotations, one eigh each; no SVD for the ranks or the gaps
-    assert count(lambda: polar.isometry_orbit_witness(v0, v)) == {"eigh": 2}
+    # two direct rotations, one SVD each, which also gives the gap (was an
+    # eigh each); no further SVD for the ranks
+    assert count(lambda: polar.isometry_orbit_witness(v0, v)) == {"svd": 2}
 
 
 def test_mp_tangent_counts(count, inputs):
@@ -177,16 +183,17 @@ def test_wedin_residual_counts(count, inputs):
 
 def test_mp_map_counts(count, inputs):
     a, b, _ = inputs
-    # one SVD of A and of B; rank(B^+) = rank(B) by construction, so no
-    # SVD of B^+ or A^+ (was 4)
-    assert count(lambda: strata.mp_map(b, a)) == {"svd": 2}
+    # one SVD of B; rank(B^+) = rank(B) by construction, so no SVD of B^+
+    # or A^+, and A only fixes the shape (was 2 with an SVD of A; 4 before)
+    assert count(lambda: strata.mp_map(b, a)) == {"svd": 1}
 
 
 def test_modulus_map_counts(count, inputs):
     a, b, _ = inputs
-    # one SVD of A and of B; |B| is read from the SVD of B, whose rank it
-    # has, so no SVD of either modulus (was 4)
-    assert count(lambda: polar.modulus_map(b, a)) == {"svd": 2}
+    # one SVD of B; |B| is read from it, whose rank it has, so no SVD of
+    # either modulus, and A only fixes the shape (was 2 with an SVD of A;
+    # 4 before)
+    assert count(lambda: polar.modulus_map(b, a)) == {"svd": 1}
 
 
 def test_polar_factor_map_counts(count, inputs):
@@ -212,12 +219,16 @@ def test_cmd_polar_counts(count, inputs, tmp_path):
 
 def test_cmd_fiber_counts(count):
     # both base points come from one SVD of A and one eigh of C0 per run,
-    # and both charts share one polar decomposition of each B; one SVD per
-    # chart unitary, none per rotation gap or index (was 57 svd and 25
-    # eigh: per trial four principal angles for the index of X, two for
-    # k0, and the final-space rotation of both polar-factor charts)
+    # and both charts share one polar decomposition of each B; every chart
+    # unitary is a direct rotation, one SVD of W that also gives its gap,
+    # and the modulus charts take one eigh of |B| (was 17 eigh: the
+    # modulus charts took two SVDs each, for the positive section and its
+    # polar factor, and the polar-factor rotations an eigh each; 57 svd
+    # and 25 eigh before that, with per trial four principal angles for
+    # the index of X, two for k0, and the final-space rotation of both
+    # polar-factor charts)
     assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {
-        "svd": 33, "eigh": 17}
+        "svd": 33, "eigh": 9}
 
 
 def test_cmd_taylor_counts(count):
@@ -286,15 +297,16 @@ def test_perturbation_bound_counts(count, positive):
 
 def test_congruence_witness_counts(count, semidefinite):
     c, d = semidefinite
-    # one eigh of C and of D; direct rotation of the null projectors takes
-    # the eigh of I - (P - Q)^2, which also gives the gap
-    assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 3}
+    # one eigh of C and of D; the direct rotation of the null projectors
+    # takes one SVD of W, which also gives the gap (was the eigh of
+    # I - (P - Q)^2)
+    assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 2, "svd": 1}
 
 
 def test_positive_section_counts(count, semidefinite):
     c, b = semidefinite
-    # one eigh of C and of B, one SVD of S for its invertibility and its
-    # unitary polar factor
+    # one eigh of C and of B, one SVD of W for the direct rotation of R(C)
+    # onto R(B) and its gap
     assert count(lambda: polar.positive_section(c, b)) == {"eigh": 2, "svd": 1}
 
 

@@ -78,7 +78,9 @@ def test_tolerances_are_constants_not_parameters():
 
 def test_rank_cutoff_is_named_only_where_it_is_defined():
     # every other rank or invertibility decision reads svd(.).rank or
-    # psd_eigh(.).rank; codim clamps its rotation's eigenvalues at RANK_REL
+    # psd_eigh(.).rank; codim's direct rotation refuses a gap
+    # ||P - Q|| >= 1 - RANK_REL, which a cutoff relative to the scale of
+    # W = QP + (I-Q)(I-P) would not see
     package = Path(pinvlab.__file__).parent
     naming = {path.stem for path in package.glob("*.py") if "RANK_REL" in path.read_text("utf-8")}
     assert naming == {"matcore", "codim"}

@@ -117,10 +117,25 @@ def test_positive_section_conjugates_exactly(seed, r):
     assert np.linalg.svd(sigma, compute_uv=False)[-1] > 1e-8
 
 
-def test_positive_section_outside_neighborhood():
-    # orthogonal ranges: the section is undefined even at equal rank
+def _nearly_complementary(c):
+    """Rank-2 PSD C, B on C^4 whose ranges are within c of complementary."""
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    x, x_c = u[:, :2], u[:, 2:]
+    y = np.linalg.qr(x_c + c * x @ np.array([[1.0, 0.3], [0.2, 1.0]]))[0]
+    return x @ np.diag([2.0, 1.0]) @ x.conj().T, y @ np.diag([1.5, 0.7]) @ y.conj().T
+
+
+@pytest.mark.parametrize("c, b", [
+    (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+    _nearly_complementary(1e-12),
+    _nearly_complementary(1e-14),
+], ids=["orthogonal", "near-1e-12", "near-1e-14"])
+def test_positive_section_outside_neighborhood(c, b):
+    # orthogonal or nearly orthogonal ranges: the section is undefined even
+    # at equal rank, though W = QP + (I-Q)(I-P) may have full svd rank
     with pytest.raises(OutsideNeighborhoodError):
-        polar.positive_section(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        polar.positive_section(c, b)
 
 
 # ---------------------------------------------------------------------------
