@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
 from .matcore import (
     ROUND_TRIP_ABS,
     TAYLOR_RATIO_SLACK,
+    TAYLOR_ROUNDOFF_REL,
     GaugeNorm,
     _read_json,
     as_matrix,
@@ -114,7 +116,7 @@ def cmd_polar(args) -> int:
             "modulus": matrix_to_json(parts.modulus),
         }
         with open(args.matrix_out, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
     vtv = parts.polar_factor.conj().T @ parts.polar_factor
     _report({
         "factorization_residual": float(
@@ -141,6 +143,7 @@ def cmd_continuity(args) -> int:
         if kind == "in_stratum":
             seq = generate.in_stratum_family(rng, b, 8)
         else:
+            b = svd(b)      # serves every jump and the report
             seq = generate.jump_family(b, 8)
         report = strata.continuity_report(b, seq, n0=2, g=g)
         for row in report.rows:
@@ -186,6 +189,9 @@ def cmd_taylor(args) -> int:
     tail_coeff = float(monotone.measure_integral(
         f, lambda t: (t + gamma) ** -2.0))
     partial = fc.copy()
+    # a remainder at the roundoff of the two evaluations passes at any
+    # ratio; against a zero bound the ratio is reported as inf
+    floor = TAYLOR_ROUNDOFF_REL * float(np.linalg.norm(target))
     lines = ["m,remainder_gauge,bound_gauge,ratio"]
     ok = True
     for m in range(1, args.mmax + 1):
@@ -193,8 +199,11 @@ def cmd_taylor(args) -> int:
         remainder = gauge_norm(target - partial, g)
         ratio_rad = dist / gamma
         bound = tail_coeff * ratio_rad**m * dist / (1.0 - ratio_rad)
-        ratio = remainder / bound if bound > 0 else 0.0
-        ok = ok and ratio <= 1.0 + TAYLOR_RATIO_SLACK
+        if bound > 0:
+            ratio = remainder / bound
+        else:
+            ratio = math.inf if remainder > 0 else 0.0
+        ok = ok and (ratio <= 1.0 + TAYLOR_RATIO_SLACK or remainder <= floor)
         lines.append(f"{m},{_fmt(remainder)},{_fmt(bound)},{_fmt(ratio)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_INCONSISTENT
@@ -224,6 +233,18 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
+def _fiber_trial(b, c0, res_a, v0, alpha_res, v_res) -> None:
+    """Both charts' round trips at B, each appending ||back - B||_F to its
+    list; a trial's matrices are freed when it returns, not kept into the next."""
+    parts = polar.polar_decompose(b)    # serves both charts
+    _, fib = polar.trivialize_alpha(parts, c0, res_a)
+    back = polar.trivialize_alpha_inverse(parts.modulus_eig, fib, c0)
+    alpha_res.append(float(np.linalg.norm(back - b)))
+    fac, fib = polar.trivialize_v(parts, v0)
+    back = polar.trivialize_v_inverse(fac, fib, v0)
+    v_res.append(float(np.linalg.norm(back - b)))
+
+
 def cmd_fiber(args) -> int:
     rng = generate.rng_from_seed(args.seed)
     d = args.dim
@@ -232,20 +253,14 @@ def cmd_fiber(args) -> int:
     # both charts' base points, from one SVD of A, factorized once per run
     res_a = svd(a)
     parts_a = polar.polar_decompose(res_a)
-    c0 = psd_eigh(parts_a.modulus)
+    c0 = parts_a.modulus_eig
     v0 = polar.PartialIsometry(parts_a.polar_factor)
     alpha_res, v_res = [], []
     outside = 0
     for _ in range(args.trials):
         b = generate.rank_preserving_perturbation(rng, a, 0.05)
         try:
-            parts = polar.polar_decompose(b)    # serves both charts
-            mod, fib = polar.trivialize_alpha(parts, c0, res_a)
-            back = polar.trivialize_alpha_inverse(mod, fib, c0)
-            alpha_res.append(float(np.linalg.norm(back - b)))
-            fac, fib = polar.trivialize_v(parts, v0)
-            back = polar.trivialize_v_inverse(fac, fib, v0)
-            v_res.append(float(np.linalg.norm(back - b)))
+            _fiber_trial(b, c0, res_a, v0, alpha_res, v_res)
         except OutsideNeighborhoodError:
             outside += 1
     report = {

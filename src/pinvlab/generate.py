@@ -77,17 +77,16 @@ def rank_preserving_perturbation(rng, b, scale: float) -> np.ndarray:
 def rank_jump_perturbation(b, eps: float) -> np.ndarray:
     """B plus eps times a partial isometry from N(B) into R(B)^perp.
 
-    Raises PreconditionError when B has neither nullspace nor corange to
-    spare.
+    B is a matrix or its SVD.  Raises PreconditionError when B has
+    neither nullspace nor corange to spare.
     """
     res = svd(b)
     r = res.rank
-    m, n = b.shape
-    if r >= min(m, n):
+    if r >= min(res.matrix.shape):
         raise PreconditionError("no room to increase the rank of B")
     left = res.U[:, r]
     right = res.Vt[r, :].conj()
-    return b + eps * np.outer(left, right.conj())
+    return res.matrix + eps * np.outer(left, right.conj())
 
 
 def in_stratum_family(rng, b, length: int, scale: float = 0.2) -> list:
@@ -97,8 +96,12 @@ def in_stratum_family(rng, b, length: int, scale: float = 0.2) -> list:
 
 
 def jump_family(b, length: int, scale: float = 0.2) -> list:
-    """Convergent sequence B_n -> B whose tail sits in a lower stratum."""
-    return [rank_jump_perturbation(b, scale * 0.5**k)
+    """Convergent sequence B_n -> B whose tail sits in a lower stratum.
+
+    B is a matrix or its SVD, which is taken once for every term.
+    """
+    res = svd(b)
+    return [rank_jump_perturbation(res, scale * 0.5**k)
             for k in range(length)]
 
 

@@ -43,7 +43,9 @@ MONOTONE_SLACK = 1e-10      # sampled values of a monotone f drop by at most thi
 CANCELLATION_REL = 1e-8     # f(lambda) = alpha + beta lambda - integral keeps this
                             # relative resolution after rounding of its terms
 REPRESENTATION_ABS = 1e-12  # JSON (alpha, beta) of sqrt match the built-in's to this
-TAYLOR_RATIO_SLACK = 1e-6   # a Taylor remainder passes at remainder/bound <= 1 + this
+TAYLOR_RATIO_SLACK = 1e-6   # a Taylor remainder passes at remainder/bound <= 1 + this,
+TAYLOR_ROUNDOFF_REL = 1e-12 # or, at any ratio, when it is at most this times
+                            # ||f(C + Delta)||_F: it is then roundoff
 ROUND_TRIP_ABS = 1e-7       # a chart round trip passes at ||back - B||_F <= this
 RIEMANN_MAX_CELLS = 2**18   # most cells a dyadic Riemann sum allocates (p = 12
                             # at t_max = 64); a request for more is refused
@@ -78,7 +80,7 @@ def matrix_to_json(a) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.column_stack((flat.real, flat.imag)).tolist(),
     }
 
 
@@ -109,7 +111,7 @@ def matrix_from_json(obj) -> np.ndarray:
 
 def save_matrix(a, path):
     with open(path, "w") as fh:
-        json.dump(matrix_to_json(a), fh)
+        fh.write(json.dumps(matrix_to_json(a)))
 
 
 def load_matrix(path) -> np.ndarray:

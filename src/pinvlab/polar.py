@@ -11,7 +11,8 @@ factor) together with their inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .matcore import (
     IDENTITY_REL,
     ISOMETRY_REL,
     UNITARY_REL,
+    PsdEig,
     as_matrix,
     psd_eigh,
     svd,
@@ -37,8 +39,27 @@ from .matcore import (
 
 @dataclass(frozen=True)
 class PolarParts:
+    """A = V_A|A|, read off the one SVD of A = U S V*.
+
+    It keeps V and S, so ``modulus_eig``, the psd_eigh of |A| = V S V*,
+    is read off the same SVD on first use and kept: Q is V with its
+    columns reversed, w the singular values ascending (zero past the
+    rank) and the rank that of the SVD, so |A| has the rank of A by
+    construction.
+    """
+
     polar_factor: np.ndarray   # partial isometry with V|A| = A
     modulus: np.ndarray        # (A*A)^{1/2}, Hermitian PSD
+    right_vectors: np.ndarray = field(repr=False, compare=False)   # V, n x n
+    singular_values: np.ndarray = field(repr=False, compare=False)  # S, zero-padded to n
+    rank: int = field(compare=False)
+
+    @cached_property
+    def modulus_eig(self) -> PsdEig:
+        w = self.singular_values.copy()
+        w[self.rank:] = 0.0
+        # Q is a view on V: the eig allocates no n x n matrix
+        return PsdEig(self.right_vectors[:, ::-1], w[::-1], self.rank, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -93,7 +114,7 @@ def polar_decompose(a) -> PolarParts:
     modulus = (v * s_full) @ v.conj().T
     modulus = 0.5 * (modulus + modulus.conj().T)
     factor = res.U[:, :r] @ res.Vt[:r, :]
-    return PolarParts(factor, modulus)
+    return PolarParts(factor, modulus, v, s_full, r)
 
 
 def congruence_witness(c, d) -> np.ndarray:
@@ -221,12 +242,14 @@ def trivialize_alpha(b, c0, a):
     and U*P_R(|B|)U = P_R(C0), the second component keeps modulus exactly
     C0.  B is a matrix or its polar parts, C0 a matrix or its psd_eigh
     and A a matrix or its SVD; a run that serves many B from one base
-    point factorizes C0 and A once.  Inverted by trivialize_alpha_inverse.
+    point factorizes C0 and A once.  R(|B|) is read off the SVD of B
+    (``PolarParts.modulus_eig``), so |B| takes no eigh.  Inverted by
+    trivialize_alpha_inverse.
     """
     eig, sa = _base_point(c0, a)
     parts = polar_decompose(b)
     try:
-        u = _chart_unitary(eig, parts.modulus)
+        u = _chart_unitary(eig, parts.modulus_eig)
     except PinvLabError as exc:
         raise OutsideNeighborhoodError(
             f"modulus chart undefined at this B: {exc}"
@@ -258,15 +281,17 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
     """(C, V C0) -> V U* C, undoing trivialize_alpha.
 
     c0 is as in trivialize_alpha; no A is needed, as only the psd_eigh
-    of C0 is read.  Outside the chart, unequal ranks included, it raises
+    of C0 is read.  The modulus C is a matrix or its psd_eigh, such as
+    the ``modulus_eig`` of the polar parts of B, which saves its eigh.
+    Outside the chart, unequal ranks included, it raises
     OutsideNeighborhoodError.
     """
     eig = psd_eigh(c0)
-    modulus = as_matrix(modulus)
+    eig_mod = psd_eigh(modulus)
     fiber_elem = as_matrix(fiber_elem)
-    u = _chart_unitary(eig, modulus)
+    u = _chart_unitary(eig, eig_mod)
     v = fiber_elem @ eig.pinv()
-    return v @ u.conj().T @ modulus
+    return v @ u.conj().T @ eig_mod.matrix
 
 
 def trivialize_v(b, v0):

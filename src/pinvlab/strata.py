@@ -296,15 +296,16 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
 
     Diagnostic only: never raises on failing conditions.  The report is
     consistent when all six verdicts coincide, which is the content of
-    the equivalence theorem the certifier demonstrates.
+    the equivalence theorem the certifier demonstrates.  B is a matrix
+    or its SVD.
     """
-    b = as_matrix(b)
+    shape = as_matrix(b).shape
     seq = [as_matrix(s) for s in seq]
     if not seq:
         raise PreconditionError("sequence must be nonempty")
     if not 0 <= n0 < len(seq):
         raise PreconditionError("n0 must index into the sequence")
-    if any(bn.shape != b.shape for bn in seq):
+    if any(bn.shape != shape for bn in seq):
         raise PreconditionError("sequence terms must have the shape of B")
     rb = moore_penrose(b)
     norm_b_pinv = rb.pinv_norm
@@ -325,7 +326,7 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
     # (iii): under a bounded tail the pseudoinverse gap is dominated by a
     # constant multiple of the input gap; divergent families violate this
     # by orders of magnitude.
-    last_input_gap = gauge_norm(seq[-1] - b, g)
+    last_input_gap = gauge_norm(seq[-1] - rb.matrix, g)
     iii_threshold = (
         (norm_last * norm_b
          + (BOUNDEDNESS_FACTOR * norm_b_pinv) ** 2 + norm_b_pinv**2)

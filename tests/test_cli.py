@@ -156,6 +156,26 @@ def test_taylor_atomic_function(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("atoms, zero_bound_rows", [
+    ([], 6),                # f linear: the bound is 0 in every row
+    ([[1.0, 1e-300]], 0),   # bounds near 1e-302
+    ([[1.0, 1e-320]], 2),   # the bound underflows to 0 from m = 5
+])
+def test_taylor_roundoff_remainder_passes(capsys, tmp_path, atoms, zero_bound_rows):
+    # f = 0.5 + 0.5 lambda plus atoms too light to show: every remainder
+    # is roundoff, which passes at any ratio; a zero bound reports inf
+    f_path = tmp_path / "f.json"
+    f_path.write_text(json.dumps({"alpha": 0.5, "beta": 0.5, "atoms": atoms}))
+    code, out = run(capsys, ["taylor", "--dim", "3", "--function", f"atomic:{f_path}"])
+    assert code == 0
+    rows = [[float(x) for x in ln.split(",")] for ln in out.strip().split("\n")[1:]]
+    assert len(rows) == 6
+    assert all(0 < remainder < 1e-14 for _, remainder, _, _ in rows)
+    zero = [ratio for _, _, bound, ratio in rows if bound == 0]
+    assert len(zero) == zero_bound_rows and all(r == math.inf for r in zero)
+    assert all(ratio > 1 for _, _, bound, ratio in rows if bound > 0)
+
+
 def test_taylor_unknown_function(capsys):
     code, _ = run(capsys, ["taylor", "--function", "exp"])
     assert code == 2

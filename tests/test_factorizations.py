@@ -111,11 +111,13 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     # each chart factorizes C0 once (its eigh gives the range basis, the
     # rank and C0^+), forward also A once, and hands both to fiber
     # membership, where k0 = rank(A) - rank(C0) as N(|A|) = N(A); each
-    # chart unitary is the direct rotation of R(C0) onto R(|B|), one eigh
-    # of |B| and one SVD of W (was 7 svd: the positive section's SVD of
+    # chart unitary is the direct rotation of R(C0) onto R(|B|), one SVD
+    # of W.  Forward reads R(|B|) off the SVD of B; the inverse, given
+    # |B| as a matrix, takes its eigh (was 4 eigh: forward took an eigh
+    # of |B| too; 7 svd when the chart took the positive section's SVD of
     # S and then the SVD of the section for its polar factor; 13 before
     # that, when the index of X took four principal angles and k0 two)
-    assert count(round_trip) == {"svd": 5, "eigh": 4}
+    assert count(round_trip) == {"svd": 5, "eigh": 3}
 
 
 def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
@@ -126,12 +128,14 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, res_a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    # per chart: the eigh of |B| and the SVD of W for the direct rotation
-    # of R(C0) onto R(|B|); forward also the SVD of B, and fiber membership
-    # the SVD of X, whose rank gives its index (was 6 svd: the chart built
-    # the positive section and took its SVD for the polar factor; 12
-    # before that, with four principal angles for the index and two for k0)
-    assert count(round_trip) == {"svd": 4, "eigh": 2}
+    # per chart the SVD of W for the direct rotation of R(C0) onto R(|B|);
+    # forward also the SVD of B, which gives R(|B|), and fiber membership
+    # the SVD of X, whose rank gives its index; the inverse, given |B| as
+    # a matrix, takes its eigh (was 2 eigh: forward took one of |B| too;
+    # 6 svd when the chart built the positive section and took its SVD for
+    # the polar factor; 12 before that, with four principal angles for the
+    # index and two for k0)
+    assert count(round_trip) == {"svd": 4, "eigh": 1}
 
 
 def test_trivialize_v_round_trip_counts(count, inputs):
@@ -218,17 +222,28 @@ def test_cmd_polar_counts(count, inputs, tmp_path):
 
 
 def test_cmd_fiber_counts(count):
-    # both base points come from one SVD of A and one eigh of C0 per run,
-    # and both charts share one polar decomposition of each B; every chart
-    # unitary is a direct rotation, one SVD of W that also gives its gap,
-    # and the modulus charts take one eigh of |B| (was 17 eigh: the
-    # modulus charts took two SVDs each, for the positive section and its
-    # polar factor, and the polar-factor rotations an eigh each; 57 svd
-    # and 25 eigh before that, with per trial four principal angles for
-    # the index of X, two for k0, and the final-space rotation of both
+    # both base points come from one SVD of A per run, which also gives
+    # C0 = |A| as a psd_eigh, and both charts share one polar decomposition
+    # of each B, whose SVD gives |B| as a psd_eigh to both modulus charts;
+    # every chart unitary is a direct rotation, one SVD of W that also
+    # gives its gap (was 9 eigh: one of C0 and two of |B| per trial; 17
+    # when the modulus charts took two SVDs each, for the positive section
+    # and its polar factor, and the polar-factor rotations an eigh each;
+    # 57 svd and 25 eigh before that, with per trial four principal angles
+    # for the index of X, two for k0, and the final-space rotation of both
     # polar-factor charts)
-    assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {
-        "svd": 33, "eigh": 9}
+    assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {"svd": 33}
+
+
+def test_cmd_continuity_counts(count):
+    # an in-stratum family: the generator's two operator norms per term,
+    # then the report (B once, four SVDs per term, the last input gap); a
+    # jump family: one SVD of B serves all eight jumps and the report
+    # (was 8 + 1 for B in a jump family, one per jump and one in the report)
+    in_stratum = 8 * 2 + 1 + 8 * 4 + 1
+    jump = 1 + 8 * 4 + 1
+    assert count(lambda: _cli("continuity", "--dim", D, "--trials", 2)) == {
+        "svd": in_stratum + jump}
 
 
 def test_cmd_taylor_counts(count):
@@ -352,7 +367,8 @@ PASS_THROUGH = {
     "trivialize_alpha": (polar.trivialize_alpha, lambda o: (o["b"], o["c0"], o["a"]),
                          {0: "polar", 1: "eigh", 2: "svd"}),
     "trivialize_alpha_inverse": (polar.trivialize_alpha_inverse,
-                                 lambda o: (o["mod"], o["fib"], o["c0"]), {2: "eigh"}),
+                                 lambda o: (o["mod"], o["fib"], o["c0"]),
+                                 {0: "eigh", 2: "eigh"}),
     "fiber_membership_alpha": (polar.fiber_membership_alpha,
                                lambda o: (o["fib"], o["c0"], o["a"]),
                                {0: "svd", 1: "eigh", 2: "svd"}),

@@ -109,6 +109,19 @@ def test_save_load_round_trip(tmp_path, rng):
     assert np.array_equal(load_matrix(path), a)
 
 
+def test_saved_matrix_bytes(tmp_path):
+    # the file is the plain JSON of the row-major [re, im] pairs, whatever
+    # the encoder: signed zeros, subnormals and extremes print as floats
+    a = np.array([[-0.0, 1e-320 - 2.5j, 1.7976931348623157e308],
+                  [3, -1j, 0.1 + 0.2j]])
+    path = tmp_path / "m.json"
+    save_matrix(a, path)
+    data = [[float(z.real), float(z.imag)] for z in a.astype(complex).reshape(-1)]
+    expected = json.dumps({"rows": 2, "cols": 3, "data": data})
+    assert path.read_text() == expected
+    assert '[-0.0, 0.0], [1e-320, -2.5]' in expected
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

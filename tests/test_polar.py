@@ -46,6 +46,45 @@ def test_polar_decompose_invariants(seed, r):
     polar.PartialIsometry.from_matrix(v)
 
 
+@pytest.mark.parametrize("m, n, r", [
+    (5, 5, 5), (3, 6, 3), (6, 3, 3), (5, 5, 2), (3, 6, 1), (6, 3, 2), (4, 3, 0)])
+def test_modulus_eig_matches_psd_eigh(rng, m, n, r):
+    # square, wide, tall, rank-deficient and zero B: the psd_eigh read off
+    # svd(B) agrees with the eigh of |B| in rank, eigenvalues (ascending,
+    # zeros included) and range projector, to roundoff
+    parts = polar.polar_decompose(generate.fixed_rank(rng, m, n, r))
+    eig, ref = parts.modulus_eig, psd_eigh(parts.modulus)
+    assert eig.rank == ref.rank == r
+    assert eig.matrix is parts.modulus
+    assert np.all(np.diff(eig.w) >= 0) and np.count_nonzero(eig.w) == r
+    assert np.allclose(eig.w, ref.w, rtol=0, atol=1e-12)
+    assert np.allclose(eig.range_proj(), ref.range_proj(), rtol=0, atol=1e-12)
+    # its columns are eigenvectors of |B|
+    assert np.allclose(parts.modulus @ eig.Q, eig.Q * eig.w, rtol=0, atol=1e-12)
+
+
+def test_modulus_eig_is_kept_and_passes_through(rng):
+    parts = polar.polar_decompose(generate.fixed_rank(rng, 4, 4, 2))
+    eig = parts.modulus_eig
+    assert parts.modulus_eig is eig
+    assert psd_eigh(eig) is eig
+
+
+def test_modulus_eig_has_the_rank_of_b_where_the_cutoffs_differ():
+    # a tall 40 x 4 B with sigma_4 = 2e-9 between the cutoffs of svd(B),
+    # RANK_REL max(m, n) sigma_1 = 4e-9, and of psd_eigh(|B|), RANK_REL n
+    # sigma_1 = 4e-10: the modulus eig keeps rank(B) = 3, while an eigh of
+    # |B| would count 4
+    rng = np.random.default_rng(0)
+    u = generate.unitary(rng, 40)[:, :4]
+    v = generate.unitary(rng, 4)
+    b = (u * [1.0, 0.9, 0.8, 2e-9]) @ v.conj().T
+    parts = polar.polar_decompose(b)
+    assert svd(b).rank == parts.modulus_eig.rank == 3
+    assert psd_eigh(parts.modulus).rank == 4
+    assert parts.modulus_eig.w[0] == 0.0
+
+
 def test_partial_isometry_rejects_non_isometry():
     with pytest.raises(PreconditionError):
         polar.PartialIsometry.from_matrix(np.diag([2.0, 0.0]))
@@ -308,6 +347,20 @@ def test_trivialize_alpha_round_trip(seed):
     assert polar.fiber_membership_alpha(fiber_elem, c0, a)
     back = polar.trivialize_alpha_inverse(mod, fiber_elem, c0)
     assert np.linalg.norm(back - b) < 1e-8
+
+
+@given(seeds)
+def test_trivialize_alpha_inverse_takes_the_modulus_eig(seed):
+    # |B| handed on as the psd_eigh read off svd(B) undoes the chart as
+    # |B| the matrix does, to roundoff
+    a, b = _chart_sample(seed)
+    c0 = polar.polar_decompose(a).modulus
+    parts = polar.polar_decompose(b)
+    mod, fiber_elem = polar.trivialize_alpha(parts, c0, a)
+    back = polar.trivialize_alpha_inverse(parts.modulus_eig, fiber_elem, c0)
+    back_m = polar.trivialize_alpha_inverse(mod, fiber_elem, c0)
+    assert np.linalg.norm(back - b) < 1e-8
+    assert np.linalg.norm(back - back_m) < 1e-12
 
 
 def test_trivialize_alpha_outside_chart():

@@ -8,8 +8,10 @@ seeds 0-4, over: ``continuity`` and ``census`` at d = 8, 32, 64 with the
 gauges op, s2 and kyfan:2; ``taylor`` of sqrt at d = 4, 16 and of an
 atomic function at d = 16; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
 ``pinv``, ``polar``, ``stratify`` and ``codim`` on matrix files drawn
-here with numpy.  Each run prints one line: the argv, the exit code and
-the first 16 hex digits of the sha256 of its stdout and of its stderr.
+here with numpy, ``pinv`` and ``polar`` with ``--matrix-out``.  Each run
+prints one line: the argv, the exit code and the first 16 hex digits of
+the sha256 of its stdout, of its stderr and, where it writes one, of its
+matrix file.
 The input files are the same for every tree, so two trees give the
 same output exactly when ``diff`` of their digests is empty.
 """
@@ -32,6 +34,7 @@ import numpy as np  # noqa: E402
 SEEDS = range(5)
 GAUGES = ("op", "s2", "kyfan:2")
 ATOMS = {"alpha": 0.25, "beta": 0.5, "atoms": [[0.5, 0.4], [3.0, 1.0], [20.0, 2.5]]}
+MATRIX_OUT = "matrix-out.json"
 
 
 def write_matrix(path, x):
@@ -80,14 +83,25 @@ def runs():
         for d in (4, 8, 16, 32, 64):
             yield ["fiber", "--seed", seed, "--dim", d, "--json"]
         for name in ("a", "rect"):
-            yield ["pinv", "--input", f"{name}{seed}.json", "--json"]
-            yield ["polar", "--input", f"{name}{seed}.json", "--json"]
+            for cmd in ("pinv", "polar"):
+                yield [cmd, "--input", f"{name}{seed}.json", "--json",
+                       "--matrix-out", MATRIX_OUT]
         yield ["stratify", "--a", f"a{seed}.json", "--b", f"b{seed}.json", "--json"]
         yield ["codim", "--p", f"p{seed}.json", "--q", f"q{seed}.json", "--json"]
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def matrix_file_digest(args) -> list:
+    """["file=<sha>"] for a run that writes --matrix-out, which is then removed."""
+    if MATRIX_OUT not in args:
+        return []
+    path = Path(MATRIX_OUT)
+    text = path.read_text() if path.exists() else ""
+    path.unlink(missing_ok=True)
+    return [f"file={sha(text)}"]
 
 
 def main(argv):
@@ -112,7 +126,7 @@ def main(argv):
                     code = cli.main(args)
                 print(" ".join(args), f"exit={code}",
                       f"stdout={sha(out.getvalue())}", f"stderr={sha(err.getvalue())}",
-                      flush=True)
+                      *matrix_file_digest(args), flush=True)
         finally:
             os.chdir(cwd)
     return 0
