@@ -14,6 +14,7 @@ violation, 4 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -274,7 +275,10 @@ def cmd_fiber(args) -> int:
     return EXIT_OK if worst <= ROUND_TRIP_ABS else EXIT_INCONSISTENT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: parsing reads the tree and keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="pinvlab",
         description="Pseudoinverse and polar-decomposition experiment harness.",

@@ -86,9 +86,24 @@ def intersection_basis(x, y) -> np.ndarray:
     return x @ w[:, : int(np.sum(cos >= INTERSECTION_COS))]
 
 
+def principal_cosines(x, y) -> np.ndarray:
+    """Cosines of the principal angles between span(x) and span(y).
+
+    x and y are orthonormal column blocks; the cosines are the singular
+    values of x*y, nonincreasing, taken without the vectors.  Empty when
+    either block is.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape[1] == 0 or y.shape[1] == 0:
+        return np.zeros(0)
+    return np.linalg.svd(x.conj().T @ y, compute_uv=False)
+
+
 def intersection_dim(x, y) -> int:
-    """dim(span(x) ∩ span(y)) for orthonormal column blocks x, y."""
-    return intersection_basis(x, y).shape[1]
+    """dim(span(x) ∩ span(y)) for orthonormal column blocks x, y: the number
+    of principal cosines at least INTERSECTION_COS."""
+    return int(np.sum(principal_cosines(x, y) >= INTERSECTION_COS))
 
 
 def essential_codimension(p: Projector, q: Projector) -> int:

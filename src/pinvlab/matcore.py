@@ -205,7 +205,13 @@ FROBENIUS_NORM = GaugeNorm.schatten(2)
 
 
 def gauge_norm(a, g: GaugeNorm = OP_NORM) -> float:
-    """Apply the symmetric gauge ``g`` to the singular values of ``a``."""
+    """Apply the symmetric gauge ``g`` to the singular values of ``a``.
+
+    The Schatten-2 (Frobenius) norm is the root of the sum of the squared
+    moduli of the entries, so it is read from the entries and takes no SVD.
+    """
+    if g.kind == "schatten" and g.p == 2:
+        return float(np.linalg.norm(as_matrix(a)))
     return g.of_singular_values(_singular_values(a))
 
 

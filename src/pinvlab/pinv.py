@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .matcore import GaugeNorm, SvdResult, as_matrix, svd
+from .matcore import GaugeNorm, SvdResult, as_matrix, gauge_norm, svd
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def wedin_residual(a, b, g: GaugeNorm) -> float:
         + ata_p @ (a - b).conj().T @ (ident - b @ rb.pinv)
         + (ident_n - ra.pinv @ a) @ (a - b).conj().T @ bbs_p
     )
-    return g.of_singular_values(np.linalg.svd(lhs - rhs, compute_uv=False))
+    return gauge_norm(lhs - rhs, g)
 
 
 def _norm_bound(gamma_a: float, norm_a_pinv: float, dist: float) -> float:

@@ -27,9 +27,10 @@ from .errors import (
 from .matcore import (
     GAP_MARGIN,
     IDENTITY_REL,
+    INTERSECTION_COS,
+    OP_NORM,
     RESIDUAL_ABS,
     GaugeNorm,
-    _singular_values,
     as_matrix,
     gauge_norm,
     svd,
@@ -291,6 +292,23 @@ class ContinuityReport:
 BOUNDEDNESS_FACTOR = 10.0
 
 
+def _null_gaps(cos, delta: int) -> np.ndarray:
+    """Singular values of P_N(B_n) - P_N(B), up to zeros, from the cross block.
+
+    cos holds the singular values of X*Y, X = basis of N(B) and Y = basis
+    of N(B_n)^perp, nonincreasing; delta = rank(B_n) - rank(B).  The
+    difference is P_N(B_n)(I - P_N(B)) - (I - P_N(B_n))P_N(B), two blocks
+    with orthogonal ranges and co-ranges, so its singular values are those
+    of Y*X together with those of the other cross block
+    N(B_n)* N(B)^perp.  By the CS decomposition of the unitary V_B* V_{B_n}
+    the two blocks share their values except for exact ones: X*Y holds
+    delta more of them.  So the other block's values are cos without its
+    delta leading ones, or with -delta ones added.  No threshold is read.
+    """
+    other = cos[delta:] if delta >= 0 else np.concatenate([np.ones(-delta), cos])
+    return np.concatenate([cos, other])
+
+
 def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
     """Evaluate the six equivalent continuity conditions on seq -> B.
 
@@ -298,6 +316,14 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
     consistent when all six verdicts coincide, which is the content of
     the equivalence theorem the certifier demonstrates.  B is a matrix
     or its SVD.
+
+    Each term B_n costs its SVD, one SVD of the cross block N(B)* N(B_n)^perp
+    without vectors, and the gauge norm of B_n^+ - B^+.  (i) is the rank
+    difference; (iv) and (v) apply the gauge and the operator norm to the
+    singular values of P_N(B_n) - P_N(B), which the CS decomposition reads
+    off the cross block (``_null_gaps``); (vi) counts the same block's
+    principal cosines at least INTERSECTION_COS.  So (iv)/(v) and (vi)
+    read one block SVD, and no d x d projector difference is formed.
     """
     shape = as_matrix(b).shape
     seq = [as_matrix(s) for s in seq]
@@ -313,13 +339,15 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
     rows = []
     for n, bn in enumerate(seq):
         rn = moore_penrose(bn)
-        null_gaps = _singular_values(rn.null_proj - rb.null_proj)
-        # the index of B_n from the ranks; (vi) reads dim(N(B) ∩ N(B_n)^perp)
+        # the index of B_n from the ranks; (iv)-(vi) from the one SVD of
+        # the cross block N(B)* N(B_n)^perp
+        cos = codim.principal_cosines(rb.null_basis, rn.row_basis)
+        null_gaps = _null_gaps(cos, rn.rank - rb.rank)
         rows.append(ContinuityRow(n, rb.rank - rn.rank, rn.pinv_norm,
                                   gauge_norm(rn.pinv - rb.pinv, g),
                                   g.of_singular_values(null_gaps),
-                                  float(null_gaps[0]),
-                                  codim.intersection_dim(rb.null_basis, rn.row_basis)))
+                                  OP_NORM.of_singular_values(null_gaps),
+                                  int(np.sum(cos >= INTERSECTION_COS))))
     norm_last = float(rn.singular_values[0])   # rn reports the last term
     tail = rows[n0:]
     last = tail[-1]

@@ -219,6 +219,28 @@ def test_unknown_subcommand(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
+def test_shared_parser_gives_what_fresh_parsers_give(capsys):
+    # main parses with one parser built on first use; a malformed argv
+    # between two runs leaves nothing behind in it
+    argvs = [["continuity", "--seed", "3", "--dim", "4", "--trials", "2"],
+             ["census", "--dim", "four"],
+             ["census", "--seed", "3", "--dim", "4", "--trials", "3"]]
+
+    def outcomes(fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    shared = outcomes(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    assert outcomes(fresh=True) == shared
+
+
 def test_determinism(capsys, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (out1, out2):

@@ -93,12 +93,15 @@ def test_stratum_index_counts(count, inputs):
 
 def test_continuity_report_counts(count, inputs):
     a, _, seq = inputs
-    # B once; per term its SVD, the one principal-angle SVD of the
-    # intersection, the pseudoinverse gap and the null-projector gap; the
-    # last input gap.  The index is a rank difference (was 1 + 8*7 + 1:
-    # four principal-angle SVDs per term, one of them the intersection)
+    # B once; per term its SVD, the one SVD of the cross block
+    # N(B)* N(B_n)^perp, values only, and the pseudoinverse gap; the last
+    # input gap.  The null-projector gaps are read off the cross block's
+    # values by the CS decomposition, with the intersection (was
+    # 1 + 8*4 + 1, with an SVD of the d x d difference of the null
+    # projectors per term; 1 + 8*7 + 1 with four principal-angle SVDs per
+    # term for the index)
     report = count(lambda: strata.continuity_report(a, seq, n0=2, g=OP_NORM))
-    assert report == {"svd": 1 + 8 * 4 + 1}
+    assert report == {"svd": 1 + 8 * 3 + 1}
 
 
 def test_trivialize_alpha_round_trip_counts(count, inputs):
@@ -237,13 +240,23 @@ def test_cmd_fiber_counts(count):
 
 def test_cmd_continuity_counts(count):
     # an in-stratum family: the generator's two operator norms per term,
-    # then the report (B once, four SVDs per term, the last input gap); a
-    # jump family: one SVD of B serves all eight jumps and the report
-    # (was 8 + 1 for B in a jump family, one per jump and one in the report)
-    in_stratum = 8 * 2 + 1 + 8 * 4 + 1
-    jump = 1 + 8 * 4 + 1
+    # then the report (B once, three SVDs per term, the last input gap); a
+    # jump family: one SVD of B serves all eight jumps and the report.
+    # 84 when the report took an SVD of the d x d null-projector
+    # difference per term; 92 when a jump family took 8 + 1 SVDs of B
+    in_stratum = 8 * 2 + 1 + 8 * 3 + 1
+    jump = 1 + 8 * 3 + 1
     assert count(lambda: _cli("continuity", "--dim", D, "--trials", 2)) == {
         "svd": in_stratum + jump}
+
+
+def test_cmd_continuity_s2_counts(count):
+    # as above, with the Schatten-2 pseudoinverse and input gaps read from
+    # the entries: per term only its SVD and the cross block's remain
+    in_stratum = 8 * 2 + 1 + 8 * 2
+    jump = 1 + 8 * 2
+    assert count(lambda: _cli("continuity", "--dim", D, "--trials", 2,
+                              "--gauge", "s2")) == {"svd": in_stratum + jump}
 
 
 def test_cmd_taylor_counts(count):
@@ -260,6 +273,13 @@ def test_cmd_census_counts(count):
     # 14 principal angles in all)
     assert count(lambda: _cli("census", "--dim", D, "--trials", 4)) == {
         "svd": 1 + 4 * 4}
+
+
+def test_cmd_census_s2_counts(count):
+    # as above, with the Schatten-2 gauge distance read from the entries
+    # of B - A, which takes no SVD
+    assert count(lambda: _cli("census", "--dim", D, "--trials", 4,
+                              "--gauge", "s2")) == {"svd": 1 + 4 * 3}
 
 
 def test_stacked_inverses_count_per_matrix(count):

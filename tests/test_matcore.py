@@ -162,6 +162,16 @@ def test_gauge_norm_orderings(seed):
     assert gauge_norm(a, GaugeNorm.kyfan(1)) == pytest.approx(op)
 
 
+@given(seeds, dims, dims, st.sampled_from([1e-150, 1.0, 1e150]))
+def test_schatten_2_from_the_entries_matches_the_singular_values(seed, m, n, scale):
+    # s2 and sp:2 read the Frobenius norm off the entries, without an SVD
+    a = scale * generate.ginibre(np.random.default_rng(seed), m, n)
+    sv = np.linalg.svd(a, compute_uv=False)
+    for spec in ("s2", "sp:2"):
+        g = GaugeNorm.parse(spec)
+        assert gauge_norm(a, g) == pytest.approx(g.of_singular_values(sv), rel=1e-13)
+
+
 @given(seeds)
 def test_gauge_triangle_inequality(seed):
     rng = np.random.default_rng(seed)

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pinvlab import generate, strata
+from pinvlab import codim, generate, strata
 from pinvlab.errors import (
     ObstructionError,
     PreconditionError,
     StratumError,
 )
-from pinvlab.matcore import OP_NORM, gauge_norm, svd
+from pinvlab.matcore import OP_NORM, GaugeNorm, gauge_norm, svd
 from pinvlab.pinv import pinv_matrix
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -185,6 +185,45 @@ def test_continuity_report_jump(seed):
     assert report.consistent
     assert not report.all_true
     assert all(not v for v in report.verdicts.values())
+
+
+def _truncated(x, r):
+    """x cut to its r leading singular values: a rank-r matrix near x."""
+    u, sv, vt = np.linalg.svd(x)
+    return (u[:, :r] * sv[:r]) @ vt[:r]
+
+
+CS_GAUGES = ("op", "s1", "s2", "kyfan:2")
+# (shape, rank(B), rank(B_n)) with delta = rank(B_n) - rank(B) in -2..2,
+# B = 0 and full-rank B included: one cross block is then empty
+CS_CASES = [(shape, rb, rb + delta)
+            for shape in ((5, 3), (3, 5))
+            for delta in (-2, -1, 0, 1, 2)
+            for rb in range(4) if 0 <= rb + delta <= 3]
+
+
+@pytest.mark.parametrize("shape, rank_b, rank_n", CS_CASES)
+@given(seeds, st.sampled_from([1e-6, 1e-2, 1.0]))
+def test_continuity_report_null_gaps_match_the_projector_difference(
+        shape, rank_b, rank_n, seed, t):
+    # (iv)-(vi) come from the cross block by the CS decomposition; the
+    # oracle is the SVD of the d x d difference of the null projectors and
+    # the intersection counted from principal vectors.  B_n is B + tG cut
+    # to rank(B_n), so small t puts its null space near that of B.
+    rng = np.random.default_rng(seed)
+    b = generate.fixed_rank(rng, *shape, rank_b)
+    bn = _truncated(b + t * generate.ginibre(rng, *shape), rank_n)
+    rb, rn = svd(b), svd(bn)
+    assert (rb.rank, rn.rank) == (rank_b, rank_n)
+    gaps = np.linalg.svd(rn.null_proj - rb.null_proj, compute_uv=False)
+    dim = codim.intersection_dim(rb.null_basis, rn.row_basis)
+    assert dim == codim.intersection_basis(rb.null_basis, rn.row_basis).shape[1]
+    for spec in CS_GAUGES:
+        g = GaugeNorm.parse(spec)
+        row = strata.continuity_report(b, [bn], 0, g).rows[0]
+        assert abs(row.nullproj_gap_op - gaps[0]) <= 1e-13
+        assert abs(row.nullproj_gap_gauge - g.of_singular_values(gaps)) <= 1e-13
+        assert row.intersection_dim == dim
 
 
 def test_continuity_report_csv(rng):
