@@ -278,7 +278,10 @@ def cmd_fiber(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later
-    one: parsing reads the tree and keeps no state between calls."""
+    one: parsing reads the tree and keeps no state between calls.  It holds
+    no handler: ``main`` looks up ``cmd_<command>`` in this module when it
+    dispatches, so a handler replaced after the first call (a wrapper or a
+    test double) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="pinvlab",
         description="Pseudoinverse and polar-decomposition experiment harness.",
@@ -303,30 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--matrix-out", default=None)
     options(sp, "--json")
-    sp.set_defaults(func=cmd_pinv)
 
     sp = sub.add_parser("codim", help="index of a pair of projector files")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     options(sp, "--json")
-    sp.set_defaults(func=cmd_codim)
 
     sp = sub.add_parser("stratify", help="stratum index of B relative to A")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     options(sp, "--json")
-    sp.set_defaults(func=cmd_stratify)
 
     sp = sub.add_parser("polar", help="polar decomposition of a matrix file")
     sp.add_argument("--input", required=True)
     sp.add_argument("--matrix-out", default=None)
     options(sp, "--json")
-    sp.set_defaults(func=cmd_polar)
 
     sp = sub.add_parser("continuity",
                         help="six-condition certification of random families")
     options(sp, "--seed", "--dim", "--trials", "--gauge")
-    sp.set_defaults(func=cmd_continuity)
 
     sp = sub.add_parser("taylor", help="Taylor remainder decay experiment")
     sp.add_argument("--function", default="sqrt",
@@ -334,15 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mmax", type=int, default=6)
     sp.add_argument("--delta-scale", type=float, default=0.3)
     options(sp, "--seed", "--dim", "--gauge")
-    sp.set_defaults(func=cmd_taylor)
 
     sp = sub.add_parser("census", help="stratum histogram of perturbations")
     options(sp, "--seed", "--dim", "--trials", "--gauge")
-    sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("fiber", help="chart round-trip experiment")
     options(sp, "--seed", "--dim", "--trials", "--json")
-    sp.set_defaults(func=cmd_fiber)
     return parser
 
 
@@ -364,7 +359,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         _validate(args)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (PreconditionError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

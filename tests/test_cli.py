@@ -241,6 +241,13 @@ def test_shared_parser_gives_what_fresh_parsers_give(capsys):
     assert outcomes(fresh=True) == shared
 
 
+def test_dispatch_reads_the_handler_when_it_runs(capsys, monkeypatch):
+    # the parser is cached, but the handler is looked up at each call
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_census", lambda args: 7)
+    assert cli.main(["census", "--dim", "4"]) == 7
+
+
 def test_determinism(capsys, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (out1, out2):
