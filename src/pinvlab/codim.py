@@ -9,6 +9,12 @@ so the rank tolerance cannot make the two disagree; the check catches a
 principal cosine within roundoff of INTERSECTION_COS that is classified
 differently in the two cross blocks.  Elsewhere the index is taken as
 the rank difference.
+
+``direct_rotation`` is the package's one rotation.  Only the charts and
+the positive section of ``polar`` take it, as they must depend
+analytically on their point, so a gap at 1 is outside their domain.  The
+orbit witnesses may be any group element, so they take no rotation:
+each is read off the eigh or SVD its inputs already have.
 """
 
 from __future__ import annotations
@@ -142,28 +148,6 @@ def direct_rotation(p: Projector, q: Projector) -> np.ndarray:
     gap = float(np.sqrt(max(1.0 - res.singular_values[-1] ** 2, 0.0)))
     if gap >= 1.0 - RANK_REL:
         raise GapTooLargeError(
-            f"||P - Q|| = {gap:.6f} >= 1; projections are not directly rotatable"
-        )
+            f"||P - Q|| = {gap:.6f} >= 1; projections are not directly rotatable",
+            gap=gap)
     return res.U @ res.Vt
-
-
-def basis_matching_unitary(p: Projector, q: Projector) -> np.ndarray:
-    """Some unitary with U P U* = Q, valid for any equal-rank pair.
-
-    Fallback used when the projections are too far apart for the direct
-    rotation; the witness is basis-dependent but satisfies the same
-    conjugation contract.
-    """
-    if p.rank() != q.rank():
-        raise PreconditionError("projections must have equal rank")
-    bp = np.hstack([p.basis(), p.complement_basis()])
-    bq = np.hstack([q.basis(), q.complement_basis()])
-    return bq @ bp.conj().T
-
-
-def conjugating_unitary(p: Projector, q: Projector) -> np.ndarray:
-    """Direct rotation when the gap allows it, basis matching otherwise."""
-    try:
-        return direct_rotation(p, q)
-    except GapTooLargeError:
-        return basis_matching_unitary(p, q)

@@ -29,7 +29,14 @@ class ConsistencyError(PinvLabError):
 
 
 class GapTooLargeError(PinvLabError):
-    """Two projections are at operator distance >= 1; no direct rotation exists."""
+    """Two projections are at operator distance >= 1; no direct rotation exists.
+
+    Carries that distance in ``gap``.
+    """
+
+    def __init__(self, message, gap):
+        super().__init__(message)
+        self.gap = gap
 
 
 class StratumError(PinvLabError):

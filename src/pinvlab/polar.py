@@ -7,6 +7,11 @@ constructive witnesses for the congruence action on positive matrices
 and the unitary action on partial isometries, a positive-cone
 cross-section, and the two local chart maps (by modulus, by polar
 factor) together with their inverses.
+
+The witnesses may be any group element, so each is read off the eigh or
+SVD of its inputs.  The section and the charts must be real analytic,
+so each takes the direct rotation of one pair of projectors, and a gap
+that codim.direct_rotation refuses is outside its domain.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .errors import (
     ConsistencyError,
     GapTooLargeError,
     OutsideNeighborhoodError,
-    PinvLabError,
     PreconditionError,
     StratumError,
 )
@@ -106,30 +110,35 @@ def polar_decompose(a) -> PolarParts:
     if isinstance(a, PolarParts):
         return a
     res = svd(a)
-    r = res.rank
     n = res.Vt.shape[0]
     s_full = np.zeros(n)
     s_full[: len(res.singular_values)] = res.singular_values
     v = res.Vt.conj().T
     modulus = (v * s_full) @ v.conj().T
     modulus = 0.5 * (modulus + modulus.conj().T)
-    factor = res.U[:, :r] @ res.Vt[:r, :]
-    return PolarParts(factor, modulus, v, s_full, r)
+    return PolarParts(_polar_factor(res), modulus, v, s_full, res.rank)
+
+
+def _polar_factor(res) -> np.ndarray:
+    """V_A = U_r V_r*, read off the SVD of A."""
+    return res.U[:, : res.rank] @ res.Vt[: res.rank, :]
 
 
 def congruence_witness(c, d) -> np.ndarray:
     """Invertible G with G C G* = D for equal-rank Hermitian PSD C, D.
 
-    A unitary U carries N(D) onto N(C); with B1 = C^{1/2} and
-    B2 = U D^{1/2} U* sharing the range of C, G0 = B2 B1^+ + (I - P)
-    solves G0 B1 = B2, and G = U* G0 conjugates C to D.
+    From C = Q_C diag(w_C) Q_C* and D = Q_D diag(w_D) Q_D*, whose
+    psd_eighs both list the null eigenvalues first,
+    G = Q_D diag(g) Q_C* with g = (w_D / w_C)^{1/2} on the range and 1 on
+    the null space.  Any invertible G will do, as the action is
+    transitive on each rank, so G need not depend analytically on D and
+    no rotation is taken.
     """
     ec, ed = _equal_rank_roots(c, d)
-    p_null = ec.null_proj()
-    u = codim.conjugating_unitary(Projector(ed.null_proj()), Projector(p_null))
-    b2 = u @ ed.sqrt() @ u.conj().T
-    g0 = b2 @ ec.pinv_sqrt() + p_null
-    return u.conj().T @ g0
+    g = np.ones(len(ec.w))
+    k = len(g) - ec.rank
+    g[k:] = np.sqrt(ed.w[k:] / ec.w[k:])
+    return (ed.Q * g) @ ec.Q.conj().T
 
 
 def positive_section(c, b) -> np.ndarray:
@@ -139,7 +148,8 @@ def positive_section(c, b) -> np.ndarray:
     their direct rotation, which carries R(C) onto R(B),
     sigma = B^{1/2} U (C^+)^{1/2} + (I-Q) U (I-P) conjugates exactly.  The
     rotation's domain ||P - Q|| < 1 is the section's neighborhood of
-    validity.  C and B are matrices or their psd_eighs.
+    validity (OutsideNeighborhoodError beyond it).  C and B are matrices
+    or their psd_eighs.
     """
     ec, eb = _equal_rank_roots(c, b)
     u = _chart_unitary(ec, eb)
@@ -149,37 +159,35 @@ def positive_section(c, b) -> np.ndarray:
 def isometry_orbit_witness(v0, v):
     """Unitaries (U, W) with U V0 W* = V for equal-rank partial isometries.
 
-    W conjugates the initial projector V0*V0 to V*V; Z conjugates the
-    final projector V0V0* to VV*; then U = V W V0* + Z (I - V0 V0*) is
-    unitary and carries V0 to V.  Each argument, a matrix or a
-    PartialIsometry, is checked to be a partial isometry (PreconditionError
-    otherwise); its rank is then the trace of its initial projector.
+    Each argument, a matrix or a PartialIsometry, is checked to be a
+    partial isometry (PreconditionError otherwise); its rank is then the
+    trace of its initial projector.  From one SVD of each, V0 = U0 S V0'*
+    and V = U1 S V1'* share S, the identity on the rank, so
+    (U, W) = (U1 U0*, V1' V0'*): strata.transitivity_witness with
+    S2 S1^+ = I.
     """
-    v0, v, w = _initial_rotation(v0, v)
-    fin0 = Projector(v0 @ v0.conj().T)
-    z = codim.conjugating_unitary(fin0, Projector(v @ v.conj().T))
-    m = v0.shape[0]
-    u = v @ w @ v0.conj().T + z @ (np.eye(m, dtype=complex) - fin0.matrix)
-    return u, w
-
-
-def _initial_rotation(v0, v):
-    """V0 and V as matrices, checked as in isometry_orbit_witness, and its W.
-
-    The charts read only W; the witness adds Z, the final-space rotation.
-    """
-    v0, v = _matrix_of(v0), _matrix_of(v)
-    if v0.shape != v.shape:
-        raise PreconditionError("partial isometries must have the same shape")
-    p0, p1 = _initial_projector(v0), _initial_projector(v)
+    v0, v, p0, p1 = _checked_pair(v0, v)
     r0, r1 = round(np.trace(p0).real), round(np.trace(p1).real)
     if r0 != r1:
         raise StratumError(f"no orbit witness across ranks: {r0} vs {r1}")
-    return v0, v, codim.conjugating_unitary(Projector(p0), Projector(p1))
+    s0, s1 = svd(v0), svd(v)
+    return s1.U @ s0.U.conj().T, s1.Vt.conj().T @ s0.Vt
 
 
-def _matrix_of(v) -> np.ndarray:
-    return v.matrix if isinstance(v, PartialIsometry) else as_matrix(v)
+def _checked_pair(v0, v):
+    """V0 and V as matrices of one shape, each checked to be a partial
+    isometry, and their initial projectors V0*V0 and V*V."""
+    v0, v = (x.matrix if isinstance(x, PartialIsometry) else as_matrix(x) for x in (v0, v))
+    if v0.shape != v.shape:
+        raise PreconditionError("partial isometries must have the same shape")
+    return v0, v, _initial_projector(v0), _initial_projector(v)
+
+
+def _initial_rotation(v0, v):
+    """V0 and V as checked by _checked_pair, and the direct rotation W of
+    V0*V0 onto V*V, the polar-factor charts' unitary."""
+    v0, v, p0, p1 = _checked_pair(v0, v)
+    return v0, v, _rotation(p0, p1)
 
 
 def modulus_map(b, a) -> np.ndarray:
@@ -199,15 +207,15 @@ def polar_factor_map(b, a) -> PartialIsometry:
     """
     sb, sa = strata._svd_pair(b, a)
     a, b = sa.matrix, sb.matrix
-    pa, pb = polar_decompose(sa), polar_decompose(sb)
-    mod_a_pinv = sa.pinv @ pa.polar_factor
-    mod_b_pinv = sb.pinv @ pb.polar_factor
-    lhs = pa.polar_factor - pb.polar_factor
+    va, vb = _polar_factor(sa), _polar_factor(sb)
+    mod_a_pinv = sa.pinv @ va
+    mod_b_pinv = sb.pinv @ vb
+    lhs = va - vb
     rhs = a @ (mod_a_pinv - mod_b_pinv) + (a - b) @ mod_b_pinv
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     if np.linalg.norm(lhs - rhs) > IDENTITY_REL * scale:
         raise ConsistencyError("polar factor difference identity violated")
-    return PartialIsometry(pb.polar_factor)
+    return PartialIsometry(vb)
 
 
 def _base_point(c0, a):
@@ -248,12 +256,7 @@ def trivialize_alpha(b, c0, a):
     """
     eig, sa = _base_point(c0, a)
     parts = polar_decompose(b)
-    try:
-        u = _chart_unitary(eig, parts.modulus_eig)
-    except PinvLabError as exc:
-        raise OutsideNeighborhoodError(
-            f"modulus chart undefined at this B: {exc}"
-        ) from exc
+    u = _chart_unitary(eig, parts.modulus_eig)
     fiber_elem = parts.polar_factor @ u @ eig.matrix
     if not fiber_membership_alpha(fiber_elem, eig, sa):
         raise ConsistencyError("chart output left the fiber over C0")
@@ -261,17 +264,22 @@ def trivialize_alpha(b, c0, a):
 
 
 def _chart_unitary(c, b) -> np.ndarray:
-    """The direct rotation U of R(C) onto R(B), for PSD C, B or their psd_eighs.
+    """The direct rotation of R(C) onto R(B), for PSD C, B or their psd_eighs."""
+    return _rotation(psd_eigh(c).range_proj(), psd_eigh(b).range_proj())
 
-    U, real analytic in B, carries the range projector of psd_eigh(C) to
-    that of psd_eigh(B); a gap ||P_R(C) - P_R(B)|| at 1, which unequal
-    ranks give, is outside the chart.
+
+def _rotation(p, q) -> np.ndarray:
+    """codim.direct_rotation of the projector P onto Q: the charts' unitary.
+
+    It is real analytic in Q while ||P - Q|| < 1.  A gap that the
+    rotation refuses, as unequal ranks give, is outside the chart:
+    OutsideNeighborhoodError, whose cause, a GapTooLargeError, carries
+    the gap.
     """
     try:
-        u = codim.direct_rotation(Projector(psd_eigh(c).range_proj()),
-                                  Projector(psd_eigh(b).range_proj()))
+        u = codim.direct_rotation(Projector(p), Projector(q))
     except GapTooLargeError as exc:
-        raise OutsideNeighborhoodError(f"range projectors too far apart: {exc}") from exc
+        raise OutsideNeighborhoodError(f"outside the chart: {exc}") from exc
     if np.linalg.norm(u @ u.conj().T - np.eye(len(u))) > UNITARY_REL * len(u):
         raise ConsistencyError("chart unitary is not unitary")
     return u
@@ -297,22 +305,16 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
 def trivialize_v(b, v0):
     """Chart of the polar-factor fibration: B -> (V_B, V0 (W* |B| W)).
 
-    W is the initial-projector conjugating unitary of the orbit witness
-    from V0 to V_B; it transports |B| to a positive matrix supported on
-    the initial space of V0, so the second component sits in the fiber
-    over V0.  B is a matrix or its polar parts.  A V0 that is not a
-    partial isometry raises PreconditionError.  Inverted by
+    W is the direct rotation of the initial projector V0*V0 onto V_B*V_B;
+    it transports |B| to a positive matrix supported on the initial space
+    of V0, so the second component sits in the fiber over V0.  B is a
+    matrix or its polar parts.  A V0 that is not a partial isometry raises
+    PreconditionError; an initial-space gap that the rotation refuses, as
+    unequal ranks give, raises OutsideNeighborhoodError.  Inverted by
     trivialize_v_inverse.
     """
     parts = polar_decompose(b)
-    try:
-        v0, _, w = _initial_rotation(v0, parts.polar_factor)
-    except PreconditionError:
-        raise
-    except PinvLabError as exc:
-        raise OutsideNeighborhoodError(
-            f"polar-factor chart undefined at this B: {exc}"
-        ) from exc
+    v0, _, w = _initial_rotation(v0, parts.polar_factor)
     fiber_elem = v0 @ (w.conj().T @ parts.modulus @ w)
     return PartialIsometry(parts.polar_factor), fiber_elem
 
@@ -320,7 +322,8 @@ def trivialize_v(b, v0):
 def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:
     """(V, V0 C) -> V (W C W*), undoing trivialize_v.
 
-    V and V0 are checked as in isometry_orbit_witness.
+    V and V0 are checked, and W taken, as in trivialize_v, so the same
+    gap is outside this chart.
     """
     v0, v, w = _initial_rotation(v0, factor)
     fiber_elem = as_matrix(fiber_elem)

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pinvlab import generate
+from pinvlab import generate, polar
 from pinvlab.codim import (
     Projector,
-    basis_matching_unitary,
-    conjugating_unitary,
     direct_rotation,
     essential_codimension,
     intersection_dim,
 )
-from pinvlab.errors import GapTooLargeError, PreconditionError
+from pinvlab.errors import GapTooLargeError, OutsideNeighborhoodError, PreconditionError
+from pinvlab.matcore import RANK_REL
 
 seeds = st.integers(min_value=0, max_value=10_000)
 ranks = st.integers(min_value=0, max_value=4)
@@ -113,28 +112,26 @@ def test_direct_rotation_is_accurate_near_the_gap(c):
 
 @pytest.mark.parametrize("c", [0.0, 1e-6])
 def test_direct_rotation_gap_one_fails(c):
-    # ||P - Q|| = (1 - c^2)^{1/2} >= 1 - RANK_REL at c = 1e-6
-    with pytest.raises(GapTooLargeError):
+    # ||P - Q|| = (1 - c^2)^{1/2} >= 1 - RANK_REL at c = 1e-6; the error
+    # carries that gap
+    with pytest.raises(GapTooLargeError) as info:
         direct_rotation(*_rank_one_pair(c))
+    assert 1.0 - RANK_REL <= info.value.gap <= 1.0
+    assert abs(info.value.gap - np.sqrt(1.0 - c * c)) <= 1e-12
 
 
-def test_basis_matching_handles_gap_one():
-    p = Projector(np.diag([1.0, 0.0]).astype(complex))
-    q = Projector(np.diag([0.0, 1.0]).astype(complex))
-    u = basis_matching_unitary(p, q)
-    assert np.linalg.norm(u @ u.conj().T - np.eye(2)) < 1e-10
-    assert np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix) < 1e-10
-
-
-def test_basis_matching_rejects_rank_mismatch():
-    with pytest.raises(PreconditionError):
-        basis_matching_unitary(random_projector(0, 4, 1), random_projector(1, 4, 2))
-
-
-@given(seeds, st.integers(min_value=1, max_value=3))
-def test_conjugating_unitary_always_works_equal_rank(seed, r):
-    p = random_projector(seed, 4, r)
-    q = random_projector(seed + 7, 4, r)
-    u = conjugating_unitary(p, q)
-    assert np.linalg.norm(u @ u.conj().T - np.eye(4)) < 1e-9
-    assert np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix) < 1e-8
+def test_chart_refusal_keeps_the_gap():
+    # both charts and their inverses refuse the pair at c = 1e-6, each
+    # through the direct rotation, whose error is the cause and still
+    # carries the gap
+    p, q = (x.matrix for x in _rank_one_pair(1e-6))
+    refusals = (lambda: polar.trivialize_alpha(q, p, p),
+                lambda: polar.trivialize_alpha_inverse(q, p, p),
+                lambda: polar.trivialize_v(q, p),
+                lambda: polar.trivialize_v_inverse(q, p, p))
+    for refused in refusals:
+        with pytest.raises(OutsideNeighborhoodError) as info:
+            refused()
+        cause = info.value.__cause__
+        assert isinstance(cause, GapTooLargeError)
+        assert 1.0 - RANK_REL <= cause.gap <= 1.0

@@ -169,8 +169,9 @@ def test_isometry_orbit_witness_counts(count, inputs):
     a, b, _ = inputs
     v0 = polar.polar_decompose(a).polar_factor
     v = polar.polar_decompose(b).polar_factor
-    # two direct rotations, one SVD each, which also gives the gap (was an
-    # eigh each); no further SVD for the ranks
+    # one SVD of each partial isometry, whose unitary factors give U and
+    # W (was one SVD each of W for two direct rotations; an eigh each
+    # before that); no further SVD for the ranks
     assert count(lambda: polar.isometry_orbit_witness(v0, v)) == {"svd": 2}
 
 
@@ -332,10 +333,20 @@ def test_perturbation_bound_counts(count, positive):
 
 def test_congruence_witness_counts(count, semidefinite):
     c, d = semidefinite
-    # one eigh of C and of D; the direct rotation of the null projectors
-    # takes one SVD of W, which also gives the gap (was the eigh of
-    # I - (P - Q)^2)
-    assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 2, "svd": 1}
+    # one eigh of C and of D, whose bases G is read off (was 1 svd more,
+    # of W for the direct rotation of the null projectors; the eigh of
+    # I - (P - Q)^2 before that)
+    assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 2}
+
+
+def test_congruence_witness_orthogonal_nulls_counts(count):
+    # N(C) and N(D) orthogonal: the gap is 1, where a rotation of the
+    # null projectors fell back to an eigh of each (was 4 eigh, 1 svd)
+    q = generate.unitary(generate.rng_from_seed(0), 8)
+    c = (q[:, 2:] * np.linspace(0.5, 2.0, 6)) @ q[:, 2:].conj().T
+    keep = q[:, [0, 1, 4, 5, 6, 7]]
+    d = (keep * np.linspace(2.0, 0.5, 6)) @ keep.conj().T
+    assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 2}
 
 
 def test_positive_section_counts(count, semidefinite):
@@ -443,6 +454,7 @@ def test_factorizations_pass_through_unchanged(inputs):
     (strata, "representative_from_svd"), (polar, "_polar_parts"),
     (polar, "_section"), (polar, "ModulusBase"), (polar, "_base"),
     (monotone, "_spectral"), (monotone, "_pd_eigs"), (strata, "_index_overlap"),
-    (codim, "subspace_index"), (codim, "_subspace_index")])
+    (codim, "subspace_index"), (codim, "_subspace_index"),
+    (codim, "conjugating_unitary"), (codim, "basis_matching_unitary")])
 def test_twin_entry_points_are_gone(module, name):
     assert not hasattr(module, name)

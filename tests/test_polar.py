@@ -116,6 +116,18 @@ def test_congruence_witness_unrelated_ranges(seed, r):
     assert np.linalg.svd(g, compute_uv=False)[-1] > 1e-8
 
 
+def test_congruence_witness_orthogonal_nulls(rng):
+    # N(C) and N(D) orthogonal, so no rotation carries one onto the other
+    # directly; the witness needs none
+    q = generate.unitary(rng, 6)
+    c = (q[:, 2:] * np.array([0.5, 1.0, 1.5, 2.0])) @ q[:, 2:].conj().T
+    keep = q[:, [0, 1, 4, 5]]
+    d = (keep * np.array([2.0, 0.7, 1.2, 0.9])) @ keep.conj().T
+    g = polar.congruence_witness(c, d)
+    assert np.linalg.norm(g @ c @ g.conj().T - d) < 1e-10
+    assert np.linalg.svd(g, compute_uv=False)[-1] > 1e-8
+
+
 def test_congruence_witness_rejects_rank_mismatch(rng):
     c = generate.psd_fixed_rank(rng, 4, 2)
     d = generate.psd_fixed_rank(rng, 4, 3)
@@ -390,6 +402,38 @@ def test_trivialize_v_outside_chart(rng):
     b = generate.fixed_rank(rng, 4, 4, 3)
     with pytest.raises(OutsideNeighborhoodError):
         polar.trivialize_v(b, v0)
+
+
+# a fixed non-scalar modulus, as a 2 x 2 block
+_MODULUS = np.array([[1.25, -0.5 - 0.4j], [-0.5 + 0.4j, 2.75]])
+
+
+@pytest.mark.parametrize("delta", [1e-4, 2e-5, 1.5e-5, 1.42e-5, 1.41e-5, 1e-5, 1e-6])
+def test_trivialize_v_at_the_edge_of_its_domain(delta):
+    # V0 = e1e1* + e2e2*; B has the modulus above on the initial space
+    # spanned by f_k = sin(delta) e_k + cos(delta) e_{k+2}, k = 1, 2, at
+    # principal angles pi/2 - delta from that of V0.  The direct rotation
+    # W carries e_k to f_k, so the fiber element is V0 times the modulus,
+    # as a block on e1, e2, and the inverse gives B back.  Once the gap
+    # (1 - sin^2 delta)^{1/2} nears 1 - RANK_REL, each direction may raise
+    # but never return another matrix; at delta = 1e-6 it must raise.
+    eye = np.eye(4)
+    v0 = eye[:, :2] @ eye[:, :2].T
+    f = np.sin(delta) * eye[:, :2] + np.cos(delta) * eye[:, 2:]
+    b = eye[:, :2] @ _MODULUS @ f.conj().T
+    transported = np.zeros((4, 4), dtype=complex)
+    transported[:2, :2] = _MODULUS
+    directions = (
+        (lambda: polar.trivialize_v(b, v0)[1], transported),
+        (lambda: polar.trivialize_v_inverse(eye[:, :2] @ f.conj().T, transported, v0), b))
+    for direction, expected in directions:
+        try:
+            got = direction()
+        except OutsideNeighborhoodError:
+            assert delta < 2e-5
+        else:
+            assert delta > 1e-6
+            assert np.linalg.norm(got - expected) < 1e-8
 
 
 @given(seeds, st.sampled_from([(6, 4, 2), (4, 6, 2), (5, 3, 3), (3, 5, 3)]))
