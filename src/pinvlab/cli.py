@@ -34,7 +34,6 @@ from .matcore import (
     TAYLOR_ROUNDOFF_REL,
     GaugeNorm,
     _read_json,
-    as_matrix,
     gauge_norm,
     load_matrix,
     matrix_to_json,
@@ -69,24 +68,30 @@ def _report(obj: dict, args) -> None:
         _emit("\n".join(lines) + "\n", args.out)
 
 
-def _penrose_residuals(a, a_pinv) -> dict:
-    return {
-        "residual_axa": float(np.linalg.norm(a @ a_pinv @ a - a)),
-        "residual_xax": float(np.linalg.norm(a_pinv @ a @ a_pinv - a_pinv)),
-        "residual_ax_hermitian": float(
-            np.linalg.norm(a @ a_pinv - (a @ a_pinv).conj().T)),
-        "residual_xa_hermitian": float(
-            np.linalg.norm(a_pinv @ a - (a_pinv @ a).conj().T)),
-    }
+def _finite(residuals) -> dict:
+    """Each residual, a callable giving a norm, evaluated with overflow
+    ignored; inf or NaN, as inputs near the overflow threshold give,
+    certifies nothing and raises PreconditionError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = {key: float(norm()) for key, norm in residuals.items()}
+    bad = [key for key, val in values.items() if not math.isfinite(val)]
+    if bad:
+        raise PreconditionError(f"input too large: {', '.join(bad)} is not finite")
+    return values
 
 
 def cmd_pinv(args) -> int:
     a = load_matrix(args.input)
     res = pinv.moore_penrose(a)
+    x = res.pinv
+    report = {"gamma": res.gamma, "rank": res.rank, **_finite({
+        "residual_axa": lambda: np.linalg.norm(a @ x @ a - a),
+        "residual_xax": lambda: np.linalg.norm(x @ a @ x - x),
+        "residual_ax_hermitian": lambda: np.linalg.norm(a @ x - (a @ x).conj().T),
+        "residual_xa_hermitian": lambda: np.linalg.norm(x @ a - (x @ a).conj().T),
+    })}
     if args.matrix_out:
-        save_matrix(res.pinv, args.matrix_out)
-    report = {"gamma": res.gamma, "rank": res.rank}
-    report.update(_penrose_residuals(a, res.pinv))
+        save_matrix(x, args.matrix_out)
     _report(report, args)
     return EXIT_OK
 
@@ -111,20 +116,17 @@ def cmd_stratify(args) -> int:
 def cmd_polar(args) -> int:
     res = svd(load_matrix(args.input))     # rank(|A|) = rank(A) is read here
     parts = polar.polar_decompose(res)
+    v, mod = parts.polar_factor, parts.modulus
+    vtv = v.conj().T @ v
+    report = {"modulus_rank": res.rank, **_finite({
+        "factorization_residual": lambda: np.linalg.norm(v @ mod - res.matrix),
+        "initial_projector_residual": lambda: np.linalg.norm(vtv @ vtv - vtv),
+    })}
     if args.matrix_out:
-        payload = {
-            "polar_factor": matrix_to_json(parts.polar_factor),
-            "modulus": matrix_to_json(parts.modulus),
-        }
+        payload = {"polar_factor": matrix_to_json(v), "modulus": matrix_to_json(mod)}
         with open(args.matrix_out, "w") as fh:
             fh.write(json.dumps(payload))
-    vtv = parts.polar_factor.conj().T @ parts.polar_factor
-    _report({
-        "factorization_residual": float(
-            np.linalg.norm(parts.polar_factor @ parts.modulus - res.matrix)),
-        "initial_projector_residual": float(np.linalg.norm(vtv @ vtv - vtv)),
-        "modulus_rank": res.rank,
-    }, args)
+    _report(report, args)
     return EXIT_OK
 
 

@@ -10,11 +10,11 @@ principal cosine within roundoff of INTERSECTION_COS that is classified
 differently in the two cross blocks.  Elsewhere the index is taken as
 the rank difference.
 
-``direct_rotation`` is the package's one rotation.  Only the charts and
-the positive section of ``polar`` take it, as they must depend
+``direct_rotation`` is the package's one rotation, read off the cross
+block of two partial isometries, as are the principal angles.  Only the
+charts and the positive section of ``polar`` take it, as they must depend
 analytically on their point, so a gap at 1 is outside their domain.  The
-orbit witnesses may be any group element, so they take no rotation:
-each is read off the eigh or SVD its inputs already have.
+orbit witnesses may be any group element, so they take no rotation.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError, GapTooLargeError, PreconditionError
+from .errors import ConsistencyError, ConvergenceError, GapTooLargeError, PreconditionError
 from .matcore import (INTERSECTION_COS, PROJECTOR_REL, PROJECTOR_SPECTRUM,
-                      RANK_REL, as_matrix, eigh, svd)
+                      RANK_REL, as_matrix, eigh)
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class Projector:
                 f"eigenvalues are not within {PROJECTOR_SPECTRUM:g} of {{0,1}}")
         return proj
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @cached_property
     def _eigh(self):
         # eigenvalues of a projector cluster at 0 and 1, so 1/2 separates
@@ -78,32 +74,27 @@ class Projector:
         return q[:, w <= 0.5]
 
 
-def intersection_basis(x, y) -> np.ndarray:
-    """Orthonormal basis of span(x) ∩ span(y) for orthonormal column blocks.
+def _cross_svd(block, vectors=True):
+    """Thin SVD of the cross block X*Y of two orthonormal column blocks, or
+    a b* of two partial isometries: the principal cosines, nonincreasing,
+    and with ``vectors`` the coordinates of the principal vectors."""
+    try:
+        return np.linalg.svd(block, full_matrices=False, compute_uv=vectors)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
-    Spanned by the principal vectors whose cosines are at least
-    INTERSECTION_COS (1 - 1e-8).
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape[1] == 0 or y.shape[1] == 0:
-        return np.zeros((x.shape[0], 0), dtype=complex)
-    w, cos, _ = np.linalg.svd(x.conj().T @ y, full_matrices=False)
-    return x @ w[:, : int(np.sum(cos >= INTERSECTION_COS))]
+
+def intersection_basis(x, y) -> np.ndarray:
+    """Orthonormal basis of span(x) ∩ span(y) for orthonormal column blocks:
+    the principal vectors whose cosines are at least INTERSECTION_COS."""
+    psi, cos, _ = _cross_svd(x.conj().T @ y)
+    return x @ psi[:, : int(np.sum(cos >= INTERSECTION_COS))]
 
 
 def principal_cosines(x, y) -> np.ndarray:
-    """Cosines of the principal angles between span(x) and span(y).
-
-    x and y are orthonormal column blocks; the cosines are the singular
-    values of x*y, nonincreasing, taken without the vectors.  Empty when
-    either block is.
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape[1] == 0 or y.shape[1] == 0:
-        return np.zeros(0)
-    return np.linalg.svd(x.conj().T @ y, compute_uv=False)
+    """Cosines of the principal angles between span(x) and span(y) for
+    orthonormal column blocks, nonincreasing; empty when either is."""
+    return _cross_svd(x.conj().T @ y, vectors=False)
 
 
 def intersection_dim(x, y) -> int:
@@ -118,7 +109,7 @@ def essential_codimension(p: Projector, q: Projector) -> int:
     Computed through principal angles and cross-checked against
     rank(P) - rank(Q); a disagreement raises ConsistencyError.
     """
-    if p.dim != q.dim:
+    if p.matrix.shape != q.matrix.shape:
         raise PreconditionError("projections must act on the same space")
     by_angles = (intersection_dim(q.complement_basis(), p.basis())
                  - intersection_dim(q.basis(), p.complement_basis()))
@@ -131,23 +122,34 @@ def essential_codimension(p: Projector, q: Projector) -> int:
     return by_rank
 
 
-def direct_rotation(p: Projector, q: Projector) -> np.ndarray:
-    """Canonical unitary U with U P U* = Q, defined when ||P - Q|| < 1.
+def direct_rotation(a, b) -> np.ndarray:
+    """Direct rotation U of P = a*a onto Q = b*b (U P U* = Q), for ||P - Q|| < 1.
 
-    U = XY* is the unitary polar factor of W = QP + (I-Q)(I-P) = X S Y*,
-    from one SVD.  As WW* = I - (P-Q)^2, the least singular value s of W
-    gives the gap ||P - Q|| = (1 - s^2)^{1/2}, which must stay below
-    1 - RANK_REL.  The gap is absolute: every principal angle near pi/2
-    makes all of W small, so a cutoff relative to ||W|| would not see it.
+    a and b are partial isometries on one space, not checked, of ranks
+    ||a||_F^2 and ||b||_F^2; the adjoint of an orthonormal basis is one.
+    One SVD of the cross block a b* = Psi C Phi* gives the principal
+    vectors x = a*Psi_r, y = b*Phi_r and cosines C = x*y; with w = y - xC,
+    U = I + x(C-I)x* - w(I+C)^{-1}w* + wx* - xw* (Davis & Kahan 1970),
+    unitary to roundoff as no 1/sin is taken.  The gap
+    ||P - Q|| = (1 - c_min^2)^{1/2}, 1 at unequal ranks, must stay below
+    1 - RANK_REL; it is absolute, as angles near pi/2 make the whole cross
+    block small.  At rank 0, U = I.
     """
-    if p.dim != q.dim:
-        raise PreconditionError("projections must act on the same space")
-    pm, qm = p.matrix, q.matrix
-    ident = np.eye(p.dim, dtype=complex)
-    res = svd(qm @ pm + (ident - qm) @ (ident - pm))
-    gap = float(np.sqrt(max(1.0 - res.singular_values[-1] ** 2, 0.0)))
+    d = a.shape[1]
+    if b.shape[1] != d:
+        raise PreconditionError("partial isometries must act on the same space")
+    r, r_b = (round(np.vdot(m, m).real) for m in (a, b))
+    psi, cos, phi = _cross_svd(a @ b.conj().T)
+    c_min = cos[r - 1] if 0 < r == r_b else float(r == r_b)
+    gap = float(np.sqrt(max(1.0 - c_min**2, 0.0)))
     if gap >= 1.0 - RANK_REL:
-        raise GapTooLargeError(
-            f"||P - Q|| = {gap:.6f} >= 1; projections are not directly rotatable",
-            gap=gap)
-    return res.U @ res.Vt
+        raise GapTooLargeError(f"||P - Q|| = {gap:.6f} >= 1; not directly rotatable", gap=gap)
+    # row form, r x d each: x* = Psi_r* a, and w* = Phi_r* b - C x* = y* - C x*
+    c, x, w = cos[:r, None], psi[:, :r].conj().T @ a, phi[:r] @ b
+    del psi, phi    # the full factors are not kept while U is built
+    w -= c * x
+    # U - I = L* Z with L = [x*; w*] and Z = [(C - I)x* - w*; x* - (I + C)^{-1}w*]
+    z = np.concatenate(((c - 1.0) * x - w, x - w / (1.0 + c)))
+    u = np.concatenate((x, w)).conj().T @ z
+    u.flat[:: d + 1] += 1.0
+    return u

@@ -34,7 +34,7 @@ ISOMETRY_REL = 1e-9
 UNITARY_REL = 1e-10
 IDENTITY_REL = 1e-8
 # Checks on input matrices, and decisions of the certifiers:
-HERMITIAN_REL = 1e-10       # ||H - H*||_F, or -min eig of PSD C, <= this max(1, scale)
+HERMITIAN_REL = 1e-10       # ||H - H*||_F, or -min eig of PSD C, <= this times its scale
 PROJECTOR_REL = 1e-9        # projector: ||P^2 - P|| <= this max(1, ||P||), ||P - P*|| <= this
 PROJECTOR_SPECTRUM = 1e-8   # and each eigenvalue of P lies within this of 0 or 1
 INTERSECTION_COS = 1.0 - 1e-8   # principal angles with cosine at least this are zero
@@ -295,7 +295,8 @@ def svd(a) -> SvdResult:
 
     rank_tolerance = RANK_REL * max(m, n) * sigma_1; the zero matrix
     gets tolerance 0 and rank 0.  LAPACK convergence failures are
-    re-raised as ConvergenceError.  An ``SvdResult`` is returned as is.
+    re-raised as ConvergenceError, overflowing singular values as
+    PreconditionError.  An ``SvdResult`` is returned as is.
     """
     if isinstance(a, SvdResult):
         return a
@@ -304,6 +305,8 @@ def svd(a) -> SvdResult:
         u, s, vt = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    if not np.all(np.isfinite(s)):
+        raise PreconditionError("input too large: its singular values overflow")
     sigma1 = float(s[0]) if s.size else 0.0
     cutoff = RANK_REL * max(m.shape) * sigma1
     rank = int(np.sum(s > cutoff))
@@ -314,15 +317,15 @@ def eigh(h):
     """Spectral decomposition of a Hermitian matrix.
 
     The input is symmetrized internally; inputs that are not Hermitian to
-    the relative tolerance HERMITIAN_REL are rejected.  Returns (Q, eigenvalues)
-    with eigenvalues ascending.
+    the relative tolerance HERMITIAN_REL, at any scale, are rejected.
+    Returns (Q, eigenvalues) with eigenvalues ascending.
     """
     m = as_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise PreconditionError("eigh requires a square matrix")
     scale = np.linalg.norm(m)
     skew = np.linalg.norm(m - m.conj().T)
-    if skew > HERMITIAN_REL * max(scale, 1.0):
+    if skew > HERMITIAN_REL * scale:
         raise PreconditionError(
             f"matrix is not Hermitian: ||H - H*||_F = {skew:.3e}"
         )
@@ -378,11 +381,6 @@ class PsdEig:
         q_r = self.range_basis
         return (q_r / self.range_values) @ q_r.conj().T
 
-    def range_proj(self) -> np.ndarray:
-        """Projector onto R(C)."""
-        q_r = self.range_basis
-        return q_r @ q_r.conj().T
-
     def null_proj(self) -> np.ndarray:
         """Projector onto N(C)."""
         q_n = self.null_basis
@@ -392,16 +390,16 @@ class PsdEig:
 def psd_eigh(c) -> PsdEig:
     """Spectral decomposition of a Hermitian positive semidefinite matrix.
 
-    Eigenvalues below -HERMITIAN_REL max(|w|, 1) are rejected; those at or below
-    the rank cutoff RANK_REL * n * max|w| are set to 0.  A ``PsdEig`` is
-    returned as is.
+    Eigenvalues below -HERMITIAN_REL max|w| are rejected, at any scale;
+    those at or below the rank cutoff RANK_REL * n * max|w| are set to 0.
+    A ``PsdEig`` is returned as is.
     """
     if isinstance(c, PsdEig):
         return c
     c = as_matrix(c)
     q, w = eigh(c)
     scale = float(np.max(np.abs(w)))
-    if w[0] < -HERMITIAN_REL * max(scale, 1.0):
+    if w[0] < -HERMITIAN_REL * scale:
         raise PreconditionError(
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
         )

@@ -10,8 +10,8 @@ factor) together with their inverses.
 
 The witnesses may be any group element, so each is read off the eigh or
 SVD of its inputs.  The section and the charts must be real analytic,
-so each takes the direct rotation of one pair of projectors, and a gap
-that codim.direct_rotation refuses is outside its domain.
+so each takes codim.direct_rotation of two partial isometries, never of
+d x d projectors, and a gap that the rotation refuses is outside its domain.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from . import codim, strata
-from .codim import Projector
 from .errors import (
     ConsistencyError,
     GapTooLargeError,
@@ -73,16 +72,16 @@ class PartialIsometry:
     @staticmethod
     def from_matrix(m) -> "PartialIsometry":
         v = as_matrix(m)
-        _initial_projector(v)
+        _initial_rank(v)
         return PartialIsometry(v)
 
 
-def _initial_projector(v: np.ndarray) -> np.ndarray:
-    """V*V, checked to be a projector, that is, V to be a partial isometry."""
+def _initial_rank(v: np.ndarray) -> int:
+    """trace(V*V), the rank of V, once V is checked to be a partial isometry."""
     p = v.conj().T @ v
     if np.linalg.norm(p @ p - p) > ISOMETRY_REL * max(1.0, np.linalg.norm(p)):
         raise PreconditionError("V*V is not a projector; not a partial isometry")
-    return p
+    return round(np.trace(p).real)
 
 
 def _equal_rank_roots(c, d):
@@ -114,8 +113,8 @@ def polar_decompose(a) -> PolarParts:
     s_full = np.zeros(n)
     s_full[: len(res.singular_values)] = res.singular_values
     v = res.Vt.conj().T
-    modulus = (v * s_full) @ v.conj().T
-    modulus = 0.5 * (modulus + modulus.conj().T)
+    modulus = 0.5 * ((v * s_full) @ v.conj().T)    # halved first: the sum cannot overflow
+    modulus += modulus.conj().T
     return PolarParts(_polar_factor(res), modulus, v, s_full, res.rank)
 
 
@@ -160,14 +159,13 @@ def isometry_orbit_witness(v0, v):
     """Unitaries (U, W) with U V0 W* = V for equal-rank partial isometries.
 
     Each argument, a matrix or a PartialIsometry, is checked to be a
-    partial isometry (PreconditionError otherwise); its rank is then the
-    trace of its initial projector.  From one SVD of each, V0 = U0 S V0'*
+    partial isometry (PreconditionError otherwise), which gives its rank,
+    the trace of its initial projector.  From one SVD of each, V0 = U0 S V0'*
     and V = U1 S V1'* share S, the identity on the rank, so
     (U, W) = (U1 U0*, V1' V0'*): strata.transitivity_witness with
     S2 S1^+ = I.
     """
-    v0, v, p0, p1 = _checked_pair(v0, v)
-    r0, r1 = round(np.trace(p0).real), round(np.trace(p1).real)
+    v0, v, r0, r1 = _checked_pair(v0, v)
     if r0 != r1:
         raise StratumError(f"no orbit witness across ranks: {r0} vs {r1}")
     s0, s1 = svd(v0), svd(v)
@@ -176,18 +174,11 @@ def isometry_orbit_witness(v0, v):
 
 def _checked_pair(v0, v):
     """V0 and V as matrices of one shape, each checked to be a partial
-    isometry, and their initial projectors V0*V0 and V*V."""
+    isometry, and their ranks."""
     v0, v = (x.matrix if isinstance(x, PartialIsometry) else as_matrix(x) for x in (v0, v))
     if v0.shape != v.shape:
         raise PreconditionError("partial isometries must have the same shape")
-    return v0, v, _initial_projector(v0), _initial_projector(v)
-
-
-def _initial_rotation(v0, v):
-    """V0 and V as checked by _checked_pair, and the direct rotation W of
-    V0*V0 onto V*V, the polar-factor charts' unitary."""
-    v0, v, p0, p1 = _checked_pair(v0, v)
-    return v0, v, _rotation(p0, p1)
+    return v0, v, _initial_rank(v0), _initial_rank(v)
 
 
 def modulus_map(b, a) -> np.ndarray:
@@ -265,19 +256,19 @@ def trivialize_alpha(b, c0, a):
 
 def _chart_unitary(c, b) -> np.ndarray:
     """The direct rotation of R(C) onto R(B), for PSD C, B or their psd_eighs."""
-    return _rotation(psd_eigh(c).range_proj(), psd_eigh(b).range_proj())
+    return _rotation(psd_eigh(c).range_basis.conj().T, psd_eigh(b).range_basis.conj().T)
 
 
-def _rotation(p, q) -> np.ndarray:
-    """codim.direct_rotation of the projector P onto Q: the charts' unitary.
+def _rotation(a, b) -> np.ndarray:
+    """codim.direct_rotation of a*a onto b*b for partial isometries a, b.
 
-    It is real analytic in Q while ||P - Q|| < 1.  A gap that the
-    rotation refuses, as unequal ranks give, is outside the chart:
-    OutsideNeighborhoodError, whose cause, a GapTooLargeError, carries
-    the gap.
+    The charts' unitary, real analytic in b*b while ||a*a - b*b|| < 1.
+    A gap that the rotation refuses, as unequal ranks give, is outside
+    the chart: OutsideNeighborhoodError, whose cause, a GapTooLargeError,
+    carries the gap.
     """
     try:
-        u = codim.direct_rotation(Projector(p), Projector(q))
+        u = codim.direct_rotation(a, b)
     except GapTooLargeError as exc:
         raise OutsideNeighborhoodError(f"outside the chart: {exc}") from exc
     if np.linalg.norm(u @ u.conj().T - np.eye(len(u))) > UNITARY_REL * len(u):
@@ -305,16 +296,17 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
 def trivialize_v(b, v0):
     """Chart of the polar-factor fibration: B -> (V_B, V0 (W* |B| W)).
 
-    W is the direct rotation of the initial projector V0*V0 onto V_B*V_B;
-    it transports |B| to a positive matrix supported on the initial space
-    of V0, so the second component sits in the fiber over V0.  B is a
-    matrix or its polar parts.  A V0 that is not a partial isometry raises
-    PreconditionError; an initial-space gap that the rotation refuses, as
-    unequal ranks give, raises OutsideNeighborhoodError.  Inverted by
-    trivialize_v_inverse.
+    W is the direct rotation of V0*V0 onto V_B*V_B, taken from V0 and the
+    row basis of B; it transports |B| to a positive matrix supported on
+    the initial space of V0, so the second component sits in the fiber
+    over V0.  B is a matrix or its polar parts.  A V0 that is not a
+    partial isometry raises PreconditionError; an initial-space gap that
+    the rotation refuses, as unequal ranks give, raises
+    OutsideNeighborhoodError.  Inverted by trivialize_v_inverse.
     """
     parts = polar_decompose(b)
-    v0, _, w = _initial_rotation(v0, parts.polar_factor)
+    v0, _, _, _ = _checked_pair(v0, parts.polar_factor)
+    w = _rotation(v0, parts.right_vectors[:, : parts.rank].conj().T)
     fiber_elem = v0 @ (w.conj().T @ parts.modulus @ w)
     return PartialIsometry(parts.polar_factor), fiber_elem
 
@@ -322,10 +314,11 @@ def trivialize_v(b, v0):
 def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:
     """(V, V0 C) -> V (W C W*), undoing trivialize_v.
 
-    V and V0 are checked, and W taken, as in trivialize_v, so the same
-    gap is outside this chart.
+    V and V0 are checked as in trivialize_v and W is taken from both, so
+    the same gap is outside this chart.
     """
-    v0, v, w = _initial_rotation(v0, factor)
+    v0, v, _, _ = _checked_pair(v0, factor)
+    w = _rotation(v0, v)
     fiber_elem = as_matrix(fiber_elem)
     core = v0.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
     return v @ w @ core @ w.conj().T

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -112,6 +113,37 @@ def test_polar_command(capsys, tmp_path, rng, name):
     with open(out_path) as fh:
         payload = json.load(fh)
     assert set(payload) == {"polar_factor", "modulus"}
+
+
+# matrices whose entries are finite but near the overflow threshold, and
+# the exit codes of pinv and polar on each
+OVERFLOWING = {
+    # |a| = 1.4e308: the Penrose residual of pinv overflows; polar halves
+    # before it symmetrizes the modulus, which is then exact
+    "1x1": ({"rows": 1, "cols": 1, "data": [[1e308, 1e308]]}, 2, 0),
+    # both residuals overflow in the sum of squares of their entries
+    "1x2": ({"rows": 1, "cols": 2, "data": [[1e308, 1e308], [1e308, 0]]}, 2, 2),
+    # the singular values themselves overflow
+    "2x1": ({"rows": 2, "cols": 1, "data": [[1.5e308, 0], [1.5e308, 0]]}, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_input_exits_2_with_a_typed_error(capsys, tmp_path, name):
+    obj, pinv_code, polar_code = OVERFLOWING[name]
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(obj))
+    for command, expected in (("pinv", pinv_code), ("polar", polar_code)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no RuntimeWarning escapes
+            code = cli.main([command, "--input", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == expected
+        if code == 2:
+            assert captured.err.startswith("error: input too large")
+            assert captured.out == ""
+        else:
+            assert all(math.isfinite(v) for v in json.loads(captured.out).values())
 
 
 def test_continuity_command(capsys, tmp_path):

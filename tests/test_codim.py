@@ -73,6 +73,21 @@ def test_essential_codimension_dimension_mismatch():
         essential_codimension(random_projector(0, 4, 2), random_projector(0, 5, 2))
 
 
+def w_form_rotation(p, q):
+    """The oracle: U = XY*, the unitary polar factor of W = QP + (I-Q)(I-P)
+    = X S Y* for projector matrices P, Q, and the gap (1 - s_min^2)^{1/2}.
+
+    As WW* = I - (P-Q)^2, this is the direct rotation of P onto Q, taken
+    from one SVD of a d x d matrix apart from the cross block."""
+    ident = np.eye(len(p), dtype=complex)
+    x, s, yh = np.linalg.svd(q @ p + (ident - q) @ (ident - p))
+    return x @ yh, float(np.sqrt(max(1.0 - s[-1] ** 2, 0.0)))
+
+
+def initial_projector(a):
+    return a.conj().T @ a
+
+
 @given(seeds)
 def test_direct_rotation_conjugates(seed):
     rng = np.random.default_rng(seed)
@@ -81,31 +96,32 @@ def test_direct_rotation_conjugates(seed):
     w = generate.near_identity(rng, 5, 0.2)
     qcols = np.linalg.qr(w @ cols)[0]
     q = Projector(qcols @ qcols.conj().T)
-    u = direct_rotation(p, q)
+    u = direct_rotation(cols.conj().T, qcols.conj().T)
     n = 5
     assert np.linalg.norm(u @ u.conj().T - np.eye(n)) < 1e-9
     assert np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix) < 1e-9
 
 
 def test_direct_rotation_identity_case():
-    p = random_projector(3, 4, 2)
-    u = direct_rotation(p, p)
+    cols = generate.unitary(np.random.default_rng(3), 4)[:, :2]
+    u = direct_rotation(cols.conj().T, cols.conj().T)
     assert np.linalg.norm(u - np.eye(4)) < 1e-10
 
 
 def _rank_one_pair(c):
-    """P = xx*, Q = yy* in C^2 for x = e1, y = (c, (1 - c^2)^{1/2}): cos theta = c."""
-    x = np.array([1.0, 0.0], dtype=complex)
-    y = np.array([c, np.sqrt(1.0 - c * c)], dtype=complex)
-    return Projector(np.outer(x, x.conj())), Projector(np.outer(y, y.conj()))
+    """x* = e1* and y* = (c, (1 - c^2)^{1/2}) in C^2, partial isometries with
+    initial projectors P = xx*, Q = yy*: cos theta = c."""
+    return (np.array([[1.0, 0.0]], dtype=complex),
+            np.array([[c, np.sqrt(1.0 - c * c)]], dtype=complex))
 
 
 @pytest.mark.parametrize("c", [1e-4, 2e-5])
 def test_direct_rotation_is_accurate_near_the_gap(c):
-    # the polar factor of W from its SVD stays unitary to roundoff; an
+    # the rotation takes no 1/sin and stays unitary to roundoff; an
     # inverse square root of I - (P - Q)^2 amplifies its error by 1/c^2
-    p, q = _rank_one_pair(c)
-    u = direct_rotation(p, q)
+    a, b = _rank_one_pair(c)
+    p, q = Projector(initial_projector(a)), Projector(initial_projector(b))
+    u = direct_rotation(a, b)
     assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-12
     assert np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix) <= 1e-10
 
@@ -120,11 +136,109 @@ def test_direct_rotation_gap_one_fails(c):
     assert abs(info.value.gap - np.sqrt(1.0 - c * c)) <= 1e-12
 
 
+dims = st.integers(min_value=1, max_value=6)
+
+
+@given(seeds, dims, ranks)
+def test_direct_rotation_matches_w_form_on_basis_adjoints(seed, n, r):
+    r = min(r, n)
+    rng = np.random.default_rng(seed)
+    x = generate.unitary(rng, n)[:, :r]
+    y = np.linalg.qr(generate.near_identity(rng, n, 0.5) @ x)[0]
+    p, q = x @ x.conj().T, y @ y.conj().T
+    u = direct_rotation(x.conj().T, y.conj().T)
+    assert np.linalg.norm(u - w_form_rotation(p, q)[0]) <= 1e-10
+    assert np.linalg.norm(u @ p @ u.conj().T - q) <= 1e-10
+
+
+@given(seeds, dims, st.integers(1, 3), ranks)
+def test_direct_rotation_matches_w_form_on_partial_isometries(seed, n, extra, r):
+    # an (n + e) x n partial isometry V0 against an (n + 2e) x n one, V,
+    # and against y*, the adjoint of V's row basis, whose Q is V's
+    m, r = n + extra, min(r, n)
+    rng = np.random.default_rng(seed)
+    v0 = polar.polar_decompose(generate.fixed_rank(rng, m, n, r)).polar_factor
+    y = np.linalg.qr(generate.near_identity(rng, n, 0.5) @ _row_basis(v0))[0]
+    v = generate.unitary(rng, m + extra)[:, :r] @ y.conj().T
+    u = direct_rotation(v0, v)
+    p, q = initial_projector(v0), initial_projector(v)
+    assert np.linalg.norm(u - w_form_rotation(p, q)[0]) <= 1e-10
+    assert np.linalg.norm(u @ p @ u.conj().T - q) <= 1e-10
+    assert np.linalg.norm(direct_rotation(v0, y.conj().T) - u) <= 1e-10
+
+
+def _row_basis(v):
+    """Orthonormal basis of the initial space of the partial isometry V."""
+    _, s, vh = np.linalg.svd(v)
+    return vh[: int(np.sum(s > 0.5))].conj().T
+
+
+def _near_gap_pair(seed, c):
+    """Rank-2 partial isometries in C^5 whose principal cosines are c and
+    cos 0.7, mixed by random unitaries on both sides."""
+    rng = np.random.default_rng(seed)
+    e = generate.unitary(rng, 5)
+    x = e[:, [0, 2]]
+    y = np.column_stack((c * e[:, 0] + np.sqrt(1.0 - c * c) * e[:, 1],
+                         np.cos(0.7) * e[:, 2] + np.sin(0.7) * e[:, 3]))
+    return (generate.unitary(rng, 2) @ x.conj().T,
+            generate.unitary(rng, 3)[:, :2] @ y.conj().T)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("c", [1e-4, 2e-5])
+def test_direct_rotation_matches_w_form_near_the_gap(seed, c):
+    a, b = _near_gap_pair(seed, c)
+    p, q = initial_projector(a), initial_projector(b)
+    u = direct_rotation(a, b)
+    oracle, gap = w_form_rotation(p, q)
+    assert np.linalg.norm(u @ u.conj().T - np.eye(5)) <= 1e-12
+    assert np.linalg.norm(u @ p @ u.conj().T - q) <= 1e-10
+    assert np.linalg.norm(u - oracle) <= 1e-9
+    assert abs(gap - np.sqrt(1.0 - c * c)) <= 1e-12     # c is the least cosine
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_direct_rotation_refuses_the_gap_as_the_w_form_measures_it(seed):
+    # at cosine 1e-8 the gap is 1 to double precision: both forms see it
+    a, b = _near_gap_pair(seed, 1e-8)
+    with pytest.raises(GapTooLargeError) as info:
+        direct_rotation(a, b)
+    gap = w_form_rotation(initial_projector(a), initial_projector(b))[1]
+    assert abs(info.value.gap - gap) <= 1e-12
+    assert info.value.gap >= 1.0 - RANK_REL
+
+
+@given(seeds, dims, ranks, ranks)
+def test_direct_rotation_unequal_ranks_gap_is_one(seed, n, r, s):
+    # nested spaces, as close as spaces of unequal ranks come
+    r, s = min(r, n), min(s, n)
+    if r == s:
+        s = (r + 1) % (n + 1)
+    x = generate.unitary(np.random.default_rng(seed), n)
+    with pytest.raises(GapTooLargeError) as info:
+        direct_rotation(x[:, :r].conj().T, x[:, :s].conj().T)
+    assert info.value.gap == 1.0
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.zeros((0, 4)), np.zeros((0, 4))),
+    (np.zeros((3, 4)), np.zeros((0, 4))),
+    (np.zeros((2, 4)), np.zeros((5, 4)))])
+def test_direct_rotation_rank_zero_is_identity(a, b):
+    assert np.array_equal(direct_rotation(a, b), np.eye(4))
+
+
+def test_direct_rotation_space_mismatch():
+    with pytest.raises(PreconditionError):
+        direct_rotation(np.eye(3)[:1], np.eye(4)[:1])
+
+
 def test_chart_refusal_keeps_the_gap():
     # both charts and their inverses refuse the pair at c = 1e-6, each
     # through the direct rotation, whose error is the cause and still
     # carries the gap
-    p, q = (x.matrix for x in _rank_one_pair(1e-6))
+    p, q = (initial_projector(x) for x in _rank_one_pair(1e-6))
     refusals = (lambda: polar.trivialize_alpha(q, p, p),
                 lambda: polar.trivialize_alpha_inverse(q, p, p),
                 lambda: polar.trivialize_v(q, p),

@@ -115,10 +115,11 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     # rank and C0^+), forward also A once, and hands both to fiber
     # membership, where k0 = rank(A) - rank(C0) as N(|A|) = N(A); each
     # chart unitary is the direct rotation of R(C0) onto R(|B|), one SVD
-    # of W.  Forward reads R(|B|) off the SVD of B; the inverse, given
-    # |B| as a matrix, takes its eigh (was 4 eigh: forward took an eigh
-    # of |B| too; 7 svd when the chart took the positive section's SVD of
-    # S and then the SVD of the section for its polar factor; 13 before
+    # of the cross block of the range bases (was one SVD of the d x d
+    # W = QP + (I-Q)(I-P)).  Forward reads R(|B|) off the SVD of B; the
+    # inverse, given |B| as a matrix, takes its eigh (was 4 eigh: forward
+    # took an eigh of |B| too; 7 svd when the chart took the positive
+    # section's SVD of S and then the SVD of the section for its polar factor; 13 before
     # that, when the index of X took four principal angles and k0 two)
     assert count(round_trip) == {"svd": 5, "eigh": 3}
 
@@ -131,7 +132,8 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, res_a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    # per chart the SVD of W for the direct rotation of R(C0) onto R(|B|);
+    # per chart the SVD of the range bases' cross block (was of W) for the
+    # direct rotation of R(C0) onto R(|B|);
     # forward also the SVD of B, which gives R(|B|), and fiber membership
     # the SVD of X, whose rank gives its index; the inverse, given |B| as
     # a matrix, takes its eigh (was 2 eigh: forward took one of |B| too;
@@ -149,9 +151,10 @@ def test_trivialize_v_round_trip_counts(count, inputs):
         factor, fib = polar.trivialize_v(b, v0)
         polar.trivialize_v_inverse(factor, fib, v0)
     # the SVD of B and one direct rotation, of the initial projectors, per
-    # chart; ranks are traces of the checked initial projectors, so a
-    # matrix V0 costs no SVD, and the rotation is one SVD of W, which also
-    # gives its gap (was 2 eigh of I - (P - Q)^2 in its place; 4 eigh
+    # chart; ranks are traces of V*V, so a matrix V0 costs no SVD, and the
+    # rotation is one SVD of the cross block, V0 against B's row basis
+    # forward and V0 V* inverse, which also gives its gap (was one SVD of
+    # the d x d W; 2 eigh of I - (P - Q)^2 in its place before that; 4 eigh
     # before that, when each chart built the orbit witness's final-space
     # rotation and threw it away)
     assert count(round_trip) == {"svd": 3}
@@ -160,8 +163,8 @@ def test_trivialize_v_round_trip_counts(count, inputs):
 def test_trivialize_v_counts(count, inputs):
     a, b, _ = inputs
     v0 = polar.polar_decompose(a).polar_factor
-    # the SVD of B and the one SVD of the initial-projector rotation W
-    # (was an eigh of I - (P - Q)^2 for the rotation)
+    # the SVD of B and the one SVD of the cross block of V0 and B's row
+    # basis for the rotation (was of W; an eigh of I - (P - Q)^2 before)
     assert count(lambda: polar.trivialize_v(b, v0)) == {"svd": 2}
 
 
@@ -229,8 +232,8 @@ def test_cmd_fiber_counts(count):
     # both base points come from one SVD of A per run, which also gives
     # C0 = |A| as a psd_eigh, and both charts share one polar decomposition
     # of each B, whose SVD gives |B| as a psd_eigh to both modulus charts;
-    # every chart unitary is a direct rotation, one SVD of W that also
-    # gives its gap (was 9 eigh: one of C0 and two of |B| per trial; 17
+    # every chart unitary is a direct rotation, one SVD of a cross block
+    # that also gives its gap (was 9 eigh: one of C0 and two of |B| per trial; 17
     # when the modulus charts took two SVDs each, for the positive section
     # and its polar factor, and the polar-factor rotations an eigh each;
     # 57 svd and 25 eigh before that, with per trial four principal angles
@@ -351,8 +354,8 @@ def test_congruence_witness_orthogonal_nulls_counts(count):
 
 def test_positive_section_counts(count, semidefinite):
     c, b = semidefinite
-    # one eigh of C and of B, one SVD of W for the direct rotation of R(C)
-    # onto R(B) and its gap
+    # one eigh of C and of B, one SVD of the cross block of their range
+    # bases for the direct rotation of R(C) onto R(B) and its gap
     assert count(lambda: polar.positive_section(c, b)) == {"eigh": 2, "svd": 1}
 
 

@@ -80,7 +80,7 @@ def test_rank_cutoff_is_named_only_where_it_is_defined():
     # every other rank or invertibility decision reads svd(.).rank or
     # psd_eigh(.).rank; codim's direct rotation refuses a gap
     # ||P - Q|| >= 1 - RANK_REL, which a cutoff relative to the scale of
-    # W = QP + (I-Q)(I-P) would not see
+    # the cross block of the two partial isometries would not see
     package = Path(pinvlab.__file__).parent
     naming = {path.stem for path in package.glob("*.py") if "RANK_REL" in path.read_text("utf-8")}
     assert naming == {"matcore", "codim"}
@@ -249,6 +249,18 @@ def test_psd_eigh_rejects_indefinite():
         psd_eigh(np.diag([1.0, -1e-6]))
 
 
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+def test_hermitian_and_psd_checks_are_scale_free(rng, s):
+    # the checks compare against HERMITIAN_REL times the scale of the
+    # input, with no floor at 1, so sC is accepted or refused as C is
+    with pytest.raises(PreconditionError):
+        psd_eigh(s * np.diag([1.0, -0.5]))
+    with pytest.raises(PreconditionError):
+        eigh(s * np.array([[1.0, 1e-6], [0.0, 1.0]]))
+    c = generate.psd_fixed_rank(rng, 4, 2)
+    assert psd_eigh(s * c).rank == 2
+
+
 def test_psd_eigh_zero_matrix():
     eig = psd_eigh(np.zeros((3, 3)))
     assert eig.rank == 0 and np.all(eig.w == 0.0)
@@ -280,7 +292,8 @@ def test_psd_eig_accessors(rng, r):
     c_pinv = np.linalg.pinv(c, rcond=1e-10, hermitian=True)
     assert np.linalg.norm(eig.pinv() - c_pinv) < 1e-10
     assert np.linalg.norm(eig.pinv_sqrt() @ eig.pinv_sqrt() - c_pinv) < 1e-10
-    assert np.linalg.norm(eig.range_proj() - c @ c_pinv) < 1e-10
+    q_r = eig.range_basis
+    assert np.linalg.norm(q_r @ q_r.conj().T - c @ c_pinv) < 1e-10
     assert np.linalg.norm(eig.null_proj() - (np.eye(5) - c @ c_pinv)) < 1e-10
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -58,7 +60,8 @@ def test_modulus_eig_matches_psd_eigh(rng, m, n, r):
     assert eig.matrix is parts.modulus
     assert np.all(np.diff(eig.w) >= 0) and np.count_nonzero(eig.w) == r
     assert np.allclose(eig.w, ref.w, rtol=0, atol=1e-12)
-    assert np.allclose(eig.range_proj(), ref.range_proj(), rtol=0, atol=1e-12)
+    p_eig, p_ref = (e.range_basis @ e.range_basis.conj().T for e in (eig, ref))
+    assert np.allclose(p_eig, p_ref, rtol=0, atol=1e-12)
     # its columns are eigenvectors of |B|
     assert np.allclose(parts.modulus @ eig.Q, eig.Q * eig.w, rtol=0, atol=1e-12)
 
@@ -402,6 +405,26 @@ def test_trivialize_v_outside_chart(rng):
     b = generate.fixed_rank(rng, 4, 4, 3)
     with pytest.raises(OutsideNeighborhoodError):
         polar.trivialize_v(b, v0)
+
+
+def test_trivialize_v_inverse_memory_is_bounded():
+    # the rotation is read off the cross block V0 V* in row form, with no
+    # n x n initial projector kept: the peak stays under six d x d complex
+    # matrices (the d x d W and its SVD peaked at seven)
+    d = 64
+    rng = generate.rng_from_seed(0)
+    a = generate.fixed_rank(rng, d, d, d // 2)
+    v0 = polar.polar_decompose(a).polar_factor
+    factor, fiber_elem = polar.trivialize_v(
+        generate.rank_preserving_perturbation(rng, a, 0.05), v0)
+    polar.trivialize_v_inverse(factor, fiber_elem, v0)
+    tracemalloc.start()
+    try:
+        polar.trivialize_v_inverse(factor, fiber_elem, v0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * d * d * 16
 
 
 # a fixed non-scalar modulus, as a 2 x 2 block
