@@ -240,12 +240,16 @@ def _fiber_trial(b, c0, res_a, v0, alpha_res, v_res) -> None:
     """Both charts' round trips at B, each appending ||back - B||_F to its
     list; a trial's matrices are freed when it returns, not kept into the next."""
     parts = polar.polar_decompose(b)    # serves both charts
-    _, fib = polar.trivialize_alpha(parts, c0, res_a)
-    back = polar.trivialize_alpha_inverse(parts.modulus_eig, fib, c0)
-    alpha_res.append(float(np.linalg.norm(back - b)))
-    fac, fib = polar.trivialize_v(parts, v0)
-    back = polar.trivialize_v_inverse(fac, fib, v0)
-    v_res.append(float(np.linalg.norm(back - b)))
+    alpha_res.append(_round_trip(polar.trivialize_alpha(parts, c0, res_a),
+                                 polar.trivialize_alpha_inverse, c0, b))
+    v_res.append(_round_trip(polar.trivialize_v(parts, v0),
+                             polar.trivialize_v_inverse, v0, b))
+
+
+def _round_trip(point, inverse, base, b) -> float:
+    """||inverse(point) - B||_F; the point is handed on whole, so the inverse
+    reuses the rotation its chart took at this base point."""
+    return float(np.linalg.norm(inverse(point, point.fiber_elem, base) - b))
 
 
 def cmd_fiber(args) -> int:

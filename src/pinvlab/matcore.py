@@ -9,6 +9,7 @@ validate shape and finiteness at the boundaries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,11 +209,27 @@ def gauge_norm(a, g: GaugeNorm = OP_NORM) -> float:
     """Apply the symmetric gauge ``g`` to the singular values of ``a``.
 
     The Schatten-2 (Frobenius) norm is the root of the sum of the squared
-    moduli of the entries, so it is read from the entries and takes no SVD.
+    moduli of the entries, so it is read from the entries and takes no SVD,
+    on A scaled by a power of two (``_pow2_scaled``): its squares cannot
+    overflow, and below overflow the value is that of the unscaled sum.
     """
     if g.kind == "schatten" and g.p == 2:
-        return float(np.linalg.norm(as_matrix(a)))
+        scaled, e = _pow2_scaled(as_matrix(a))
+        try:
+            return math.ldexp(float(np.linalg.norm(scaled)), e)
+        except OverflowError:       # the norm is past the largest double
+            return math.inf
     return g.of_singular_values(_singular_values(a))
+
+
+def _pow2_scaled(m: np.ndarray):
+    """(2^-e M, e), with e the exponent that brings M's largest real or
+    imaginary part into [1/2, 1) (short of it for subnormal M).  Scaling by a
+    power of two is exact, so a norm of the scaled matrix cannot overflow
+    and scales back bit for bit."""
+    top = float(np.abs(m.reshape(-1).view(np.float64)).max())
+    e = max(math.frexp(top)[1], -1021)
+    return m * math.ldexp(1.0, -e), e
 
 
 def _singular_values(a) -> np.ndarray:
@@ -317,17 +334,20 @@ def eigh(h):
     """Spectral decomposition of a Hermitian matrix.
 
     The input is symmetrized internally; inputs that are not Hermitian to
-    the relative tolerance HERMITIAN_REL, at any scale, are rejected.
+    the relative tolerance HERMITIAN_REL, at any scale, are rejected.  Both
+    norms of the check are taken on the input scaled by a power of two, so
+    neither overflows near the overflow threshold.
     Returns (Q, eigenvalues) with eigenvalues ascending.
     """
     m = as_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise PreconditionError("eigh requires a square matrix")
-    scale = np.linalg.norm(m)
-    skew = np.linalg.norm(m - m.conj().T)
+    scaled, _ = _pow2_scaled(m)
+    scale = np.linalg.norm(scaled)
+    skew = np.linalg.norm(scaled - scaled.conj().T)
     if skew > HERMITIAN_REL * scale:
         raise PreconditionError(
-            f"matrix is not Hermitian: ||H - H*||_F = {skew:.3e}"
+            f"matrix is not Hermitian: ||H - H*||_F / ||H||_F = {skew / scale:.3e}"
         )
     sym = 0.5 * (m + m.conj().T)
     try:

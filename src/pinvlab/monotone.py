@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import strata
 from .errors import ConvergenceError, OutsideNeighborhoodError, PreconditionError
 from .matcore import (
     CANCELLATION_REL,
@@ -51,7 +50,6 @@ from .matcore import (
     as_matrix,
     gauge_norm,
     psd_eigh,
-    svd,
 )
 from .pinv import BoundReport
 
@@ -347,20 +345,20 @@ def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
     """f(C) through resolvent quadrature, independent of the spectral route.
 
     alpha I + beta C - ∫((tI+C)^{-1} - t/(t^2+1) I) dν(t).  A singular C
-    is split into its range block (where the compression is positive
-    definite and the integral applies) and its nullspace block (where
-    the value is f(0) times the projector).  C is a matrix or its psd_eigh.
+    is integrated with its null block set to w_max I, which makes it
+    positive definite as sC gives s times it, and the value's null block
+    is then replaced by f(0) I; the eigh, the one factorization, gives only
+    that null projector and the rank.  C is a matrix or its psd_eigh.
     """
     eig = psd_eigh(c)
     c = eig.matrix
     d = c.shape[0]
-    if eig.rank < d:
-        if eig.rank == 0:
-            return f.f0 * np.eye(d, dtype=complex)
-        basis, null = eig.range_basis, eig.null_basis
-        inner = matrix_eval_integral(f, basis.conj().T @ c @ basis)
-        return basis @ inner @ basis.conj().T + f.f0 * (null @ null.conj().T)
+    if eig.rank == 0:
+        return f.f0 * np.eye(d, dtype=complex)
     ident = np.eye(d, dtype=complex)
+    if eig.rank < d:
+        null_proj = eig.null_proj()
+        c = c + eig.w[-1] * null_proj
 
     def fn(t):
         # (tI+C)^{-1} - t/(t^2+1) I rewritten as a product to avoid the
@@ -370,6 +368,9 @@ def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
 
     integral = measure_integral(f, fn)
     out = f.alpha * ident + f.beta * c - integral
+    if eig.rank < d:
+        keep = ident - null_proj
+        out = keep @ out @ keep + f.f0 * null_proj
     return 0.5 * (out + out.conj().T)
 
 
@@ -594,18 +595,22 @@ def continuity_in_stratum(f: MonotoneFunction, c, seq,
     Diagnostic: the report records, per term, the stratum index of D_n
     relative to C and the input/output gaps.  Convergence of the value
     gap alongside the input gap is exactly the index-zero phenomenon;
-    a tail that jumps stratum shows a value gap of larger order.
+    a tail that jumps stratum shows a value gap of larger order.  Each
+    matrix takes one psd_eigh, which gives its f and its rank: the index
+    is rank(C) - rank(D_n).  C and the terms are matrices or their psd_eighs.
     """
-    c = as_matrix(c)
-    fc = matrix_eval_spectral(f, c)
-    sc = svd(c)         # serves the index of every term
+    eig_c = psd_eigh(c)
+    c = eig_c.matrix
+    fc = matrix_eval_spectral(f, eig_c)
     rows = []
     for n, dn in enumerate(seq):
-        dn = as_matrix(dn)
-        fd = matrix_eval_spectral(f, dn)
-        idx = strata.stratum_index(dn, sc)
-        rows.append(StratumContinuityRow(
-            n, idx, gauge_norm(dn - c, g), gauge_norm(fd - fc, g)))
+        eig_d = psd_eigh(dn)
+        if eig_d.matrix.shape != c.shape:
+            raise PreconditionError("C and D_n must have the same shape")
+        fd = matrix_eval_spectral(f, eig_d)
+        rows.append(StratumContinuityRow(n, eig_c.rank - eig_d.rank,
+                                         gauge_norm(eig_d.matrix - c, g),
+                                         gauge_norm(fd - fc, g)))
     if not rows:
         raise PreconditionError("sequence must be nonempty")
     return StratumContinuityReport(rows)

@@ -11,7 +11,12 @@ factor) together with their inverses.
 The witnesses may be any group element, so each is read off the eigh or
 SVD of its inputs.  The section and the charts must be real analytic,
 so each takes codim.direct_rotation of two partial isometries, never of
-d x d projectors, and a gap that the rotation refuses is outside its domain.
+d x d projectors, and a gap that the rotation refuses is outside its domain:
+the modulus chart rotates R(C0) onto R(|B|), the polar-factor chart the
+initial space of V0 onto that of V_B.  A chart returns a ChartPoint that
+keeps its rotation and the base point it took it at; the chart's inverse,
+handed that point and that same base-point object, reuses the rotation,
+and otherwise takes it from its inputs.
 """
 
 from __future__ import annotations
@@ -74,6 +79,35 @@ class PartialIsometry:
         v = as_matrix(m)
         _initial_rank(v)
         return PartialIsometry(v)
+
+
+@dataclass(frozen=True, eq=False)
+class ChartPoint:
+    """A chart's value, the pair (base component, fiber element) it unpacks to.
+
+    It also keeps the direct rotation the chart took and the base-point
+    factorization it took it at: the psd_eigh of C0 (``trivialize_alpha``)
+    or the PartialIsometry V0 (``trivialize_v``).  Handed to the chart's
+    inverse for its base component, it stands for that component, and its
+    rotation is reused when the inverse is given that same base-point
+    object; any other base point takes the rotation afresh.
+    """
+
+    component: PsdEig | PartialIsometry    # |B| as its psd_eigh, or V_B
+    fiber_elem: np.ndarray
+    rotation: np.ndarray = field(repr=False)
+    base: PsdEig | PartialIsometry = field(repr=False)
+
+    def __iter__(self):
+        return iter((self.component, self.fiber_elem))
+
+
+def _carried(point, base):
+    """The base component that ``point`` stands for, and the rotation it
+    carries if it was taken at this very ``base`` object, else None."""
+    if not isinstance(point, ChartPoint):
+        return point, None
+    return point.component, (point.rotation if point.base is base else None)
 
 
 def _initial_rank(v: np.ndarray) -> int:
@@ -234,7 +268,7 @@ def fiber_membership_alpha(x, c0, a) -> bool:
     return sa.rank - eig.rank == strata.stratum_index(rx, sa)
 
 
-def trivialize_alpha(b, c0, a):
+def trivialize_alpha(b, c0, a) -> ChartPoint:
     """Chart of the modulus fibration: B -> (|B|, V_B U C0).
 
     U is the direct rotation of R(C0) onto R(|B|); as V_B*V_B = P_R(|B|)
@@ -242,8 +276,9 @@ def trivialize_alpha(b, c0, a):
     C0.  B is a matrix or its polar parts, C0 a matrix or its psd_eigh
     and A a matrix or its SVD; a run that serves many B from one base
     point factorizes C0 and A once.  R(|B|) is read off the SVD of B
-    (``PolarParts.modulus_eig``), so |B| takes no eigh.  Inverted by
-    trivialize_alpha_inverse.
+    (``PolarParts.modulus_eig``), so |B| takes no eigh, and |B| is
+    returned as that psd_eigh, in a ChartPoint that keeps U and the
+    psd_eigh of C0.  Inverted by trivialize_alpha_inverse.
     """
     eig, sa = _base_point(c0, a)
     parts = polar_decompose(b)
@@ -251,7 +286,7 @@ def trivialize_alpha(b, c0, a):
     fiber_elem = parts.polar_factor @ u @ eig.matrix
     if not fiber_membership_alpha(fiber_elem, eig, sa):
         raise ConsistencyError("chart output left the fiber over C0")
-    return parts.modulus, fiber_elem
+    return ChartPoint(parts.modulus_eig, fiber_elem, u, eig)
 
 
 def _chart_unitary(c, b) -> np.ndarray:
@@ -280,45 +315,56 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
     """(C, V C0) -> V U* C, undoing trivialize_alpha.
 
     c0 is as in trivialize_alpha; no A is needed, as only the psd_eigh
-    of C0 is read.  The modulus C is a matrix or its psd_eigh, such as
-    the ``modulus_eig`` of the polar parts of B, which saves its eigh.
-    Outside the chart, unequal ranks included, it raises
-    OutsideNeighborhoodError.
+    of C0 is read.  The modulus C is a matrix, its psd_eigh, or the
+    ChartPoint of trivialize_alpha, which stands for the psd_eigh of |B|
+    and hands on U when c0 is the psd_eigh it was taken at; otherwise U
+    is taken from C0 and C.  Outside the chart, unequal ranks included,
+    it raises OutsideNeighborhoodError.
     """
     eig = psd_eigh(c0)
+    modulus, u = _carried(modulus, eig)
     eig_mod = psd_eigh(modulus)
     fiber_elem = as_matrix(fiber_elem)
-    u = _chart_unitary(eig, eig_mod)
+    if u is None:
+        u = _chart_unitary(eig, eig_mod)
     v = fiber_elem @ eig.pinv()
     return v @ u.conj().T @ eig_mod.matrix
 
 
-def trivialize_v(b, v0):
+def trivialize_v(b, v0) -> ChartPoint:
     """Chart of the polar-factor fibration: B -> (V_B, V0 (W* |B| W)).
 
     W is the direct rotation of V0*V0 onto V_B*V_B, taken from V0 and the
     row basis of B; it transports |B| to a positive matrix supported on
     the initial space of V0, so the second component sits in the fiber
-    over V0.  B is a matrix or its polar parts.  A V0 that is not a
+    over V0.  B is a matrix or its polar parts, V0 a matrix or a
+    PartialIsometry; the ChartPoint keeps W and V0 as a PartialIsometry
+    (the one given, or a new one for a matrix).  A V0 that is not a
     partial isometry raises PreconditionError; an initial-space gap that
     the rotation refuses, as unequal ranks give, raises
     OutsideNeighborhoodError.  Inverted by trivialize_v_inverse.
     """
     parts = polar_decompose(b)
-    v0, _, _, _ = _checked_pair(v0, parts.polar_factor)
-    w = _rotation(v0, parts.right_vectors[:, : parts.rank].conj().T)
-    fiber_elem = v0 @ (w.conj().T @ parts.modulus @ w)
-    return PartialIsometry(parts.polar_factor), fiber_elem
+    v0_m, _, _, _ = _checked_pair(v0, parts.polar_factor)
+    w = _rotation(v0_m, parts.right_vectors[:, : parts.rank].conj().T)
+    fiber_elem = v0_m @ (w.conj().T @ parts.modulus @ w)
+    base = v0 if isinstance(v0, PartialIsometry) else PartialIsometry(v0_m)
+    return ChartPoint(PartialIsometry(parts.polar_factor), fiber_elem, w, base)
 
 
 def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:
     """(V, V0 C) -> V (W C W*), undoing trivialize_v.
 
-    V and V0 are checked as in trivialize_v and W is taken from both, so
-    the same gap is outside this chart.
+    V and V0 are checked as in trivialize_v.  V is a matrix, a
+    PartialIsometry, or the ChartPoint of trivialize_v, which stands for
+    V_B and hands on W when v0 is the PartialIsometry it was taken at;
+    otherwise W is taken from V0 and V, so the same gap is outside this
+    chart.
     """
+    factor, w = _carried(factor, v0)
     v0, v, _, _ = _checked_pair(v0, factor)
-    w = _rotation(v0, v)
+    if w is None:
+        w = _rotation(v0, v)
     fiber_elem = as_matrix(fiber_elem)
     core = v0.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
     return v @ w @ core @ w.conj().T

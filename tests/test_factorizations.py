@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pinvlab import cli, codim, generate, monotone, pinv, polar, strata
-from pinvlab.matcore import OP_NORM, as_matrix, psd_eigh, save_matrix, svd
+from pinvlab.matcore import OP_NORM, PsdEig, as_matrix, psd_eigh, save_matrix, svd
 
 D = 16
 
@@ -116,12 +116,15 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     # membership, where k0 = rank(A) - rank(C0) as N(|A|) = N(A); each
     # chart unitary is the direct rotation of R(C0) onto R(|B|), one SVD
     # of the cross block of the range bases (was one SVD of the d x d
-    # W = QP + (I-Q)(I-P)).  Forward reads R(|B|) off the SVD of B; the
-    # inverse, given |B| as a matrix, takes its eigh (was 4 eigh: forward
-    # took an eigh of |B| too; 7 svd when the chart took the positive
-    # section's SVD of S and then the SVD of the section for its polar factor; 13 before
-    # that, when the index of X took four principal angles and k0 two)
-    assert count(round_trip) == {"svd": 5, "eigh": 3}
+    # W = QP + (I-Q)(I-P)).  Forward reads R(|B|) off the SVD of B and
+    # returns |B| as that psd_eigh, so the inverse takes no eigh of |B|;
+    # C0 given as a matrix is a new base point to the inverse, which takes
+    # the rotation again (was 3 eigh, when forward returned |B| as a matrix
+    # and the inverse took its eigh; 4 eigh when forward took an eigh of
+    # |B| too; 7 svd when the chart took the positive section's SVD of S and
+    # then the SVD of the section for its polar factor; 13 before that,
+    # when the index of X took four principal angles and k0 two)
+    assert count(round_trip) == {"svd": 5, "eigh": 2}
 
 
 def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
@@ -133,14 +136,29 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
         mod, fib = polar.trivialize_alpha(b, c0, res_a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
     # per chart the SVD of the range bases' cross block (was of W) for the
-    # direct rotation of R(C0) onto R(|B|);
-    # forward also the SVD of B, which gives R(|B|), and fiber membership
-    # the SVD of X, whose rank gives its index; the inverse, given |B| as
-    # a matrix, takes its eigh (was 2 eigh: forward took one of |B| too;
-    # 6 svd when the chart built the positive section and took its SVD for
-    # the polar factor; 12 before that, with four principal angles for the
-    # index and two for k0)
-    assert count(round_trip) == {"svd": 4, "eigh": 1}
+    # direct rotation of R(C0) onto R(|B|): the unpacked point hands on
+    # |B| as its psd_eigh but not the rotation, which only the whole point
+    # carries; forward also the SVD of B, which gives R(|B|), and fiber
+    # membership the SVD of X, whose rank gives its index (was 1 eigh, when
+    # the inverse was given |B| as a matrix; 2 eigh when forward took one
+    # of |B| too; 6 svd when the chart built the positive section and took
+    # its SVD for the polar factor; 12 before that, with four principal
+    # angles for the index and two for k0)
+    assert count(round_trip) == {"svd": 4}
+
+
+def test_trivialize_alpha_round_trip_through_the_point_counts(count, inputs):
+    a, b, _ = inputs
+    res_a = svd(a)
+    c0 = psd_eigh(polar.polar_decompose(res_a).modulus)
+
+    def round_trip():
+        point = polar.trivialize_alpha(b, c0, res_a)
+        polar.trivialize_alpha_inverse(point, point.fiber_elem, c0)
+    # the SVD of B, the cross block's for the rotation and fiber
+    # membership's of X, all forward: the whole point hands the rotation
+    # to an inverse given the same psd_eigh of C0, which takes no SVD
+    assert count(round_trip) == {"svd": 3}
 
 
 def test_trivialize_v_round_trip_counts(count, inputs):
@@ -153,11 +171,25 @@ def test_trivialize_v_round_trip_counts(count, inputs):
     # the SVD of B and one direct rotation, of the initial projectors, per
     # chart; ranks are traces of V*V, so a matrix V0 costs no SVD, and the
     # rotation is one SVD of the cross block, V0 against B's row basis
-    # forward and V0 V* inverse, which also gives its gap (was one SVD of
-    # the d x d W; 2 eigh of I - (P - Q)^2 in its place before that; 4 eigh
-    # before that, when each chart built the orbit witness's final-space
-    # rotation and threw it away)
+    # forward and V0 V* inverse, which also gives its gap.  A matrix V0 is
+    # a new base point to each chart, so the inverse takes the rotation
+    # again (was one SVD of the d x d W; 2 eigh of I - (P - Q)^2 in its
+    # place before that; 4 eigh before that, when each chart built the
+    # orbit witness's final-space rotation and threw it away)
     assert count(round_trip) == {"svd": 3}
+
+
+def test_trivialize_v_round_trip_on_a_partial_isometry_counts(count, inputs):
+    a, b, _ = inputs
+    v0 = polar.PartialIsometry(polar.polar_decompose(a).polar_factor)
+
+    def round_trip():
+        point = polar.trivialize_v(b, v0)
+        polar.trivialize_v_inverse(point, point.fiber_elem, v0)
+    # the SVD of B and the forward cross block's for W, which the point
+    # hands to an inverse given the same PartialIsometry V0: no SVD of
+    # the m x m cross block V0 V* (was 3, as for a matrix V0)
+    assert count(round_trip) == {"svd": 2}
 
 
 def test_trivialize_v_counts(count, inputs):
@@ -233,13 +265,17 @@ def test_cmd_fiber_counts(count):
     # C0 = |A| as a psd_eigh, and both charts share one polar decomposition
     # of each B, whose SVD gives |B| as a psd_eigh to both modulus charts;
     # every chart unitary is a direct rotation, one SVD of a cross block
-    # that also gives its gap (was 9 eigh: one of C0 and two of |B| per trial; 17
+    # that also gives its gap, taken forward and handed to the inverse
+    # with the chart point: 1 + 4 * 6, the SVD of A and per trial the two
+    # operator norms of near_identity, the SVD of B, fiber membership's of
+    # X and two cross blocks (was 33, when each inverse took its rotation
+    # again; 9 eigh: one of C0 and two of |B| per trial; 17
     # when the modulus charts took two SVDs each, for the positive section
     # and its polar factor, and the polar-factor rotations an eigh each;
     # 57 svd and 25 eigh before that, with per trial four principal angles
     # for the index of X, two for k0, and the final-space rotation of both
     # polar-factor charts)
-    assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {"svd": 33}
+    assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {"svd": 25}
 
 
 def test_cmd_continuity_counts(count):
@@ -301,6 +337,16 @@ def test_matrix_eval_integral_counts(count):
     assert count(lambda: monotone.matrix_eval_integral(f, c)) == {"eigh": 1, "solve": 65}
 
 
+def test_matrix_eval_integral_singular_counts(count, semidefinite):
+    c, _ = semidefinite
+    f = monotone.make_sqrt()
+    # one eigh gives the rank and the null projector; C is integrated
+    # whole with its null block set to w_max I, one solve per node (was 2
+    # eigh: the compressed range block took one of its own)
+    report = count(lambda: monotone.matrix_eval_integral(f, c))
+    assert report.pop("eigh") == 1 and set(report) == {"solve"}
+
+
 def test_riemann_sum_counts(count, positive):
     c, d, _ = positive
     # one eigh of C and of D; the gauge norms of D - C and of the gap.
@@ -319,12 +365,13 @@ def test_continuity_in_stratum_counts(count, positive):
     c, d, _ = positive
     seq = [c + (d - c) / 2**k for k in range(4)]
     f = monotone.make_sqrt()
-    # one eigh of C and of each term for f; one SVD of C serves every
-    # term's index, which also takes the term's SVD; the gauge norms of
-    # the input and value gaps (was one SVD of C per term, and four
-    # principal angles per index)
+    # one eigh of C and of each term gives its f and its rank, whose
+    # difference is the term's index; per term the gauge norms of the
+    # input and value gaps (was 1 + 4 * 3 svd, with an SVD of C and of
+    # each term for the index; one SVD of C per term, and four principal
+    # angles per index, before that)
     report = count(lambda: monotone.continuity_in_stratum(f, c, seq))
-    assert report == {"eigh": 1 + 4, "svd": 1 + 4 * 3}
+    assert report == {"eigh": 1 + 4, "svd": 4 * 2}
 
 
 def test_perturbation_bound_counts(count, positive):
@@ -372,9 +419,9 @@ def operands(inputs, positive, semidefinite):
     c, _, delta = positive
     c_psd, b_psd = semidefinite
     c0 = polar.polar_decompose(a).modulus
-    mod, fib = polar.trivialize_alpha(b, c0, a)
+    _, fib = polar.trivialize_alpha(b, c0, a)
     return dict(a=a, b=b, c=c, delta=delta, c_psd=c_psd, b_psd=b_psd, c0=c0,
-                mod=mod, fib=fib, v0=polar.polar_decompose(a).polar_factor,
+                mod=polar.modulus_map(b, a), fib=fib, v0=polar.polar_decompose(a).polar_factor,
                 f=monotone.make_sqrt())
 
 
@@ -412,8 +459,10 @@ PASS_THROUGH = {
 
 def _bits(x):
     """x as comparable bytes, through tuples and the package's result types."""
-    if isinstance(x, (tuple, list)):
+    if isinstance(x, (tuple, list, polar.ChartPoint)):
         return tuple(_bits(y) for y in x)
+    if isinstance(x, PsdEig):
+        return _bits((x.Q, x.w, x.matrix))
     if isinstance(x, polar.PolarParts):
         return _bits((x.polar_factor, x.modulus))
     if isinstance(x, polar.PartialIsometry):

@@ -1,5 +1,7 @@
 import inspect
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +261,37 @@ def test_hermitian_and_psd_checks_are_scale_free(rng, s):
         eigh(s * np.array([[1.0, 1e-6], [0.0, 1.0]]))
     c = generate.psd_fixed_rank(rng, 4, 2)
     assert psd_eigh(s * c).rank == 2
+
+
+def test_eigh_rejects_non_hermitian_input_near_overflow():
+    # ||H||_F and ||H - H*||_F of 1e200 [[1, 1], [0, 1]] both overflow
+    # unscaled, and inf > inf would accept it
+    h = 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError):
+            eigh(h)
+        with pytest.raises(PreconditionError):
+            psd_eigh(h)
+
+
+def test_eigh_accepts_hermitian_input_near_overflow(rng):
+    h = generate.hermitian(rng, 4)
+    c = generate.psd_fixed_rank(rng, 4, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, w = eigh(1e200 * h)
+        eig = psd_eigh(1e200 * c)
+    assert np.allclose(w, 1e200 * np.linalg.eigvalsh(h), rtol=1e-12, atol=0)
+    assert eig.rank == 2
+    assert np.linalg.norm((q * (w / 1e200)) @ q.conj().T - h) < 1e-12 * np.linalg.norm(h)
+
+
+def test_frobenius_gauge_near_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = gauge_norm(1e200 * np.eye(2), FROBENIUS_NORM)
+    assert value == pytest.approx(1e200 * math.sqrt(2), rel=1e-15)
 
 
 def test_psd_eigh_zero_matrix():

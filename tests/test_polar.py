@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -358,7 +359,7 @@ def test_trivialize_alpha_round_trip(seed):
     a, b = _chart_sample(seed)
     c0 = polar.polar_decompose(a).modulus
     mod, fiber_elem = polar.trivialize_alpha(b, c0, a)
-    assert np.array_equal(mod, polar.modulus_map(b, a))
+    assert np.array_equal(mod.matrix, polar.modulus_map(b, a))
     assert polar.fiber_membership_alpha(fiber_elem, c0, a)
     back = polar.trivialize_alpha_inverse(mod, fiber_elem, c0)
     assert np.linalg.norm(back - b) < 1e-8
@@ -366,14 +367,15 @@ def test_trivialize_alpha_round_trip(seed):
 
 @given(seeds)
 def test_trivialize_alpha_inverse_takes_the_modulus_eig(seed):
-    # |B| handed on as the psd_eigh read off svd(B) undoes the chart as
-    # |B| the matrix does, to roundoff
+    # the chart returns |B| as the psd_eigh read off svd(B), which undoes
+    # the chart as |B| the matrix does, to roundoff
     a, b = _chart_sample(seed)
     c0 = polar.polar_decompose(a).modulus
     parts = polar.polar_decompose(b)
     mod, fiber_elem = polar.trivialize_alpha(parts, c0, a)
-    back = polar.trivialize_alpha_inverse(parts.modulus_eig, fiber_elem, c0)
-    back_m = polar.trivialize_alpha_inverse(mod, fiber_elem, c0)
+    assert mod is parts.modulus_eig
+    back = polar.trivialize_alpha_inverse(mod, fiber_elem, c0)
+    back_m = polar.trivialize_alpha_inverse(parts.modulus, fiber_elem, c0)
     assert np.linalg.norm(back - b) < 1e-8
     assert np.linalg.norm(back - back_m) < 1e-12
 
@@ -447,7 +449,7 @@ def test_trivialize_v_at_the_edge_of_its_domain(delta):
     transported = np.zeros((4, 4), dtype=complex)
     transported[:2, :2] = _MODULUS
     directions = (
-        (lambda: polar.trivialize_v(b, v0)[1], transported),
+        (lambda: polar.trivialize_v(b, v0).fiber_elem, transported),
         (lambda: polar.trivialize_v_inverse(eye[:, :2] @ f.conj().T, transported, v0), b))
     for direction, expected in directions:
         try:
@@ -490,7 +492,7 @@ def test_modulus_base_reused_matches_matrix_calls(rng):
         parts_b = polar.polar_decompose(b)
         mod, fib = polar.trivialize_alpha(parts_b, c0, res_a)
         mod_m, fib_m = polar.trivialize_alpha(b, parts.modulus, a)
-        assert np.linalg.norm(mod - mod_m) < 1e-12
+        assert np.linalg.norm(mod.matrix - mod_m.matrix) < 1e-12
         assert np.linalg.norm(fib - fib_m) < 1e-12
         assert polar.fiber_membership_alpha(fib, c0, res_a)
         back = polar.trivialize_alpha_inverse(mod, fib, c0)
@@ -503,6 +505,56 @@ def test_modulus_base_reused_matches_matrix_calls(rng):
         back = polar.trivialize_v_inverse(factor, fib, v0)
         back_m = polar.trivialize_v_inverse(factor_m.matrix, fib_m, parts.polar_factor)
         assert np.linalg.norm(back - back_m) < 1e-12
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_inverse_through_the_point_matches_the_recomputed_rotation(d):
+    # the chart point hands its rotation to the inverse given the same base
+    # point object; from plain matrices the inverse takes it again, from
+    # its inputs, and both undo the chart alike
+    rng = generate.rng_from_seed(d)
+    a = generate.fixed_rank(rng, d, d, d // 2)
+    res_a = svd(a)
+    parts_a = polar.polar_decompose(res_a)
+    c0 = parts_a.modulus_eig
+    v0 = polar.PartialIsometry(parts_a.polar_factor)
+    for _ in range(3):
+        b = generate.rank_preserving_perturbation(rng, a, 0.05)
+        point = polar.trivialize_alpha(b, c0, res_a)
+        back = polar.trivialize_alpha_inverse(point, point.fiber_elem, c0)
+        plain = polar.trivialize_alpha_inverse(
+            point.component.matrix, point.fiber_elem, parts_a.modulus)
+        assert np.linalg.norm(back - plain) < 1e-12
+        assert np.linalg.norm(back - b) < 1e-10
+        point = polar.trivialize_v(b, v0)
+        back = polar.trivialize_v_inverse(point, point.fiber_elem, v0)
+        plain = polar.trivialize_v_inverse(
+            point.component.matrix, point.fiber_elem, v0.matrix)
+        assert np.linalg.norm(back - plain) < 1e-12
+        assert np.linalg.norm(back - b) < 1e-10
+
+
+def test_point_at_another_base_takes_the_rotation_again(rng):
+    # a point handed to an inverse with another base-point object, even
+    # one of equal value, stands for its base component only: the inverse
+    # gives what it gives for that component, bit for bit, and not what
+    # the carried rotation would give
+    a = generate.fixed_rank(rng, 6, 6, 3)
+    b = generate.rank_preserving_perturbation(rng, a, 0.05)
+    parts_a = polar.polar_decompose(a)
+    c0 = psd_eigh(parts_a.modulus)
+    v0 = polar.PartialIsometry(parts_a.polar_factor)
+    cases = (
+        (polar.trivialize_alpha(b, c0, a), polar.trivialize_alpha_inverse,
+         psd_eigh(parts_a.modulus)),
+        (polar.trivialize_v(b, v0), polar.trivialize_v_inverse,
+         polar.PartialIsometry(parts_a.polar_factor)))
+    for point, inverse, other in cases:
+        spoiled = dataclasses.replace(point, rotation=np.zeros_like(point.rotation))
+        got = inverse(spoiled, point.fiber_elem, other)
+        assert np.array_equal(got, inverse(point.component, point.fiber_elem, other))
+        assert np.linalg.norm(got - b) < 1e-10
+        assert np.linalg.norm(inverse(spoiled, point.fiber_elem, point.base)) == 0.0
 
 
 def test_modulus_base_rejects_misuse(rng):
