@@ -19,14 +19,16 @@ orbit witnesses may be any group element, so they take no rotation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, GapTooLargeError, PreconditionError
-from .matcore import (INTERSECTION_COS, PROJECTOR_REL, PROJECTOR_SPECTRUM,
-                      RANK_REL, as_matrix, eigh)
+from .matcore import (FROBENIUS_NORM, INTERSECTION_COS, PROJECTOR_REL,
+                      PROJECTOR_SPECTRUM, RANK_REL, _pow2_scaled, as_matrix, eigh,
+                      gauge_norm)
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,13 @@ class Projector:
         p = as_matrix(m)
         if p.shape[0] != p.shape[1]:
             raise PreconditionError("a projector must be square")
-        if np.linalg.norm(p @ p - p) > PROJECTOR_REL * max(1.0, np.linalg.norm(p)):
+        # ||P^2 - P|| <= PROJECTOR_REL max(1, ||P||) multiplied through by
+        # the 2^-e of _pow2_scaled, which is exact, so no product overflows
+        scaled, e = _pow2_scaled(p)
+        residual = gauge_norm(scaled @ p - scaled, FROBENIUS_NORM)
+        if residual > PROJECTOR_REL * max(math.ldexp(1.0, -e), np.linalg.norm(scaled)):
             raise PreconditionError("matrix is not idempotent")
-        if np.linalg.norm(p - p.conj().T) > PROJECTOR_REL:
+        if gauge_norm(p - p.conj().T, FROBENIUS_NORM) > PROJECTOR_REL:
             raise PreconditionError("matrix is not Hermitian")
         proj = Projector(p)
         _, w = proj._eigh

@@ -330,25 +330,35 @@ def svd(a) -> SvdResult:
     return SvdResult(u, s, vt, rank, cutoff, m)
 
 
-def eigh(h):
-    """Spectral decomposition of a Hermitian matrix.
+def hermitian_checked(h, name: str = "matrix") -> np.ndarray:
+    """``as_matrix(h)``, refused unless it is square and Hermitian to the
+    relative tolerance HERMITIAN_REL, ||H - H*||_F <= HERMITIAN_REL ||H||_F.
 
-    The input is symmetrized internally; inputs that are not Hermitian to
-    the relative tolerance HERMITIAN_REL, at any scale, are rejected.  Both
-    norms of the check are taken on the input scaled by a power of two, so
-    neither overflows near the overflow threshold.
-    Returns (Q, eigenvalues) with eigenvalues ascending.
+    Both norms are taken on H scaled by a power of two (``_pow2_scaled``),
+    so the check is the same at every scale, neither norm overflows near
+    the overflow threshold, and the zero matrix passes.  ``name`` names H
+    in the error message.
     """
     m = as_matrix(h)
     if m.shape[0] != m.shape[1]:
-        raise PreconditionError("eigh requires a square matrix")
+        raise PreconditionError(f"{name} must be square")
     scaled, _ = _pow2_scaled(m)
     scale = np.linalg.norm(scaled)
     skew = np.linalg.norm(scaled - scaled.conj().T)
     if skew > HERMITIAN_REL * scale:
         raise PreconditionError(
-            f"matrix is not Hermitian: ||H - H*||_F / ||H||_F = {skew / scale:.3e}"
+            f"{name} is not Hermitian: ||H - H*||_F / ||H||_F = {skew / scale:.3e}"
         )
+    return m
+
+
+def eigh(h):
+    """Spectral decomposition of a Hermitian matrix.
+
+    The input is symmetrized internally; inputs that ``hermitian_checked``
+    refuses are rejected.  Returns (Q, eigenvalues) with eigenvalues ascending.
+    """
+    m = hermitian_checked(h)
     sym = 0.5 * (m + m.conj().T)
     try:
         w, q = np.linalg.eigh(sym)
@@ -425,3 +435,66 @@ def psd_eigh(c) -> PsdEig:
         )
     w = np.where(w > RANK_REL * len(w) * scale, w, 0.0)
     return PsdEig(q, w, int(np.count_nonzero(w)), c)
+
+
+@dataclass(frozen=True)
+class Tridiagonal:
+    """H = Q T Q* for Hermitian H, with T Hermitian tridiagonal.
+
+    ``diag`` is T's real diagonal and ``off`` its subdiagonal, T[k+1, k];
+    the superdiagonal is its conjugate.  ``matrix`` is H itself, as
+    validated by ``as_matrix``.
+    """
+
+    Q: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+    matrix: np.ndarray
+
+    @property
+    def T(self) -> np.ndarray:
+        """T as a dense matrix."""
+        return (np.diag(self.diag.astype(complex)) + np.diag(self.off, -1)
+                + np.diag(self.off.conj(), 1))
+
+
+def tridiagonalize(h) -> Tridiagonal:
+    """Householder reduction H = Q T Q* of a Hermitian matrix to tridiagonal T.
+
+    Reflection k, I - tau v v*, maps the part x of column k below the
+    diagonal onto its first entry; v = x + e^{i arg x_0} ||x|| e_1 adds to
+    x_0 rather than cancel it, and a column already zero below its
+    subdiagonal takes no reflection.  d - 2 reflections in O(d^3) flops
+    (Golub & Van Loan, *Matrix Computations*, sec. 8.3.1), with no
+    ``numpy.linalg`` factorization.  The input is checked by
+    ``hermitian_checked`` and reduced symmetrized and scaled by a power of
+    two, so no norm overflows; T is scaled back exactly.
+    """
+    m = hermitian_checked(h)
+    scaled, e = _pow2_scaled(m)
+    a = 0.5 * (scaled + scaled.conj().T)
+    d = a.shape[0]
+    q = np.eye(d, dtype=complex)
+    for k in range(d - 2):
+        x = a[k + 1:, k]
+        tail = np.vdot(x[1:], x[1:]).real
+        if tail == 0.0:
+            continue
+        x0 = abs(x[0])
+        norm = math.sqrt(x0 * x0 + tail)
+        lead = (x[0] / x0 if x0 else 1.0) * norm
+        v = x.copy()
+        v[0] += lead
+        tau = 1.0 / (norm * (norm + x0))      # 2 / ||v||^2
+        # A22 <- H A22 H as the rank-2 update A22 - v w* - w v*; only the
+        # band of A is read afterwards, so column k keeps just T[k+1, k]
+        a22 = a[k + 1:, k + 1:]
+        p = tau * (a22 @ v)
+        w = p - (0.5 * tau * np.vdot(v, p).real) * v
+        a22 -= np.outer(v, w.conj())
+        a22 -= np.outer(w, v.conj())
+        x[0] = -lead
+        qk = q[:, k + 1:]
+        qk -= np.outer(qk @ (tau * v), v.conj())
+    unit = math.ldexp(1.0, e)
+    return Tridiagonal(q, a.diagonal().real * unit, a.diagonal(-1) * unit, m)

@@ -14,7 +14,10 @@ proved O(2^-p) gap complete the module.
 Each positive matrix is factorized once, by ``matcore.psd_eigh``, and the
 Taylor, perturbation and Riemann integrands run in its eigenbasis, where
 the resolvent (tI+C)^{-1} is diagonal.  Only ``matrix_eval_integral``, the
-spectral route's oracle, keeps matrix resolvents.
+spectral route's oracle, solves with matrix resolvents, and it does not
+diagonalize: it reduces C once to Hermitian tridiagonal form T
+(``matcore.tridiagonalize``) and solves each shifted system through the
+LDL* factorization of tI + T, in O(d^2) per node.
 
 Integrals against the sqrt density use one nested trapezoid rule in a
 double-exponential variable x: t = exp(pi/2 sinh x) on (0, inf), and
@@ -38,7 +41,6 @@ import numpy as np
 from .errors import ConvergenceError, OutsideNeighborhoodError, PreconditionError
 from .matcore import (
     CANCELLATION_REL,
-    HERMITIAN_REL,
     MONOTONE_SLACK,
     REPRESENTATION_ABS,
     RESIDUAL_ABS,
@@ -49,7 +51,9 @@ from .matcore import (
     PsdEig,
     as_matrix,
     gauge_norm,
+    hermitian_checked,
     psd_eigh,
+    tridiagonalize,
 )
 from .pinv import BoundReport
 
@@ -344,11 +348,18 @@ def matrix_eval_spectral(f: MonotoneFunction, c) -> np.ndarray:
 def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
     """f(C) through resolvent quadrature, independent of the spectral route.
 
-    alpha I + beta C - ∫((tI+C)^{-1} - t/(t^2+1) I) dν(t).  A singular C
-    is integrated with its null block set to w_max I, which makes it
-    positive definite as sC gives s times it, and the value's null block
-    is then replaced by f(0) I; the eigh, the one factorization, gives only
-    that null projector and the rank.  C is a matrix or its psd_eigh.
+    alpha I + beta C - ∫((tI+C)^{-1} - t/(t^2+1) I) dν(t).  C is reduced
+    once to Hermitian tridiagonal form, C = Q T Q* (``tridiagonalize``),
+    and the integral is taken in T's basis and conjugated back once.  At
+    each node (tI + T) X = I - tT is solved through the LDL* of tI + T,
+    which needs no pivoting as tI + T is positive definite, in O(d^2),
+    for all nodes of a chunk at once.  The rule compares Frobenius norms,
+    which Q leaves unchanged, so it takes the nodes it would take in C's
+    basis.  A singular C is integrated with its null block set to w_max I,
+    which makes it positive definite as sC gives s times it, and the
+    value's null block is then replaced by f(0) I; the eigh, the one
+    factorization, gives only that null projector and the rank.  C is a
+    matrix or its psd_eigh.
     """
     eig = psd_eigh(c)
     c = eig.matrix
@@ -359,15 +370,35 @@ def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
     if eig.rank < d:
         null_proj = eig.null_proj()
         c = c + eig.w[-1] * null_proj
+    tri = tridiagonalize(c)
+    diag, off, minus_t = tri.diag, tri.off, -tri.T
+    off_sq = (off.conj() * off).real.tolist()
+    rows = np.arange(d)
 
     def fn(t):
-        # (tI+C)^{-1} - t/(t^2+1) I rewritten as a product to avoid the
-        # large-t cancellation of the two O(1/t) pieces
-        t = t[:, None, None]
-        return np.linalg.solve(t * ident + c, ident - t * c) / (t * t + 1.0)
+        # (tI+T)^{-1} - t/(t^2+1) I rewritten as (tI+T)^{-1}(I - tT)/(t^2+1)
+        # to avoid the large-t cancellation of the two O(1/t) pieces.
+        # tI + T = L D L*, D the pivots and L unit lower bidiagonal with
+        # multipliers off/D; the solve runs row by row over a (d, M, d)
+        # stack, and the division by t^2+1 rides on the one by D
+        shifted = t + diag[:, None]
+        piv = [shifted[0]]
+        for k in range(1, d):
+            piv.append(shifted[k] - off_sq[k - 1] / piv[-1])
+        piv = np.array(piv)
+        low = (off[:, None] / piv[:-1])[:, :, None]
+        x = minus_t[:, None, :] * t[:, None]
+        x[rows, :, rows] += 1.0
+        for k in range(1, d):
+            x[k] -= low[k - 1] * x[k - 1]
+        x /= (piv * (t * t + 1.0))[:, :, None]
+        low = low.conj()
+        for k in range(d - 2, -1, -1):
+            x[k] -= low[k] * x[k + 1]
+        return np.ascontiguousarray(x.transpose(1, 0, 2))
 
-    integral = measure_integral(f, fn)
-    out = f.alpha * ident + f.beta * c - integral
+    q = tri.Q
+    out = q @ (f.alpha * ident - measure_integral(f, fn)) @ q.conj().T + f.beta * c
     if eig.rank < d:
         keep = ident - null_proj
         out = keep @ out @ keep + f.f0 * null_proj
@@ -392,9 +423,7 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
     delta = as_matrix(delta)
     if as_matrix(c).shape != delta.shape:
         raise PreconditionError("C and Delta must have the same shape")
-    if np.linalg.norm(delta - delta.conj().T) > HERMITIAN_REL * max(
-            1.0, np.linalg.norm(delta)):
-        raise PreconditionError("Delta must be Hermitian")
+    hermitian_checked(delta, "Delta")
     eig = _pd_eigh(c)
     q, w = eig.Q, eig.w
     x = q.conj().T @ delta @ q

@@ -148,12 +148,13 @@ def test_overflowing_input_exits_2_with_a_typed_error(capsys, tmp_path, name):
 
 def test_non_hermitian_input_near_overflow_exits_2(capsys, tmp_path):
     # 1e200 [[1, 1], [0, 1]]: the norms of its Hermitian check overflow
-    # unscaled; the input is refused as a malformed projector
+    # unscaled; the input is refused as a malformed projector, and the
+    # idempotency check, taken scaled, overflows nowhere either
     p, q = tmp_path / "p.json", tmp_path / "q.json"
     save_matrix(1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]), p)
     save_matrix(np.eye(2), q)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # the idempotency product overflows
+        warnings.simplefilter("error")
         code = cli.main(["codim", "--p", str(p), "--q", str(q)])
     captured = capsys.readouterr()
     assert code == 2

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,6 +33,29 @@ def test_from_matrix_accepts_projector(rng):
 def test_from_matrix_rejects_non_idempotent():
     with pytest.raises(PreconditionError):
         Projector.from_matrix(np.diag([2.0, 0.0]))
+
+
+@pytest.mark.parametrize("m", [
+    [[1.0, 1.0], [1.0, -1.0]],      # Hermitian: P^2 = 2I overflows unscaled
+    [[1.0, 1.0], [0.0, 1.0]],
+])
+def test_from_matrix_near_overflow_is_not_idempotent(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="not idempotent"):
+            Projector.from_matrix(1e200 * np.array(m))
+
+
+def test_from_matrix_idempotency_check_is_scaled_exactly(rng):
+    # 2^-e (P^2 - P) against 2^-e PROJECTOR_REL max(1, ||P||) decides as
+    # the unscaled check: a projector near the threshold stays accepted,
+    # and the zero matrix's scale 1 floor is kept
+    cols = generate.unitary(rng, 4)[:, :2]
+    p = cols @ cols.conj().T
+    assert Projector.from_matrix(p + 1e-11 * np.eye(4)).rank() == 2
+    assert Projector.from_matrix(np.zeros((3, 3))).rank() == 0
+    with pytest.raises(PreconditionError, match="not idempotent"):
+        Projector.from_matrix((1.0 + 1e-8) * p)
 
 
 def test_from_matrix_rejects_non_hermitian():

@@ -331,20 +331,34 @@ def test_stacked_inverses_count_per_matrix(count):
 def test_matrix_eval_integral_counts(count):
     c = generate.positive_definite(generate.rng_from_seed(0), 8)
     f = monotone.make_sqrt()
-    # one eigh for the rank check, one solve per node: the first level's
-    # 33 nodes and the 32 midpoints of the one halving that converges
-    # (was 256 + 512 = 768: Gauss-Legendre rules do not nest)
-    assert count(lambda: monotone.matrix_eval_integral(f, c)) == {"eigh": 1, "solve": 65}
+    # one eigh for the rank check; the Householder reduction to tridiagonal
+    # form calls no numpy.linalg factorization, and each node's shifted
+    # solve is an LDL* of that tridiagonal (was one solve per node, 65)
+    assert count(lambda: monotone.matrix_eval_integral(f, c)) == {"eigh": 1}
+
+
+def test_matrix_eval_integral_node_count(monkeypatch):
+    c = generate.positive_definite(generate.rng_from_seed(0), 8)
+    f = monotone.make_sqrt()
+    nodes = []
+    integral = monotone.measure_integral
+
+    def counted(f, fn, t_max=None):
+        return integral(f, lambda t: (nodes.append(len(t)), fn(t))[1], t_max)
+    monkeypatch.setattr(monotone, "measure_integral", counted)
+    monotone.matrix_eval_integral(f, c)
+    # the first level's 33 nodes and the 32 midpoints of the one halving
+    # that converges: the rule compares Frobenius norms, which T's basis keeps
+    assert sum(nodes) == 65
 
 
 def test_matrix_eval_integral_singular_counts(count, semidefinite):
     c, _ = semidefinite
     f = monotone.make_sqrt()
     # one eigh gives the rank and the null projector; C is integrated
-    # whole with its null block set to w_max I, one solve per node (was 2
-    # eigh: the compressed range block took one of its own)
-    report = count(lambda: monotone.matrix_eval_integral(f, c))
-    assert report.pop("eigh") == 1 and set(report) == {"solve"}
+    # whole with its null block set to w_max I, through its tridiagonal
+    # form (was 2 eigh, then one solve per node)
+    assert count(lambda: monotone.matrix_eval_integral(f, c)) == {"eigh": 1}
 
 
 def test_riemann_sum_counts(count, positive):

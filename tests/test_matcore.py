@@ -19,15 +19,18 @@ from pinvlab.matcore import (
     RANK_REL,
     RESIDUAL_ABS,
     TRACE_NORM,
+    UNITARY_REL,
     as_matrix,
     eigh,
     gauge_norm,
+    hermitian_checked,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
     psd_eigh,
     save_matrix,
     svd,
+    tridiagonalize,
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -292,6 +295,52 @@ def test_frobenius_gauge_near_overflow():
         warnings.simplefilter("error")
         value = gauge_norm(1e200 * np.eye(2), FROBENIUS_NORM)
     assert value == pytest.approx(1e200 * math.sqrt(2), rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+def test_hermitian_check_is_relative_at_every_scale(rng, s):
+    h = generate.hermitian(rng, 4)
+    k = generate.hermitian(rng, 4)
+    assert np.array_equal(hermitian_checked(s * h), s * h)
+    assert np.array_equal(hermitian_checked(np.zeros((3, 3))), np.zeros((3, 3)))
+    with pytest.raises(PreconditionError, match="Delta is not Hermitian"):
+        hermitian_checked(s * (h + 1e-3j * k), "Delta")
+    with pytest.raises(PreconditionError, match="must be square"):
+        hermitian_checked(s * generate.ginibre(rng, 3, 2))
+
+
+def _banded(rng, d, width):
+    """A random Hermitian d x d matrix that vanishes off its 2 width + 1 central diagonals."""
+    h = generate.hermitian(rng, d)
+    i, j = np.indices((d, d))
+    return np.where(abs(i - j) <= width, h, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33])
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "tridiagonal"])
+def test_tridiagonalize_reconstructs(rng, d, kind):
+    h = _banded(rng, d, {"dense": d, "diagonal": 0, "tridiagonal": 1}[kind])
+    tri = tridiagonalize(h)
+    q, t = tri.Q, tri.T
+    assert np.array_equal(tri.matrix, h)
+    assert tri.diag.dtype == float and tri.off.shape == (d - 1,)
+    assert np.array_equal(t, np.triu(np.tril(t, 1), -1))
+    assert np.linalg.norm(q @ q.conj().T - np.eye(d)) <= UNITARY_REL * d
+    assert np.linalg.norm(q @ t @ q.conj().T - h) <= 1e-13 * np.linalg.norm(h)
+    if kind != "dense":
+        # every column is already zero below its subdiagonal: no reflection
+        assert np.array_equal(q, np.eye(d)) and np.array_equal(t, h)
+
+
+def test_tridiagonalize_near_overflow_and_rejects_non_hermitian(rng):
+    h = generate.hermitian(rng, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tri = tridiagonalize(1e200 * h)
+    assert np.linalg.norm(tri.Q @ (tri.T / 1e200) @ tri.Q.conj().T - h) <= (
+        1e-13 * np.linalg.norm(h))
+    with pytest.raises(PreconditionError):
+        tridiagonalize(generate.ginibre(rng, 4, 4))
 
 
 def test_psd_eigh_zero_matrix():

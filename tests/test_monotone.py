@@ -226,12 +226,26 @@ def test_integral_route_memory_is_bounded():
     assert peak < 6 * 2**20
 
 
-@given(seeds, st.integers(min_value=1, max_value=4))
-def test_oracle_equivalence(seed, r):
-    c = generate.psd_fixed_rank(np.random.default_rng(seed), 4, r)
+def _routes_agree(seed, d, r, s):
+    c = s * generate.psd_fixed_rank(np.random.default_rng(seed), d, r)
     spec = monotone.matrix_eval_spectral(SQRT, c)
     intg = monotone.matrix_eval_integral(SQRT, c)
-    assert np.linalg.norm(spec - intg) <= 1e-7 * (1 + np.linalg.norm(spec))
+    assert np.linalg.norm(intg - spec) <= 1e-9 * np.linalg.norm(spec)
+
+
+@given(seeds, st.integers(min_value=1, max_value=8), st.data(),
+       st.sampled_from([1e-9, 1e-6, 1.0, 1e6, 1e12]))
+def test_oracle_equivalence(seed, d, data, s):
+    # at every rank: through the tridiagonal form of C, or of C + w_max P_N
+    _routes_agree(seed, d, data.draw(st.integers(min_value=0, max_value=d)), s)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "both routes evaluate f(λ) = α + βλ − ∫ dν, whose quadrature error is "
+    "absolute: at eigenvalues near 1e-12 they are 3e-4 from √C and 1.3e-8 "
+    "from each other (one example in 25 at s = 1e-12)"))
+def test_integral_route_matches_spectral_near_1e_12():
+    _routes_agree(1, 2, 1, 1e-12)
 
 
 @given(seeds)
@@ -257,6 +271,16 @@ def test_taylor_first_term_at_identity(rng):
     delta = generate.hermitian(rng, 4, 0.3)
     t1 = monotone.taylor_term(SQRT, np.eye(4), delta, 1)
     assert np.linalg.norm(t1 - delta / 2) <= 1e-8
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+def test_taylor_delta_check_is_scale_free(rng, s):
+    # Delta = s (H + 1e-3 i K) is refused, and s H accepted, at every scale
+    c = generate.positive_definite(rng, 4)
+    h, k = generate.hermitian(rng, 4), generate.hermitian(rng, 4)
+    with pytest.raises(PreconditionError, match="Delta is not Hermitian"):
+        monotone.taylor_term(SQRT, s * c, s * (h + 1e-3j * k), 1)
+    assert np.linalg.norm(monotone.taylor_term(SQRT, s * c, s * h, 1)) > 0
 
 
 def test_taylor_zero_delta(rng):
