@@ -1,11 +1,16 @@
 """Seeded random matrix models used by the experiment harness and tests.
 
 Complex Ginibre entries are the base model; prescribed-rank matrices are
-produced by SVD surgery, positive matrices by conjugation of positive
-diagonals, and sequence families by rank-preserving or rank-jumping
-perturbation schedules.  All generators take an explicit
-``numpy.random.Generator`` so every experiment is reproducible from a
-single seed.
+products of Haar-ish isometries (QRs of Ginibre draws) with a diagonal,
+positive matrices conjugations of positive diagonals, and sequence
+families rank-preserving or rank-jumping perturbation schedules.  The
+rank-preserving ones multiply by factors G = I + g near the identity,
+with g a Ginibre draw scaled to Frobenius norm ``scale``: that bounds
+||G - I|| by ``scale`` in the operator norm and every Schatten-p norm
+with p >= 2, and takes no factorization.  The only factorizations here
+are those QRs and the SVD a rank jump reads its directions from.  All
+generators take an explicit ``numpy.random.Generator`` so every
+experiment is reproducible from a single seed.
 """
 
 from __future__ import annotations
@@ -62,14 +67,24 @@ def positive_definite(rng, n: int, ev_range=(0.5, 2.0)) -> np.ndarray:
 
 
 def near_identity(rng, n: int, scale: float = 0.05) -> np.ndarray:
-    """Invertible matrix within ``scale`` of the identity in operator norm."""
+    """G = I + g with ||G - I||_F = scale, for a Ginibre draw g.
+
+    The Frobenius norm takes no factorization, and it bounds the operator
+    norm: ||G - I|| <= scale, so G is invertible for scale < 1 and lies
+    within ``scale`` of I in the operator norm and the Hilbert-Schmidt
+    ideal alike.
+    """
     g = ginibre(rng, n, n)
-    g *= scale / max(np.linalg.norm(g, 2), np.finfo(float).tiny)
+    g *= scale / max(np.linalg.norm(g), np.finfo(float).tiny)
     return np.eye(n, dtype=complex) + g
 
 
 def rank_preserving_perturbation(rng, b, scale: float) -> np.ndarray:
-    """(I + X) B (I + Y) with small X, Y: same rank, distance O(scale)."""
+    """(I + X) B (I + Y) with ||X||_F = ||Y||_F = scale: same rank for scale < 1.
+
+    X and Y are the ``near_identity`` draws, so ||X||, ||Y|| <= scale and
+    ||(I + X) B (I + Y) - B|| <= scale (2 + scale) ||B||.
+    """
     m, n = b.shape
     return near_identity(rng, m, scale) @ b @ near_identity(rng, n, scale)
 

@@ -405,16 +405,18 @@ def tangent_membership(b, z, return_witness: bool = False):
 
 
 def _tangent(b, z):
-    """svd(B), Z, and whether the corner block (I - P_R(B)) Z P_N(B) vanishes."""
+    """svd(B), Z, and whether the corner block (I - P_R(B)) Z P_N(B) vanishes.
+
+    The block vanishes when it is at most IDENTITY_REL ||Z||_F, with no
+    absolute floor: the answer is the same for (sB, sZ) at every s > 0.
+    """
     b = as_matrix(b)
     z = as_matrix(z)
     if b.shape != z.shape:
         raise PreconditionError("B and Z must have the same shape")
     rb = svd(b)
     corner = (np.eye(z.shape[0]) - rb.range_proj) @ z @ rb.null_proj
-    scale = float(np.linalg.norm(z))
-    return rb, z, float(np.linalg.norm(corner)) <= max(RESIDUAL_ABS,
-                                                       IDENTITY_REL * scale)
+    return rb, z, float(np.linalg.norm(corner)) <= IDENTITY_REL * float(np.linalg.norm(z))
 
 
 def mp_tangent(b, v) -> np.ndarray:

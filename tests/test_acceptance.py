@@ -19,6 +19,8 @@ from pinvlab.pinv import (
     wedin_residual,
 )
 
+from conftest import near_identity_op
+
 GAUGES = (TRACE_NORM, FROBENIUS_NORM, OP_NORM)
 
 
@@ -242,7 +244,7 @@ def test_criterion_09_riemann_sum_decay():
     ps = range(4, 11)
     for _ in range(10):
         c = generate.positive_definite(rng, 3)
-        g0 = generate.near_identity(rng, 3, 0.2)
+        g0 = near_identity_op(rng, 3, 0.2)
         d = g0 @ c @ g0.conj().T
         slope = monotone.riemann_decay_slope(sqrt, c, d, ps, 64.0)
         ok = ok and -1.2 <= slope <= -0.8
@@ -263,7 +265,7 @@ def test_criterion_10_orbit_witnesses():
     for _ in range(100):
         d = int(rng.integers(2, 6))
         c = generate.psd_fixed_rank(rng, d, int(rng.integers(1, d + 1)))
-        g0 = generate.near_identity(rng, d, 0.4)
+        g0 = near_identity_op(rng, d, 0.4)
         target = g0 @ c @ g0.conj().T
         g = polar.congruence_witness(c, target)
         worst = max(worst, np.linalg.norm(g @ c @ g.conj().T - target))

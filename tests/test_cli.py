@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinvlab import cli, generate, polar
-from pinvlab.matcore import load_matrix, save_matrix
+from pinvlab import cli, generate, polar, strata
+from pinvlab.matcore import GaugeNorm, gauge_norm, load_matrix, save_matrix
+from pinvlab.pinv import moore_penrose
 
 
 @pytest.fixture
@@ -238,6 +239,30 @@ def test_census_command(capsys, tmp_path):
     assert len(lines) == 11
     ks = {int(ln.split(",")[1]) for ln in lines[1:]}
     assert {-1, 0, 1} <= ks
+
+
+@pytest.mark.parametrize("gauge", ["op", "s2"])
+@pytest.mark.parametrize("dim", [8, 32])
+def test_census_rows_replay_from_the_generators(capsys, dim, gauge):
+    # each row is rebuilt from the seeded generators and moore_penrose in
+    # the command's order: A, then per trial the representative's
+    # perturbation; twelve trials wrap around the indices at d = 8
+    code, out = run(capsys, ["census", "--seed", "3", "--dim", str(dim),
+                             "--trials", "12", "--gauge", gauge])
+    assert code == 0
+    rng = generate.rng_from_seed(3)
+    a = generate.fixed_rank(rng, dim, dim, dim - 1)
+    admissible = strata.index_range(a)
+    ks = list(range(admissible.k_min, admissible.k_max + 1))
+    g = GaugeNorm.parse(gauge)
+    rows = ["trial,k,pinv_norm,dist_gauge"]
+    for trial in range(12):
+        k = ks[trial % len(ks)]
+        rep = strata.stratum_representative(a, k)
+        b = generate.rank_preserving_perturbation(rng, rep, 0.02)
+        rows.append("%d,%d,%.17g,%.17g" % (trial, k, moore_penrose(b).pinv_norm,
+                                           gauge_norm(b - a, g)))
+    assert out.splitlines() == rows
 
 
 def test_fiber_command(capsys):

@@ -15,6 +15,8 @@ from pinvlab.codim import (
 from pinvlab.errors import GapTooLargeError, OutsideNeighborhoodError, PreconditionError
 from pinvlab.matcore import RANK_REL
 
+from conftest import near_identity_op
+
 seeds = st.integers(min_value=0, max_value=10_000)
 ranks = st.integers(min_value=0, max_value=4)
 
@@ -118,7 +120,7 @@ def test_direct_rotation_conjugates(seed):
     rng = np.random.default_rng(seed)
     cols = generate.unitary(rng, 5)[:, :2]
     p = Projector(cols @ cols.conj().T)
-    w = generate.near_identity(rng, 5, 0.2)
+    w = near_identity_op(rng, 5, 0.2)
     qcols = np.linalg.qr(w @ cols)[0]
     q = Projector(qcols @ qcols.conj().T)
     u = direct_rotation(cols.conj().T, qcols.conj().T)
@@ -169,7 +171,7 @@ def test_direct_rotation_matches_w_form_on_basis_adjoints(seed, n, r):
     r = min(r, n)
     rng = np.random.default_rng(seed)
     x = generate.unitary(rng, n)[:, :r]
-    y = np.linalg.qr(generate.near_identity(rng, n, 0.5) @ x)[0]
+    y = np.linalg.qr(near_identity_op(rng, n, 0.5) @ x)[0]
     p, q = x @ x.conj().T, y @ y.conj().T
     u = direct_rotation(x.conj().T, y.conj().T)
     assert np.linalg.norm(u - w_form_rotation(p, q)[0]) <= 1e-10
@@ -183,7 +185,7 @@ def test_direct_rotation_matches_w_form_on_partial_isometries(seed, n, extra, r)
     m, r = n + extra, min(r, n)
     rng = np.random.default_rng(seed)
     v0 = polar.polar_decompose(generate.fixed_rank(rng, m, n, r)).polar_factor
-    y = np.linalg.qr(generate.near_identity(rng, n, 0.5) @ _row_basis(v0))[0]
+    y = np.linalg.qr(near_identity_op(rng, n, 0.5) @ _row_basis(v0))[0]
     v = generate.unitary(rng, m + extra)[:, :r] @ y.conj().T
     u = direct_rotation(v0, v)
     p, q = initial_projector(v0), initial_projector(v)

@@ -84,6 +84,14 @@ def test_counter_sees_hidden_svds(count):
                           np.linalg.matrix_rank(x))) == {"svd": 2}
 
 
+def test_in_stratum_family_counts(count, inputs):
+    a, _, _ = inputs
+    rng = generate.rng_from_seed(1)
+    # two near_identity factors per term, each scaled by its Frobenius
+    # norm, which takes no factorization (was 8 * 2 operator-norm SVDs)
+    assert count(lambda: generate.in_stratum_family(rng, a, 8)) == {}
+
+
 def test_stratum_index_counts(count, inputs):
     a, b, _ = inputs
     # one SVD of each matrix, whose ranks give the index; no eigh (was 6:
@@ -266,25 +274,27 @@ def test_cmd_fiber_counts(count):
     # of each B, whose SVD gives |B| as a psd_eigh to both modulus charts;
     # every chart unitary is a direct rotation, one SVD of a cross block
     # that also gives its gap, taken forward and handed to the inverse
-    # with the chart point: 1 + 4 * 6, the SVD of A and per trial the two
-    # operator norms of near_identity, the SVD of B, fiber membership's of
-    # X and two cross blocks (was 33, when each inverse took its rotation
-    # again; 9 eigh: one of C0 and two of |B| per trial; 17
+    # with the chart point: 1 + 4 * 4, the SVD of A and per trial the SVD
+    # of B, fiber membership's of X and two cross blocks; near_identity
+    # scales by the Frobenius norm, which takes none (was 25, with two
+    # operator norms of near_identity per trial; 33 when each inverse took
+    # its rotation again; 9 eigh: one of C0 and two of |B| per trial; 17
     # when the modulus charts took two SVDs each, for the positive section
     # and its polar factor, and the polar-factor rotations an eigh each;
     # 57 svd and 25 eigh before that, with per trial four principal angles
     # for the index of X, two for k0, and the final-space rotation of both
     # polar-factor charts)
-    assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {"svd": 25}
+    assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {"svd": 17}
 
 
 def test_cmd_continuity_counts(count):
-    # an in-stratum family: the generator's two operator norms per term,
-    # then the report (B once, three SVDs per term, the last input gap); a
-    # jump family: one SVD of B serves all eight jumps and the report.
-    # 84 when the report took an SVD of the d x d null-projector
-    # difference per term; 92 when a jump family took 8 + 1 SVDs of B
-    in_stratum = 8 * 2 + 1 + 8 * 3 + 1
+    # an in-stratum family: the generator takes no SVD, so only the report
+    # (B once, three SVDs per term, the last input gap); a jump family:
+    # one SVD of B serves all eight jumps and the report.  68 when the
+    # generator took two operator norms per term; 84 when the report took
+    # an SVD of the d x d null-projector difference per term; 92 when a
+    # jump family took 8 + 1 SVDs of B
+    in_stratum = 1 + 8 * 3 + 1
     jump = 1 + 8 * 3 + 1
     assert count(lambda: _cli("continuity", "--dim", D, "--trials", 2)) == {
         "svd": in_stratum + jump}
@@ -293,7 +303,8 @@ def test_cmd_continuity_counts(count):
 def test_cmd_continuity_s2_counts(count):
     # as above, with the Schatten-2 pseudoinverse and input gaps read from
     # the entries: per term only its SVD and the cross block's remain
-    in_stratum = 8 * 2 + 1 + 8 * 2
+    # (was 50, with the generator's two operator norms per in-stratum term)
+    in_stratum = 1 + 8 * 2
     jump = 1 + 8 * 2
     assert count(lambda: _cli("continuity", "--dim", D, "--trials", 2,
                               "--gauge", "s2")) == {"svd": in_stratum + jump}
@@ -308,18 +319,20 @@ def test_cmd_taylor_counts(count):
 
 
 def test_cmd_census_counts(count):
-    # A once; per sample the generator's two operator norms, its SVD and
-    # its gauge distance; the index is a rank difference (was 1 + 4*4 + 14:
-    # 14 principal angles in all)
+    # A once; per sample its SVD and its gauge distance, the generator none;
+    # the index is a rank difference (was 1 + 4*4 with the generator's two
+    # operator norms per sample; 1 + 4*4 + 14 before that: 14 principal
+    # angles in all)
     assert count(lambda: _cli("census", "--dim", D, "--trials", 4)) == {
-        "svd": 1 + 4 * 4}
+        "svd": 1 + 4 * 2}
 
 
 def test_cmd_census_s2_counts(count):
     # as above, with the Schatten-2 gauge distance read from the entries
-    # of B - A, which takes no SVD
+    # of B - A, which takes no SVD (was 1 + 4*3, with the generator's two
+    # operator norms per sample)
     assert count(lambda: _cli("census", "--dim", D, "--trials", 4,
-                              "--gauge", "s2")) == {"svd": 1 + 4 * 3}
+                              "--gauge", "s2")) == {"svd": 1 + 4 * 1}
 
 
 def test_stacked_inverses_count_per_matrix(count):

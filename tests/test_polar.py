@@ -15,6 +15,8 @@ from pinvlab.errors import (
 from pinvlab.matcore import psd_eigh, svd
 from pinvlab.pinv import pinv_matrix
 
+from conftest import near_identity_op
+
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
@@ -102,7 +104,7 @@ def test_partial_isometry_rejects_non_isometry():
 def test_congruence_witness_conjugates(seed, r):
     rng = np.random.default_rng(seed)
     c = generate.psd_fixed_rank(rng, 4, r)
-    g0 = generate.near_identity(rng, 4, 0.4)
+    g0 = near_identity_op(rng, 4, 0.4)
     d = g0 @ c @ g0.conj().T
     g = polar.congruence_witness(c, d)
     assert np.linalg.norm(g @ c @ g.conj().T - d) < 1e-8

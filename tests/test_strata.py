@@ -284,6 +284,23 @@ def test_tangent_membership_rejects_corner_directions(rng):
         strata.mp_tangent(b, z)
 
 
+@given(seeds, st.integers(min_value=2, max_value=7), st.integers(min_value=2, max_value=7),
+       st.integers(min_value=0, max_value=6))
+def test_tangent_membership_is_scale_equivariant(seed, m, n, r):
+    # a pure corner block is never tangent and X B - B Y always is, at
+    # every scale s of the pair (sB, sZ): no absolute floor decides it
+    rng = np.random.default_rng(seed)
+    r = min(r, m - 1, n - 1)
+    b = generate.fixed_rank(rng, m, n, r)
+    u, _, vh = np.linalg.svd(b)
+    corner = u[:, r:] @ generate.ginibre(rng, m - r, n - r) @ vh[r:]
+    x, y = generate.tangent_pair(rng, m, n)
+    tangent = x @ b - b @ y
+    for s in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        assert not strata.tangent_membership(s * b, s * corner)
+        assert strata.tangent_membership(s * b, s * tangent)
+
+
 def _expm(m, order=24):
     out = np.eye(m.shape[0], dtype=complex)
     term = np.eye(m.shape[0], dtype=complex)
