@@ -22,7 +22,7 @@ from .matcore import (
     TRACE_NORM,
     gauge_norm,
 )
-from .pinv import moore_penrose, pinv_matrix
+from .pinv import moore_penrose
 
 __all__ = [
     "codim", "generate", "matcore", "monotone", "pinv", "polar", "strata",
@@ -30,7 +30,7 @@ __all__ = [
     "ObstructionError", "OutsideNeighborhoodError", "PinvLabError",
     "PreconditionError", "StratumError",
     "FROBENIUS_NORM", "GaugeNorm", "OP_NORM", "TRACE_NORM",
-    "gauge_norm", "moore_penrose", "pinv_matrix",
+    "gauge_norm", "moore_penrose",
 ]
 
 __version__ = "0.1.0"

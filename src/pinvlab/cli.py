@@ -97,10 +97,10 @@ def cmd_pinv(args) -> int:
 
 
 def cmd_codim(args) -> int:
-    p = codim.Projector.from_matrix(load_matrix(args.p))
-    q = codim.Projector.from_matrix(load_matrix(args.q))
+    p = codim.projector_eig(load_matrix(args.p))
+    q = codim.projector_eig(load_matrix(args.q))
     index = codim.essential_codimension(p, q)
-    _report({"index": index, "rank_p": p.rank(), "rank_q": q.rank()}, args)
+    _report({"index": index, "rank_p": p.rank, "rank_q": q.rank}, args)
     return EXIT_OK
 
 

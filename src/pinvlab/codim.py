@@ -4,11 +4,12 @@ In finite dimension every pair of orthogonal projections is Fredholm and
 the essential codimension reduces to a rank difference.
 ``essential_codimension`` nevertheless computes it by its definition,
 from subspace intersections (via principal angles), and cross-checks it
-against the rank count.  Both bases of a projector come from one eigh,
-so the rank tolerance cannot make the two disagree; the check catches a
-principal cosine within roundoff of INTERSECTION_COS that is classified
-differently in the two cross blocks.  Elsewhere the index is taken as
-the rank difference.
+against the rank count.  ``projector_eig`` checks a projector (its
+idempotency by ``matcore.idempotent_checked``) and returns its one eigh,
+which gives both bases, so the rank cutoff cannot make the two disagree;
+the check catches a principal cosine within roundoff of INTERSECTION_COS
+that is classified differently in the two cross blocks.  Elsewhere the
+index is taken as the rank difference.
 
 ``direct_rotation`` is the package's one rotation, read off the cross
 block of two partial isometries, as are the principal angles.  Only the
@@ -19,65 +20,36 @@ orbit witnesses may be any group element, so they take no rotation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, GapTooLargeError, PreconditionError
 from .matcore import (FROBENIUS_NORM, INTERSECTION_COS, PROJECTOR_REL,
-                      PROJECTOR_SPECTRUM, RANK_REL, _pow2_scaled, as_matrix, eigh,
-                      gauge_norm)
+                      PROJECTOR_SPECTRUM, RANK_REL, PsdEig, as_matrix, eigh,
+                      gauge_norm, idempotent_checked)
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projection matrix.
+def projector_eig(m) -> PsdEig:
+    """The eigh of an orthogonal projection P, as a ``PsdEig``.
 
-    Its rank, basis and complement basis come from one eigh, taken on
-    first use and kept.
+    PreconditionError unless P is square, idempotent (``idempotent_checked``),
+    Hermitian to ||P - P*||_F <= PROJECTOR_REL and has its spectrum within
+    PROJECTOR_SPECTRUM of {0, 1}.  Eigenvalues above 1/2 make the rank and
+    the others are set to 0: 1/2 splits the clusters at any scale, where
+    ``psd_eigh``'s relative cutoff would miscount a numerically-zero
+    projector and its PSD check refuse eigenvalues PROJECTOR_SPECTRUM accepts.
     """
-
-    matrix: np.ndarray
-
-    @staticmethod
-    def from_matrix(m) -> "Projector":
-        p = as_matrix(m)
-        if p.shape[0] != p.shape[1]:
-            raise PreconditionError("a projector must be square")
-        # ||P^2 - P|| <= PROJECTOR_REL max(1, ||P||) multiplied through by
-        # the 2^-e of _pow2_scaled, which is exact, so no product overflows
-        scaled, e = _pow2_scaled(p)
-        residual = gauge_norm(scaled @ p - scaled, FROBENIUS_NORM)
-        if residual > PROJECTOR_REL * max(math.ldexp(1.0, -e), np.linalg.norm(scaled)):
-            raise PreconditionError("matrix is not idempotent")
-        if gauge_norm(p - p.conj().T, FROBENIUS_NORM) > PROJECTOR_REL:
-            raise PreconditionError("matrix is not Hermitian")
-        proj = Projector(p)
-        _, w = proj._eigh
-        if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > PROJECTOR_SPECTRUM):
-            raise PreconditionError(
-                f"eigenvalues are not within {PROJECTOR_SPECTRUM:g} of {{0,1}}")
-        return proj
-
-    @cached_property
-    def _eigh(self):
-        # eigenvalues of a projector cluster at 0 and 1, so 1/2 separates
-        # them at any scale and no rank tolerance is read; a relative SVD
-        # cutoff would miscount the rank of a numerically-zero projector
-        return eigh(self.matrix)
-
-    def rank(self) -> int:
-        return int(np.sum(self._eigh[1] > 0.5))
-
-    def basis(self) -> np.ndarray:
-        q, w = self._eigh
-        return q[:, w > 0.5]
-
-    def complement_basis(self) -> np.ndarray:
-        q, w = self._eigh
-        return q[:, w <= 0.5]
+    p = as_matrix(m)
+    if p.shape[0] != p.shape[1]:
+        raise PreconditionError("a projector must be square")
+    idempotent_checked(p)
+    if gauge_norm(p - p.conj().T, FROBENIUS_NORM) > PROJECTOR_REL:
+        raise PreconditionError("matrix is not Hermitian")
+    q, w = eigh(p)
+    if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > PROJECTOR_SPECTRUM):
+        raise PreconditionError(
+            f"eigenvalues are not within {PROJECTOR_SPECTRUM:g} of {{0,1}}")
+    in_range = w > 0.5
+    return PsdEig(q, np.where(in_range, w, 0.0), int(np.count_nonzero(in_range)), p)
 
 
 def _cross_svd(block, vectors=True):
@@ -109,17 +81,18 @@ def intersection_dim(x, y) -> int:
     return int(np.sum(principal_cosines(x, y) >= INTERSECTION_COS))
 
 
-def essential_codimension(p: Projector, q: Projector) -> int:
+def essential_codimension(p: PsdEig, q: PsdEig) -> int:
     """Fredholm index of the pair (P, Q): dim(N(Q) ∩ R(P)) - dim(R(Q) ∩ N(P)).
 
-    Computed through principal angles and cross-checked against
-    rank(P) - rank(Q); a disagreement raises ConsistencyError.
+    P and Q are ``projector_eig``s.  Computed through principal angles and
+    cross-checked against rank(P) - rank(Q); a disagreement raises
+    ConsistencyError.
     """
     if p.matrix.shape != q.matrix.shape:
         raise PreconditionError("projections must act on the same space")
-    by_angles = (intersection_dim(q.complement_basis(), p.basis())
-                 - intersection_dim(q.basis(), p.complement_basis()))
-    by_rank = p.rank() - q.rank()
+    by_angles = (intersection_dim(q.null_basis, p.range_basis)
+                 - intersection_dim(q.range_basis, p.null_basis))
+    by_rank = p.rank - q.rank
     if by_angles != by_rank:
         raise ConsistencyError(
             f"index mismatch: principal angles give {by_angles}, "

@@ -4,6 +4,14 @@ Factorizations, numerical rank, subspace bases and symmetric gauge
 norms (operator, Schatten-p, Ky Fan-k).  Everything downstream builds on
 the routines here.  Matrices are plain complex ``numpy`` arrays; helpers
 validate shape and finiteness at the boundaries.
+
+The tolerances of every check and decision are the named constants
+below.  Each factorization has one value type, whose layout only this
+module reads: ``SvdResult`` (``svd``) and ``PsdEig`` (``psd_eigh``,
+``codim.projector_eig``); rank decisions elsewhere read their ``rank``.
+Each keeps its input as ``matrix`` and is returned as is when passed
+back, so a function that factorizes an argument also takes its
+factorization.
 """
 
 from __future__ import annotations
@@ -25,18 +33,15 @@ RESIDUAL_ABS = 1e-10        # a residual or norm <= this counts as 0
 
 # Acceptance thresholds of checks on constructions that are exact in exact
 # arithmetic; one value serves every caller.
-#   ISOMETRY_REL: V is a partial isometry when P = V*V has
-#       ||P^2 - P|| <= ISOMETRY_REL max(1, ||P||).
 #   UNITARY_REL: a constructed n x n U is unitary when ||UU* - I|| <= UNITARY_REL n.
 #   IDENTITY_REL: an exact identity holds, or a block that vanishes
 #       exactly vanishes, when its residual is at most IDENTITY_REL times
 #       the scale of its inputs.
-ISOMETRY_REL = 1e-9
 UNITARY_REL = 1e-10
 IDENTITY_REL = 1e-8
 # Checks on input matrices, and decisions of the certifiers:
 HERMITIAN_REL = 1e-10       # ||H - H*||_F, or -min eig of PSD C, <= this times its scale
-PROJECTOR_REL = 1e-9        # projector: ||P^2 - P|| <= this max(1, ||P||), ||P - P*|| <= this
+PROJECTOR_REL = 1e-9        # P or V*V: ||P^2 - P|| <= this max(1, ||P||), ||P - P*|| <= this
 PROJECTOR_SPECTRUM = 1e-8   # and each eigenvalue of P lies within this of 0 or 1
 INTERSECTION_COS = 1.0 - 1e-8   # principal angles with cosine at least this are zero
 GAP_MARGIN = 1e-6           # a projector gap above 1 - GAP_MARGIN does not count as < 1
@@ -352,6 +357,24 @@ def hermitian_checked(h, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def idempotent_checked(p: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Square complex P, refused unless ||P^2 - P||_F <= PROJECTOR_REL max(1, ||P||_F).
+
+    The check is multiplied through by the exact 2^-e of ``_pow2_scaled``,
+    so it decides as the unscaled one wherever that is finite, and a P
+    whose 2^-e P^2 overflows, or that is not finite, as an overflowed
+    product can be, is refused without a warning.  ``name`` names P in
+    the error message.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled, e = _pow2_scaled(p)
+        defect = np.linalg.norm(scaled @ p - scaled)
+        scale = max(math.ldexp(1.0, -e), np.linalg.norm(scaled))
+    if not defect <= PROJECTOR_REL * scale < math.inf:
+        raise PreconditionError(f"{name} is not idempotent")
+    return p
+
+
 def eigh(h):
     """Spectral decomposition of a Hermitian matrix.
 
@@ -369,11 +392,13 @@ def eigh(h):
 
 @dataclass(frozen=True)
 class PsdEig:
-    """C = Q diag(w) Q* for PSD C, w ascending with below-cutoff values 0.
+    """C = Q diag(w) Q* for PSD C, w ascending.
 
-    The last ``rank`` columns of Q span R(C), the others N(C).  Roots,
-    pseudoinverse and projectors are built on each call, not kept.
-    ``matrix`` is C itself, as validated by ``as_matrix``.
+    The last ``rank`` columns of Q span R(C), the others N(C), and the
+    values outside the range are 0: ``psd_eigh`` cuts them at RANK_REL,
+    ``codim.projector_eig`` at 1/2.  Roots, pseudoinverse and projectors
+    are built on each call, not kept.  ``matrix`` is C itself, as
+    validated by ``as_matrix``.
     """
 
     Q: np.ndarray

@@ -24,10 +24,6 @@ def moore_penrose(a) -> SvdResult:
     return svd(a)
 
 
-def pinv_matrix(a) -> np.ndarray:
-    return moore_penrose(a).pinv
-
-
 def wedin_residual(a, b, g: GaugeNorm) -> float:
     """Gauge norm of the defect in the algebraic identity relating A^+ - B^+
     to A - B through the range and nullspace projectors.

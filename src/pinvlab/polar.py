@@ -36,10 +36,10 @@ from .errors import (
 )
 from .matcore import (
     IDENTITY_REL,
-    ISOMETRY_REL,
     UNITARY_REL,
     PsdEig,
     as_matrix,
+    idempotent_checked,
     psd_eigh,
     svd,
 )
@@ -53,7 +53,8 @@ class PolarParts:
     is read off the same SVD on first use and kept: Q is V with its
     columns reversed, w the singular values ascending (zero past the
     rank) and the rank that of the SVD, so |A| has the rank of A by
-    construction.
+    construction.  For tall A its cutoff, relative to max(m, n) sigma_1,
+    may exceed that of a psd_eigh of |A|, relative to n sigma_1.
     """
 
     polar_factor: np.ndarray   # partial isometry with V|A| = A
@@ -111,11 +112,11 @@ def _carried(point, base):
 
 
 def _initial_rank(v: np.ndarray) -> int:
-    """trace(V*V), the rank of V, once V is checked to be a partial isometry."""
-    p = v.conj().T @ v
-    if np.linalg.norm(p @ p - p) > ISOMETRY_REL * max(1.0, np.linalg.norm(p)):
-        raise PreconditionError("V*V is not a projector; not a partial isometry")
-    return round(np.trace(p).real)
+    """trace(V*V), the rank of V, once V is checked to be a partial isometry:
+    V*V is idempotent (``idempotent_checked``), which a V*V that overflows is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = v.conj().T @ v
+    return round(np.trace(idempotent_checked(p, "V*V")).real)
 
 
 def _equal_rank_roots(c, d):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from pinvlab import generate, polar
 from pinvlab.codim import (
-    Projector,
     direct_rotation,
     essential_codimension,
     intersection_dim,
+    projector_eig,
 )
 from pinvlab.errors import GapTooLargeError, OutsideNeighborhoodError, PreconditionError
 from pinvlab.matcore import RANK_REL
@@ -23,18 +23,21 @@ ranks = st.integers(min_value=0, max_value=4)
 
 def random_projector(seed, n, r):
     cols = generate.unitary(np.random.default_rng(seed), n)[:, :r]
-    return Projector(cols @ cols.conj().T)
+    return projector_eig(cols @ cols.conj().T)
 
 
 def test_from_matrix_accepts_projector(rng):
     cols = generate.unitary(rng, 4)[:, :2]
-    p = Projector.from_matrix(cols @ cols.conj().T)
-    assert p.rank() == 2
+    p = projector_eig(cols @ cols.conj().T)
+    assert p.rank == 2
+    # the range values are the eigenvalues above 1/2, the others are 0
+    assert np.all(np.abs(p.range_values - 1.0) < 1e-12)
+    assert np.array_equal(p.w[:2], np.zeros(2))
 
 
 def test_from_matrix_rejects_non_idempotent():
-    with pytest.raises(PreconditionError):
-        Projector.from_matrix(np.diag([2.0, 0.0]))
+    with pytest.raises(PreconditionError, match="matrix is not idempotent"):
+        projector_eig(np.diag([2.0, 0.0]))
 
 
 @pytest.mark.parametrize("m", [
@@ -45,7 +48,7 @@ def test_from_matrix_near_overflow_is_not_idempotent(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="not idempotent"):
-            Projector.from_matrix(1e200 * np.array(m))
+            projector_eig(1e200 * np.array(m))
 
 
 def test_from_matrix_idempotency_check_is_scaled_exactly(rng):
@@ -54,29 +57,30 @@ def test_from_matrix_idempotency_check_is_scaled_exactly(rng):
     # and the zero matrix's scale 1 floor is kept
     cols = generate.unitary(rng, 4)[:, :2]
     p = cols @ cols.conj().T
-    assert Projector.from_matrix(p + 1e-11 * np.eye(4)).rank() == 2
-    assert Projector.from_matrix(np.zeros((3, 3))).rank() == 0
+    assert projector_eig(p + 1e-11 * np.eye(4)).rank == 2
+    assert projector_eig(np.zeros((3, 3))).rank == 0
     with pytest.raises(PreconditionError, match="not idempotent"):
-        Projector.from_matrix((1.0 + 1e-8) * p)
+        projector_eig((1.0 + 1e-8) * p)
 
 
 def test_from_matrix_rejects_non_hermitian():
+    # idempotent but oblique
     m = np.array([[1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(PreconditionError):
-        Projector.from_matrix(m)
+    with pytest.raises(PreconditionError, match="matrix is not Hermitian"):
+        projector_eig(m)
 
 
 def test_from_matrix_rejects_rectangular():
-    with pytest.raises(PreconditionError):
-        Projector.from_matrix(np.zeros((2, 3)))
+    with pytest.raises(PreconditionError, match="a projector must be square"):
+        projector_eig(np.zeros((2, 3)))
 
 
 def test_zero_projector_rank():
     # numerically-zero projectors must report rank 0, not pick up noise
-    p = Projector(np.zeros((4, 4), dtype=complex))
-    assert p.rank() == 0
-    assert p.basis().shape == (4, 0)
-    assert p.complement_basis().shape == (4, 4)
+    p = projector_eig(np.zeros((4, 4), dtype=complex))
+    assert p.rank == 0
+    assert p.range_basis.shape == (4, 0)
+    assert p.null_basis.shape == (4, 4)
 
 
 def test_intersection_dim_known_overlap(rng):
@@ -119,14 +123,14 @@ def initial_projector(a):
 def test_direct_rotation_conjugates(seed):
     rng = np.random.default_rng(seed)
     cols = generate.unitary(rng, 5)[:, :2]
-    p = Projector(cols @ cols.conj().T)
+    p = cols @ cols.conj().T
     w = near_identity_op(rng, 5, 0.2)
     qcols = np.linalg.qr(w @ cols)[0]
-    q = Projector(qcols @ qcols.conj().T)
+    q = qcols @ qcols.conj().T
     u = direct_rotation(cols.conj().T, qcols.conj().T)
     n = 5
     assert np.linalg.norm(u @ u.conj().T - np.eye(n)) < 1e-9
-    assert np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix) < 1e-9
+    assert np.linalg.norm(u @ p @ u.conj().T - q) < 1e-9
 
 
 def test_direct_rotation_identity_case():
@@ -147,10 +151,10 @@ def test_direct_rotation_is_accurate_near_the_gap(c):
     # the rotation takes no 1/sin and stays unitary to roundoff; an
     # inverse square root of I - (P - Q)^2 amplifies its error by 1/c^2
     a, b = _rank_one_pair(c)
-    p, q = Projector(initial_projector(a)), Projector(initial_projector(b))
+    p, q = initial_projector(a), initial_projector(b)
     u = direct_rotation(a, b)
     assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-12
-    assert np.linalg.norm(u @ p.matrix @ u.conj().T - q.matrix) <= 1e-10
+    assert np.linalg.norm(u @ p @ u.conj().T - q) <= 1e-10
 
 
 @pytest.mark.parametrize("c", [0.0, 1e-6])

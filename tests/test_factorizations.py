@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from pinvlab import cli, codim, generate, monotone, pinv, polar, strata
+from pinvlab import cli, codim, generate, matcore, monotone, pinv, polar, strata
 from pinvlab.matcore import OP_NORM, PsdEig, as_matrix, psd_eigh, save_matrix, svd
 
 D = 16
@@ -266,6 +266,19 @@ def test_cmd_polar_counts(count, inputs, tmp_path):
     # one SVD of A gives both polar parts and the modulus rank, rank(A)
     # (was 2: the rank came from an SVD of |A|)
     assert count(lambda: _cli("polar", "--input", path)) == {"svd": 1}
+
+
+def test_cmd_codim_counts(count, tmp_path):
+    # projector_eig takes one eigh of each projector, which gives its rank
+    # and both bases; the index by principal angles takes one values-only
+    # SVD of each of its two cross blocks, N(Q)*R(P) and R(Q)*N(P)
+    rng = generate.rng_from_seed(0)
+    paths = []
+    for name, r in (("p", 3), ("q", 3)):
+        cols = generate.unitary(rng, D)[:, :r]
+        paths.append(tmp_path / f"{name}.json")
+        save_matrix(cols @ cols.conj().T, paths[-1])
+    assert count(lambda: _cli("codim", "--p", paths[0], "--q", paths[1])) == {"eigh": 2, "svd": 2}
 
 
 def test_cmd_fiber_counts(count):
@@ -534,6 +547,7 @@ def test_factorizations_pass_through_unchanged(inputs):
     (polar, "_section"), (polar, "ModulusBase"), (polar, "_base"),
     (monotone, "_spectral"), (monotone, "_pd_eigs"), (strata, "_index_overlap"),
     (codim, "subspace_index"), (codim, "_subspace_index"),
-    (codim, "conjugating_unitary"), (codim, "basis_matching_unitary")])
+    (codim, "conjugating_unitary"), (codim, "basis_matching_unitary"),
+    (codim, "Projector"), (matcore, "ISOMETRY_REL"), (pinv, "pinv_matrix")])
 def test_twin_entry_points_are_gone(module, name):
     assert not hasattr(module, name)

@@ -24,6 +24,7 @@ from pinvlab.matcore import (
     eigh,
     gauge_norm,
     hermitian_checked,
+    idempotent_checked,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -307,6 +308,20 @@ def test_hermitian_check_is_relative_at_every_scale(rng, s):
         hermitian_checked(s * (h + 1e-3j * k), "Delta")
     with pytest.raises(PreconditionError, match="must be square"):
         hermitian_checked(s * generate.ginibre(rng, 3, 2))
+
+
+@pytest.mark.parametrize("p", [
+    np.full((2, 2), np.inf),                    # an overflowed product
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    1e300 * np.ones((4, 4)),                    # ||P^2 - P||_F overflows scaled
+    1.7e308 * np.ones((4, 4)),                  # 2^-e P^2 overflows
+    1e154 * np.eye(2),                          # ||P^2||_F overflows unscaled
+])
+def test_idempotent_checked_refuses_without_warning(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="P is not idempotent"):
+            idempotent_checked(p.astype(complex), "P")
 
 
 def _banded(rng, d, width):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from pinvlab.errors import (
     StratumError,
 )
 from pinvlab.matcore import psd_eigh, svd
-from pinvlab.pinv import pinv_matrix
 
 from conftest import near_identity_op
 
@@ -47,7 +47,7 @@ def test_polar_decompose_invariants(seed, r):
     # V is a partial isometry with the same nullspace as A
     vv = v.conj().T @ v
     assert np.linalg.norm(vv @ vv - vv) < 1e-10
-    assert np.linalg.norm(vv - mod @ pinv_matrix(mod)) < 1e-9
+    assert np.linalg.norm(vv - mod @ svd(mod).pinv) < 1e-9
     polar.PartialIsometry.from_matrix(v)
 
 
@@ -92,8 +92,17 @@ def test_modulus_eig_has_the_rank_of_b_where_the_cutoffs_differ():
 
 
 def test_partial_isometry_rejects_non_isometry():
-    with pytest.raises(PreconditionError):
-        polar.PartialIsometry.from_matrix(np.diag([2.0, 0.0]))
+    # V*V is 1e308 I at 1e154 and overflows at 1e160 and 1e200: each entry
+    # point that checks a partial isometry refuses them without a warning
+    b = np.eye(2)
+    for v in (np.diag([2.0, 0.0]), 1e154 * b, 1e160 * b, 1e200 * b):
+        for refused in (lambda: polar.PartialIsometry.from_matrix(v),
+                        lambda: polar.isometry_orbit_witness(v, b),
+                        lambda: polar.trivialize_v(b, v)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PreconditionError):
+                    refused()
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +336,11 @@ def test_polar_parts_of_pinv(seed, k):
     a = generate.fixed_rank(rng, 5, 5, 3)
     b = strata.stratum_representative(a, k)
     parts = polar.polar_decompose(b)
-    parts_pinv = polar.polar_decompose(pinv_matrix(b))
+    parts_pinv = polar.polar_decompose(svd(b).pinv)
     assert np.linalg.norm(parts_pinv.polar_factor
                           - parts.polar_factor.conj().T) < 1e-9
     mod_adj = polar.polar_decompose(b.conj().T).modulus
-    assert np.linalg.norm(parts_pinv.modulus - pinv_matrix(mod_adj)) < 1e-9
+    assert np.linalg.norm(parts_pinv.modulus - svd(mod_adj).pinv) < 1e-9
 
 
 # ---------------------------------------------------------------------------

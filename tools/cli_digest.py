@@ -8,7 +8,9 @@ seeds 0-4, over: ``continuity`` and ``census`` at d = 8, 32, 64 with the
 gauges op, s2 and kyfan:2; ``taylor`` of sqrt at d = 4, 16 and of an
 atomic function at d = 16; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
 ``pinv``, ``polar``, ``stratify`` and ``codim`` on matrix files drawn
-here with numpy, ``pinv`` and ``polar`` with ``--matrix-out``.  Each run
+here with numpy, ``pinv`` and ``polar`` with ``--matrix-out``.  ``codim``
+also runs once on each of the inputs in ``CODIM_EDGES``, which it refuses
+but for the zero matrix, read as a projector of rank 0.  Each run
 prints one line: the argv, the exit code and the first 16 hex digits of
 the sha256 of its stdout, of its stderr and, where it writes one, of its
 matrix file.
@@ -35,6 +37,16 @@ SEEDS = range(5)
 GAUGES = ("op", "s2", "kyfan:2")
 ATOMS = {"alpha": 0.25, "beta": 0.5, "atoms": [[0.5, 0.4], [3.0, 1.0], [20.0, 2.5]]}
 MATRIX_OUT = "matrix-out.json"
+# codim's edge inputs: rectangular, not idempotent, idempotent but not
+# Hermitian, two whose P^2 overflows unscaled, and the zero projector
+CODIM_EDGES = {
+    "rect": np.ones((2, 3)),
+    "diag20": np.diag([2.0, 0.0]),
+    "oblique": np.array([[1.0, 1.0], [0.0, 0.0]]),
+    "huge-upper": 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]),
+    "huge-sym": 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]),
+    "zero4": np.zeros((4, 4)),
+}
 
 
 def write_matrix(path, x):
@@ -88,6 +100,8 @@ def runs():
                        "--matrix-out", MATRIX_OUT]
         yield ["stratify", "--a", f"a{seed}.json", "--b", f"b{seed}.json", "--json"]
         yield ["codim", "--p", f"p{seed}.json", "--q", f"q{seed}.json", "--json"]
+    for name in CODIM_EDGES:
+        yield ["codim", "--p", f"codim-{name}.json", "--q", f"codim-{name}.json", "--json"]
 
 
 def sha(text: str) -> str:
@@ -115,6 +129,8 @@ def main(argv):
         tmp = Path(tmp)
         for seed in SEEDS:
             input_files(tmp, seed)
+        for name, x in CODIM_EDGES.items():
+            write_matrix(tmp / f"codim-{name}.json", x)
         (tmp / "atoms.json").write_text(json.dumps(ATOMS))
         cwd = os.getcwd()
         os.chdir(tmp)       # file arguments are relative, so no path shows in output
