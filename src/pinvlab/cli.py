@@ -114,9 +114,9 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_polar(args) -> int:
-    res = svd(load_matrix(args.input))     # rank(|A|) = rank(A) is read here
-    parts = polar.polar_decompose(res)
-    v, mod = parts.polar_factor, parts.modulus
+    # one SVD of A gives V_A, |A| and rank(|A|) = rank(A)
+    res = polar.polar_decompose(load_matrix(args.input))
+    v, mod = res.polar_factor, res.modulus
     vtv = v.conj().T @ v
     report = {"modulus_rank": res.rank, **_finite({
         "factorization_residual": lambda: np.linalg.norm(v @ mod - res.matrix),
@@ -239,10 +239,10 @@ def cmd_census(args) -> int:
 def _fiber_trial(b, c0, res_a, v0, alpha_res, v_res) -> None:
     """Both charts' round trips at B, each appending ||back - B||_F to its
     list; a trial's matrices are freed when it returns, not kept into the next."""
-    parts = polar.polar_decompose(b)    # serves both charts
-    alpha_res.append(_round_trip(polar.trivialize_alpha(parts, c0, res_a),
+    res_b = polar.polar_decompose(b)    # serves both charts
+    alpha_res.append(_round_trip(polar.trivialize_alpha(res_b, c0, res_a),
                                  polar.trivialize_alpha_inverse, c0, b))
-    v_res.append(_round_trip(polar.trivialize_v(parts, v0),
+    v_res.append(_round_trip(polar.trivialize_v(res_b, v0),
                              polar.trivialize_v_inverse, v0, b))
 
 
@@ -259,9 +259,8 @@ def cmd_fiber(args) -> int:
     a = generate.fixed_rank(rng, d, d, r)
     # both charts' base points, from one SVD of A, factorized once per run
     res_a = svd(a)
-    parts_a = polar.polar_decompose(res_a)
-    c0 = parts_a.modulus_eig
-    v0 = polar.PartialIsometry(parts_a.polar_factor)
+    c0 = res_a.modulus_eig
+    v0 = polar.PartialIsometry(res_a.polar_factor)
     alpha_res, v_res = [], []
     outside = 0
     for _ in range(args.trials):

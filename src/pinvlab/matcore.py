@@ -311,6 +311,38 @@ class SvdResult:
         v_r = self.row_basis
         return np.eye(v_r.shape[0], dtype=complex) - v_r @ v_r.conj().T
 
+    @property
+    def polar_factor(self) -> np.ndarray:
+        """V_A = U_r V_r*, the partial isometry with V_A|A| = A; built on each read."""
+        return self.U[:, : self.rank] @ self.Vt[: self.rank, :]
+
+    @cached_property
+    def modulus(self) -> np.ndarray:
+        """|A| = (A*A)^{1/2} = V S V*, over every singular value (S zero-padded
+        to n), halved before the Hermitian sum so that it cannot overflow."""
+        s = np.zeros(self.Vt.shape[0])
+        s[: len(self.singular_values)] = self.singular_values
+        vs = self.Vt.T * s
+        np.conjugate(vs, out=vs)        # V S, with no copy of V
+        mod = vs @ self.Vt
+        del vs                          # at most two n x n temporaries at once
+        mod *= 0.5
+        mod += mod.conj().T
+        return mod
+
+    @cached_property
+    def modulus_eig(self) -> PsdEig:
+        """The psd_eigh of |A|, read off the SVD: Q is V with its columns
+        reversed, w the singular values ascending (zero past the rank).
+
+        |A| so has the rank of A by construction.  For tall A that cutoff,
+        relative to max(m, n) sigma_1, may exceed the one a psd_eigh of |A|
+        takes, relative to n sigma_1.
+        """
+        w = np.zeros(self.Vt.shape[0])
+        w[: self.rank] = self.singular_values[: self.rank]
+        return PsdEig(self.Vt[::-1].conj().T, w[::-1], self.rank, self.modulus)
+
 
 def svd(a) -> SvdResult:
     """Full SVD with a declared numerical-rank cutoff.

@@ -2,7 +2,8 @@
 
 The polar parts B = V_B |B| split the rank strata of a reference matrix
 into a positive cone direction (the modulus) and a partial-isometry
-direction (the polar factor).  This module builds the decomposition,
+direction (the polar factor), both read off the one SVD of B
+(``SvdResult.polar_factor``, ``SvdResult.modulus``).  This module builds
 constructive witnesses for the congruence action on positive matrices
 and the unitary action on partial isometries, a positive-cone
 cross-section, and the two local chart maps (by modulus, by polar
@@ -22,7 +23,6 @@ and otherwise takes it from its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,37 +38,12 @@ from .matcore import (
     IDENTITY_REL,
     UNITARY_REL,
     PsdEig,
+    SvdResult,
     as_matrix,
     idempotent_checked,
     psd_eigh,
     svd,
 )
-
-
-@dataclass(frozen=True)
-class PolarParts:
-    """A = V_A|A|, read off the one SVD of A = U S V*.
-
-    It keeps V and S, so ``modulus_eig``, the psd_eigh of |A| = V S V*,
-    is read off the same SVD on first use and kept: Q is V with its
-    columns reversed, w the singular values ascending (zero past the
-    rank) and the rank that of the SVD, so |A| has the rank of A by
-    construction.  For tall A its cutoff, relative to max(m, n) sigma_1,
-    may exceed that of a psd_eigh of |A|, relative to n sigma_1.
-    """
-
-    polar_factor: np.ndarray   # partial isometry with V|A| = A
-    modulus: np.ndarray        # (A*A)^{1/2}, Hermitian PSD
-    right_vectors: np.ndarray = field(repr=False, compare=False)   # V, n x n
-    singular_values: np.ndarray = field(repr=False, compare=False)  # S, zero-padded to n
-    rank: int = field(compare=False)
-
-    @cached_property
-    def modulus_eig(self) -> PsdEig:
-        w = self.singular_values.copy()
-        w[self.rank:] = 0.0
-        # Q is a view on V: the eig allocates no n x n matrix
-        return PsdEig(self.right_vectors[:, ::-1], w[::-1], self.rank, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -136,26 +111,13 @@ def _equal_rank_roots(c, d):
     return eig_c, eig_d
 
 
-def polar_decompose(a) -> PolarParts:
-    """A = V|A| with V = A|A|^+ a partial isometry sharing the nullspace of A.
+def polar_decompose(a) -> SvdResult:
+    """A = V_A|A|, read off the one SVD of A: its ``polar_factor`` V_A = A|A|^+,
+    a partial isometry sharing the nullspace of A, and its ``modulus`` |A|.
 
-    A is a matrix or its SVD; a ``PolarParts`` is returned as is.
+    The paper's name for ``svd``: A is a matrix or its SVD, returned as is.
     """
-    if isinstance(a, PolarParts):
-        return a
-    res = svd(a)
-    n = res.Vt.shape[0]
-    s_full = np.zeros(n)
-    s_full[: len(res.singular_values)] = res.singular_values
-    v = res.Vt.conj().T
-    modulus = 0.5 * ((v * s_full) @ v.conj().T)    # halved first: the sum cannot overflow
-    modulus += modulus.conj().T
-    return PolarParts(_polar_factor(res), modulus, v, s_full, res.rank)
-
-
-def _polar_factor(res) -> np.ndarray:
-    """V_A = U_r V_r*, read off the SVD of A."""
-    return res.U[:, : res.rank] @ res.Vt[: res.rank, :]
+    return svd(a)
 
 
 def congruence_witness(c, d) -> np.ndarray:
@@ -220,7 +182,7 @@ def modulus_map(b, a) -> np.ndarray:
     """B -> |B|, from the one SVD of B, whose rank |B| has by construction:
     the index relative to |A| is that of B relative to A (the tests check it).
     A only fixes the shape; it is not factorized."""
-    return polar_decompose(strata._svd_same_shape(b, a)).modulus
+    return strata._svd_same_shape(b, a).modulus
 
 
 def polar_factor_map(b, a) -> PartialIsometry:
@@ -233,7 +195,7 @@ def polar_factor_map(b, a) -> PartialIsometry:
     """
     sb, sa = strata._svd_pair(b, a)
     a, b = sa.matrix, sb.matrix
-    va, vb = _polar_factor(sa), _polar_factor(sb)
+    va, vb = sa.polar_factor, sb.polar_factor
     mod_a_pinv = sa.pinv @ va
     mod_b_pinv = sb.pinv @ vb
     lhs = va - vb
@@ -264,7 +226,7 @@ def fiber_membership_alpha(x, c0, a) -> bool:
         raise PreconditionError("X and A must have the same shape")
     rx = svd(x)
     scale = max(1.0, float(np.linalg.norm(eig.matrix)))
-    if np.linalg.norm(polar_decompose(rx).modulus - eig.matrix) > IDENTITY_REL * scale:
+    if np.linalg.norm(rx.modulus - eig.matrix) > IDENTITY_REL * scale:
         return False
     return sa.rank - eig.rank == strata.stratum_index(rx, sa)
 
@@ -274,20 +236,19 @@ def trivialize_alpha(b, c0, a) -> ChartPoint:
 
     U is the direct rotation of R(C0) onto R(|B|); as V_B*V_B = P_R(|B|)
     and U*P_R(|B|)U = P_R(C0), the second component keeps modulus exactly
-    C0.  B is a matrix or its polar parts, C0 a matrix or its psd_eigh
-    and A a matrix or its SVD; a run that serves many B from one base
-    point factorizes C0 and A once.  R(|B|) is read off the SVD of B
-    (``PolarParts.modulus_eig``), so |B| takes no eigh, and |B| is
-    returned as that psd_eigh, in a ChartPoint that keeps U and the
-    psd_eigh of C0.  Inverted by trivialize_alpha_inverse.
+    C0.  B and A are matrices or their SVDs, C0 a matrix or its psd_eigh;
+    a run that serves many B from one base point factorizes C0 and A once.
+    R(|B|) is read off the SVD of B (``SvdResult.modulus_eig``), so |B|
+    takes no eigh, and |B| is returned as that psd_eigh, in a ChartPoint
+    that keeps U and the psd_eigh of C0.  Inverted by trivialize_alpha_inverse.
     """
     eig, sa = _base_point(c0, a)
-    parts = polar_decompose(b)
-    u = _chart_unitary(eig, parts.modulus_eig)
-    fiber_elem = parts.polar_factor @ u @ eig.matrix
+    sb = svd(b)
+    u = _chart_unitary(eig, sb.modulus_eig)
+    fiber_elem = sb.polar_factor @ u @ eig.matrix
     if not fiber_membership_alpha(fiber_elem, eig, sa):
         raise ConsistencyError("chart output left the fiber over C0")
-    return ChartPoint(parts.modulus_eig, fiber_elem, u, eig)
+    return ChartPoint(sb.modulus_eig, fiber_elem, u, eig)
 
 
 def _chart_unitary(c, b) -> np.ndarray:
@@ -338,19 +299,19 @@ def trivialize_v(b, v0) -> ChartPoint:
     W is the direct rotation of V0*V0 onto V_B*V_B, taken from V0 and the
     row basis of B; it transports |B| to a positive matrix supported on
     the initial space of V0, so the second component sits in the fiber
-    over V0.  B is a matrix or its polar parts, V0 a matrix or a
+    over V0.  B is a matrix or its SVD, V0 a matrix or a
     PartialIsometry; the ChartPoint keeps W and V0 as a PartialIsometry
     (the one given, or a new one for a matrix).  A V0 that is not a
     partial isometry raises PreconditionError; an initial-space gap that
     the rotation refuses, as unequal ranks give, raises
     OutsideNeighborhoodError.  Inverted by trivialize_v_inverse.
     """
-    parts = polar_decompose(b)
-    v0_m, _, _, _ = _checked_pair(v0, parts.polar_factor)
-    w = _rotation(v0_m, parts.right_vectors[:, : parts.rank].conj().T)
-    fiber_elem = v0_m @ (w.conj().T @ parts.modulus @ w)
+    sb = svd(b)
+    v0_m, vb, _, _ = _checked_pair(v0, sb.polar_factor)
+    w = _rotation(v0_m, sb.Vt[: sb.rank])
+    fiber_elem = v0_m @ (w.conj().T @ sb.modulus @ w)
     base = v0 if isinstance(v0, PartialIsometry) else PartialIsometry(v0_m)
-    return ChartPoint(PartialIsometry(parts.polar_factor), fiber_elem, w, base)
+    return ChartPoint(PartialIsometry(vb), fiber_elem, w, base)
 
 
 def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from pinvlab import cli, codim, generate, matcore, monotone, pinv, polar, strata
-from pinvlab.matcore import OP_NORM, PsdEig, as_matrix, psd_eigh, save_matrix, svd
+from pinvlab.matcore import (
+    OP_NORM, PsdEig, SvdResult, as_matrix, psd_eigh, save_matrix, svd,
+)
 
 D = 16
 
@@ -503,8 +505,8 @@ def _bits(x):
         return tuple(_bits(y) for y in x)
     if isinstance(x, PsdEig):
         return _bits((x.Q, x.w, x.matrix))
-    if isinstance(x, polar.PolarParts):
-        return _bits((x.polar_factor, x.modulus))
+    if isinstance(x, SvdResult):
+        return _bits((x.U, x.singular_values, x.Vt, x.rank, x.matrix))
     if isinstance(x, polar.PartialIsometry):
         return _bits(x.matrix)
     if isinstance(x, np.ndarray):
@@ -532,12 +534,12 @@ def test_factorized_argument_passes_through(count, operands, name):
 
 def test_factorizations_pass_through_unchanged(inputs):
     a, _, _ = inputs
-    res, parts = svd(a), polar.polar_decompose(a)
-    eig = psd_eigh(parts.modulus)
+    res = svd(a)
+    eig = psd_eigh(res.modulus)
     assert svd(res) is res and psd_eigh(eig) is eig
-    assert polar.polar_decompose(parts) is parts
+    assert polar.polar_decompose(res) is res
     # each carries the validated input, which as_matrix returns uncopied
-    assert res.matrix is a and eig.matrix is parts.modulus
+    assert res.matrix is a and eig.matrix is res.modulus
     assert as_matrix(res) is res.matrix and as_matrix(eig) is eig.matrix
 
 
@@ -548,6 +550,7 @@ def test_factorizations_pass_through_unchanged(inputs):
     (monotone, "_spectral"), (monotone, "_pd_eigs"), (strata, "_index_overlap"),
     (codim, "subspace_index"), (codim, "_subspace_index"),
     (codim, "conjugating_unitary"), (codim, "basis_matching_unitary"),
-    (codim, "Projector"), (matcore, "ISOMETRY_REL"), (pinv, "pinv_matrix")])
+    (codim, "Projector"), (matcore, "ISOMETRY_REL"), (pinv, "pinv_matrix"),
+    (polar, "PolarParts"), (polar, "_polar_factor")])
 def test_twin_entry_points_are_gone(module, name):
     assert not hasattr(module, name)
