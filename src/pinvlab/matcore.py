@@ -184,15 +184,18 @@ class GaugeNorm:
         raise PreconditionError(f"unknown gauge spec {text!r}")
 
     def of_singular_values(self, s) -> float:
+        """The gauge of the singular values s.  Schatten-p is taken as
+        s_1 (sum (s_i/s_1)^p)^{1/p}: the sum lies in [1, len(s)], so it
+        neither under- nor overflows at any scale or exponent."""
         s = np.sort(np.abs(np.asarray(s, dtype=float)))[::-1]
-        if s.size == 0:
+        if s.size == 0 or s[0] == 0.0:
             return 0.0
         if self.kind == "op":
             return float(s[0])
         if self.kind == "schatten":
             if np.isinf(self.p):
                 return float(s[0])
-            return float(np.sum(s**self.p) ** (1.0 / self.p))
+            return float(s[0] * np.sum((s / s[0]) ** self.p) ** (1.0 / self.p))
         if self.kind == "kyfan":
             return float(np.sum(s[: self.k]))
         raise PreconditionError(f"unknown gauge kind {self.kind!r}")

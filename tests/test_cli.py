@@ -175,6 +175,16 @@ def test_continuity_command(capsys, tmp_path):
     assert all(ln.endswith(",1") for ln in summaries)
 
 
+@pytest.mark.parametrize("gauge", ["sp:3", "sp:600", "sp:1e308"])
+def test_continuity_certifies_at_large_schatten_exponents(capsys, gauge):
+    # the gauge of the null-projector gaps neither under- nor overflows at
+    # any exponent, so every family certifies, as it does in op
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(capsys, ["continuity", "--trials", "4", "--gauge", gauge])
+    assert code == 0
+
+
 def test_taylor_command(capsys, tmp_path):
     out_path = tmp_path / "taylor.csv"
     code, _ = run(capsys, ["taylor", "--seed", "1", "--dim", "3",

@@ -178,6 +178,22 @@ def test_schatten_2_from_the_entries_matches_the_singular_values(seed, m, n, sca
         assert gauge_norm(a, g) == pytest.approx(g.of_singular_values(sv), rel=1e-13)
 
 
+@pytest.mark.parametrize("p", [1, 3, 600, 1e308])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_schatten_gauge_is_exactly_scale_equivariant(scale, p):
+    # s_1 (sum (s_i/s_1)^p)^{1/p}: no power of a singular value under- or
+    # overflows, so ||sA|| = s ||A|| to the last bit, with no warning; the
+    # power-of-two singular values make the ratios exact at every scale
+    a = np.diag([4.0, 2.0, 1.0, 0.0])
+    g = GaugeNorm.schatten(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = gauge_norm(a, g)
+        assert gauge_norm(scale * a, g) == scale * ref
+        assert g.of_singular_values([0.0, 0.0]) == 0.0
+    assert 4.0 <= ref <= 7.0        # between the operator and the trace norm
+
+
 @given(seeds)
 def test_gauge_triangle_inequality(seed):
     rng = np.random.default_rng(seed)
