@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,15 +64,18 @@ class MonotoneFunction:
     """Representation data (alpha, beta, nu) of an operator monotone function.
 
     ``atoms`` is a tuple of (t, w) point masses with t > 0, w >= 0, or
-    None when ``density`` names a built-in density ("sqrt" only).  ``f0``
-    is the scalar value at 0, computed once at construction.
+    None when ``density`` names a built-in density ("sqrt" only).
     """
 
     alpha: float
     beta: float
     atoms: tuple | None = None
     density: str | None = None
-    f0: float = field(default=0.0, compare=False)
+
+    @cached_property
+    def f0(self) -> float:
+        """f(0), evaluated from the representation on first read and kept."""
+        return float(_evaluate(self, np.asarray(0.0)))
 
 
 # Windows of the nested trapezoid rule in the double-exponential variable x,
@@ -229,8 +233,6 @@ def make_sqrt() -> MonotoneFunction:
     f = MonotoneFunction(alpha=1.0 / math.sqrt(2.0), beta=0.0, density="sqrt")
     if not math.isfinite(_admissibility(f)):
         raise PreconditionError("density fails the admissibility integral")
-    f0 = scalar_eval(f, 0.0, skip_cache=True)
-    f = MonotoneFunction(alpha=f.alpha, beta=f.beta, density="sqrt", f0=f0)
     _check_monotone(f)
     return f
 
@@ -250,8 +252,6 @@ def make_atomic(alpha: float, beta: float, atoms) -> MonotoneFunction:
         raise PreconditionError("atoms need finite t > 0 and w >= 0")
     f = MonotoneFunction(alpha=float(alpha), beta=float(beta),
                          atoms=tuple(clean))
-    f0 = scalar_eval(f, 0.0, skip_cache=True)
-    f = MonotoneFunction(alpha=f.alpha, beta=f.beta, atoms=f.atoms, f0=f0)
     _check_monotone(f)
     return f
 
@@ -292,17 +292,26 @@ def monotone_from_json(obj) -> MonotoneFunction:
 # Evaluation.
 
 
-def scalar_eval(f: MonotoneFunction, lam, skip_cache: bool = False):
+def scalar_eval(f: MonotoneFunction, lam):
     """f(lambda) for lambda >= 0 from the representation data.
 
     A float for a scalar ``lam``; for an array, one quadrature serves every
-    entry.  Entries equal to 0 take the stored f(0) unless ``skip_cache``.
+    entry.  Entries equal to 0 take the kept f(0), ``f.f0``.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise PreconditionError("scalar argument must be nonnegative")
-    if lam.ndim == 0 and lam == 0.0 and not skip_cache:
+    if lam.ndim == 0 and lam == 0.0:
         return f.f0
+    vals = _evaluate(f, lam)
+    if lam.ndim == 0:
+        return float(vals)
+    return np.where(lam == 0.0, f.f0, vals)
+
+
+def _evaluate(f: MonotoneFunction, lam: np.ndarray):
+    """alpha + beta lam - ∫(1/(t+lam) - t/(t^2+1)) dnu at each lam >= 0,
+    refused where the difference is below the rounding of its terms."""
 
     def fn(t):
         t = t.reshape(t.shape + (1,) * lam.ndim)
@@ -323,9 +332,7 @@ def scalar_eval(f: MonotoneFunction, lam, skip_cache: bool = False):
                 "alpha + beta lambda - ∫ dnu: too small to resolve",
                 residual=floor,
             )
-    if lam.ndim == 0:
-        return float(vals)
-    return vals if skip_cache else np.where(lam == 0.0, f.f0, vals)
+    return vals
 
 
 def _pd_eigh(c) -> PsdEig:
