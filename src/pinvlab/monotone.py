@@ -117,7 +117,8 @@ def _sqrt_integral(fn, t_max: float | None = None):
     the result is the weight-contracted sum.  On either window the
     integrand decays double exponentially in x, and the trapezoid rule
     converges at that rate.  The first level splits the window
-    into ``_FIRST_INTERVALS``; each halving of the step evaluates only the
+    into ``_FIRST_INTERVALS`` and evaluates its nodes, the two ends
+    included, in one pass; each halving of the step evaluates only the
     new midpoints, ``_CHUNK`` nodes per call of ``fn``, and adds them to
     one running sum.  The allowance is ``_QUAD_TOL`` times the mass
     ∫‖fn‖dν, summed alongside: relative for a one-signed integrand, and
@@ -137,38 +138,41 @@ def _sqrt_integral(fn, t_max: float | None = None):
             return _truncated_nodes(x, s_max)
 
     def level(x):
-        """Σ w fn(t) and Σ w ‖fn(t)‖ over the nodes x, _CHUNK at a time."""
-        total, mass = 0.0, 0.0
+        """Σ c w fn(t) and Σ c w ‖fn(t)‖ over the nodes x, _CHUNK at a time,
+        with the trapezoid factor c = 1/2 at the window's ends and 1 elsewhere,
+        and the largest w ‖fn(t)‖ at an end (0 if x holds neither)."""
+        total, mass, end = 0.0, 0.0, 0.0
         for k in range(0, len(x), _CHUNK):
-            t, w = grid(x[k:k + _CHUNK])
+            xs = x[k:k + _CHUNK]
+            t, w = grid(xs)
             vals = fn(t)
-            total = total + np.tensordot(w, vals, axes=(0, 0))
-            mass += float(w @ np.linalg.norm(vals.reshape(len(t), -1), axis=1))
-        return total, mass
+            norms = w * np.linalg.norm(vals.reshape(len(t), -1), axis=1)
+            at_end = (xs == lo) | (xs == hi)
+            c = np.where(at_end, 0.5, 1.0)
+            total = total + np.tensordot(c * w, vals, axes=(0, 0))
+            mass += float(c @ norms)
+            end = max(end, float(norms[at_end].max(initial=0.0)))
+        return total, mass, end
 
     n = _FIRST_INTERVALS
     h = (hi - lo) / n
-    (sum_lo, end_lo), (sum_hi, end_hi) = (level(np.array([x])) for x in (lo, hi))
-    acc, mass = level(lo + h * np.arange(1, n))
-    acc = acc + 0.5 * (sum_lo + sum_hi)
-    mass += 0.5 * (end_lo + end_hi)
+    acc, mass, end = level(np.linspace(lo, hi, n + 1))
     prev = h * acc
     while 2 * n <= _MAX_INTERVALS:
         n *= 2
         h *= 0.5
-        new, new_mass = level(lo + h * np.arange(1, n, 2))
+        new, new_mass, _ = level(lo + h * np.arange(1, n, 2))
         acc = acc + new
         mass += new_mass
         cur = h * acc
         allowed = _QUAD_TOL * h * mass
         diff = float(np.linalg.norm(np.atleast_1d(cur - prev)))
         if diff <= allowed:
-            end = h * max(end_lo, end_hi)
-            if end > allowed:
+            if h * end > allowed:
                 raise ConvergenceError(
-                    f"quadrature end term {end:.3e} exceeds {allowed:.3e}: "
+                    f"quadrature end term {h * end:.3e} exceeds {allowed:.3e}: "
                     "the integrand is not negligible at the window's ends",
-                    residual=end,
+                    residual=h * end,
                 )
             return cur
         prev = cur
