@@ -11,7 +11,6 @@ pseudoinverse map with its tangent map.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,19 +271,6 @@ class ContinuityReport:
     @property
     def all_true(self) -> bool:
         return all(self.verdicts.values())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(
-            "n,index,pinv_norm,pinv_gap,nullproj_gap_gauge,nullproj_gap_op,intersection_dim\n"
-        )
-        for r in self.rows:
-            buf.write(
-                f"{r.n},{r.index},{r.pinv_norm:.17g},{r.pinv_gap:.17g},"
-                f"{r.nullproj_gap_gauge:.17g},{r.nullproj_gap_op:.17g},"
-                f"{r.intersection_dim}\n"
-            )
-        return buf.getvalue()
 
 
 # Boundedness proxy: the tail sup of ||B_n^+|| may exceed ||B^+|| by at

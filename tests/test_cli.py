@@ -168,7 +168,9 @@ def test_continuity_command(capsys, tmp_path):
                            "--trials", "4", "--out", str(out_path)])
     assert code == 0
     lines = out_path.read_text().strip().split("\n")
-    assert lines[0].startswith("family,kind,record,n")
+    assert lines[0] == ("family,kind,record,n,index,pinv_norm,pinv_gap,"
+                        "nullproj_gap_gauge,nullproj_gap_op,intersection_dim,"
+                        "verdicts,consistent")
     # 4 families x (8 data rows + 1 summary row) + header
     assert len(lines) == 1 + 4 * 9
     summaries = [ln for ln in lines if ",summary," in ln]

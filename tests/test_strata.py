@@ -225,16 +225,6 @@ def test_continuity_report_null_gaps_match_the_projector_difference(
         assert row.intersection_dim == dim
 
 
-def test_continuity_report_csv(rng):
-    b = generate.fixed_rank(rng, 4, 4, 2)
-    seq = generate.in_stratum_family(rng, b, 5)
-    report = strata.continuity_report(b, seq, 1, OP_NORM)
-    csv = report.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("n,index,pinv_norm")
-    assert len(lines) == 6
-
-
 def test_continuity_report_validates_args(rng):
     b = generate.fixed_rank(rng, 4, 4, 2)
     with pytest.raises(PreconditionError):
