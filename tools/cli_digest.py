@@ -8,7 +8,8 @@ seeds 0-4, over: ``continuity`` and ``census`` at d = 8, 32, 64 with the
 gauges op, s2 and kyfan:2; ``taylor`` of sqrt at d = 4, 16 and of an
 atomic function at d = 16; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
 ``pinv``, ``polar``, ``stratify`` and ``codim`` on matrix files drawn
-here with numpy, ``pinv`` and ``polar`` with ``--matrix-out``.  ``codim``
+here with numpy, ``pinv`` and ``polar`` with ``--matrix-out`` on a
+square, a tall and a wide input.  ``codim``
 also runs once on each of the inputs in ``CODIM_EDGES``, which it refuses
 but for the zero matrix, read as a projector of rank 0.  Each run
 prints one line: the argv, the exit code and the first 16 hex digits of
@@ -78,6 +79,9 @@ def input_files(tmp, seed):
         "p": projector(rng, d, 3),
         "q": projector(rng, d, 2 + seed % 3),
         "rect": fixed_rank(rng, d + 2, d, 3),
+        # drawn last, so the files above stay as they were; wide, so |A| is
+        # built from singular values zero-padded to n
+        "wide": fixed_rank(rng, d, d + 2, 3),
     }
     for name, x in files.items():
         write_matrix(tmp / f"{name}{seed}.json", x)
@@ -94,7 +98,7 @@ def runs():
         yield ["taylor", "--seed", seed, "--dim", 16, "--function", "atomic:atoms.json"]
         for d in (4, 8, 16, 32, 64):
             yield ["fiber", "--seed", seed, "--dim", d, "--json"]
-        for name in ("a", "rect"):
+        for name in ("a", "rect", "wide"):
             for cmd in ("pinv", "polar"):
                 yield [cmd, "--input", f"{name}{seed}.json", "--json",
                        "--matrix-out", MATRIX_OUT]
