@@ -7,8 +7,9 @@ validate shape and finiteness at the boundaries.
 
 The tolerances of every check and decision are the named constants
 below.  Each factorization has one value type, whose layout only this
-module reads: ``SvdResult`` (``svd``) and ``PsdEig`` (``psd_eigh``,
-``codim.projector_eig``); rank decisions elsewhere read their ``rank``.
+module reads: ``SvdResult`` (``svd``, which also holds the polar parts
+of A) and ``PsdEig`` (``psd_eigh``, ``codim.projector_eig``); rank
+decisions elsewhere read their ``rank``.
 Each keeps its input as ``matrix`` and is returned as is when passed
 back, so a function that factorizes an argument also takes its
 factorization.

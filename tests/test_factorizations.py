@@ -451,8 +451,7 @@ def test_positive_section_counts(count, semidefinite):
 # ---------------------------------------------------------------------------
 # One entry per theorem: a factorization passed for a matrix is used as is.
 
-FACTORIZERS = {"svd": svd, "eigh": psd_eigh, "polar": polar.polar_decompose}
-SAVES = {"svd": "svd", "eigh": "eigh", "polar": "svd"}
+FACTORIZERS = {"svd": svd, "eigh": psd_eigh}
 
 
 @pytest.fixture
@@ -478,7 +477,6 @@ PASS_THROUGH = {
     "stratum_representative+2": (strata.stratum_representative,
                                  lambda o: (o["a"], 2), {0: "svd"}),
     "polar_decompose-svd": (polar.polar_decompose, lambda o: (o["b"],), {0: "svd"}),
-    "polar_decompose-parts": (polar.polar_decompose, lambda o: (o["b"],), {0: "polar"}),
     "positive_section": (polar.positive_section, lambda o: (o["c_psd"], o["b_psd"]),
                          {0: "eigh", 1: "eigh"}),
     "matrix_eval_spectral": (monotone.matrix_eval_spectral, lambda o: (o["f"], o["c"]),
@@ -488,14 +486,14 @@ PASS_THROUGH = {
     "taylor_remainder_bound": (monotone.taylor_remainder_bound,
                                lambda o: (o["f"], o["c"], o["delta"], 2), {1: "eigh"}),
     "trivialize_alpha": (polar.trivialize_alpha, lambda o: (o["b"], o["c0"], o["a"]),
-                         {0: "polar", 1: "eigh", 2: "svd"}),
+                         {0: "svd", 1: "eigh", 2: "svd"}),
     "trivialize_alpha_inverse": (polar.trivialize_alpha_inverse,
                                  lambda o: (o["mod"], o["fib"], o["c0"]),
                                  {0: "eigh", 2: "eigh"}),
     "fiber_membership_alpha": (polar.fiber_membership_alpha,
                                lambda o: (o["fib"], o["c0"], o["a"]),
                                {0: "svd", 1: "eigh", 2: "svd"}),
-    "trivialize_v": (polar.trivialize_v, lambda o: (o["b"], o["v0"]), {0: "polar"}),
+    "trivialize_v": (polar.trivialize_v, lambda o: (o["b"], o["v0"]), {0: "svd"}),
 }
 
 
@@ -524,7 +522,7 @@ def test_factorized_argument_passes_through(count, operands, name):
     saved = Counter()
     for pos, kind in factorized.items():
         fact_args[pos] = FACTORIZERS[kind](args[pos])
-        saved[SAVES[kind]] += 1
+        saved[kind] += 1
     out = {}
     plain = count(lambda: out.setdefault("plain", fn(*args)))
     fact = count(lambda: out.setdefault("fact", fn(*fact_args)))
