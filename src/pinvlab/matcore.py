@@ -189,12 +189,12 @@ class GaugeNorm:
         s_1 (sum (s_i/s_1)^p)^{1/p}: the sum lies in [1, len(s)], so it
         neither under- nor overflows at any scale or exponent."""
         s = np.sort(np.abs(np.asarray(s, dtype=float)))[::-1]
-        if s.size == 0 or s[0] == 0.0:
+        if s.size == 0:
             return 0.0
         if self.kind == "op":
             return float(s[0])
         if self.kind == "schatten":
-            if np.isinf(self.p):
+            if np.isinf(self.p) or s[0] == 0.0:
                 return float(s[0])
             return float(s[0] * np.sum((s / s[0]) ** self.p) ** (1.0 / self.p))
         if self.kind == "kyfan":
@@ -339,7 +339,7 @@ class SvdResult:
         """The psd_eigh of |A|, read off the SVD: Q is V with its columns
         reversed, w the singular values ascending (zero past the rank).
 
-        |A| so has the rank of A by construction.  For tall A that cutoff,
+        So |A| has the rank of A by construction.  For tall A that cutoff,
         relative to max(m, n) sigma_1, may exceed the one a psd_eigh of |A|
         takes, relative to n sigma_1.
         """
