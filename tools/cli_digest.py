@@ -11,7 +11,8 @@ atomic function at d = 16; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
 here with numpy, ``pinv`` and ``polar`` with ``--matrix-out`` on a
 square, a tall and a wide input.  ``codim``
 also runs once on each of the inputs in ``CODIM_EDGES``, which it refuses
-but for the zero matrix, read as a projector of rank 0.  Each run
+but for the zero matrix, read as a projector of rank 0, and ``stratify``
+on each pair of ``STRATIFY_EDGES``, whose shapes differ.  Each run
 prints one line: the argv, the exit code and the first 16 hex digits of
 the sha256 of its stdout, of its stderr and, where it writes one, of its
 matrix file.
@@ -47,6 +48,12 @@ CODIM_EDGES = {
     "huge-upper": 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]),
     "huge-sym": 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]),
     "zero4": np.zeros((4, 4)),
+}
+# stratify's mismatched operands: a 4x4 A against a 3x3 and a 4x5 B
+STRATIFY_EDGES = {
+    "a4": np.diag([3.0, 2.0, 1.0, 0.0]),
+    "b3": np.eye(3),
+    "b45": np.ones((4, 5)),
 }
 
 
@@ -106,6 +113,8 @@ def runs():
         yield ["codim", "--p", f"p{seed}.json", "--q", f"q{seed}.json", "--json"]
     for name in CODIM_EDGES:
         yield ["codim", "--p", f"codim-{name}.json", "--q", f"codim-{name}.json", "--json"]
+    for name in ("b3", "b45"):
+        yield ["stratify", "--a", "stratify-a4.json", "--b", f"stratify-{name}.json", "--json"]
 
 
 def sha(text: str) -> str:
@@ -133,8 +142,9 @@ def main(argv):
         tmp = Path(tmp)
         for seed in SEEDS:
             input_files(tmp, seed)
-        for name, x in CODIM_EDGES.items():
-            write_matrix(tmp / f"codim-{name}.json", x)
+        for prefix, edges in (("codim", CODIM_EDGES), ("stratify", STRATIFY_EDGES)):
+            for name, x in edges.items():
+                write_matrix(tmp / f"{prefix}-{name}.json", x)
         (tmp / "atoms.json").write_text(json.dumps(ATOMS))
         cwd = os.getcwd()
         os.chdir(tmp)       # file arguments are relative, so no path shows in output
