@@ -33,11 +33,11 @@ from .matcore import (
     TAYLOR_RATIO_SLACK,
     TAYLOR_ROUNDOFF_REL,
     GaugeNorm,
-    _read_json,
     gauge_norm,
     load_matrix,
     matrix_to_json,
     psd_eigh,
+    read_json,
     save_matrix,
     svd,
 )
@@ -170,7 +170,7 @@ def _load_function(name: str) -> monotone.MonotoneFunction:
     if name == "sqrt":
         return monotone.make_sqrt()
     if name.startswith("atomic:"):
-        return monotone.monotone_from_json(_read_json(name[len("atomic:"):]))
+        return monotone.monotone_from_json(read_json(name[len("atomic:"):]))
     raise PreconditionError(f"unknown function {name!r}")
 
 

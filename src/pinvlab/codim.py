@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConsistencyError, ConvergenceError, GapTooLargeError, PreconditionError
 from .matcore import (FROBENIUS_NORM, INTERSECTION_COS, PROJECTOR_REL,
                       PROJECTOR_SPECTRUM, RANK_REL, PsdEig, as_matrix, eigh,
-                      gauge_norm, idempotent_checked)
+                      gauge_norm, idempotent_checked, same_shape)
 
 
 def projector_eig(m) -> PsdEig:
@@ -88,8 +88,7 @@ def essential_codimension(p: PsdEig, q: PsdEig) -> int:
     cross-checked against rank(P) - rank(Q); a disagreement raises
     ConsistencyError.
     """
-    if p.matrix.shape != q.matrix.shape:
-        raise PreconditionError("projections must act on the same space")
+    same_shape(p, q)
     by_angles = (intersection_dim(q.null_basis, p.range_basis)
                  - intersection_dim(q.range_basis, p.null_basis))
     by_rank = p.rank - q.rank

@@ -3,7 +3,8 @@
 Factorizations, numerical rank, subspace bases and symmetric gauge
 norms (operator, Schatten-p, Ky Fan-k).  Everything downstream builds on
 the routines here.  Matrices are plain complex ``numpy`` arrays; helpers
-validate shape and finiteness at the boundaries.
+validate shape and finiteness at the boundaries, and ``same_shape`` that
+the operands of a function share one shape.
 
 The tolerances of every check and decision are the named constants
 below.  Each factorization has one value type, whose layout only this
@@ -77,6 +78,17 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def same_shape(*mats) -> tuple:
+    """The shape that the operands ``mats`` share, each validated by
+    ``as_matrix``; PreconditionError unless they share one.  The operands
+    are not rebound, so a factorization passed in is still one."""
+    shapes = dict.fromkeys(as_matrix(m).shape for m in mats)
+    if len(shapes) > 1:
+        got = " and ".join(map(str, shapes))
+        raise PreconditionError(f"operands must share one shape, got {got}")
+    return next(iter(shapes))
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange: {"rows": m, "cols": n, "data": [[re, im], ...]} row-major.
 
@@ -122,10 +134,10 @@ def save_matrix(a, path):
 
 
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_json(_read_json(path))
+    return matrix_from_json(read_json(path))
 
 
-def _read_json(path):
+def read_json(path):
     """The JSON value in a file, or PreconditionError if it is not parseable UTF-8 JSON."""
     try:
         with open(path, encoding="utf-8") as fh:

@@ -50,10 +50,10 @@ from .matcore import (
     GaugeNorm,
     OP_NORM,
     PsdEig,
-    as_matrix,
     gauge_norm,
     hermitian_checked,
     psd_eigh,
+    same_shape,
     tridiagonalize,
 )
 from .pinv import BoundReport
@@ -431,10 +431,8 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
     """
     if n < 1:
         raise PreconditionError("term order must be >= 1")
-    delta = as_matrix(delta)
-    if as_matrix(c).shape != delta.shape:
-        raise PreconditionError("C and Delta must have the same shape")
-    hermitian_checked(delta, "Delta")
+    same_shape(c, delta)
+    delta = hermitian_checked(delta, "Delta")
     eig = _pd_eigh(c)
     q, w = eig.Q, eig.w
     x = q.conj().T @ delta @ q
@@ -466,6 +464,7 @@ def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
     """
     if n < 1:
         raise PreconditionError("term order must be >= 1")
+    same_shape(c, delta)
     gamma = float(_pd_eigh(c).w[0])
     dist = gauge_norm(delta, g)
     if dist >= gamma:
@@ -484,8 +483,7 @@ def perturbation_bound(f: MonotoneFunction, c, d,
 
     C and D are matrices or their psd_eighs.
     """
-    if as_matrix(c).shape != as_matrix(d).shape:
-        raise PreconditionError("C and D must have the same shape")
+    same_shape(c, d)
     ec, ed = _pd_eigh(c), _pd_eigh(d)
     gamma_c, gamma_d = float(ec.w[0]), float(ed.w[0])
     dist = gauge_norm(ed.matrix - ec.matrix, g)
@@ -545,6 +543,7 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
         raise PreconditionError(
             f"{n_cells} cells at p = {p}, t_max = {t_max} exceed "
             f"the cap of {RIEMANN_MAX_CELLS}")
+    same_shape(c, d)
     ec, ed = _pd_eigh(c), _pd_eigh(d)
     qc, wc, qd, wd = ec.Q, ec.w, ed.Q, ed.w
     gamma_c, gamma_d = float(wc[0]), float(wd[0])
@@ -644,9 +643,8 @@ def continuity_in_stratum(f: MonotoneFunction, c, seq,
     fc = matrix_eval_spectral(f, eig_c)
     rows = []
     for n, dn in enumerate(seq):
+        same_shape(c, dn)
         eig_d = psd_eigh(dn)
-        if eig_d.matrix.shape != c.shape:
-            raise PreconditionError("C and D_n must have the same shape")
         fd = matrix_eval_spectral(f, eig_d)
         rows.append(StratumContinuityRow(n, eig_c.rank - eig_d.rank,
                                          gauge_norm(eig_d.matrix - c, g),

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .matcore import GaugeNorm, SvdResult, as_matrix, gauge_norm, svd
+from .matcore import GaugeNorm, SvdResult, gauge_norm, same_shape, svd
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,9 @@ def wedin_residual(a, b, g: GaugeNorm) -> float:
     read from the two SVDs: an SVD of a Gram matrix would cut off
     sigma_r^2 as soon as sigma_r falls below the root of the cutoff.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise PreconditionError("A and B must have the same shape")
-    ra = moore_penrose(a)
-    rb = moore_penrose(b)
+    same_shape(a, b)
+    ra, rb = moore_penrose(a), moore_penrose(b)
+    a, b = ra.matrix, rb.matrix
     ident = np.eye(a.shape[0], dtype=complex)
     ident_n = np.eye(a.shape[1], dtype=complex)
     ata_p = ra.pinv @ ra.pinv.conj().T
@@ -52,23 +49,17 @@ def wedin_residual(a, b, g: GaugeNorm) -> float:
     return gauge_norm(lhs - rhs, g)
 
 
-def _norm_bound(gamma_a: float, norm_a_pinv: float, dist: float) -> float:
-    if dist >= gamma_a:
-        return float("inf")
-    return norm_a_pinv / (1.0 - norm_a_pinv * dist)
-
-
 def same_rank_bound(a, b) -> BoundReport:
     """Norm bound for B^+ under an equal-rank perturbation within gamma(A).
 
     For a fixed shape equal nullity is equal rank, so the same hypothesis
     stated through the index of the pair of null projectors adds nothing.
     """
-    ra = moore_penrose(a)
-    rb = moore_penrose(b)
-    dist = float(np.linalg.norm(as_matrix(a) - as_matrix(b), 2))
-    met = ra.rank == rb.rank and ra.rank > 0 and dist < ra.gamma
-    bound = _norm_bound(ra.gamma, ra.pinv_norm, dist) if ra.rank > 0 else float("inf")
+    same_shape(a, b)
+    ra, rb = moore_penrose(a), moore_penrose(b)
+    dist = float(np.linalg.norm(ra.matrix - rb.matrix, 2))
+    met = ra.rank == rb.rank and dist < ra.gamma     # never for A = 0, as gamma(0) = 0
+    bound = ra.pinv_norm / (1.0 - ra.pinv_norm * dist) if dist < ra.gamma else float("inf")
     return BoundReport(met, bound, rb.pinv_norm)
 
 

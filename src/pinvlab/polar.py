@@ -42,6 +42,7 @@ from .matcore import (
     as_matrix,
     idempotent_checked,
     psd_eigh,
+    same_shape,
     svd,
 )
 
@@ -102,9 +103,7 @@ def _equal_rank_roots(c, d):
     numerical rank (sqrt of 1e-16 noise is 1e-8).
     """
     eig_c = psd_eigh(c)
-    n = len(eig_c.w)
-    if as_matrix(d).shape != (n, n):
-        raise PreconditionError("PSD matrices must be square of equal size")
+    same_shape(eig_c, d)
     eig_d = psd_eigh(d)
     if eig_c.rank != eig_d.rank:
         raise StratumError(f"no congruence across ranks: {eig_c.rank} vs {eig_d.rank}")
@@ -173,8 +172,7 @@ def _checked_pair(v0, v):
     """V0 and V as matrices of one shape, each checked to be a partial
     isometry, and their ranks."""
     v0, v = (x.matrix if isinstance(x, PartialIsometry) else as_matrix(x) for x in (v0, v))
-    if v0.shape != v.shape:
-        raise PreconditionError("partial isometries must have the same shape")
+    same_shape(v0, v)
     return v0, v, _initial_rank(v0), _initial_rank(v)
 
 
@@ -182,7 +180,8 @@ def modulus_map(b, a) -> np.ndarray:
     """B -> |B|, from the one SVD of B, whose rank |B| has by construction:
     the index relative to |A| is that of B relative to A (the tests check it).
     A only fixes the shape; it is not factorized."""
-    return strata._svd_same_shape(b, a).modulus
+    same_shape(b, a)
+    return svd(b).modulus
 
 
 def polar_factor_map(b, a) -> PartialIsometry:
@@ -193,7 +192,8 @@ def polar_factor_map(b, a) -> PartialIsometry:
     likewise for B, whose rank V_B has by construction (the tests check
     that the index relative to V_A is that of B relative to A).
     """
-    sb, sa = strata._svd_pair(b, a)
+    same_shape(b, a)
+    sb, sa = svd(b), svd(a)
     a, b = sa.matrix, sb.matrix
     va, vb = sa.polar_factor, sb.polar_factor
     mod_a_pinv = sa.pinv @ va
@@ -222,8 +222,7 @@ def fiber_membership_alpha(x, c0, a) -> bool:
     psd_eigh(C0).
     """
     eig, sa = _base_point(c0, a)
-    if as_matrix(x).shape != sa.matrix.shape:
-        raise PreconditionError("X and A must have the same shape")
+    same_shape(x, sa)
     rx = svd(x)
     scale = max(1.0, float(np.linalg.norm(eig.matrix)))
     if np.linalg.norm(rx.modulus - eig.matrix) > IDENTITY_REL * scale:
@@ -243,6 +242,7 @@ def trivialize_alpha(b, c0, a) -> ChartPoint:
     that keeps U and the psd_eigh of C0.  Inverted by trivialize_alpha_inverse.
     """
     eig, sa = _base_point(c0, a)
+    same_shape(b, sa)
     sb = svd(b)
     u = _chart_unitary(eig, sb.modulus_eig)
     fiber_elem = sb.polar_factor @ u @ eig.matrix
@@ -325,8 +325,8 @@ def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:
     """
     factor, w = _carried(factor, v0)
     v0, v, _, _ = _checked_pair(v0, factor)
+    same_shape(v0, fiber_elem)
     if w is None:
         w = _rotation(v0, v)
-    fiber_elem = as_matrix(fiber_elem)
-    core = v0.conj().T @ fiber_elem      # recovers C from V0 C on N(V0)^perp
+    core = v0.conj().T @ as_matrix(fiber_elem)   # recovers C from V0 C on N(V0)^perp
     return v @ w @ core @ w.conj().T

@@ -32,6 +32,7 @@ from .matcore import (
     GaugeNorm,
     as_matrix,
     gauge_norm,
+    same_shape,
     svd,
 )
 from .pinv import moore_penrose
@@ -68,20 +69,8 @@ def stratum_index(b, a) -> int:
 
     B and A are matrices or their SVDs.
     """
-    sb, sa = _svd_pair(b, a)
-    return sa.rank - sb.rank
-
-
-def _svd_pair(b, a):
-    """SVDs of B and A, which must have the same shape."""
-    return _svd_same_shape(b, a), svd(a)
-
-
-def _svd_same_shape(b, a):
-    """SVD of B, once B is checked to have the shape of A; A is not factorized."""
-    if as_matrix(a).shape != as_matrix(b).shape:
-        raise PreconditionError("A and B must have the same shape")
-    return svd(b)
+    same_shape(b, a)
+    return svd(a).rank - svd(b).rank
 
 
 def index_range(a) -> IndexRange:
@@ -132,17 +121,12 @@ def transitivity_witness(b1, b2) -> GroupPair:
     K = V2 V1* and G = U2 (S2 S1^+ + (I - P_r)) U1*, where P_r projects
     onto the leading r coordinates; then G B1 K^{-1} = B2 exactly.
     """
-    b1 = as_matrix(b1)
-    b2 = as_matrix(b2)
-    if b1.shape != b2.shape:
-        raise PreconditionError("B1 and B2 must have the same shape")
-    r1 = svd(b1)
-    r2 = svd(b2)
+    m = same_shape(b1, b2)[0]
+    r1, r2 = svd(b1), svd(b2)
     if r1.rank != r2.rank:
         raise StratumError(
             f"no witness exists across strata: rank {r1.rank} vs {r2.rank}"
         )
-    m = b1.shape[0]
     r = r1.rank
     scale = np.zeros((m, m), dtype=complex)
     scale[:r, :r] = np.diag(r2.singular_values[:r] / r1.singular_values[:r])
@@ -160,7 +144,8 @@ def local_section_sigma(a, b) -> GroupPair:
     invertible for B close to A in the zero stratum, and
     sigma_1 A sigma_2^{-1} = B.
     """
-    rb, ra = _svd_pair(b, a)
+    same_shape(b, a)
+    rb, ra = svd(b), svd(a)
     if stratum_index(rb, ra) != 0:
         raise StratumError("the section is only defined on the zero stratum")
     b = rb.matrix
@@ -184,7 +169,8 @@ def approximate_in_stratum(b, a, k_target: int, eps: float) -> np.ndarray:
     bumps B on an m-dimensional subspace of N(B) by a partial isometry
     into R(B)^perp scaled by eps/m, where m is the required rank jump.
     """
-    rb, ra = _svd_pair(b, a)
+    same_shape(b, a)
+    rb, ra = svd(b), svd(a)
     b = rb.matrix
     if k_target not in index_range(ra):
         raise PreconditionError(f"index {k_target} outside the admissible range")
@@ -215,7 +201,8 @@ def correct_to_stratum_zero(a, b) -> np.ndarray:
     N(B) ∩ N(A)^perp (C = A P).  rank(C) = |k| and the gauge norm of C
     is controlled by the distance from A to B.
     """
-    sb, sa = _svd_pair(b, a)
+    same_shape(b, a)
+    sb, sa = svd(b), svd(a)
     a, b = sa.matrix, sb.matrix
     k = stratum_index(sb, sa)
     if k == 0:
@@ -311,14 +298,12 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
     principal cosines at least INTERSECTION_COS.  So (iv)/(v) and (vi)
     read one block SVD, and no d x d projector difference is formed.
     """
-    shape = as_matrix(b).shape
-    seq = [as_matrix(s) for s in seq]
+    seq = list(seq)
     if not seq:
         raise PreconditionError("sequence must be nonempty")
     if not 0 <= n0 < len(seq):
         raise PreconditionError("n0 must index into the sequence")
-    if any(bn.shape != shape for bn in seq):
-        raise PreconditionError("sequence terms must have the shape of B")
+    same_shape(b, *seq)
     rb = moore_penrose(b)
     norm_b_pinv = rb.pinv_norm
     norm_b = float(rb.singular_values[0])
@@ -340,7 +325,7 @@ def continuity_report(b, seq, n0: int, g: GaugeNorm) -> ContinuityReport:
     # (iii): under a bounded tail the pseudoinverse gap is dominated by a
     # constant multiple of the input gap; divergent families violate this
     # by orders of magnitude.
-    last_input_gap = gauge_norm(seq[-1] - rb.matrix, g)
+    last_input_gap = gauge_norm(rn.matrix - rb.matrix, g)
     iii_threshold = (
         (norm_last * norm_b
          + (BOUNDEDNESS_FACTOR * norm_b_pinv) ** 2 + norm_b_pinv**2)
@@ -371,7 +356,8 @@ def mp_map(b, a) -> np.ndarray:
     """B -> B^+, from the one SVD of B, whose rank B^+ has by construction:
     the index relative to A^+ is that of B relative to A (the tests check it).
     A only fixes the shape; it is not factorized."""
-    return _svd_same_shape(b, a).pinv
+    same_shape(b, a)
+    return svd(b).pinv
 
 
 def tangent_membership(b, z, return_witness: bool = False):
@@ -396,11 +382,8 @@ def _tangent(b, z):
     The block vanishes when it is at most IDENTITY_REL ||Z||_F, with no
     absolute floor: the answer is the same for (sB, sZ) at every s > 0.
     """
-    b = as_matrix(b)
-    z = as_matrix(z)
-    if b.shape != z.shape:
-        raise PreconditionError("B and Z must have the same shape")
-    rb = svd(b)
+    same_shape(b, z)
+    rb, z = svd(b), as_matrix(z)
     corner = (np.eye(z.shape[0]) - rb.range_proj) @ z @ rb.null_proj
     return rb, z, float(np.linalg.norm(corner)) <= IDENTITY_REL * float(np.linalg.norm(z))
 
