@@ -105,7 +105,8 @@ def cmd_codim(args) -> int:
 
 
 def cmd_stratify(args) -> int:
-    a = load_matrix(args.a)
+    # one SVD of A gives its rank for the index and the range of indices
+    a = svd(load_matrix(args.a))
     b = load_matrix(args.b)
     k = strata.stratum_index(b, a)
     rng_ = strata.index_range(a)

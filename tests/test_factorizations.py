@@ -283,6 +283,16 @@ def test_cmd_codim_counts(count, tmp_path):
     assert count(lambda: _cli("codim", "--p", paths[0], "--q", paths[1])) == {"eigh": 2, "svd": 2}
 
 
+def test_cmd_stratify_counts(count, inputs, tmp_path):
+    a, b, _ = inputs
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    save_matrix(a, paths[0])
+    save_matrix(b, paths[1])
+    # one SVD of each matrix: A's gives its rank for the index and the
+    # range of indices (was 3, with a second SVD of A for the range)
+    assert count(lambda: _cli("stratify", "--a", paths[0], "--b", paths[1])) == {"svd": 2}
+
+
 def test_cmd_fiber_counts(count):
     # both base points come from one SVD of A per run, which also gives
     # C0 = |A| as a psd_eigh, and both charts share one polar decomposition
