@@ -287,6 +287,8 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
     modulus, u = _carried(modulus, eig)
     eig_mod = psd_eigh(modulus)
     fiber_elem = as_matrix(fiber_elem)
+    if fiber_elem.shape[1] != len(eig.w):
+        raise PreconditionError("the fiber element must have n columns for an n x n C0")
     if u is None:
         u = _chart_unitary(eig, eig_mod)
     v = fiber_elem @ eig.pinv()

@@ -109,9 +109,13 @@ def stratum_representative(a, k: int) -> np.ndarray:
 
 
 def act(gk: GroupPair, b) -> np.ndarray:
-    """Apply (G, K) . B = G B K^{-1}; preserves the stratum of B."""
+    """Apply (G, K) . B = G B K^{-1}, for m x m G and n x n K; preserves
+    the stratum of the m x n B."""
     gk.validate()
-    return gk.G @ as_matrix(b) @ np.linalg.inv(gk.K)
+    b = as_matrix(b)
+    if (len(gk.G), len(gk.K)) != b.shape:
+        raise PreconditionError("G must be m x m and K n x n for an m x n B")
+    return gk.G @ b @ np.linalg.inv(gk.K)
 
 
 def transitivity_witness(b1, b2) -> GroupPair:

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pinvlab
-from pinvlab import generate, monotone, polar
+from pinvlab import codim, generate, monotone, pinv, polar, strata
 from pinvlab.errors import PreconditionError, StratumError
 from pinvlab.matcore import (
     FROBENIUS_NORM,
@@ -29,6 +29,7 @@ from pinvlab.matcore import (
     matrix_from_json,
     matrix_to_json,
     psd_eigh,
+    same_shape,
     save_matrix,
     svd,
     tridiagonalize,
@@ -432,3 +433,57 @@ def test_rank_cutoff_boundary(factor):
     spec = monotone.matrix_eval_spectral(f, c)
     intg = monotone.matrix_eval_integral(f, c)
     assert np.linalg.norm(spec - intg) <= 1e-9 * (1 + np.linalg.norm(spec))
+
+
+# Every public entry point that takes several operands, called with a 3x3
+# and a 4x4 one, or for act and trivialize_alpha_inverse with a derived
+# shape that does not fit: each operand is valid on its own.
+_D3, _D4 = np.diag([2.0, 1.0, 0.0]), np.diag([3.0, 2.0, 1.0, 0.0])
+_I3, _I4 = np.eye(3), np.eye(4)
+_SQRT = monotone.make_sqrt()
+MISMATCHED = {
+    "same_shape": lambda: same_shape(_D4, _D4, _D3),
+    "wedin_residual": lambda: pinv.wedin_residual(_D4, _D3, OP_NORM),
+    "same_rank_bound": lambda: pinv.same_rank_bound(_D4, _D3),
+    "essential_codimension": lambda: codim.essential_codimension(
+        codim.projector_eig(_I4), codim.projector_eig(_I3)),
+    "direct_rotation": lambda: codim.direct_rotation(_I4, _I3),
+    "stratum_index": lambda: strata.stratum_index(_D3, _D4),
+    "act-G": lambda: strata.act(strata.GroupPair(_I3, _I4), _D4),
+    "act-K": lambda: strata.act(strata.GroupPair(_I4, _I3), _D4),
+    "transitivity_witness": lambda: strata.transitivity_witness(_D4, _D3),
+    "local_section_sigma": lambda: strata.local_section_sigma(_D4, _D3),
+    "approximate_in_stratum": lambda: strata.approximate_in_stratum(_D3, _D4, 0, 0.1),
+    "correct_to_stratum_zero": lambda: strata.correct_to_stratum_zero(_D4, _D3),
+    "continuity_report": lambda: strata.continuity_report(_D4, [_D4, _D3], 0, OP_NORM),
+    "mp_map": lambda: strata.mp_map(_D3, _D4),
+    "tangent_membership": lambda: strata.tangent_membership(_D4, _D3),
+    "mp_tangent": lambda: strata.mp_tangent(_D4, _D3),
+    "taylor_term": lambda: monotone.taylor_term(_SQRT, _I4, _D3, 1),
+    "taylor_remainder_bound": lambda: monotone.taylor_remainder_bound(
+        _SQRT, 2 * _I4, 0.1 * _I3, 1),
+    "perturbation_bound": lambda: monotone.perturbation_bound(_SQRT, _I4, _I3),
+    "riemann_sum": lambda: monotone.riemann_sum(_SQRT, _I4, _I3, 2, 64.0),
+    "riemann_decay_slope": lambda: monotone.riemann_decay_slope(
+        _SQRT, _I4, _I3, [1, 2], 64.0),
+    "continuity_in_stratum": lambda: monotone.continuity_in_stratum(_SQRT, _I4, [_I4, _I3]),
+    "congruence_witness": lambda: polar.congruence_witness(_D4, _D3),
+    "positive_section": lambda: polar.positive_section(_D4, _D3),
+    "isometry_orbit_witness": lambda: polar.isometry_orbit_witness(_I4, _I3),
+    "modulus_map": lambda: polar.modulus_map(_D3, _D4),
+    "polar_factor_map": lambda: polar.polar_factor_map(_D3, _D4),
+    "fiber_membership_alpha": lambda: polar.fiber_membership_alpha(_D3, _D4, _D4),
+    "trivialize_alpha": lambda: polar.trivialize_alpha(_D3, _D4, _D4),
+    "trivialize_alpha_inverse": lambda: polar.trivialize_alpha_inverse(_D3, _D4, _D4),
+    "trivialize_alpha_inverse-fiber": lambda: polar.trivialize_alpha_inverse(
+        _D4, _D4[:, :3], _D4),
+    "trivialize_v": lambda: polar.trivialize_v(_D3, _I4),
+    "trivialize_v_inverse": lambda: polar.trivialize_v_inverse(_I4, _D3, _I4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED))
+def test_mismatched_operand_shapes_raise_precondition_error(name):
+    # PreconditionError and no other exception, such as numpy's ValueError
+    with pytest.raises(PreconditionError):
+        MISMATCHED[name]()
