@@ -471,9 +471,10 @@ def operands(inputs, positive, semidefinite):
     c_psd, b_psd = semidefinite
     c0 = polar.polar_decompose(a).modulus
     _, fib = polar.trivialize_alpha(b, c0, a)
+    x, y = generate.tangent_pair(generate.rng_from_seed(1), D, D)
     return dict(a=a, b=b, c=c, delta=delta, c_psd=c_psd, b_psd=b_psd, c0=c0,
                 mod=polar.modulus_map(b, a), fib=fib, v0=polar.polar_decompose(a).polar_factor,
-                f=monotone.make_sqrt())
+                tan=x @ b - b @ y, f=monotone.make_sqrt())
 
 
 # name -> (function, its arguments from the operands, the factorization
@@ -504,6 +505,22 @@ PASS_THROUGH = {
                                lambda o: (o["fib"], o["c0"], o["a"]),
                                {0: "svd", 1: "eigh", 2: "svd"}),
     "trivialize_v": (polar.trivialize_v, lambda o: (o["b"], o["v0"]), {0: "svd"}),
+    "wedin_residual": (pinv.wedin_residual, lambda o: (o["a"], o["b"], OP_NORM),
+                       {0: "svd", 1: "svd"}),
+    "same_rank_bound": (pinv.same_rank_bound, lambda o: (o["a"], o["b"]),
+                        {0: "svd", 1: "svd"}),
+    "transitivity_witness": (strata.transitivity_witness, lambda o: (o["a"], o["b"]),
+                             {0: "svd", 1: "svd"}),
+    "local_section_sigma": (strata.local_section_sigma, lambda o: (o["a"], o["b"]),
+                            {0: "svd", 1: "svd"}),
+    "tangent_membership": (strata.tangent_membership, lambda o: (o["b"], o["tan"], True),
+                           {0: "svd"}),
+    "mp_tangent": (strata.mp_tangent, lambda o: (o["b"], o["tan"]), {0: "svd"}),
+    # A only fixes the shape of B^+, |B| and V_B, so only B is factorized
+    "mp_map": (strata.mp_map, lambda o: (o["b"], o["a"]), {0: "svd"}),
+    "modulus_map": (polar.modulus_map, lambda o: (o["b"], o["a"]), {0: "svd"}),
+    "polar_factor_map": (polar.polar_factor_map, lambda o: (o["b"], o["a"]),
+                         {0: "svd", 1: "svd"}),
 }
 
 
@@ -511,6 +528,8 @@ def _bits(x):
     """x as comparable bytes, through tuples and the package's result types."""
     if isinstance(x, (tuple, list, polar.ChartPoint)):
         return tuple(_bits(y) for y in x)
+    if isinstance(x, strata.GroupPair):
+        return _bits((x.G, x.K))
     if isinstance(x, PsdEig):
         return _bits((x.Q, x.w, x.matrix))
     if isinstance(x, SvdResult):
@@ -559,6 +578,7 @@ def test_factorizations_pass_through_unchanged(inputs):
     (codim, "subspace_index"), (codim, "_subspace_index"),
     (codim, "conjugating_unitary"), (codim, "basis_matching_unitary"),
     (codim, "Projector"), (matcore, "ISOMETRY_REL"), (pinv, "pinv_matrix"),
-    (polar, "PolarParts"), (polar, "_polar_factor")])
+    (polar, "PolarParts"), (polar, "_polar_factor"), (strata, "_svd_pair"),
+    (strata, "_svd_same_shape"), (matcore, "_read_json")])
 def test_twin_entry_points_are_gone(module, name):
     assert not hasattr(module, name)
