@@ -266,10 +266,10 @@ def _singular_values(a) -> np.ndarray:
 class SvdResult:
     """Full SVD of A with its numerical rank r: the pseudoinverse report.
 
-    The four fundamental subspaces of A, A^+, gamma(A) and the range/null
-    projectors are read off the factors; no further factorization is
-    needed.  A^+ and the projectors are built on first read and kept.
-    ``matrix`` is A itself, as validated by ``as_matrix``.
+    The four fundamental subspaces of A, as orthonormal bases, A^+ and
+    gamma(A) are read off the factors; no further factorization is needed.
+    A^+ is built on first read and kept, a projector never: callers apply
+    the bases.  ``matrix`` is A itself, as validated by ``as_matrix``.
     """
 
     U: np.ndarray        # rows x rows, unitary
@@ -314,18 +314,6 @@ class SvdResult:
     def pinv_norm(self) -> float:
         """||A^+|| = 1/gamma(A); 0 for the zero matrix."""
         return 1.0 / self.gamma if self.rank else 0.0
-
-    @cached_property
-    def range_proj(self) -> np.ndarray:
-        """Projector onto R(A)."""
-        u_r = self.range_basis
-        return u_r @ u_r.conj().T
-
-    @cached_property
-    def null_proj(self) -> np.ndarray:
-        """Projector onto N(A)."""
-        v_r = self.row_basis
-        return np.eye(v_r.shape[0], dtype=complex) - v_r @ v_r.conj().T
 
     @property
     def polar_factor(self) -> np.ndarray:

@@ -122,8 +122,8 @@ def transitivity_witness(b1, b2) -> GroupPair:
     """Explicit (G, K) with G B1 K^{-1} = B2 for equal-rank B1, B2.
 
     From SVDs B1 = U1 S1 V1*, B2 = U2 S2 V2* with common rank r:
-    K = V2 V1* and G = U2 (S2 S1^+ + (I - P_r)) U1*, where P_r projects
-    onto the leading r coordinates; then G B1 K^{-1} = B2 exactly.
+    K = V2 V1* and G = (U2 d) U1*, with d = s2/s1 on the leading r
+    coordinates and 1 beyond them; then G B1 K^{-1} = B2 exactly.
     """
     m = same_shape(b1, b2)[0]
     r1, r2 = svd(b1), svd(b2)
@@ -132,10 +132,9 @@ def transitivity_witness(b1, b2) -> GroupPair:
             f"no witness exists across strata: rank {r1.rank} vs {r2.rank}"
         )
     r = r1.rank
-    scale = np.zeros((m, m), dtype=complex)
-    scale[:r, :r] = np.diag(r2.singular_values[:r] / r1.singular_values[:r])
-    scale[r:, r:] = np.eye(m - r)
-    g = r2.U @ scale @ r1.U.conj().T
+    d = np.ones(m)
+    d[:r] = r2.singular_values[:r] / r1.singular_values[:r]
+    g = (r2.U * d) @ r1.U.conj().T
     k = r2.Vt.conj().T @ r1.Vt
     return GroupPair(g, k).validate()
 
@@ -152,17 +151,19 @@ def local_section_sigma(a, b) -> GroupPair:
     rb, ra = svd(b), svd(a)
     if stratum_index(rb, ra) != 0:
         raise StratumError("the section is only defined on the zero stratum")
-    b = rb.matrix
-    ident_m = np.eye(b.shape[0], dtype=complex)
-    ident_n = np.eye(b.shape[1], dtype=complex)
-    s1 = b @ ra.pinv + (ident_m - rb.range_proj) @ (ident_m - ra.range_proj)
-    s2 = rb.null_proj @ ra.null_proj + (ident_n - rb.null_proj) @ (ident_n - ra.null_proj)
+    s1 = rb.matrix @ ra.pinv + _proj_product(rb.corange_basis, ra.corange_basis)
+    s2 = _proj_product(rb.null_basis, ra.null_basis) + _proj_product(rb.row_basis, ra.row_basis)
     for name, m in (("first", s1), ("second", s2)):
         if svd(m).rank < len(m):
             raise OutsideNeighborhoodError(
                 f"{name} section component singular; B too far from A"
             )
     return GroupPair(s1, s2)
+
+
+def _proj_product(x, y) -> np.ndarray:
+    """P_X P_Y = X (X* Y) Y* for orthonormal column blocks x, y."""
+    return x @ (x.conj().T @ y) @ y.conj().T
 
 
 def approximate_in_stratum(b, a, k_target: int, eps: float) -> np.ndarray:
@@ -374,8 +375,8 @@ def tangent_membership(b, z, return_witness: bool = False):
     rb, z, ok = _tangent(b, z)
     if not return_witness:
         return ok
-    ident_m = np.eye(z.shape[0], dtype=complex)
-    x = (ident_m - rb.range_proj) @ z @ rb.pinv
+    u_c = rb.corange_basis
+    x = u_c @ (u_c.conj().T @ z @ rb.pinv)
     y = -rb.pinv @ z
     return ok, (x, y)
 
@@ -383,12 +384,12 @@ def tangent_membership(b, z, return_witness: bool = False):
 def _tangent(b, z):
     """svd(B), Z, and whether the corner block (I - P_R(B)) Z P_N(B) vanishes.
 
-    The block vanishes when it is at most IDENTITY_REL ||Z||_F, with no
-    absolute floor: the answer is the same for (sB, sZ) at every s > 0.
+    Read as U_c* Z V_n (bases of R(B)^perp and N(B)), it vanishes at norm
+    <= IDENTITY_REL ||Z||_F, with no absolute floor: alike for (sB, sZ), s > 0.
     """
     same_shape(b, z)
     rb, z = svd(b), as_matrix(z)
-    corner = (np.eye(z.shape[0]) - rb.range_proj) @ z @ rb.null_proj
+    corner = rb.corange_basis.conj().T @ z @ rb.null_basis
     return rb, z, float(np.linalg.norm(corner)) <= IDENTITY_REL * float(np.linalg.norm(z))
 
 
@@ -396,15 +397,16 @@ def mp_tangent(b, v) -> np.ndarray:
     """Derivative of the pseudoinverse map at B in the tangent direction V.
 
     -B^+ V B^+ + (B*B)^+ V* (I - B B^+) + (I - B^+ B) V* (B B*)^+, with
-    (B*B)^+ = B^+ B^+* and (BB*)^+ = B^+* B^+ read from the one SVD of B,
-    which also checks that V is tangent (PreconditionError otherwise).
+    (B*B)^+ = B^+ B^+*, (BB*)^+ = B^+* B^+, I - BB^+ = U_c U_c* and
+    I - B^+B = V_n V_n* read from the one SVD of B, which also checks that
+    V is tangent (PreconditionError otherwise).
     """
     rb, v, tangent = _tangent(b, v)
     if not tangent:
         raise PreconditionError("V is not tangent at B (corner block nonzero)")
-    b_pinv = rb.pinv
+    b_pinv, u_c, v_n = rb.pinv, rb.corange_basis, rb.null_basis
     return (
         -b_pinv @ v @ b_pinv
-        + b_pinv @ b_pinv.conj().T @ v.conj().T @ (np.eye(v.shape[0]) - rb.range_proj)
-        + rb.null_proj @ v.conj().T @ b_pinv.conj().T @ b_pinv
+        + b_pinv @ b_pinv.conj().T @ v.conj().T @ u_c @ u_c.conj().T
+        + v_n @ (v_n.conj().T @ v.conj().T @ b_pinv.conj().T @ b_pinv)
     )

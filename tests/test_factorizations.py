@@ -579,6 +579,7 @@ def test_factorizations_pass_through_unchanged(inputs):
     (codim, "conjugating_unitary"), (codim, "basis_matching_unitary"),
     (codim, "Projector"), (matcore, "ISOMETRY_REL"), (pinv, "pinv_matrix"),
     (polar, "PolarParts"), (polar, "_polar_factor"), (strata, "_svd_pair"),
-    (strata, "_svd_same_shape"), (matcore, "_read_json")])
+    (strata, "_svd_same_shape"), (matcore, "_read_json"),
+    (matcore.SvdResult, "range_proj"), (matcore.SvdResult, "null_proj")])
 def test_twin_entry_points_are_gone(module, name):
     assert not hasattr(module, name)

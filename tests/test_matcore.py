@@ -390,8 +390,10 @@ def test_svd_result_pseudoinverse_fields(rng, r):
     s = np.linalg.svd(a, compute_uv=False)
     assert res.gamma == (s[r - 1] if r else 0.0)
     assert res.pinv_norm == (1.0 / s[r - 1] if r else 0.0)
-    assert np.linalg.norm(res.range_proj - a @ a_pinv) < 1e-10
-    assert np.linalg.norm(res.null_proj - (np.eye(4) - a_pinv @ a)) < 1e-10
+    # the projectors, built here from the bases
+    u_r, v_n = res.range_basis, res.null_basis
+    assert np.linalg.norm(u_r @ u_r.conj().T - a @ a_pinv) < 1e-10
+    assert np.linalg.norm(v_n @ v_n.conj().T - (np.eye(4) - a_pinv @ a)) < 1e-10
 
 
 @pytest.mark.parametrize("r", [0, 3])

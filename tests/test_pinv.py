@@ -40,15 +40,18 @@ def test_zero_matrix():
     assert res.rank == 0
     assert res.gamma == 0.0
     assert np.array_equal(res.pinv, np.zeros((2, 3)))
-    assert np.linalg.norm(res.range_proj) == 0.0
-    assert np.linalg.norm(res.null_proj - np.eye(2)) == 0.0
+    u_r, v_n = res.range_basis, res.null_basis
+    assert np.linalg.norm(u_r @ u_r.conj().T) == 0.0
+    assert np.linalg.norm(v_n @ v_n.conj().T - np.eye(2)) == 0.0
 
 
 @given(seeds)
 def test_projectors(seed):
     a = generate.fixed_rank(np.random.default_rng(seed), 5, 4, 2)
     res = moore_penrose(a)
-    p, q = res.range_proj, res.null_proj
+    # the range and null projectors, built from the bases
+    u_r, v_n = res.range_basis, res.null_basis
+    p, q = u_r @ u_r.conj().T, v_n @ v_n.conj().T
     assert np.linalg.norm(p @ p - p) < 1e-10
     assert np.linalg.norm(q @ q - q) < 1e-10
     assert np.linalg.norm(p @ a - a) < 1e-9

@@ -219,8 +219,8 @@ def test_chart_unitary_carries_range_projector(seed, shape):
     b = generate.rank_preserving_perturbation(rng, a, 0.05)
     u = polar._chart_unitary(polar.polar_decompose(a).modulus, polar.polar_decompose(b).modulus)
     assert np.linalg.norm(u @ u.conj().T - np.eye(n)) < 1e-12
-    p_c0 = np.eye(n) - svd(a).null_proj
-    p_b = np.eye(n) - svd(b).null_proj
+    v_a, v_b = svd(a).row_basis, svd(b).row_basis
+    p_c0, p_b = v_a @ v_a.conj().T, v_b @ v_b.conj().T
     assert np.linalg.norm(u @ p_c0 @ u.conj().T - p_b) < 1e-10
 
 

@@ -9,7 +9,7 @@ from pinvlab.errors import (
     PreconditionError,
     StratumError,
 )
-from pinvlab.matcore import OP_NORM, GaugeNorm, gauge_norm, svd
+from pinvlab.matcore import IDENTITY_REL, OP_NORM, GaugeNorm, gauge_norm, svd
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -214,7 +214,8 @@ def test_continuity_report_null_gaps_match_the_projector_difference(
     bn = _truncated(b + t * generate.ginibre(rng, *shape), rank_n)
     rb, rn = svd(b), svd(bn)
     assert (rb.rank, rn.rank) == (rank_b, rank_n)
-    gaps = np.linalg.svd(rn.null_proj - rb.null_proj, compute_uv=False)
+    vn, vb = rn.null_basis, rb.null_basis
+    gaps = np.linalg.svd(vn @ vn.conj().T - vb @ vb.conj().T, compute_uv=False)
     dim = codim.intersection_dim(rb.null_basis, rn.row_basis)
     assert dim == codim.intersection_basis(rb.null_basis, rn.row_basis).shape[1]
     for spec in CS_GAUGES:
@@ -288,6 +289,49 @@ def test_tangent_membership_is_scale_equivariant(seed, m, n, r):
     for s in (1e-12, 1e-6, 1.0, 1e6, 1e12):
         assert not strata.tangent_membership(s * b, s * corner)
         assert strata.tangent_membership(s * b, s * tangent)
+
+
+# (m, n, r): square, tall and wide, each at rank 0, an inner rank and full rank
+BASIS_CASES = [(m, n, r) for m, n in ((4, 4), (6, 4), (4, 6)) for r in (0, 2, min(m, n))]
+
+
+@pytest.mark.parametrize("m, n, r", BASIS_CASES)
+@given(seeds)
+def test_basis_formulas_match_the_projector_formulas(m, n, r, seed):
+    # the section, the tangent witness, mp_tangent and the tangent test
+    # apply the SVD bases; the oracle is each formula written with d x d
+    # projectors P_R = U_r U_r* and P_N = I - V_r V_r*.  The inputs are of
+    # unit scale, so a residual below 1e-12 max(1, ||oracle||) is relative.
+    rng = np.random.default_rng(seed)
+    a = generate.fixed_rank(rng, m, n, r)
+    b = generate.rank_preserving_perturbation(rng, a, 0.05)
+    ra, rb = svd(a), svd(b)
+    i_m, i_n = np.eye(m), np.eye(n)
+
+    def projectors(res):
+        u_r, v_r = res.range_basis, res.row_basis
+        return u_r @ u_r.conj().T, i_n - v_r @ v_r.conj().T
+
+    (pa_r, pa_n), (pb_r, pb_n) = projectors(ra), projectors(rb)
+
+    def close(got, oracle):
+        assert np.linalg.norm(got - oracle) <= 1e-12 * max(1.0, np.linalg.norm(oracle))
+
+    sigma = strata.local_section_sigma(a, b)
+    close(sigma.G, b @ ra.pinv + (i_m - pb_r) @ (i_m - pa_r))
+    close(sigma.K, pb_n @ pa_n + (i_n - pb_n) @ (i_n - pa_n))
+    x, y = generate.tangent_pair(rng, m, n)
+    v = x @ b - b @ y
+    b_pinv = rb.pinv
+    close(strata.mp_tangent(b, v),
+          -b_pinv @ v @ b_pinv + b_pinv @ b_pinv.conj().T @ v.conj().T @ (i_m - pb_r)
+          + pb_n @ v.conj().T @ b_pinv.conj().T @ b_pinv)
+    corner = rb.corange_basis @ generate.ginibre(rng, m - r, n - r) @ rb.null_basis.conj().T
+    for z in (v, corner, v + 1e-3 * corner, generate.ginibre(rng, m, n)):
+        ok, (xw, _) = strata.tangent_membership(b, z, return_witness=True)
+        close(xw, (i_m - pb_r) @ z @ b_pinv)
+        oracle = np.linalg.norm((i_m - pb_r) @ z @ pb_n) <= IDENTITY_REL * np.linalg.norm(z)
+        assert ok == oracle
 
 
 def _expm(m, order=24):
