@@ -6,7 +6,8 @@
 Imports ``pinvlab`` from ``<src-dir>`` and runs the CLI in-process, at
 seeds 0-4, over: ``continuity`` and ``census`` at d = 8, 32, 64 with the
 gauges op, s2 and kyfan:2; ``taylor`` of sqrt at d = 4, 16 and of an
-atomic function at d = 16; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
+atomic function at d = 16, and once on each function file of
+``BAD_ATOMS``, whose alpha or beta is not finite; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
 ``pinv``, ``polar``, ``stratify`` and ``codim`` on matrix files drawn
 here with numpy, ``pinv`` and ``polar`` with ``--matrix-out`` on a
 square, a tall and a wide input.  ``codim``
@@ -38,6 +39,10 @@ import numpy as np  # noqa: E402
 SEEDS = range(5)
 GAUGES = ("op", "s2", "kyfan:2")
 ATOMS = {"alpha": 0.25, "beta": 0.5, "atoms": [[0.5, 0.4], [3.0, 1.0], [20.0, 2.5]]}
+# taylor's non-finite representation data, written as the NaN and Infinity
+# literals that Python's json reads
+BAD_ATOMS = {"nan-alpha": {**ATOMS, "alpha": float("nan")},
+             "inf-beta": {**ATOMS, "beta": float("inf")}}
 MATRIX_OUT = "matrix-out.json"
 # codim's edge inputs: rectangular, not idempotent, idempotent but not
 # Hermitian, two whose P^2 overflows unscaled, and the zero projector
@@ -115,6 +120,8 @@ def runs():
         yield ["codim", "--p", f"codim-{name}.json", "--q", f"codim-{name}.json", "--json"]
     for name in ("b3", "b45"):
         yield ["stratify", "--a", "stratify-a4.json", "--b", f"stratify-{name}.json", "--json"]
+    for name in BAD_ATOMS:
+        yield ["taylor", "--seed", 0, "--dim", 4, "--function", f"atomic:atoms-{name}.json"]
 
 
 def sha(text: str) -> str:
@@ -146,6 +153,8 @@ def main(argv):
             for name, x in edges.items():
                 write_matrix(tmp / f"{prefix}-{name}.json", x)
         (tmp / "atoms.json").write_text(json.dumps(ATOMS))
+        for name, atoms in BAD_ATOMS.items():
+            (tmp / f"atoms-{name}.json").write_text(json.dumps(atoms))
         cwd = os.getcwd()
         os.chdir(tmp)       # file arguments are relative, so no path shows in output
         try:
