@@ -243,7 +243,10 @@ def make_sqrt() -> MonotoneFunction:
 
 def make_atomic(alpha: float, beta: float, atoms) -> MonotoneFunction:
     """Pick function with a finite atomic measure sum(w_i * delta_{t_i}):
-    atoms lists (t, w) pairs of real numbers, with finite t > 0 and w >= 0."""
+    finite alpha and beta >= 0, and atoms a list of (t, w) pairs of real
+    numbers, with finite t > 0 and w >= 0."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise PreconditionError("alpha and beta must be finite")
     if beta < 0:
         raise PreconditionError("beta must be nonnegative")
     if not isinstance(atoms, (list, tuple)):
@@ -283,8 +286,8 @@ def monotone_from_json(obj) -> MonotoneFunction:
         return make_atomic(alpha, beta, obj["atoms"])
     if obj.get("density") == "sqrt":
         f = make_sqrt()
-        if (abs(alpha - f.alpha) > REPRESENTATION_ABS
-                or abs(beta - f.beta) > REPRESENTATION_ABS):
+        if not (abs(alpha - f.alpha) <= REPRESENTATION_ABS
+                and abs(beta - f.beta) <= REPRESENTATION_ABS):
             raise PreconditionError(
                 "the sqrt density requires alpha = 1/sqrt(2), beta = 0"
             )

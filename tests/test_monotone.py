@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ def test_make_atomic_validation():
         monotone.make_atomic(0.0, 0.0, [(-1.0, 1.0)])
     with pytest.raises(PreconditionError):
         monotone.make_atomic(0.0, 0.0, [(1.0, -1.0)])
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                         (-math.inf, 0.0), (0.0, math.inf)])
+def test_non_finite_alpha_beta_are_refused(alpha, beta):
+    # refused before any evaluation, so no numpy warning is raised; the JSON
+    # route reads the NaN and Infinity literals, and the sqrt density takes
+    # only its own finite alpha and beta
+    text = json.dumps({"alpha": alpha, "beta": beta, "atoms": [[1.0, 1.0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="alpha and beta must be finite"):
+            monotone.make_atomic(alpha, beta, [(1.0, 1.0)])
+        with pytest.raises(PreconditionError, match="alpha and beta must be finite"):
+            monotone.monotone_from_json(json.loads(text))
+        with pytest.raises(PreconditionError, match="sqrt density requires"):
+            monotone.monotone_from_json({"alpha": alpha, "beta": beta, "density": "sqrt"})
 
 
 def test_json_round_trip():
