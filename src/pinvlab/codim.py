@@ -52,12 +52,16 @@ def projector_eig(m) -> PsdEig:
     return PsdEig(q, np.where(in_range, w, 0.0), int(np.count_nonzero(in_range)), p)
 
 
-def _cross_svd(block, vectors=True):
+def _cross_svd(x, y, vectors=True):
     """Thin SVD of the cross block X*Y of two orthonormal column blocks, or
-    a b* of two partial isometries: the principal cosines, nonincreasing,
-    and with ``vectors`` the coordinates of the principal vectors."""
+    of the adjoints of two partial isometries: the principal cosines,
+    nonincreasing, and with ``vectors`` the coordinates of the principal
+    vectors.  PreconditionError unless X and Y act on one space."""
+    if x.shape[0] != y.shape[0]:
+        raise PreconditionError(
+            f"blocks must act on one space, got {x.shape[0]} and {y.shape[0]} rows")
     try:
-        return np.linalg.svd(block, full_matrices=False, compute_uv=vectors)
+        return np.linalg.svd(x.conj().T @ y, full_matrices=False, compute_uv=vectors)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
@@ -65,14 +69,14 @@ def _cross_svd(block, vectors=True):
 def intersection_basis(x, y) -> np.ndarray:
     """Orthonormal basis of span(x) ∩ span(y) for orthonormal column blocks:
     the principal vectors whose cosines are at least INTERSECTION_COS."""
-    psi, cos, _ = _cross_svd(x.conj().T @ y)
+    psi, cos, _ = _cross_svd(x, y)
     return x @ psi[:, : int(np.sum(cos >= INTERSECTION_COS))]
 
 
 def principal_cosines(x, y) -> np.ndarray:
     """Cosines of the principal angles between span(x) and span(y) for
     orthonormal column blocks, nonincreasing; empty when either is."""
-    return _cross_svd(x.conj().T @ y, vectors=False)
+    return _cross_svd(x, y, vectors=False)
 
 
 def intersection_dim(x, y) -> int:
@@ -103,8 +107,9 @@ def essential_codimension(p: PsdEig, q: PsdEig) -> int:
 def direct_rotation(a, b) -> np.ndarray:
     """Direct rotation U of P = a*a onto Q = b*b (U P U* = Q), for ||P - Q|| < 1.
 
-    a and b are partial isometries on one space, not checked, of ranks
-    ||a||_F^2 and ||b||_F^2; the adjoint of an orthonormal basis is one.
+    a and b act on one space (PreconditionError otherwise) and are partial
+    isometries, not checked, of ranks ||a||_F^2 and ||b||_F^2; the adjoint
+    of an orthonormal basis is one.
     One SVD of the cross block a b* = Psi C Phi* gives the principal
     vectors x = a*Psi_r, y = b*Phi_r and cosines C = x*y; with w = y - xC,
     U = I + x(C-I)x* - w(I+C)^{-1}w* + wx* - xw* (Davis & Kahan 1970),
@@ -113,11 +118,8 @@ def direct_rotation(a, b) -> np.ndarray:
     1 - RANK_REL; it is absolute, as angles near pi/2 make the whole cross
     block small.  At rank 0, U = I.
     """
-    d = a.shape[1]
-    if b.shape[1] != d:
-        raise PreconditionError("partial isometries must act on the same space")
+    psi, cos, phi = _cross_svd(a.conj().T, b.conj().T)
     r, r_b = (round(np.vdot(m, m).real) for m in (a, b))
-    psi, cos, phi = _cross_svd(a @ b.conj().T)
     c_min = cos[r - 1] if 0 < r == r_b else float(r == r_b)
     gap = float(np.sqrt(max(1.0 - c_min**2, 0.0)))
     if gap >= 1.0 - RANK_REL:
@@ -129,5 +131,5 @@ def direct_rotation(a, b) -> np.ndarray:
     # U - I = L* Z with L = [x*; w*] and Z = [(C - I)x* - w*; x* - (I + C)^{-1}w*]
     z = np.concatenate(((c - 1.0) * x - w, x - w / (1.0 + c)))
     u = np.concatenate((x, w)).conj().T @ z
-    u.flat[:: d + 1] += 1.0
+    u.flat[:: len(u) + 1] += 1.0
     return u

@@ -285,6 +285,7 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
     """
     eig = psd_eigh(c0)
     modulus, u = _carried(modulus, eig)
+    same_shape(modulus, eig)
     eig_mod = psd_eigh(modulus)
     fiber_elem = as_matrix(fiber_elem)
     if fiber_elem.shape[1] != len(eig.w):

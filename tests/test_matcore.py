@@ -438,7 +438,8 @@ def test_rank_cutoff_boundary(factor):
 
 
 # Every public entry point that takes several operands, called with a 3x3
-# and a 4x4 one, or for act and trivialize_alpha_inverse with a derived
+# and a 4x4 one (column blocks on a 3- and a 4-dimensional space for the
+# principal angles), or for act and trivialize_alpha_inverse with a derived
 # shape that does not fit: each operand is valid on its own.
 _D3, _D4 = np.diag([2.0, 1.0, 0.0]), np.diag([3.0, 2.0, 1.0, 0.0])
 _I3, _I4 = np.eye(3), np.eye(4)
@@ -450,6 +451,9 @@ MISMATCHED = {
     "essential_codimension": lambda: codim.essential_codimension(
         codim.projector_eig(_I4), codim.projector_eig(_I3)),
     "direct_rotation": lambda: codim.direct_rotation(_I4, _I3),
+    "principal_cosines": lambda: codim.principal_cosines(_I4[:, :2], _I3[:, :2]),
+    "intersection_dim": lambda: codim.intersection_dim(_I4[:, :2], _I3[:, :2]),
+    "intersection_basis": lambda: codim.intersection_basis(_I4[:, :2], _I3[:, :2]),
     "stratum_index": lambda: strata.stratum_index(_D3, _D4),
     "act-G": lambda: strata.act(strata.GroupPair(_I3, _I4), _D4),
     "act-K": lambda: strata.act(strata.GroupPair(_I4, _I3), _D4),
@@ -489,3 +493,9 @@ def test_mismatched_operand_shapes_raise_precondition_error(name):
     # PreconditionError and no other exception, such as numpy's ValueError
     with pytest.raises(PreconditionError):
         MISMATCHED[name]()
+
+
+def test_mismatched_modulus_names_both_shapes():
+    # a 3x3 modulus against a 4x4 C0 is refused by the one shape check
+    with pytest.raises(PreconditionError, match=r"got \(3, 3\) and \(4, 4\)"):
+        MISMATCHED["trivialize_alpha_inverse"]()
