@@ -423,6 +423,12 @@ def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
 # Taylor terms of C -> f(C) and their certified bounds.
 
 
+def _check_order(n):
+    """PreconditionError unless the term order n is an integer >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise PreconditionError(f"term order must be an integer >= 1, got {n!r}")
+
+
 def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
     """n-th term of the expansion of f(C + Delta) around positive definite C.
 
@@ -432,8 +438,7 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
     and X = Q* Delta Q; the integral is conjugated back once.  C is a
     matrix or its psd_eigh.
     """
-    if n < 1:
-        raise PreconditionError("term order must be >= 1")
+    _check_order(n)
     same_shape(c, delta)
     delta = hermitian_checked(delta, "Delta")
     eig = _pd_eigh(c)
@@ -465,8 +470,7 @@ def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
     ||Delta||_g < gamma_C so the series radius is respected.  C is a
     matrix or its psd_eigh.
     """
-    if n < 1:
-        raise PreconditionError("term order must be >= 1")
+    _check_order(n)
     same_shape(c, delta)
     gamma = float(_pd_eigh(c).w[0])
     dist = gauge_norm(delta, g)

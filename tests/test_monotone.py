@@ -372,8 +372,10 @@ def test_scalar_eval_vectorized():
 def test_taylor_term_validation(rng):
     c = generate.positive_definite(rng, 3)
     delta = generate.hermitian(rng, 3)
-    with pytest.raises(PreconditionError):
-        monotone.taylor_term(SQRT, c, delta, 0)
+    # the order is an integer >= 1, not a bool: True is not order 1
+    for n in (0, -1, 2.5, 1.0, True, "1", None):
+        with pytest.raises(PreconditionError, match="term order"):
+            monotone.taylor_term(SQRT, c, delta, n)
     with pytest.raises(PreconditionError):
         monotone.taylor_term(SQRT, np.diag([1.0, 0.0, 1.0]), delta, 1)
     with pytest.raises(PreconditionError):
@@ -388,6 +390,13 @@ def test_remainder_bound_values():
     f = monotone.make_atomic(0.5, 0.0, [(1.0, 1.0)])
     bound2 = monotone.taylor_remainder_bound(f, np.eye(2), np.diag([0.5, 0.0]), 2)
     assert bound2 == pytest.approx(0.03125)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, 1.0, True, "1", None])
+def test_remainder_bound_refuses_a_term_order_that_is_no_integer_from_1(n):
+    # 2.5 used to bound a term that does not exist, and True was order 1
+    with pytest.raises(PreconditionError, match="term order"):
+        monotone.taylor_remainder_bound(SQRT, 2 * np.eye(2), 0.1 * np.eye(2), n)
 
 
 def test_remainder_bound_zero_delta(rng):
