@@ -57,9 +57,8 @@ def _cross_svd(x, y, vectors=True):
     of the adjoints of two partial isometries: the principal cosines,
     nonincreasing, and with ``vectors`` the coordinates of the principal
     vectors.  PreconditionError unless X and Y act on one space."""
-    if x.shape[0] != y.shape[0]:
-        raise PreconditionError(
-            f"blocks must act on one space, got {x.shape[0]} and {y.shape[0]} rows")
+    if len(x) != len(y):
+        raise PreconditionError(f"blocks must act on one space, got {len(x)} and {len(y)} rows")
     try:
         return np.linalg.svd(x.conj().T @ y, full_matrices=False, compute_uv=vectors)
     except np.linalg.LinAlgError as exc:

@@ -47,10 +47,14 @@ PROJECTOR_REL = 1e-9        # P or V*V: ||P^2 - P|| <= this max(1, ||P||), ||P -
 PROJECTOR_SPECTRUM = 1e-8   # and each eigenvalue of P lies within this of 0 or 1
 INTERSECTION_COS = 1.0 - 1e-8   # principal angles with cosine at least this are zero
 GAP_MARGIN = 1e-6           # a projector gap above 1 - GAP_MARGIN does not count as < 1
+# Boundedness proxy: the tail sup of ||B_n^+|| may exceed ||B^+|| by at
+# most this factor before condition (ii) is declared failed.
+BOUNDEDNESS_FACTOR = 10.0
 MONOTONE_SLACK = 1e-10      # sampled values of a monotone f drop by at most this
 CANCELLATION_REL = 1e-8     # f(lambda) = alpha + beta lambda - integral keeps this
                             # relative resolution after rounding of its terms
 REPRESENTATION_ABS = 1e-12  # JSON (alpha, beta) of sqrt match the built-in's to this
+QUAD_TOL = 1e-10            # successive levels agree to this times ∫‖fn‖dν
 TAYLOR_RATIO_SLACK = 1e-6   # a Taylor remainder passes at remainder/bound <= 1 + this,
 TAYLOR_ROUNDOFF_REL = 1e-12 # or, at any ratio, when it is at most this times
                             # ||f(C + Delta)||_F: it is then roundoff

@@ -25,7 +25,7 @@ tanh-sinh in s = sqrt(t) on [0, t_max).  Halving the step adds only the
 new midpoints to a running sum, so a refinement reuses every node already
 evaluated, and the integrand sees a fixed chunk of nodes at a time, so a
 matrix integrand holds O(chunk d^2) memory at any depth.  The rule stops
-when two levels agree to ``_QUAD_TOL`` times ∫‖fn‖dν, and raises
+when two levels agree to ``QUAD_TOL`` times ∫‖fn‖dν, and raises
 ConvergenceError rather than return a value the fixed x-window truncates:
 an end term above that allowance is such a value.
 """
@@ -43,6 +43,7 @@ from .errors import ConvergenceError, OutsideNeighborhoodError, PreconditionErro
 from .matcore import (
     CANCELLATION_REL,
     MONOTONE_SLACK,
+    QUAD_TOL,
     REPRESENTATION_ABS,
     RESIDUAL_ABS,
     RIEMANN_MAX_CELLS,
@@ -87,7 +88,6 @@ _TRUNCATED_WINDOW = (-3.5, 3.5)     # tanh-sinh in s = sqrt(t) on [0, t_max)
 _CHUNK = 64                         # nodes per call of the integrand
 _FIRST_INTERVALS = 32               # intervals of the window at the first level
 _MAX_INTERVALS = 8192               # no halving past this many intervals
-_QUAD_TOL = 1e-10                   # successive levels agree to this times ∫‖fn‖dν
 _RIEMANN_CHUNK = 2**13              # cells per block of a dyadic Riemann sum
 
 
@@ -120,7 +120,7 @@ def _sqrt_integral(fn, t_max: float | None = None):
     into ``_FIRST_INTERVALS`` and evaluates its nodes, the two ends
     included, in one pass; each halving of the step evaluates only the
     new midpoints, ``_CHUNK`` nodes per call of ``fn``, and adds them to
-    one running sum.  The allowance is ``_QUAD_TOL`` times the mass
+    one running sum.  The allowance is ``QUAD_TOL`` times the mass
     ∫‖fn‖dν, summed alongside: relative for a one-signed integrand, and
     the rounding scale of the sum when it cancels.  ConvergenceError,
     with the offending size as ``residual``, when successive levels still
@@ -165,7 +165,7 @@ def _sqrt_integral(fn, t_max: float | None = None):
         acc = acc + new
         mass += new_mass
         cur = h * acc
-        allowed = _QUAD_TOL * h * mass
+        allowed = QUAD_TOL * h * mass
         diff = float(np.linalg.norm(np.atleast_1d(cur - prev)))
         if diff <= allowed:
             if h * end > allowed:
@@ -242,13 +242,10 @@ def make_sqrt() -> MonotoneFunction:
 
 
 def make_atomic(alpha: float, beta: float, atoms) -> MonotoneFunction:
-    """Pick function with a finite atomic measure sum(w_i * delta_{t_i}):
-    finite alpha and beta >= 0, and atoms a list of (t, w) pairs of real
-    numbers, with finite t > 0 and w >= 0."""
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise PreconditionError("alpha and beta must be finite")
-    if beta < 0:
-        raise PreconditionError("beta must be nonnegative")
+    """Pick function with finite alpha, finite beta >= 0 and a finite atomic measure
+    sum(w_i * delta_{t_i}): atoms lists (t, w) pairs of reals, finite t > 0, w >= 0."""
+    if not (math.isfinite(alpha) and 0 <= beta < math.inf):
+        raise PreconditionError("need finite alpha and finite beta >= 0")
     if not isinstance(atoms, (list, tuple)):
         raise PreconditionError("atoms must be a list of (t, w) pairs")
     try:

@@ -24,6 +24,7 @@ from .errors import (
     StratumError,
 )
 from .matcore import (
+    BOUNDEDNESS_FACTOR,
     GAP_MARGIN,
     IDENTITY_REL,
     INTERSECTION_COS,
@@ -263,11 +264,6 @@ class ContinuityReport:
     @property
     def all_true(self) -> bool:
         return all(self.verdicts.values())
-
-
-# Boundedness proxy: the tail sup of ||B_n^+|| may exceed ||B^+|| by at
-# most this factor before condition (ii) is declared failed.
-BOUNDEDNESS_FACTOR = 10.0
 
 
 def _null_gaps(cos, delta: int) -> np.ndarray:

@@ -68,9 +68,9 @@ def test_non_finite_alpha_beta_are_refused(alpha, beta):
     text = json.dumps({"alpha": alpha, "beta": beta, "atoms": [[1.0, 1.0]]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PreconditionError, match="alpha and beta must be finite"):
+        with pytest.raises(PreconditionError, match="need finite alpha and finite beta"):
             monotone.make_atomic(alpha, beta, [(1.0, 1.0)])
-        with pytest.raises(PreconditionError, match="alpha and beta must be finite"):
+        with pytest.raises(PreconditionError, match="need finite alpha and finite beta"):
             monotone.monotone_from_json(json.loads(text))
         with pytest.raises(PreconditionError, match="sqrt density requires"):
             monotone.monotone_from_json({"alpha": alpha, "beta": beta, "density": "sqrt"})
