@@ -7,8 +7,9 @@ Imports ``pinvlab`` from ``<src-dir>`` and runs the CLI in-process, at
 seeds 0-4, over: ``continuity`` and ``census`` at d = 8, 32, 64 with the
 gauges op, s2 and kyfan:2; ``taylor`` of sqrt at d = 4, 16 and of an
 atomic function at d = 16, and once on each function file of
-``BAD_ATOMS``, whose alpha or beta is not finite; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
-``pinv``, ``polar``, ``stratify`` and ``codim`` on matrix files drawn
+``BAD_ATOMS``, whose alpha or beta is not finite; ``fiber --json`` at
+d = 4, 8, 16, 32, 64; and ``pinv``, ``polar``, ``stratify`` and
+``codim`` on matrix files drawn
 here with numpy, ``pinv`` and ``polar`` with ``--matrix-out`` on a
 square, a tall and a wide input.  ``codim``
 also runs once on each of the inputs in ``CODIM_EDGES``, which it refuses
