@@ -185,24 +185,23 @@ def cmd_taylor(args) -> int:
     gamma = float(eig.w[0])
     delta = generate.hermitian(rng, d)
     delta *= args.delta_scale * gamma / gauge_norm(delta, g)
-    # Radius check: bounds are undefined at or beyond the series radius.
-    monotone.taylor_remainder_bound(f, eig, delta, 1, g)
-    dist = gauge_norm(delta, g)
+    # raises at or beyond the series radius, where the bounds are undefined
+    bounds = monotone.taylor_tail_bounds(f, eig, delta, args.mmax, g)
     fc = monotone.matrix_eval_spectral(f, eig)
     target = monotone.matrix_eval_spectral(f, c + delta)
-    tail_coeff = float(monotone.measure_integral(
-        f, lambda t: (t + gamma) ** -2.0))
+    if f.density == "sqrt":
+        terms = monotone.sqrt_taylor_terms(eig, delta, args.mmax)
+    else:
+        terms = [monotone.taylor_term(f, eig, delta, m) for m in range(1, args.mmax + 1)]
     partial = fc.copy()
     # a remainder at the roundoff of the two evaluations passes at any
     # ratio; against a zero bound the ratio is reported as inf
     floor = TAYLOR_ROUNDOFF_REL * float(np.linalg.norm(target))
     lines = ["m,remainder_gauge,bound_gauge,ratio"]
     ok = True
-    for m in range(1, args.mmax + 1):
-        partial = partial + monotone.taylor_term(f, eig, delta, m)
+    for m, (term, bound) in enumerate(zip(terms, bounds), start=1):
+        partial = partial + term
         remainder = gauge_norm(target - partial, g)
-        ratio_rad = dist / gamma
-        bound = tail_coeff * ratio_rad**m * dist / (1.0 - ratio_rad)
         if bound > 0:
             ratio = remainder / bound
         else:

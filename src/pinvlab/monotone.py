@@ -7,9 +7,14 @@ The measure nu is either a finite list of atoms or the built-in density
 sqrt(t)/pi (which represents f = sqrt).  Matrix evaluation is provided
 through two independent routes -- spectral calculus and resolvent
 quadrature -- kept separate so each can serve as the other's oracle.
-Taylor terms of the matrix map C -> f(C), their gauge-norm bounds, a
-first-order perturbation bound and dyadic Riemann operator sums with a
-proved O(2^-p) gap complete the module.
+Taylor terms of the matrix map C -> f(C), their gauge-norm bounds and the
+bound on the tail after each order, a first-order perturbation bound and
+dyadic Riemann operator sums with a proved O(2^-p) gap complete the module.
+The Taylor terms have two routes as well: ``taylor_term`` integrates the
+resolvent products of any f, and for f = sqrt ``sqrt_taylor_terms`` reads
+every term up to an order off the coefficient recursion of Y^2 = C + Delta,
+with no quadrature; ``pinvlab taylor --function sqrt`` runs the recursion,
+and ``taylor_term`` is its oracle.
 
 Each positive matrix is factorized once, by ``matcore.psd_eigh``, and the
 Taylor, perturbation and Riemann integrands run in its eigenbasis, where
@@ -244,6 +249,10 @@ def make_sqrt() -> MonotoneFunction:
 def make_atomic(alpha: float, beta: float, atoms) -> MonotoneFunction:
     """Pick function with finite alpha, finite beta >= 0 and a finite atomic measure
     sum(w_i * delta_{t_i}): atoms lists (t, w) pairs of reals, finite t > 0, w >= 0."""
+    try:
+        alpha, beta = _real(alpha), _real(beta)
+    except (TypeError, OverflowError) as exc:
+        raise PreconditionError(f"alpha and beta must be real numbers: {exc}") from exc
     if not (math.isfinite(alpha) and 0 <= beta < math.inf):
         raise PreconditionError("need finite alpha and finite beta >= 0")
     if not isinstance(atoms, (list, tuple)):
@@ -254,8 +263,7 @@ def make_atomic(alpha: float, beta: float, atoms) -> MonotoneFunction:
         raise PreconditionError(f"atoms must be (t, w) pairs of numbers: {exc}") from exc
     if not all(0 < t < math.inf and 0 <= w < math.inf for t, w in clean):
         raise PreconditionError("atoms need finite t > 0 and w >= 0")
-    f = MonotoneFunction(alpha=float(alpha), beta=float(beta),
-                         atoms=tuple(clean))
+    f = MonotoneFunction(alpha=alpha, beta=beta, atoms=tuple(clean))
     _check_monotone(f)
     return f
 
@@ -458,6 +466,48 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def sqrt_taylor_terms(c, delta, n: int) -> list:
+    """Terms of orders 1..n of the expansion of sqrt(C + Delta) around
+    positive definite C, by the coefficient recursion; no quadrature.
+
+    Matching powers of t in Y(t)^2 = C + t Delta for Y(t) = Σ R_l t^l,
+    R_0 = S = sqrt(C), gives the Sylvester equations
+    S R_l + R_l S = δ_{l1} Delta - Σ_{m=1}^{l-1} R_m R_{l-m}.  In the
+    eigenbasis Q of C, S = diag(s) with s = sqrt(w), so each solve is an
+    entrywise division by s_i + s_j of the right-hand side, which starts
+    from X = Q* Delta Q (the Daleckii-Krein form at l = 1).  Each R_l is
+    conjugated back once.  The integral route ``taylor_term(make_sqrt(),
+    ...)`` is the oracle of this one.  C is a matrix or its psd_eigh.
+    """
+    _check_order(n)
+    same_shape(c, delta)
+    delta = hermitian_checked(delta, "Delta")
+    eig = _pd_eigh(c)
+    q, s = eig.Q, np.sqrt(eig.w)
+    denom = s[:, None] + s
+    coeffs = [q.conj().T @ delta @ q / denom]       # coeffs[k] is R_{k+1}
+    for k in range(1, n):
+        coeffs.append(-sum(coeffs[m] @ coeffs[k - 1 - m] for m in range(k)) / denom)
+    terms = []
+    for r in coeffs:
+        out = q @ r @ q.conj().T
+        terms.append(0.5 * (out + out.conj().T))
+    return terms
+
+
+def _series_radius(c, delta, g: GaugeNorm) -> tuple:
+    """(gamma_C, ||Delta||_g), OutsideNeighborhoodError unless
+    ||Delta||_g < gamma_C, the radius of the Taylor series around C."""
+    same_shape(c, delta)
+    gamma = float(_pd_eigh(c).w[0])
+    dist = gauge_norm(delta, g)
+    if dist >= gamma:
+        raise OutsideNeighborhoodError(
+            f"||Delta|| = {dist:.3e} >= gamma(C) = {gamma:.3e}"
+        )
+    return gamma, dist
+
+
 def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
                            g: GaugeNorm = OP_NORM) -> float:
     """Gauge-norm bound on the n-th Taylor term.
@@ -468,17 +518,29 @@ def taylor_remainder_bound(f: MonotoneFunction, c, delta, n: int,
     matrix or its psd_eigh.
     """
     _check_order(n)
-    same_shape(c, delta)
-    gamma = float(_pd_eigh(c).w[0])
-    dist = gauge_norm(delta, g)
-    if dist >= gamma:
-        raise OutsideNeighborhoodError(
-            f"||Delta|| = {dist:.3e} >= gamma(C) = {gamma:.3e}"
-        )
+    gamma, dist = _series_radius(c, delta, g)
     coeff = float(measure_integral(f, lambda t: (t + gamma) ** (-(n + 1))))
     if n == 1:
         return (f.beta + coeff) * dist
     return coeff * dist**n
+
+
+def taylor_tail_bounds(f: MonotoneFunction, c, delta, m_max: int,
+                       g: GaugeNorm = OP_NORM) -> list:
+    """Gauge-norm bounds on the remainder of f(C + Delta) after the terms of
+    orders 1..m, for m = 1..m_max.
+
+    Summing the term bounds ∫(t+gamma_C)^{-(n+1)} dν ||Delta||^n over
+    n > m gives ∫(t+gamma_C)^{-2} dν q^m ||Delta|| / (1 - q) with
+    q = ||Delta||_g / gamma_C < 1; OutsideNeighborhoodError at q >= 1.
+    ||Delta||_g is taken once for every order.  C is a matrix or its
+    psd_eigh.
+    """
+    _check_order(m_max)
+    gamma, dist = _series_radius(c, delta, g)
+    coeff = float(measure_integral(f, lambda t: (t + gamma) ** -2.0))
+    q = dist / gamma
+    return [coeff * q**m * dist / (1.0 - q) for m in range(1, m_max + 1)]
 
 
 def perturbation_bound(f: MonotoneFunction, c, d,

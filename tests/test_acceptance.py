@@ -201,7 +201,9 @@ def test_criterion_08_taylor_remainders():
         remainders.append(np.linalg.norm(target - partial, 2))
     ratios = [remainders[i + 1] / remainders[i] for i in range(5)]
     ok = all(abs(r - q) <= 0.15 * q for r in ratios)
-    # term bounds for the square root around random positive definite C
+    # term bounds for the square root around random positive definite C,
+    # and its two routes to every term: the coefficient recursion and the
+    # resolvent quadrature
     sqrt = monotone.make_sqrt()
     for _ in range(10):
         d = int(rng.integers(2, 5))
@@ -210,10 +212,13 @@ def test_criterion_08_taylor_remainders():
         delta = generate.hermitian(rng, d)
         for g in GAUGES:
             dn = delta * (0.3 * gamma_c / gauge_norm(delta, g))
+            recursion = monotone.sqrt_taylor_terms(c, dn, 6)
             for n in range(1, 7):
-                term = gauge_norm(monotone.taylor_term(sqrt, c, dn, n), g)
+                integral = monotone.taylor_term(sqrt, c, dn, n)
+                term = gauge_norm(integral, g)
                 bound = monotone.taylor_remainder_bound(sqrt, c, dn, n, g)
                 ok = ok and term <= bound * (1 + 1e-6)
+                ok = ok and gauge_norm(recursion[n - 1] - integral, g) <= 1e-12 * term
     # first term at C = I for the square root is Delta/2
     d = 4
     delta = generate.hermitian(rng, d)

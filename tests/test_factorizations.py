@@ -338,9 +338,18 @@ def test_cmd_continuity_s2_counts(count):
 def test_cmd_taylor_counts(count):
     # one eigh of C serves gamma, the radius check, f(C) and the six terms,
     # one more gives f(C + Delta); the SVDs are the gauge norms of Delta
-    # (three) and of the six remainders (was 10 eigh with gamma from
-    # eigvalsh and a factorization of C per call)
-    assert count(lambda: _cli("taylor", "--dim", D)) == {"eigh": 2, "svd": 9}
+    # before and after its scaling and of the six remainders (was 9 SVDs,
+    # with the scaled Delta's norm taken twice; 10 eigh with gamma from
+    # eigvalsh and a factorization of C per call before that)
+    assert count(lambda: _cli("taylor", "--dim", D)) == {"eigh": 2, "svd": 8}
+
+
+def test_cmd_taylor_atomic_counts(count, tmp_path):
+    # as above: the atomic terms by taylor_term, all from the one eigh of C
+    path = tmp_path / "f.json"
+    path.write_text('{"alpha": 0.5, "beta": 0.1, "atoms": [[1.0, 1.0]]}')
+    assert count(lambda: _cli("taylor", "--dim", D, "--function", f"atomic:{path}")) == {
+        "eigh": 2, "svd": 8}
 
 
 def test_cmd_census_counts(count):
@@ -411,6 +420,14 @@ def test_taylor_term_counts(count, positive):
     c, _, delta = positive
     f = monotone.make_sqrt()
     assert count(lambda: monotone.taylor_term(f, c, delta, 3)) == {"eigh": 1}
+
+
+def test_sqrt_taylor_terms_counts(count, positive):
+    c, _, delta = positive
+    # every term up to order 6 from one eigh of C, and none from its psd_eigh
+    assert count(lambda: monotone.sqrt_taylor_terms(c, delta, 6)) == {"eigh": 1}
+    eig = psd_eigh(c)
+    assert count(lambda: monotone.sqrt_taylor_terms(eig, delta, 6)) == {}
 
 
 def test_continuity_in_stratum_counts(count, positive):
@@ -496,6 +513,10 @@ PASS_THROUGH = {
                     {1: "eigh"}),
     "taylor_remainder_bound": (monotone.taylor_remainder_bound,
                                lambda o: (o["f"], o["c"], o["delta"], 2), {1: "eigh"}),
+    "taylor_tail_bounds": (monotone.taylor_tail_bounds,
+                           lambda o: (o["f"], o["c"], o["delta"], 3), {1: "eigh"}),
+    "sqrt_taylor_terms": (monotone.sqrt_taylor_terms,
+                          lambda o: (o["c"], o["delta"], 3), {0: "eigh"}),
     "trivialize_alpha": (polar.trivialize_alpha, lambda o: (o["b"], o["c0"], o["a"]),
                          {0: "svd", 1: "eigh", 2: "svd"}),
     "trivialize_alpha_inverse": (polar.trivialize_alpha_inverse,

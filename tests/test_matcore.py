@@ -468,6 +468,9 @@ MISMATCHED = {
     "taylor_term": lambda: monotone.taylor_term(_SQRT, _I4, _D3, 1),
     "taylor_remainder_bound": lambda: monotone.taylor_remainder_bound(
         _SQRT, 2 * _I4, 0.1 * _I3, 1),
+    "taylor_tail_bounds": lambda: monotone.taylor_tail_bounds(
+        _SQRT, 2 * _I4, 0.1 * _I3, 1),
+    "sqrt_taylor_terms": lambda: monotone.sqrt_taylor_terms(_I4, _D3, 1),
     "perturbation_bound": lambda: monotone.perturbation_bound(_SQRT, _I4, _I3),
     "riemann_sum": lambda: monotone.riemann_sum(_SQRT, _I4, _I3, 2, 64.0),
     "riemann_decay_slope": lambda: monotone.riemann_decay_slope(

@@ -14,7 +14,7 @@ from pinvlab.errors import (
     OutsideNeighborhoodError,
     PreconditionError,
 )
-from pinvlab.matcore import OP_NORM, RIEMANN_MAX_CELLS, gauge_norm
+from pinvlab.matcore import OP_NORM, RIEMANN_MAX_CELLS, gauge_norm, psd_eigh
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -57,6 +57,13 @@ def test_make_atomic_validation():
         monotone.make_atomic(0.0, 0.0, [(-1.0, 1.0)])
     with pytest.raises(PreconditionError):
         monotone.make_atomic(0.0, 0.0, [(1.0, -1.0)])
+
+
+@pytest.mark.parametrize("alpha, beta", [("x", 0.0), (None, 0.0), (0.0, "1")])
+def test_make_atomic_refuses_alpha_beta_that_are_no_numbers(alpha, beta):
+    # a typed refusal, not the TypeError of comparing a string or None
+    with pytest.raises(PreconditionError, match="alpha and beta must be real numbers"):
+        monotone.make_atomic(alpha, beta, [])
 
 
 @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
@@ -382,6 +389,46 @@ def test_taylor_term_validation(rng):
         monotone.taylor_term(SQRT, c, generate.ginibre(rng, 3, 3), 1)
 
 
+@given(seeds, st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=8),
+       st.sampled_from([(0.5, 2.0), (1e-3, 1e3)]), st.booleans())
+def test_sqrt_recursion_matches_the_integral_route(seed, d, n, ev_range, factorized):
+    # the coefficient recursion against its oracle, the resolvent quadrature
+    # of taylor_term, at every order up to n; C as a matrix or its psd_eigh
+    rng = np.random.default_rng(seed)
+    c = generate.positive_definite(rng, d, ev_range)
+    delta = generate.hermitian(rng, d)
+    terms = monotone.sqrt_taylor_terms(psd_eigh(c) if factorized else c, delta, n)
+    assert len(terms) == n
+    for order, term in enumerate(terms, start=1):
+        oracle = monotone.taylor_term(SQRT, c, delta, order)
+        assert np.linalg.norm(term - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    first = monotone.sqrt_taylor_terms(np.eye(d), delta, 1)[0]
+    assert np.linalg.norm(first - delta / 2) <= 1e-15 * np.linalg.norm(delta)
+
+
+def test_sqrt_recursion_scalar_series():
+    # sqrt(1 + x) = 1 + x/2 - x^2/8 + x^3/16 - 5x^4/128 for C = I, Delta = x I
+    x = 0.3
+    terms = monotone.sqrt_taylor_terms(np.eye(2), x * np.eye(2), 4)
+    coeffs = [1 / 2, -1 / 8, 1 / 16, -5 / 128]
+    for order, (term, a) in enumerate(zip(terms, coeffs), start=1):
+        assert np.allclose(term, a * x**order * np.eye(2), rtol=1e-15, atol=0)
+
+
+def test_sqrt_recursion_validation(rng):
+    c = generate.positive_definite(rng, 3)
+    delta = generate.hermitian(rng, 3)
+    for n in (0, -1, 2.5, True, "1", None):
+        with pytest.raises(PreconditionError, match="term order"):
+            monotone.sqrt_taylor_terms(c, delta, n)
+    with pytest.raises(PreconditionError, match="Delta is not Hermitian"):
+        monotone.sqrt_taylor_terms(c, generate.ginibre(rng, 3, 3), 1)
+    with pytest.raises(PreconditionError, match="positive definite"):
+        monotone.sqrt_taylor_terms(np.diag([1.0, 0.0, 1.0]), delta, 1)
+    with pytest.raises(PreconditionError):
+        monotone.sqrt_taylor_terms(c, generate.hermitian(rng, 4), 1)
+
+
 def test_remainder_bound_values():
     # sqrt at C = I: the n = 1 coefficient is exactly 1/2
     delta = np.diag([0.1, -0.1])
@@ -422,13 +469,29 @@ def test_terms_below_bounds_and_series_tail(seed):
     partial = monotone.matrix_eval_spectral(SQRT, c)
     tail_coeff = float(monotone.measure_integral(SQRT, lambda t: (t + gamma) ** -2.0))
     q = dist / gamma
+    tails = monotone.taylor_tail_bounds(SQRT, c, delta, 6)
     for m in range(1, 7):
         term = monotone.taylor_term(SQRT, c, delta, m)
         bound = monotone.taylor_remainder_bound(SQRT, c, delta, m)
         assert np.linalg.norm(term, 2) <= bound * (1 + 1e-6)
         partial = partial + term
         tail = tail_coeff * q**m * dist / (1 - q)
+        assert tails[m - 1] == pytest.approx(tail, rel=1e-14)
         assert np.linalg.norm(target - partial, 2) <= tail * (1 + 1e-6)
+
+
+def test_tail_bounds_values_and_refusals():
+    # sqrt at C = I: ∫(t+1)^{-2} dν = 1/2, so the tail after order m is
+    # q^m ||Delta|| / (2 (1 - q)) with q = ||Delta||
+    delta = np.diag([0.25, -0.1])
+    tails = monotone.taylor_tail_bounds(SQRT, np.eye(2), delta, 3)
+    assert tails == pytest.approx([0.25**m * 0.25 / 1.5 for m in (1, 2, 3)], rel=1e-8)
+    assert monotone.taylor_tail_bounds(SQRT, np.eye(2), np.zeros((2, 2)), 2) == [0.0, 0.0]
+    with pytest.raises(OutsideNeighborhoodError):
+        monotone.taylor_tail_bounds(SQRT, np.eye(2), np.diag([1.0, 0.0]), 1)
+    for m_max in (0, True, 2.0):
+        with pytest.raises(PreconditionError, match="term order"):
+            monotone.taylor_tail_bounds(SQRT, np.eye(2), delta, m_max)
 
 
 def test_perturbation_bound_equal_inputs(rng):
