@@ -19,8 +19,8 @@ class BoundReport:
 
 def moore_penrose(a) -> SvdResult:
     """The pseudoinverse report of A: its SVD, which carries A^+ (``pinv``),
-    gamma(A) (= 1/||A^+||; 0 for the zero matrix) and the range/null
-    projectors."""
+    gamma(A) (= 1/||A^+||; 0 for the zero matrix) and orthonormal bases of
+    the range, the corange, the row space and the null space."""
     return svd(a)
 
 
