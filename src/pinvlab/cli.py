@@ -237,19 +237,13 @@ def cmd_census(args) -> int:
 
 
 def _fiber_trial(b, c0, res_a, v0, alpha_res, v_res) -> None:
-    """Both charts' round trips at B, each appending ||back - B||_F to its
-    list; a trial's matrices are freed when it returns, not kept into the next."""
+    """Both charts' round trips at B, each appending ||point.back() - B||_F
+    to its list; a trial's matrices are freed when it returns, not kept
+    into the next."""
     res_b = polar.polar_decompose(b)    # serves both charts
-    alpha_res.append(_round_trip(polar.trivialize_alpha(res_b, c0, res_a),
-                                 polar.trivialize_alpha_inverse, c0, b))
-    v_res.append(_round_trip(polar.trivialize_v(res_b, v0),
-                             polar.trivialize_v_inverse, v0, b))
-
-
-def _round_trip(point, inverse, base, b) -> float:
-    """||inverse(point) - B||_F; the point is handed on whole, so the inverse
-    reuses the rotation its chart took at this base point."""
-    return float(np.linalg.norm(inverse(point, point.fiber_elem, base) - b))
+    alpha_res.append(float(np.linalg.norm(
+        polar.trivialize_alpha(res_b, c0, res_a).back() - b)))
+    v_res.append(float(np.linalg.norm(polar.trivialize_v(res_b, v0).back() - b)))
 
 
 def cmd_fiber(args) -> int:
@@ -260,7 +254,7 @@ def cmd_fiber(args) -> int:
     # both charts' base points, from one SVD of A, factorized once per run
     res_a = svd(a)
     c0 = res_a.modulus_eig
-    v0 = polar.PartialIsometry(res_a.polar_factor)
+    v0 = res_a.polar_factor
     alpha_res, v_res = [], []
     outside = 0
     for _ in range(args.trials):
@@ -351,8 +345,8 @@ def _validate(args) -> None:
         raise PreconditionError("--dim must be between 1 and 64")
     if getattr(args, "trials", 1) < 1:
         raise PreconditionError("--trials must be at least 1")
-    if getattr(args, "mmax", 1) < 1:
-        raise PreconditionError("--mmax must be at least 1")
+    if not 1 <= getattr(args, "mmax", 1) <= 64:
+        raise PreconditionError("--mmax must be between 1 and 64")
     GaugeNorm.parse(getattr(args, "gauge", "op"))
 
 

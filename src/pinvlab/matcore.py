@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -178,8 +179,8 @@ class GaugeNorm:
 
     @staticmethod
     def kyfan(k: int) -> "GaugeNorm":
-        if k < 1:
-            raise PreconditionError("Ky Fan index must be a positive integer")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise PreconditionError(f"Ky Fan index must be an integer >= 1, got {k!r}")
         return GaugeNorm("kyfan", k=int(k))
 
     @staticmethod

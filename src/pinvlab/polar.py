@@ -14,14 +14,15 @@ SVD of its inputs.  The section and the charts must be real analytic,
 so each takes codim.direct_rotation of two partial isometries, never of
 d x d projectors, and a gap that the rotation refuses is outside its domain:
 the modulus chart rotates R(C0) onto R(|B|), the polar-factor chart the
-initial space of V0 onto that of V_B.  A chart returns a ChartPoint that
-keeps its rotation and the base point it took it at; the chart's inverse,
-handed that point and that same base-point object, reuses the rotation,
-and otherwise takes it from its inputs.
+initial space of V0 onto that of V_B.  A chart returns a ChartPoint whose
+``back()`` maps it back to B with the rotation the chart took; the chart's
+inverse takes the rotation from its inputs, and both undo the chart
+through one back-map.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,29 +63,16 @@ class PartialIsometry:
 class ChartPoint:
     """A chart's value, the pair (base component, fiber element) it unpacks to.
 
-    It also keeps the direct rotation the chart took and the base-point
-    factorization it took it at: the psd_eigh of C0 (``trivialize_alpha``)
-    or the PartialIsometry V0 (``trivialize_v``).  Handed to the chart's
-    inverse for its base component, it stands for that component, and its
-    rotation is reused when the inverse is given that same base-point
-    object; any other base point takes the rotation afresh.
+    ``back()`` returns B again, from the base point and the direct rotation
+    that the chart itself took, through the back-map of the chart's inverse.
     """
 
     component: PsdEig | PartialIsometry    # |B| as its psd_eigh, or V_B
     fiber_elem: np.ndarray
-    rotation: np.ndarray = field(repr=False)
-    base: PsdEig | PartialIsometry = field(repr=False)
+    back: Callable[[], np.ndarray] = field(repr=False)
 
     def __iter__(self):
         return iter((self.component, self.fiber_elem))
-
-
-def _carried(point, base):
-    """The base component that ``point`` stands for, and the rotation it
-    carries if it was taken at this very ``base`` object, else None."""
-    if not isinstance(point, ChartPoint):
-        return point, None
-    return point.component, (point.rotation if point.base is base else None)
 
 
 def _initial_rank(v: np.ndarray) -> int:
@@ -239,7 +227,8 @@ def trivialize_alpha(b, c0, a) -> ChartPoint:
     a run that serves many B from one base point factorizes C0 and A once.
     R(|B|) is read off the SVD of B (``SvdResult.modulus_eig``), so |B|
     takes no eigh, and |B| is returned as that psd_eigh, in a ChartPoint
-    that keeps U and the psd_eigh of C0.  Inverted by trivialize_alpha_inverse.
+    whose ``back()`` undoes the chart with U.  Inverted by
+    trivialize_alpha_inverse.
     """
     eig, sa = _base_point(c0, a)
     same_shape(b, sa)
@@ -248,7 +237,8 @@ def trivialize_alpha(b, c0, a) -> ChartPoint:
     fiber_elem = sb.polar_factor @ u @ eig.matrix
     if not fiber_membership_alpha(fiber_elem, eig, sa):
         raise ConsistencyError("chart output left the fiber over C0")
-    return ChartPoint(sb.modulus_eig, fiber_elem, u, eig)
+    mod = sb.modulus_eig
+    return ChartPoint(mod, fiber_elem, lambda: _alpha_back(mod, fiber_elem, eig, u))
 
 
 def _chart_unitary(c, b) -> np.ndarray:
@@ -277,23 +267,22 @@ def trivialize_alpha_inverse(modulus, fiber_elem, c0) -> np.ndarray:
     """(C, V C0) -> V U* C, undoing trivialize_alpha.
 
     c0 is as in trivialize_alpha; no A is needed, as only the psd_eigh
-    of C0 is read.  The modulus C is a matrix, its psd_eigh, or the
-    ChartPoint of trivialize_alpha, which stands for the psd_eigh of |B|
-    and hands on U when c0 is the psd_eigh it was taken at; otherwise U
-    is taken from C0 and C.  Outside the chart, unequal ranks included,
-    it raises OutsideNeighborhoodError.
+    of C0 is read.  The modulus C is a matrix or its psd_eigh, and U is
+    taken from C0 and C.  Outside the chart, unequal ranks included, it
+    raises OutsideNeighborhoodError.
     """
     eig = psd_eigh(c0)
-    modulus, u = _carried(modulus, eig)
     same_shape(modulus, eig)
     eig_mod = psd_eigh(modulus)
     fiber_elem = as_matrix(fiber_elem)
     if fiber_elem.shape[1] != len(eig.w):
         raise PreconditionError("the fiber element must have n columns for an n x n C0")
-    if u is None:
-        u = _chart_unitary(eig, eig_mod)
-    v = fiber_elem @ eig.pinv()
-    return v @ u.conj().T @ eig_mod.matrix
+    return _alpha_back(eig_mod, fiber_elem, eig, _chart_unitary(eig, eig_mod))
+
+
+def _alpha_back(eig_mod, fiber_elem, eig, u) -> np.ndarray:
+    """V U* C, with V = (V C0) C0^+ read off the fiber element."""
+    return fiber_elem @ eig.pinv() @ u.conj().T @ eig_mod.matrix
 
 
 def trivialize_v(b, v0) -> ChartPoint:
@@ -303,33 +292,31 @@ def trivialize_v(b, v0) -> ChartPoint:
     row basis of B; it transports |B| to a positive matrix supported on
     the initial space of V0, so the second component sits in the fiber
     over V0.  B is a matrix or its SVD, V0 a matrix or a
-    PartialIsometry; the ChartPoint keeps W and V0 as a PartialIsometry
-    (the one given, or a new one for a matrix).  A V0 that is not a
-    partial isometry raises PreconditionError; an initial-space gap that
-    the rotation refuses, as unequal ranks give, raises
-    OutsideNeighborhoodError.  Inverted by trivialize_v_inverse.
+    PartialIsometry; the ChartPoint's ``back()`` undoes the chart with W.
+    A V0 that is not a partial isometry raises PreconditionError; an
+    initial-space gap that the rotation refuses, as unequal ranks give,
+    raises OutsideNeighborhoodError.  Inverted by trivialize_v_inverse.
     """
     sb = svd(b)
     v0_m, vb, _, _ = _checked_pair(v0, sb.polar_factor)
     w = _rotation(v0_m, sb.Vt[: sb.rank])
     fiber_elem = v0_m @ (w.conj().T @ sb.modulus @ w)
-    base = v0 if isinstance(v0, PartialIsometry) else PartialIsometry(v0_m)
-    return ChartPoint(PartialIsometry(vb), fiber_elem, w, base)
+    return ChartPoint(PartialIsometry(vb), fiber_elem,
+                      lambda: _v_back(vb, fiber_elem, v0_m, w))
 
 
 def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:
     """(V, V0 C) -> V (W C W*), undoing trivialize_v.
 
-    V and V0 are checked as in trivialize_v.  V is a matrix, a
-    PartialIsometry, or the ChartPoint of trivialize_v, which stands for
-    V_B and hands on W when v0 is the PartialIsometry it was taken at;
-    otherwise W is taken from V0 and V, so the same gap is outside this
-    chart.
+    V and V0 are matrices or PartialIsometries, checked as in
+    trivialize_v, and W is taken from V0 and V, so the same gap is
+    outside this chart.
     """
-    factor, w = _carried(factor, v0)
     v0, v, _, _ = _checked_pair(v0, factor)
     same_shape(v0, fiber_elem)
-    if w is None:
-        w = _rotation(v0, v)
-    core = v0.conj().T @ as_matrix(fiber_elem)   # recovers C from V0 C on N(V0)^perp
-    return v @ w @ core @ w.conj().T
+    return _v_back(v, as_matrix(fiber_elem), v0, _rotation(v0, v))
+
+
+def _v_back(v, fiber_elem, v0, w) -> np.ndarray:
+    """V (W C W*), with C = V0* (V0 C) recovered on N(V0)^perp."""
+    return v @ w @ (v0.conj().T @ fiber_elem) @ w.conj().T

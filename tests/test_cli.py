@@ -371,6 +371,7 @@ MALFORMED_MATRICES = {
     ["census", "--gauge", "sp:nan"],
     ["census", "--gauge", "kyfan:1.5"],
     ["taylor", "--mmax", "0"],
+    ["taylor", "--mmax", "65"],
     ["taylor", "--function", "atomic:{bad_json}"],
 ] + [["pinv", "--input", f"{{{name}}}"] for name in MALFORMED_MATRICES])
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):

@@ -127,9 +127,8 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     # chart unitary is the direct rotation of R(C0) onto R(|B|), one SVD
     # of the cross block of the range bases (was one SVD of the d x d
     # W = QP + (I-Q)(I-P)).  Forward reads R(|B|) off the SVD of B and
-    # returns |B| as that psd_eigh, so the inverse takes no eigh of |B|;
-    # C0 given as a matrix is a new base point to the inverse, which takes
-    # the rotation again (was 3 eigh, when forward returned |B| as a matrix
+    # returns |B| as that psd_eigh, so the inverse takes no eigh of |B|,
+    # but it takes the rotation again, from C0 and |B| (was 3 eigh, when forward returned |B| as a matrix
     # and the inverse took its eigh; 4 eigh when forward took an eigh of
     # |B| too; 7 svd when the chart took the positive section's SVD of S and
     # then the SVD of the section for its polar factor; 13 before that,
@@ -147,8 +146,8 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
         polar.trivialize_alpha_inverse(mod, fib, c0)
     # per chart the SVD of the range bases' cross block (was of W) for the
     # direct rotation of R(C0) onto R(|B|): the unpacked point hands on
-    # |B| as its psd_eigh but not the rotation, which only the whole point
-    # carries; forward also the SVD of B, which gives R(|B|), and fiber
+    # |B| as its psd_eigh, and the inverse takes the rotation again;
+    # forward also the SVD of B, which gives R(|B|), and fiber
     # membership the SVD of X, whose rank gives its index (was 1 eigh, when
     # the inverse was given |B| as a matrix; 2 eigh when forward took one
     # of |B| too; 6 svd when the chart built the positive section and took
@@ -162,13 +161,10 @@ def test_trivialize_alpha_round_trip_through_the_point_counts(count, inputs):
     res_a = svd(a)
     c0 = psd_eigh(polar.polar_decompose(res_a).modulus)
 
-    def round_trip():
-        point = polar.trivialize_alpha(b, c0, res_a)
-        polar.trivialize_alpha_inverse(point, point.fiber_elem, c0)
     # the SVD of B, the cross block's for the rotation and fiber
-    # membership's of X, all forward: the whole point hands the rotation
-    # to an inverse given the same psd_eigh of C0, which takes no SVD
-    assert count(round_trip) == {"svd": 3}
+    # membership's of X, all forward: back() undoes the chart with the
+    # rotation the chart took, and takes no SVD
+    assert count(lambda: polar.trivialize_alpha(b, c0, res_a).back()) == {"svd": 3}
 
 
 def test_trivialize_v_round_trip_counts(count, inputs):
@@ -181,25 +177,20 @@ def test_trivialize_v_round_trip_counts(count, inputs):
     # the SVD of B and one direct rotation, of the initial projectors, per
     # chart; ranks are traces of V*V, so a matrix V0 costs no SVD, and the
     # rotation is one SVD of the cross block, V0 against B's row basis
-    # forward and V0 V* inverse, which also gives its gap.  A matrix V0 is
-    # a new base point to each chart, so the inverse takes the rotation
-    # again (was one SVD of the d x d W; 2 eigh of I - (P - Q)^2 in its
+    # forward and V0 V* inverse, which also gives its gap (was one SVD of the d x d W; 2 eigh of I - (P - Q)^2 in its
     # place before that; 4 eigh before that, when each chart built the
     # orbit witness's final-space rotation and threw it away)
     assert count(round_trip) == {"svd": 3}
 
 
-def test_trivialize_v_round_trip_on_a_partial_isometry_counts(count, inputs):
+def test_trivialize_v_round_trip_through_the_point_counts(count, inputs):
     a, b, _ = inputs
-    v0 = polar.PartialIsometry(polar.polar_decompose(a).polar_factor)
-
-    def round_trip():
-        point = polar.trivialize_v(b, v0)
-        polar.trivialize_v_inverse(point, point.fiber_elem, v0)
-    # the SVD of B and the forward cross block's for W, which the point
-    # hands to an inverse given the same PartialIsometry V0: no SVD of
-    # the m x m cross block V0 V* (was 3, as for a matrix V0)
-    assert count(round_trip) == {"svd": 2}
+    v0 = polar.polar_decompose(a).polar_factor
+    # the SVD of B and the forward cross block's for W, with which back()
+    # undoes the chart: no SVD of the m x m cross block V0 V*, which the
+    # inverse takes (was 2 only for V0 given as a PartialIsometry, which
+    # the inverse was handed again with the point)
+    assert count(lambda: polar.trivialize_v(b, v0).back()) == {"svd": 2}
 
 
 def test_trivialize_v_counts(count, inputs):
@@ -599,7 +590,8 @@ def test_factorizations_pass_through_unchanged(inputs):
     (codim, "subspace_index"), (codim, "_subspace_index"),
     (codim, "conjugating_unitary"), (codim, "basis_matching_unitary"),
     (codim, "Projector"), (matcore, "ISOMETRY_REL"), (pinv, "pinv_matrix"),
-    (polar, "PolarParts"), (polar, "_polar_factor"), (strata, "_svd_pair"),
+    (polar, "PolarParts"), (polar, "_polar_factor"), (polar, "_carried"),
+    (strata, "_svd_pair"),
     (strata, "_svd_same_shape"), (matcore, "_read_json"),
     (matcore.SvdResult, "range_proj"), (matcore.SvdResult, "null_proj")])
 def test_twin_entry_points_are_gone(module, name):

@@ -155,6 +155,18 @@ def test_gauge_constructor_validation():
         GaugeNorm.kyfan(0)
 
 
+@pytest.mark.parametrize("k", [1.5, True, math.nan, 2.0, "2"])
+def test_kyfan_refuses_an_index_that_is_no_integer_from_1(k):
+    # as the Taylor term order: a float, even integral, a bool or a NaN
+    # is refused, not truncated to an index or left to int() to reject
+    with pytest.raises(PreconditionError):
+        GaugeNorm.kyfan(k)
+
+
+def test_kyfan_takes_numpy_integers():
+    assert GaugeNorm.kyfan(np.int64(3)) == GaugeNorm.kyfan(3)
+
+
 @given(seeds)
 def test_gauge_norm_orderings(seed):
     a = generate.ginibre(np.random.default_rng(seed), 4, 3)

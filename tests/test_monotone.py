@@ -35,6 +35,23 @@ def test_scalar_eval_rejects_negative():
         monotone.scalar_eval(SQRT, -1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, [1.0, math.nan]])
+def test_scalar_eval_rejects_nan(lam):
+    # NaN fails the sign check, so it is refused before any quadrature
+    # (it ran to the refinement cap and a ConvergenceError)
+    with pytest.raises(PreconditionError):
+        monotone.scalar_eval(SQRT, lam)
+
+
+def test_sqrt_density_is_admissible_and_monotone():
+    # the representation data make_sqrt builds without checking it:
+    # ∫ dν/(1+t²) = ∫ √t/(π(1+t²)) dt = 1/√2, and f nondecreasing
+    mass = monotone.measure_integral(SQRT, lambda t: 1.0 / (t * t + 1.0))
+    assert mass == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    vals = monotone.scalar_eval(monotone.make_sqrt(), np.linspace(0.0, 100.0, 41))
+    assert np.all(np.diff(vals) >= 0)
+
+
 def test_atomic_cayley_like():
     # alpha = 1/2 with a unit atom at t = 1 gives lambda/(1+lambda)
     f = monotone.make_atomic(0.5, 0.0, [(1.0, 1.0)])
@@ -99,6 +116,15 @@ def test_measure_mass_sqrt_closed_form():
     assert monotone.measure_mass(SQRT, 0.0, 1.0) == pytest.approx(2 / (3 * math.pi))
     got = monotone.measure_mass(SQRT, 1.0, 4.0)
     assert got == pytest.approx((2 / (3 * math.pi)) * 7.0)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan),
+                                  ([0.0, math.nan], [1.0, 2.0])])
+def test_measure_mass_rejects_nan(a, b):
+    # NaN fails the check 0 <= a <= b: no NaN mass is returned
+    for f in (SQRT, monotone.make_atomic(0.0, 0.0, [(1.0, 2.0)])):
+        with pytest.raises(PreconditionError):
+            monotone.measure_mass(f, a, b)
 
 
 def test_measure_mass_atomic():
@@ -577,6 +603,13 @@ def test_riemann_sum_refuses_too_many_cells(rng):
     monotone.riemann_sum(SQRT, c, 2.0 * c, 12, t_max)
     with pytest.raises(PreconditionError):
         monotone.riemann_sum(SQRT, c, 2.0 * c, 12, t_max + 2.0**-12)
+
+
+def test_riemann_sum_refuses_a_nan_depth(rng):
+    # NaN fails the sign check of the depth p (math.ceil raised ValueError)
+    c = generate.positive_definite(rng, 2)
+    with pytest.raises(PreconditionError):
+        monotone.riemann_sum(SQRT, c, 2.0 * c, math.nan, 4.0)
 
 
 def test_riemann_sum_memory_does_not_grow_with_d():

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -520,52 +519,30 @@ def test_modulus_base_reused_matches_matrix_calls(rng):
 
 @pytest.mark.parametrize("d", [8, 32])
 def test_inverse_through_the_point_matches_the_recomputed_rotation(d):
-    # the chart point hands its rotation to the inverse given the same base
-    # point object; from plain matrices the inverse takes it again, from
-    # its inputs, and both undo the chart alike
+    # point.back() undoes the chart with the rotation the chart took; the
+    # public inverse takes it again from its inputs.  For the modulus chart
+    # both take it from the same range bases, so they agree bit for bit;
+    # the polar-factor chart takes it from V0 against B's row basis and its
+    # inverse from V0 against V_B, so they agree to roundoff.  Base points
+    # given as matrices and as their factorizations
     rng = generate.rng_from_seed(d)
     a = generate.fixed_rank(rng, d, d, d // 2)
     res_a = svd(a)
     parts_a = polar.polar_decompose(res_a)
-    c0 = parts_a.modulus_eig
-    v0 = polar.PartialIsometry(parts_a.polar_factor)
+    bases = ((parts_a.modulus_eig, parts_a.polar_factor),
+             (parts_a.modulus, polar.PartialIsometry(parts_a.polar_factor)))
     for _ in range(3):
         b = generate.rank_preserving_perturbation(rng, a, 0.05)
-        point = polar.trivialize_alpha(b, c0, res_a)
-        back = polar.trivialize_alpha_inverse(point, point.fiber_elem, c0)
-        plain = polar.trivialize_alpha_inverse(
-            point.component.matrix, point.fiber_elem, parts_a.modulus)
-        assert np.linalg.norm(back - plain) < 1e-12
-        assert np.linalg.norm(back - b) < 1e-10
-        point = polar.trivialize_v(b, v0)
-        back = polar.trivialize_v_inverse(point, point.fiber_elem, v0)
-        plain = polar.trivialize_v_inverse(
-            point.component.matrix, point.fiber_elem, v0.matrix)
-        assert np.linalg.norm(back - plain) < 1e-12
-        assert np.linalg.norm(back - b) < 1e-10
-
-
-def test_point_at_another_base_takes_the_rotation_again(rng):
-    # a point handed to an inverse with another base-point object, even
-    # one of equal value, stands for its base component only: the inverse
-    # gives what it gives for that component, bit for bit, and not what
-    # the carried rotation would give
-    a = generate.fixed_rank(rng, 6, 6, 3)
-    b = generate.rank_preserving_perturbation(rng, a, 0.05)
-    parts_a = polar.polar_decompose(a)
-    c0 = psd_eigh(parts_a.modulus)
-    v0 = polar.PartialIsometry(parts_a.polar_factor)
-    cases = (
-        (polar.trivialize_alpha(b, c0, a), polar.trivialize_alpha_inverse,
-         psd_eigh(parts_a.modulus)),
-        (polar.trivialize_v(b, v0), polar.trivialize_v_inverse,
-         polar.PartialIsometry(parts_a.polar_factor)))
-    for point, inverse, other in cases:
-        spoiled = dataclasses.replace(point, rotation=np.zeros_like(point.rotation))
-        got = inverse(spoiled, point.fiber_elem, other)
-        assert np.array_equal(got, inverse(point.component, point.fiber_elem, other))
-        assert np.linalg.norm(got - b) < 1e-10
-        assert np.linalg.norm(inverse(spoiled, point.fiber_elem, point.base)) == 0.0
+        for c0, v0 in bases:
+            point = polar.trivialize_alpha(b, c0, res_a)
+            back = point.back()
+            assert np.array_equal(back, polar.trivialize_alpha_inverse(*point, c0))
+            assert np.linalg.norm(back - b) < 1e-10
+            point = polar.trivialize_v(b, v0)
+            back = point.back()
+            plain = polar.trivialize_v_inverse(*point, v0)
+            assert np.linalg.norm(back - plain) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(back - b) < 1e-10
 
 
 def test_modulus_base_rejects_misuse(rng):

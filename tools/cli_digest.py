@@ -6,20 +6,20 @@
 Imports ``pinvlab`` from ``<src-dir>`` and runs the CLI in-process, at
 seeds 0-4, over: ``continuity`` and ``census`` at d = 8, 32, 64 with the
 gauges op, s2 and kyfan:2; ``taylor`` of sqrt at d = 4, 16 and of an
-atomic function at d = 16, and once on each function file of
-``BAD_ATOMS``, whose alpha or beta is not finite; ``fiber --json`` at
-d = 4, 8, 16, 32, 64; and ``pinv``, ``polar``, ``stratify`` and
-``codim`` on matrix files drawn
+atomic function at d = 16; ``fiber --json`` at d = 4, 8, 16, 32, 64; and
+``pinv``, ``polar``, ``stratify`` and ``codim`` on matrix files drawn
 here with numpy, ``pinv`` and ``polar`` with ``--matrix-out`` on a
-square, a tall and a wide input.  ``codim``
-also runs once on each of the inputs in ``CODIM_EDGES``, which it refuses
-but for the zero matrix, read as a projector of rank 0, and ``stratify``
-on each pair of ``STRATIFY_EDGES``, whose shapes differ.  Each run
-prints one line: the argv, the exit code and the first 16 hex digits of
-the sha256 of its stdout, of its stderr and, where it writes one, of its
-matrix file.
-The input files are the same for every tree, so two trees give the
-same output exactly when ``diff`` of their digests is empty.
+square, a tall and a wide input.  ``codim`` also runs once on each of
+the inputs in ``CODIM_EDGES``, which it refuses but for the zero matrix,
+read as a projector of rank 0, ``stratify`` on each pair of
+``STRATIFY_EDGES``, whose shapes differ, and ``taylor`` at seed 0 and
+d = 4 on each function file of ``BAD_ATOMS``, whose alpha or beta is not
+finite, and with ``--mmax`` 64, the largest order it takes, and 65,
+which it refuses.  Each run prints one line: the argv, the exit code and
+the first 16 hex digits of the sha256 of its stdout, of its stderr and,
+where it writes one, of its matrix file.  The input files are the same
+for every tree, so two trees give the same output exactly when ``diff``
+of their digests is empty.
 """
 
 import os
@@ -123,6 +123,8 @@ def runs():
         yield ["stratify", "--a", "stratify-a4.json", "--b", f"stratify-{name}.json", "--json"]
     for name in BAD_ATOMS:
         yield ["taylor", "--seed", 0, "--dim", 4, "--function", f"atomic:atoms-{name}.json"]
+    for mmax in (64, 65):
+        yield ["taylor", "--seed", 0, "--dim", 4, "--mmax", mmax]
 
 
 def sha(text: str) -> str:
