@@ -128,11 +128,12 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     # of the cross block of the range bases (was one SVD of the d x d
     # W = QP + (I-Q)(I-P)).  Forward reads R(|B|) off the SVD of B and
     # returns |B| as that psd_eigh, so the inverse takes no eigh of |B|,
-    # but it takes the rotation again, from C0 and |B| (was 3 eigh, when forward returned |B| as a matrix
-    # and the inverse took its eigh; 4 eigh when forward took an eigh of
-    # |B| too; 7 svd when the chart took the positive section's SVD of S and
-    # then the SVD of the section for its polar factor; 13 before that,
-    # when the index of X took four principal angles and k0 two)
+    # but it takes the rotation again, from C0 and |B| (was 3 eigh, when
+    # forward returned |B| as a matrix and the inverse took its eigh; 4
+    # eigh when forward took an eigh of |B| too; 7 svd when the chart took
+    # the positive section's SVD of S and then the SVD of the section for
+    # its polar factor; 13 before that, when the index of X took four
+    # principal angles and k0 two)
     assert count(round_trip) == {"svd": 5, "eigh": 2}
 
 
@@ -177,9 +178,10 @@ def test_trivialize_v_round_trip_counts(count, inputs):
     # the SVD of B and one direct rotation, of the initial projectors, per
     # chart; ranks are traces of V*V, so a matrix V0 costs no SVD, and the
     # rotation is one SVD of the cross block, V0 against B's row basis
-    # forward and V0 V* inverse, which also gives its gap (was one SVD of the d x d W; 2 eigh of I - (P - Q)^2 in its
-    # place before that; 4 eigh before that, when each chart built the
-    # orbit witness's final-space rotation and threw it away)
+    # forward and V0 V* inverse, which also gives its gap (was one SVD of
+    # the d x d W; 2 eigh of I - (P - Q)^2 in its place before that; 4
+    # eigh before that, when each chart built the orbit witness's
+    # final-space rotation and threw it away)
     assert count(round_trip) == {"svd": 3}
 
 
