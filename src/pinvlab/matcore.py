@@ -9,11 +9,11 @@ the operands of a function share one shape.
 The tolerances of every check and decision are the named constants
 below.  Each factorization has one value type, whose layout only this
 module reads: ``SvdResult`` (``svd``, which also holds the polar parts
-of A) and ``PsdEig`` (``psd_eigh``, ``codim.projector_eig``); rank
-decisions elsewhere read their ``rank``.
+of A and the SVD of V_A) and ``PsdEig`` (``psd_eigh``,
+``codim.projector_eig``); rank decisions elsewhere read their ``rank``.
 Each keeps its input as ``matrix`` and is returned as is when passed
 back, so a function that factorizes an argument also takes its
-factorization.
+factorization.  ``eigh`` and ``tridiagonalize`` return tuples.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ GAP_MARGIN = 1e-6           # a projector gap above 1 - GAP_MARGIN does not coun
 # Boundedness proxy: the tail sup of ||B_n^+|| may exceed ||B^+|| by at
 # most this factor before condition (ii) is declared failed.
 BOUNDEDNESS_FACTOR = 10.0
-MONOTONE_SLACK = 1e-10      # sampled values of a monotone f drop by at most this
 CANCELLATION_REL = 1e-8     # f(lambda) = alpha + beta lambda - integral keeps this
                             # relative resolution after rounding of its terms
 REPRESENTATION_ABS = 1e-12  # JSON (alpha, beta) of sqrt match the built-in's to this
@@ -167,21 +166,31 @@ class GaugeNorm:
     p: float = 0.0
     k: int = 0
 
+    def __post_init__(self):
+        """Refuse an unknown kind, a Schatten p < 1 or a Ky Fan k not an integer >= 1."""
+        if self.kind == "schatten":
+            if not self.p >= 1:     # NaN fails too
+                raise PreconditionError("Schatten exponent must satisfy p >= 1")
+            object.__setattr__(self, "p", float(self.p))
+        elif self.kind == "kyfan":
+            k = self.k
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+                raise PreconditionError(f"Ky Fan index must be an integer >= 1, got {k!r}")
+            object.__setattr__(self, "k", int(k))
+        elif self.kind != "op":
+            raise PreconditionError(f"unknown gauge kind {self.kind!r}")
+
     @staticmethod
     def operator() -> "GaugeNorm":
         return GaugeNorm("op")
 
     @staticmethod
     def schatten(p: float) -> "GaugeNorm":
-        if not p >= 1:      # NaN fails too
-            raise PreconditionError("Schatten exponent must satisfy p >= 1")
-        return GaugeNorm("schatten", p=float(p))
+        return GaugeNorm("schatten", p=p)
 
     @staticmethod
     def kyfan(k: int) -> "GaugeNorm":
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise PreconditionError(f"Ky Fan index must be an integer >= 1, got {k!r}")
-        return GaugeNorm("kyfan", k=int(k))
+        return GaugeNorm("kyfan", k=k)
 
     @staticmethod
     def parse(text: str) -> "GaugeNorm":
@@ -214,9 +223,7 @@ class GaugeNorm:
             if np.isinf(self.p) or s[0] == 0.0:
                 return float(s[0])
             return float(s[0] * np.sum((s / s[0]) ** self.p) ** (1.0 / self.p))
-        if self.kind == "kyfan":
-            return float(np.sum(s[: self.k]))
-        raise PreconditionError(f"unknown gauge kind {self.kind!r}")
+        return float(np.sum(s[: self.k]))
 
     def label(self) -> str:
         if self.kind == "op":
@@ -324,6 +331,16 @@ class SvdResult:
     def polar_factor(self) -> np.ndarray:
         """V_A = U_r V_r*, the partial isometry with V_A|A| = A; built on each read."""
         return self.U[:, : self.rank] @ self.Vt[: self.rank, :]
+
+    @cached_property
+    def polar_factor_svd(self) -> SvdResult:
+        """The SVD of V_A, read off A's with singular values 1 on the rank:
+        its ``matrix`` is V_A, formed once, its ``pinv`` V_A*, its
+        ``modulus`` the initial projector and its ``gamma`` 1."""
+        s = np.zeros(len(self.singular_values))
+        s[: self.rank] = 1.0
+        cutoff = RANK_REL * max(self.matrix.shape) * s[0]
+        return SvdResult(self.U, s, self.Vt, self.rank, cutoff, self.polar_factor)
 
     @cached_property
     def modulus(self) -> np.ndarray:
@@ -503,29 +520,11 @@ def psd_eigh(c) -> PsdEig:
     return PsdEig(q, w, int(np.count_nonzero(w)), c)
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
-    """H = Q T Q* for Hermitian H, with T Hermitian tridiagonal.
-
-    ``diag`` is T's real diagonal and ``off`` its subdiagonal, T[k+1, k];
-    the superdiagonal is its conjugate.  ``matrix`` is H itself, as
-    validated by ``as_matrix``.
-    """
-
-    Q: np.ndarray
-    diag: np.ndarray
-    off: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def T(self) -> np.ndarray:
-        """T as a dense matrix."""
-        return (np.diag(self.diag.astype(complex)) + np.diag(self.off, -1)
-                + np.diag(self.off.conj(), 1))
-
-
-def tridiagonalize(h) -> Tridiagonal:
+def tridiagonalize(h) -> tuple:
     """Householder reduction H = Q T Q* of a Hermitian matrix to tridiagonal T.
+
+    Returns (Q, diag, off): T's real diagonal and its subdiagonal T[k+1, k],
+    whose conjugate is the superdiagonal.
 
     Reflection k, I - tau v v*, maps the part x of column k below the
     diagonal onto its first entry; v = x + e^{i arg x_0} ||x|| e_1 adds to
@@ -563,4 +562,4 @@ def tridiagonalize(h) -> Tridiagonal:
         qk = q[:, k + 1:]
         qk -= np.outer(qk @ (tau * v), v.conj())
     unit = math.ldexp(1.0, e)
-    return Tridiagonal(q, a.diagonal().real * unit, a.diagonal(-1) * unit, m)
+    return q, a.diagonal().real * unit, a.diagonal(-1) * unit

@@ -3,7 +3,8 @@
 The polar parts B = V_B |B| split the rank strata of a reference matrix
 into a positive cone direction (the modulus) and a partial-isometry
 direction (the polar factor), both read off the one SVD of B
-(``SvdResult.polar_factor``, ``SvdResult.modulus``).  This module builds
+(``SvdResult.polar_factor``, ``SvdResult.modulus``); V_B is returned as
+its SVD, ``SvdResult.polar_factor_svd``.  This module builds
 constructive witnesses for the congruence action on positive matrices
 and the unitary action on partial isometries, a positive-cone
 cross-section, and the two local chart maps (by modulus, by polar
@@ -48,17 +49,6 @@ from .matcore import (
 )
 
 
-@dataclass(frozen=True)
-class PartialIsometry:
-    matrix: np.ndarray
-
-    @staticmethod
-    def from_matrix(m) -> "PartialIsometry":
-        v = as_matrix(m)
-        _initial_rank(v)
-        return PartialIsometry(v)
-
-
 @dataclass(frozen=True, eq=False)
 class ChartPoint:
     """A chart's value, the pair (base component, fiber element) it unpacks to.
@@ -67,7 +57,7 @@ class ChartPoint:
     that the chart itself took, through the back-map of the chart's inverse.
     """
 
-    component: PsdEig | PartialIsometry    # |B| as its psd_eigh, or V_B
+    component: PsdEig | SvdResult    # |B| as its psd_eigh, or V_B as its SVD
     fiber_elem: np.ndarray
     back: Callable[[], np.ndarray] = field(repr=False)
 
@@ -142,14 +132,14 @@ def positive_section(c, b) -> np.ndarray:
 def isometry_orbit_witness(v0, v):
     """Unitaries (U, W) with U V0 W* = V for equal-rank partial isometries.
 
-    Each argument, a matrix or a PartialIsometry, is checked to be a
-    partial isometry (PreconditionError otherwise), which gives its rank,
-    the trace of its initial projector.  From one SVD of each, V0 = U0 S V0'*
+    Each argument, a matrix or its SVD, is checked to be a partial
+    isometry (PreconditionError otherwise), which gives its rank, the
+    trace of its initial projector.  From one SVD of each, V0 = U0 S V0'*
     and V = U1 S V1'* share S, the identity on the rank, so
     (U, W) = (U1 U0*, V1' V0'*): strata.transitivity_witness with
-    S2 S1^+ = I.
+    S2 S1^+ = I.  An SVD passed in is not taken again.
     """
-    v0, v, r0, r1 = _checked_pair(v0, v)
+    _, _, r0, r1 = _checked_pair(v0, v)
     if r0 != r1:
         raise StratumError(f"no orbit witness across ranks: {r0} vs {r1}")
     s0, s1 = svd(v0), svd(v)
@@ -158,8 +148,8 @@ def isometry_orbit_witness(v0, v):
 
 def _checked_pair(v0, v):
     """V0 and V as matrices of one shape, each checked to be a partial
-    isometry, and their ranks."""
-    v0, v = (x.matrix if isinstance(x, PartialIsometry) else as_matrix(x) for x in (v0, v))
+    isometry, and their ranks.  Each is a matrix or its SVD."""
+    v0, v = as_matrix(v0), as_matrix(v)
     same_shape(v0, v)
     return v0, v, _initial_rank(v0), _initial_rank(v)
 
@@ -172,8 +162,8 @@ def modulus_map(b, a) -> np.ndarray:
     return svd(b).modulus
 
 
-def polar_factor_map(b, a) -> PartialIsometry:
-    """B -> V_B, with the difference identity against V_A checked.
+def polar_factor_map(b, a) -> SvdResult:
+    """B -> V_B as its SVD, with the difference identity against V_A checked.
 
     V_A - V_B = A(|A|^+ - |B|^+) + (A - B)|B|^+ holds exactly; its
     residual is asserted.  |A|^+ = A^+ V_A is read from the SVD of A, and
@@ -183,7 +173,8 @@ def polar_factor_map(b, a) -> PartialIsometry:
     same_shape(b, a)
     sb, sa = svd(b), svd(a)
     a, b = sa.matrix, sb.matrix
-    va, vb = sa.polar_factor, sb.polar_factor
+    factor = sb.polar_factor_svd
+    va, vb = sa.polar_factor, factor.matrix
     mod_a_pinv = sa.pinv @ va
     mod_b_pinv = sb.pinv @ vb
     lhs = va - vb
@@ -191,7 +182,7 @@ def polar_factor_map(b, a) -> PartialIsometry:
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     if np.linalg.norm(lhs - rhs) > IDENTITY_REL * scale:
         raise ConsistencyError("polar factor difference identity violated")
-    return PartialIsometry(vb)
+    return factor
 
 
 def _base_point(c0, a):
@@ -291,26 +282,25 @@ def trivialize_v(b, v0) -> ChartPoint:
     W is the direct rotation of V0*V0 onto V_B*V_B, taken from V0 and the
     row basis of B; it transports |B| to a positive matrix supported on
     the initial space of V0, so the second component sits in the fiber
-    over V0.  B is a matrix or its SVD, V0 a matrix or a
-    PartialIsometry; the ChartPoint's ``back()`` undoes the chart with W.
+    over V0.  B and V0 are matrices or their SVDs; V_B is returned as its
+    SVD in a ChartPoint whose ``back()`` undoes the chart with W.
     A V0 that is not a partial isometry raises PreconditionError; an
     initial-space gap that the rotation refuses, as unequal ranks give,
     raises OutsideNeighborhoodError.  Inverted by trivialize_v_inverse.
     """
     sb = svd(b)
-    v0_m, vb, _, _ = _checked_pair(v0, sb.polar_factor)
+    factor = sb.polar_factor_svd
+    v0_m, vb, _, _ = _checked_pair(v0, factor)
     w = _rotation(v0_m, sb.Vt[: sb.rank])
     fiber_elem = v0_m @ (w.conj().T @ sb.modulus @ w)
-    return ChartPoint(PartialIsometry(vb), fiber_elem,
-                      lambda: _v_back(vb, fiber_elem, v0_m, w))
+    return ChartPoint(factor, fiber_elem, lambda: _v_back(vb, fiber_elem, v0_m, w))
 
 
 def trivialize_v_inverse(factor, fiber_elem, v0) -> np.ndarray:
     """(V, V0 C) -> V (W C W*), undoing trivialize_v.
 
-    V and V0 are matrices or PartialIsometries, checked as in
-    trivialize_v, and W is taken from V0 and V, so the same gap is
-    outside this chart.
+    V and V0 are matrices or their SVDs, checked as in trivialize_v, and
+    W is taken from V0 and V, so the same gap is outside this chart.
     """
     v0, v, _, _ = _checked_pair(v0, factor)
     same_shape(v0, fiber_elem)

@@ -124,7 +124,9 @@ def transitivity_witness(b1, b2) -> GroupPair:
 
     From SVDs B1 = U1 S1 V1*, B2 = U2 S2 V2* with common rank r:
     K = V2 V1* and G = (U2 d) U1*, with d = s2/s1 on the leading r
-    coordinates and 1 beyond them; then G B1 K^{-1} = B2 exactly.
+    coordinates and sigma_1(B2)/sigma_1(B1) beyond them (1 at rank 0);
+    then G B1 K^{-1} = B2 exactly.  The ratio beyond the rank keeps G
+    well conditioned at any scale: for B2 = s B1, G = s U2 U1*.
     """
     m = same_shape(b1, b2)[0]
     r1, r2 = svd(b1), svd(b2)
@@ -133,7 +135,7 @@ def transitivity_witness(b1, b2) -> GroupPair:
             f"no witness exists across strata: rank {r1.rank} vs {r2.rank}"
         )
     r = r1.rank
-    d = np.ones(m)
+    d = np.full(m, r2.singular_values[0] / r1.singular_values[0] if r else 1.0)
     d[:r] = r2.singular_values[:r] / r1.singular_values[:r]
     g = (r2.U * d) @ r1.U.conj().T
     k = r2.Vt.conj().T @ r1.Vt

@@ -409,6 +409,21 @@ def test_riemann_sum_counts(count, positive):
     assert report == {"eigh": 2, "svd": 2}
 
 
+@pytest.mark.parametrize("ps", [range(4, 6), range(4, 9)])
+def test_riemann_decay_slope_counts(count, positive, ps):
+    c, d, _ = positive
+    f = monotone.make_sqrt()
+    out = {}
+    # one eigh of C and of D for every depth, and a riemann_sum's two gauge
+    # norms per depth (was 2 eigh per depth); the slope is the one the
+    # per-depth sums on the matrices give, bit for bit
+    report = count(lambda: out.setdefault(
+        "slope", monotone.riemann_decay_slope(f, c, d, ps, 64.0)))
+    assert report == {"eigh": 2, "svd": 2 * len(ps)}
+    gaps = [monotone.riemann_sum(f, c, d, p, 64.0).gap_gauge for p in ps]
+    assert out["slope"] == float(np.polyfit(list(ps), np.log2(gaps), 1)[0])
+
+
 def test_taylor_term_counts(count, positive):
     c, _, delta = positive
     f = monotone.make_sqrt()
@@ -484,6 +499,7 @@ def operands(inputs, positive, semidefinite):
     x, y = generate.tangent_pair(generate.rng_from_seed(1), D, D)
     return dict(a=a, b=b, c=c, delta=delta, c_psd=c_psd, b_psd=b_psd, c0=c0,
                 mod=polar.modulus_map(b, a), fib=fib, v0=polar.polar_decompose(a).polar_factor,
+                v=polar.polar_decompose(b).polar_factor,
                 tan=x @ b - b @ y, f=monotone.make_sqrt())
 
 
@@ -519,6 +535,8 @@ PASS_THROUGH = {
                                lambda o: (o["fib"], o["c0"], o["a"]),
                                {0: "svd", 1: "eigh", 2: "svd"}),
     "trivialize_v": (polar.trivialize_v, lambda o: (o["b"], o["v0"]), {0: "svd"}),
+    "isometry_orbit_witness": (polar.isometry_orbit_witness, lambda o: (o["v0"], o["v"]),
+                               {0: "svd", 1: "svd"}),
     "wedin_residual": (pinv.wedin_residual, lambda o: (o["a"], o["b"], OP_NORM),
                        {0: "svd", 1: "svd"}),
     "same_rank_bound": (pinv.same_rank_bound, lambda o: (o["a"], o["b"]),
@@ -548,8 +566,6 @@ def _bits(x):
         return _bits((x.Q, x.w, x.matrix))
     if isinstance(x, SvdResult):
         return _bits((x.U, x.singular_values, x.Vt, x.rank, x.matrix))
-    if isinstance(x, polar.PartialIsometry):
-        return _bits(x.matrix)
     if isinstance(x, np.ndarray):
         return x.shape, x.dtype.str, x.tobytes()
     return x
@@ -593,7 +609,8 @@ def test_factorizations_pass_through_unchanged(inputs):
     (codim, "conjugating_unitary"), (codim, "basis_matching_unitary"),
     (codim, "Projector"), (matcore, "ISOMETRY_REL"), (pinv, "pinv_matrix"),
     (polar, "PolarParts"), (polar, "_polar_factor"), (polar, "_carried"),
-    (strata, "_svd_pair"),
+    (strata, "_svd_pair"), (polar, "PartialIsometry"), (matcore, "Tridiagonal"),
+    (monotone, "_check_monotone"), (matcore, "MONOTONE_SLACK"),
     (strata, "_svd_same_shape"), (matcore, "_read_json"),
     (matcore.SvdResult, "range_proj"), (matcore.SvdResult, "null_proj")])
 def test_twin_entry_points_are_gone(module, name):

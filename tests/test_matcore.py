@@ -1,6 +1,9 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -93,6 +96,17 @@ def test_rank_cutoff_is_named_only_where_it_is_defined():
     assert naming == {"matcore", "codim"}
 
 
+def test_import_pulls_in_no_heavy_or_test_modules():
+    # a CLI run pays for every module the package imports: scipy.linalg
+    # alone adds about 0.3 s, which every benchmark setup time includes
+    code = ("import sys, pinvlab; "
+            "print(sorted({'scipy', 'pytest', 'hypothesis'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(pinvlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 @given(seeds, dims, dims)
 def test_json_round_trip(seed, m, n):
     a = generate.ginibre(np.random.default_rng(seed), m, n)
@@ -165,6 +179,23 @@ def test_kyfan_refuses_an_index_that_is_no_integer_from_1(k):
 
 def test_kyfan_takes_numpy_integers():
     assert GaugeNorm.kyfan(np.int64(3)) == GaugeNorm.kyfan(3)
+
+
+@pytest.mark.parametrize("kind, p, k", [
+    ("foo", 0.0, 0), ("schatten", 0.5, 0), ("schatten", math.nan, 0),
+    ("schatten", 0.0, 0), ("kyfan", 0.0, 0), ("kyfan", 0.0, 1.5)])
+def test_direct_construction_is_checked(kind, p, k):
+    # the constructor refuses what the named constructors and parse refuse,
+    # so no instance labels or evaluates a norm it is not (an unknown kind
+    # read "kyfan:0", Schatten p = 0.5 gave 4 on [1, 1], Ky Fan k = 0 gave 0)
+    with pytest.raises(PreconditionError):
+        GaugeNorm(kind, p=p, k=k)
+
+
+def test_direct_construction_equals_the_named_constructors():
+    assert GaugeNorm("schatten", p=2) == FROBENIUS_NORM
+    assert GaugeNorm("kyfan", k=np.int64(2)) == GaugeNorm.kyfan(2)
+    assert type(GaugeNorm("kyfan", k=np.int64(2)).k) is int
 
 
 @given(seeds)
@@ -360,14 +391,18 @@ def _banded(rng, d, width):
     return np.where(abs(i - j) <= width, h, 0.0)
 
 
+def _dense(diag, off):
+    """The Hermitian tridiagonal T with real diagonal diag and subdiagonal off."""
+    return np.diag(diag.astype(complex)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 33])
 @pytest.mark.parametrize("kind", ["dense", "diagonal", "tridiagonal"])
 def test_tridiagonalize_reconstructs(rng, d, kind):
     h = _banded(rng, d, {"dense": d, "diagonal": 0, "tridiagonal": 1}[kind])
-    tri = tridiagonalize(h)
-    q, t = tri.Q, tri.T
-    assert np.array_equal(tri.matrix, h)
-    assert tri.diag.dtype == float and tri.off.shape == (d - 1,)
+    q, diag, off = tridiagonalize(h)
+    t = _dense(diag, off)
+    assert diag.dtype == float and off.shape == (d - 1,)
     assert np.array_equal(t, np.triu(np.tril(t, 1), -1))
     assert np.linalg.norm(q @ q.conj().T - np.eye(d)) <= UNITARY_REL * d
     assert np.linalg.norm(q @ t @ q.conj().T - h) <= 1e-13 * np.linalg.norm(h)
@@ -380,8 +415,8 @@ def test_tridiagonalize_near_overflow_and_rejects_non_hermitian(rng):
     h = generate.hermitian(rng, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tri = tridiagonalize(1e200 * h)
-    assert np.linalg.norm(tri.Q @ (tri.T / 1e200) @ tri.Q.conj().T - h) <= (
+        q, diag, off = tridiagonalize(1e200 * h)
+    assert np.linalg.norm(q @ (_dense(diag, off) / 1e200) @ q.conj().T - h) <= (
         1e-13 * np.linalg.norm(h))
     with pytest.raises(PreconditionError):
         tridiagonalize(generate.ginibre(rng, 4, 4))

@@ -43,6 +43,18 @@ def test_scalar_eval_rejects_nan(lam):
         monotone.scalar_eval(SQRT, lam)
 
 
+@pytest.mark.parametrize("f", [SQRT, monotone.make_atomic(0.5, 0.0, [(1.0, 1.0)])],
+                         ids=["sqrt", "atomic"])
+@pytest.mark.parametrize("lam", [math.inf, [1.0, math.inf]])
+def test_scalar_eval_refuses_infinity(f, lam):
+    # refused before any evaluation, with no warning: the sqrt quadrature
+    # ran to its refinement cap and a ConvergenceError, the atoms gave NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            monotone.scalar_eval(f, lam)
+
+
 def test_sqrt_density_is_admissible_and_monotone():
     # the representation data make_sqrt builds without checking it:
     # ∫ dν/(1+t²) = ∫ √t/(π(1+t²)) dt = 1/√2, and f nondecreasing

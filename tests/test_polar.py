@@ -47,7 +47,7 @@ def test_polar_decompose_invariants(seed, r):
     vv = v.conj().T @ v
     assert np.linalg.norm(vv @ vv - vv) < 1e-10
     assert np.linalg.norm(vv - mod @ svd(mod).pinv) < 1e-9
-    polar.PartialIsometry.from_matrix(v)
+    polar.isometry_orbit_witness(v, parts.polar_factor_svd)
 
 
 @pytest.mark.parametrize("m, n, r", [
@@ -75,6 +75,23 @@ def test_modulus_eig_is_kept_and_passes_through(rng):
     assert psd_eigh(eig) is eig
 
 
+@pytest.mark.parametrize("m, n, r", [(5, 5, 5), (3, 6, 3), (6, 3, 2), (4, 3, 0)])
+def test_polar_factor_svd_is_an_svd_of_v(rng, m, n, r):
+    # read off the SVD of A with no factorization and kept: its matrix is
+    # V_A, its pinv V_A*, its modulus the initial projector, its gamma 1,
+    # and its rank and cutoff are those an SVD of V_A takes
+    parts = polar.polar_decompose(generate.fixed_rank(rng, m, n, r))
+    fac = parts.polar_factor_svd
+    v = parts.polar_factor
+    assert parts.polar_factor_svd is fac and svd(fac) is fac
+    assert np.array_equal(fac.matrix, v)
+    assert np.allclose(fac.pinv, v.conj().T, rtol=0, atol=1e-12)
+    assert np.allclose(fac.modulus, v.conj().T @ v, rtol=0, atol=1e-12)
+    ref = svd(v)
+    assert fac.rank == ref.rank == r and fac.gamma == (1.0 if r else 0.0)
+    assert fac.rank_tolerance == pytest.approx(ref.rank_tolerance, rel=1e-12, abs=0)
+
+
 def test_modulus_eig_has_the_rank_of_b_where_the_cutoffs_differ():
     # a tall 40 x 4 B with sigma_4 = 2e-9 between the cutoffs of svd(B),
     # RANK_REL max(m, n) sigma_1 = 4e-9, and of psd_eigh(|B|), RANK_REL n
@@ -95,7 +112,7 @@ def test_partial_isometry_rejects_non_isometry():
     # point that checks a partial isometry refuses them without a warning
     b = np.eye(2)
     for v in (np.diag([2.0, 0.0]), 1e154 * b, 1e160 * b, 1e200 * b):
-        for refused in (lambda: polar.PartialIsometry.from_matrix(v),
+        for refused in (lambda: polar.trivialize_v_inverse(b, b, v),
                         lambda: polar.isometry_orbit_witness(v, b),
                         lambda: polar.trivialize_v(b, v)):
             with warnings.catch_warnings():
@@ -260,7 +277,7 @@ def test_orbit_witnesses_reject_non_isometries(rng, case):
     else:
         v = generate.partial_isometry(rng, 5, 4, 2)
         v0 = 0.3 * generate.partial_isometry(rng, 5, 4, 2)
-    for bad, good in ((v0, v), (polar.PartialIsometry(v0), v)):
+    for bad, good in ((v0, v), (svd(v0), v)):
         with pytest.raises(PreconditionError):
             polar.isometry_orbit_witness(bad, good)
         with pytest.raises(PreconditionError):
@@ -495,7 +512,7 @@ def test_modulus_base_reused_matches_matrix_calls(rng):
     res_a = svd(a)
     parts_a = polar.polar_decompose(res_a)
     c0 = psd_eigh(parts_a.modulus)
-    v0 = polar.PartialIsometry(parts_a.polar_factor)
+    v0 = parts_a.polar_factor_svd
     assert np.linalg.norm(v0.matrix - parts.polar_factor) < 1e-12
     for _ in range(4):
         b = generate.rank_preserving_perturbation(rng, a, 0.05)
@@ -530,7 +547,7 @@ def test_inverse_through_the_point_matches_the_recomputed_rotation(d):
     res_a = svd(a)
     parts_a = polar.polar_decompose(res_a)
     bases = ((parts_a.modulus_eig, parts_a.polar_factor),
-             (parts_a.modulus, polar.PartialIsometry(parts_a.polar_factor)))
+             (parts_a.modulus, parts_a.polar_factor_svd))
     for _ in range(3):
         b = generate.rank_preserving_perturbation(rng, a, 0.05)
         for c0, v0 in bases:

@@ -89,6 +89,18 @@ def test_transitivity_witness_exact(seed):
     assert np.linalg.norm(strata.act(gk, b1) - b2) < 1e-9
 
 
+@pytest.mark.parametrize("m, n, r", [(4, 4, 2), (5, 3, 2), (3, 5, 3)])
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e9, 1e12])
+def test_transitivity_witness_at_any_scale(rng, m, n, r, scale):
+    # beyond the rank G scales by sigma_1(B2)/sigma_1(B1), as on it, so for
+    # B2 = s B1 it is s times a unitary: with 1 there, G was numerically
+    # singular at s = 1e-12 and reproduced B2 to only 6e-7 at s = 1e-9
+    b1 = generate.fixed_rank(rng, m, n, r)
+    b2 = scale * b1
+    gk = strata.transitivity_witness(b1, b2)
+    assert np.linalg.norm(strata.act(gk, b1) - b2) <= 1e-14 * np.linalg.norm(b2)
+
+
 def test_transitivity_witness_rank_mismatch(rng):
     b1 = generate.fixed_rank(rng, 5, 5, 3)
     b2 = generate.fixed_rank(rng, 5, 5, 2)
