@@ -167,7 +167,8 @@ class GaugeNorm:
     k: int = 0
 
     def __post_init__(self):
-        """Refuse an unknown kind, a Schatten p < 1 or a Ky Fan k not an integer >= 1."""
+        """Refuse an unknown kind, a Schatten p < 1, a Ky Fan k not an
+        integer >= 1, and a p or k off 0 where the kind does not use it."""
         if self.kind == "schatten":
             if not self.p >= 1:     # NaN fails too
                 raise PreconditionError("Schatten exponent must satisfy p >= 1")
@@ -179,6 +180,10 @@ class GaugeNorm:
             object.__setattr__(self, "k", int(k))
         elif self.kind != "op":
             raise PreconditionError(f"unknown gauge kind {self.kind!r}")
+        if self.kind != "schatten" and self.p != 0:
+            raise PreconditionError(f"the {self.kind} gauge takes no exponent p, got {self.p!r}")
+        if self.kind != "kyfan" and self.k != 0:
+            raise PreconditionError(f"the {self.kind} gauge takes no index k, got {self.k!r}")
 
     @staticmethod
     def operator() -> "GaugeNorm":

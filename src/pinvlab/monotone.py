@@ -9,7 +9,12 @@ f'(lambda) = beta + ∫(t+lambda)^{-2} dnu >= 0, so data that pass the
 constructors' checks are monotone and f is never sampled to confirm it.
 Matrix evaluation is provided through two independent routes -- spectral
 calculus and resolvent quadrature -- kept separate so each can serve as
-the other's oracle.
+the other's oracle.  For the sqrt density the spectral route and f(0)
+read f off the closed form ∫(1/(t+lambda) - t/(t^2+1)) dnu = 1/sqrt(2) -
+sqrt(lambda), and take no quadrature node; the integral route,
+``scalar_eval``, the Taylor terms and the bound and Riemann integrals
+take the quadrature, so the spectral route is an oracle that shares no
+code with it.  Atomic measures take exact sums on every route.
 Taylor terms of the matrix map C -> f(C), their gauge-norm bounds and the
 bound on the tail after each order, a first-order perturbation bound and
 dyadic Riemann operator sums with a proved O(2^-p) gap complete the module.
@@ -82,8 +87,23 @@ class MonotoneFunction:
 
     @cached_property
     def f0(self) -> float:
-        """f(0), evaluated from the representation on first read and kept."""
+        """f(0), evaluated on first read and kept: by the closed form for
+        the sqrt density (exactly 0 for ``make_sqrt()``), from the atoms'
+        exact sum otherwise."""
+        if self.density == "sqrt":
+            return float(_sqrt_closed_form(self, 0.0))
         return float(_evaluate(self, np.asarray(0.0)))
+
+
+# ∫(1/t - t/(t^2+1)) dnu for the sqrt density: alpha of make_sqrt, so f(0) = 0
+_SQRT_ALPHA = 1.0 / math.sqrt(2.0)
+
+
+def _sqrt_closed_form(f: MonotoneFunction, lam):
+    """f(lambda) = alpha + beta lam - (1/sqrt(2) - sqrt(lambda)) for the sqrt
+    density at lambda >= 0, with no quadrature.  The constants are summed
+    first, so no rounding of 1/sqrt(2) - sqrt(lambda) reaches a small root."""
+    return (f.alpha - _SQRT_ALPHA) + f.beta * lam + np.sqrt(lam)
 
 
 # Windows of the nested trapezoid rule in the double-exponential variable x,
@@ -227,7 +247,7 @@ def measure_mass(f: MonotoneFunction, a, b):
 
 def make_sqrt() -> MonotoneFunction:
     """The square root: alpha = 1/sqrt(2), beta = 0, density sqrt(t)/pi."""
-    return MonotoneFunction(alpha=1.0 / math.sqrt(2.0), beta=0.0, density="sqrt")
+    return MonotoneFunction(alpha=_SQRT_ALPHA, beta=0.0, density="sqrt")
 
 
 def make_atomic(alpha: float, beta: float, atoms) -> MonotoneFunction:
@@ -341,27 +361,35 @@ def _pd_eigh(c) -> PsdEig:
 def matrix_eval_spectral(f: MonotoneFunction, c) -> np.ndarray:
     """f(C) through the spectral theorem: scalar f applied to eigenvalues,
     those at or below the rank cutoff taken as 0 (as in the integral route).
-    C is a matrix or its psd_eigh."""
+    For the sqrt density f is the closed form alpha + beta lambda -
+    (1/sqrt(2) - sqrt(lambda)), which evaluates no quadrature node; atomic
+    measures go through ``scalar_eval``'s exact sums.  C is a matrix or
+    its psd_eigh."""
     eig = psd_eigh(c)
-    out = (eig.Q * scalar_eval(f, eig.w)) @ eig.Q.conj().T
+    if f.density == "sqrt":
+        vals = _sqrt_closed_form(f, eig.w)
+    else:
+        vals = scalar_eval(f, eig.w)
+    out = (eig.Q * vals) @ eig.Q.conj().T
     return 0.5 * (out + out.conj().T)
 
 
 def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
     """f(C) through resolvent quadrature, independent of the spectral route.
 
-    alpha I + beta C - ∫((tI+C)^{-1} - t/(t^2+1) I) dν(t).  C is reduced
-    once to Hermitian tridiagonal form, C = Q T Q* (``tridiagonalize``),
-    and the integral is taken in T's basis and conjugated back once.  At
-    each node (tI + T) X = I - tT is solved through the LDL* of tI + T,
-    which needs no pivoting as tI + T is positive definite, in O(d^2),
-    for all nodes of a chunk at once.  The rule compares Frobenius norms,
-    which Q leaves unchanged, so it takes the nodes it would take in C's
-    basis.  A singular C is integrated with its null block set to w_max I,
-    which makes it positive definite as sC gives s times it, and the
-    value's null block is then replaced by f(0) I; the eigh, the one
-    factorization, gives only that null projector and the rank.  C is a
-    matrix or its psd_eigh.
+    alpha I + beta C - ∫((tI+C)^{-1} - t/(t^2+1) I) dν(t), taken by the
+    quadrature for the sqrt density too, where the spectral route's closed
+    form is its oracle.  C is reduced once to Hermitian tridiagonal form,
+    C = Q T Q* (``tridiagonalize``), and the integral is taken in T's
+    basis and conjugated back once.  At each node (tI + T) X = I - tT is
+    solved through the LDL* of tI + T, which needs no pivoting as tI + T
+    is positive definite, in O(d^2), for all nodes of a chunk at once.
+    The rule compares Frobenius norms, which Q leaves unchanged, so it
+    takes the nodes it would take in C's basis.  A singular C is
+    integrated with its null block set to w_max I, which makes it positive
+    definite as sC gives s times it, and the value's null block is then
+    replaced by f(0) I; the eigh, the one factorization, gives only that
+    null projector and the rank.  C is a matrix or its psd_eigh.
     """
     eig = psd_eigh(c)
     c = eig.matrix
@@ -643,8 +671,11 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
 def riemann_decay_slope(f: MonotoneFunction, c, d, ps, t_max: float,
                         g: GaugeNorm = OP_NORM) -> float:
     """Least-squares slope of log2(gap) against p; about -1 for h Lipschitz.
+    PreconditionError unless ``ps`` holds at least two distinct depths.
     C and D, matrices or their psd_eighs, are factorized once for every p."""
     ps = list(ps)
+    if len(set(ps)) < 2:
+        raise PreconditionError(f"a slope needs two distinct depths, got {ps!r}")
     ec, ed = _pd_eigh(c), _pd_eigh(d)
     gaps = [riemann_sum(f, ec, ed, p, t_max, g).gap_gauge for p in ps]
     if any(gap <= 0 for gap in gaps):

@@ -451,6 +451,24 @@ def test_continuity_in_stratum_counts(count, positive):
     assert report == {"eigh": 1 + 4, "svd": 4 * 2}
 
 
+def test_sqrt_spectral_route_counts(count, monkeypatch, positive, semidefinite):
+    c, d, _ = positive
+    seq = [c + (d - c) / 2**k for k in range(4)]
+
+    def no_quadrature(fn, t_max=None):
+        raise AssertionError("the sqrt density's quadrature was called")
+    monkeypatch.setattr(monotone, "_sqrt_integral", no_quadrature)
+    f = monotone.make_sqrt()
+    # f(0) and the spectral f(C) read the closed form of the sqrt density:
+    # one eigh per matrix and no quadrature node (was one quadrature per
+    # call, and one for f(0))
+    assert count(lambda: f.f0) == {}
+    assert count(lambda: monotone.matrix_eval_spectral(f, c)) == {"eigh": 1}
+    assert count(lambda: monotone.matrix_eval_spectral(f, semidefinite[0])) == {"eigh": 1}
+    assert count(lambda: monotone.continuity_in_stratum(f, c, seq)) == {
+        "eigh": 1 + 4, "svd": 4 * 2}
+
+
 def test_perturbation_bound_counts(count, positive):
     c, d, _ = positive
     f = monotone.make_sqrt()

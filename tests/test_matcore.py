@@ -183,11 +183,15 @@ def test_kyfan_takes_numpy_integers():
 
 @pytest.mark.parametrize("kind, p, k", [
     ("foo", 0.0, 0), ("schatten", 0.5, 0), ("schatten", math.nan, 0),
-    ("schatten", 0.0, 0), ("kyfan", 0.0, 0), ("kyfan", 0.0, 1.5)])
+    ("schatten", 0.0, 0), ("kyfan", 0.0, 0), ("kyfan", 0.0, 1.5),
+    ("op", 3, 0), ("op", math.nan, 0), ("op", 0.0, 2), ("kyfan", 7.0, 2),
+    ("schatten", 2.0, 1)])
 def test_direct_construction_is_checked(kind, p, k):
     # the constructor refuses what the named constructors and parse refuse,
     # so no instance labels or evaluates a norm it is not (an unknown kind
-    # read "kyfan:0", Schatten p = 0.5 gave 4 on [1, 1], Ky Fan k = 0 gave 0)
+    # read "kyfan:0", Schatten p = 0.5 gave 4 on [1, 1], Ky Fan k = 0 gave 0),
+    # and a p or k its kind does not use (GaugeNorm("op", p=3) evaluated as
+    # the operator norm but compared unequal to OP_NORM)
     with pytest.raises(PreconditionError):
         GaugeNorm(kind, p=p, k=k)
 

@@ -14,7 +14,7 @@ from pinvlab.errors import (
     OutsideNeighborhoodError,
     PreconditionError,
 )
-from pinvlab.matcore import OP_NORM, RIEMANN_MAX_CELLS, gauge_norm, psd_eigh
+from pinvlab.matcore import OP_NORM, RANK_REL, RIEMANN_MAX_CELLS, gauge_norm, psd_eigh
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -27,7 +27,8 @@ def test_sqrt_scalar_values():
 
 
 def test_sqrt_f0_is_zero():
-    assert abs(SQRT.f0) <= 1e-8
+    # read off the closed form, not the quadrature (which stored 6.7e-16)
+    assert SQRT.f0 == 0.0
 
 
 def test_scalar_eval_rejects_negative():
@@ -304,11 +305,38 @@ def test_oracle_equivalence(seed, d, data, s):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "both routes evaluate f(λ) = α + βλ − ∫ dν, whose quadrature error is "
-    "absolute: at eigenvalues near 1e-12 they are 3e-4 from √C and 1.3e-8 "
-    "from each other (one example in 25 at s = 1e-12)"))
+    "only the integral route still evaluates f(λ) = α + βλ − ∫ dν, whose "
+    "quadrature error is absolute: at eigenvalues near 1e-12 it is up to "
+    "3e-8 from √C, which the spectral route gives in closed form (2.6e-8 "
+    "relative here; 24 of 600 random C at s ∈ {1e-9, 1e-12})"))
 def test_integral_route_matches_spectral_near_1e_12():
-    _routes_agree(1, 2, 1, 1e-12)
+    _routes_agree(0, 1, 1, 1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12])
+def test_spectral_sqrt_matches_the_eigh_root(s):
+    # the closed form √λ on psd_eigh's eigenvalues, against a root built
+    # here from numpy's eigh with the same rank cutoff, at every rank
+    rng = np.random.default_rng(7)
+    for d in range(1, 9):
+        for r in range(d + 1):
+            c = s * generate.psd_fixed_rank(rng, d, r)
+            w, q = np.linalg.eigh(c)
+            w = np.where(w > RANK_REL * d * np.max(np.abs(w)), w, 0.0)
+            root = (q * np.sqrt(w)) @ q.conj().T
+            out = monotone.matrix_eval_spectral(SQRT, c)
+            assert np.linalg.norm(out - root) <= 1e-13 * np.linalg.norm(root)
+
+
+@pytest.mark.parametrize("f", [SQRT, monotone.MonotoneFunction(2.0, 0.5, density="sqrt")],
+                         ids=["sqrt", "shifted"])
+def test_scalar_eval_matches_the_closed_form(f):
+    # the quadrature against α + βλ − (1/√2 − √λ), as an array and one by one
+    lam = np.logspace(-10, 10, 201)
+    exact = (f.alpha - 1.0 / math.sqrt(2.0)) + f.beta * lam + np.sqrt(lam)
+    assert np.all(np.abs(monotone.scalar_eval(f, lam) - exact) <= 1e-10 * exact)
+    for x, y in zip(lam[::20], exact[::20]):
+        assert monotone.scalar_eval(f, float(x)) == pytest.approx(y, rel=1e-10)
 
 
 @given(seeds)
@@ -600,6 +628,17 @@ def test_riemann_decay_slope(rng):
     d = generate.positive_definite(rng, 3)
     slope = monotone.riemann_decay_slope(SQRT, c, d, range(4, 11), 64.0)
     assert -1.2 <= slope <= -0.8
+
+
+@pytest.mark.parametrize("ps", [[5], [3, 3], []])
+def test_riemann_decay_slope_needs_two_depths(rng, ps):
+    # one depth gave a slope with numpy's RankWarning, none a raw TypeError
+    c = generate.positive_definite(rng, 3)
+    d = generate.positive_definite(rng, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="two distinct depths"):
+            monotone.riemann_decay_slope(SQRT, c, d, ps, 64.0)
 
 
 def test_riemann_sum_refuses_too_many_cells(rng):
