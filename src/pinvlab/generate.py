@@ -36,10 +36,15 @@ def unitary(rng, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _check_rank(m: int, n: int, r) -> None:
+    """PreconditionError, before any draw, unless r is a non-bool int in 0..min(m, n)."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= min(m, n):
+        raise PreconditionError(f"rank {r!r} infeasible for shape {(m, n)}")
+
+
 def fixed_rank(rng, m: int, n: int, r: int, sv_range=(0.5, 2.0)) -> np.ndarray:
     """Random m x n matrix of exact rank r with singular values in sv_range."""
-    if not 0 <= r <= min(m, n):
-        raise PreconditionError(f"rank {r} infeasible for shape {(m, n)}")
+    _check_rank(m, n, r)
     if r == 0:
         return np.zeros((m, n), dtype=complex)
     u = unitary(rng, m)[:, :r]
@@ -55,6 +60,7 @@ def hermitian(rng, n: int, scale: float = 1.0) -> np.ndarray:
 
 def psd_fixed_rank(rng, n: int, r: int, ev_range=(0.5, 2.0)) -> np.ndarray:
     """Hermitian PSD matrix of exact rank r."""
+    _check_rank(n, n, r)
     if r == 0:
         return np.zeros((n, n), dtype=complex)
     q = unitary(rng, n)[:, :r]
@@ -126,6 +132,7 @@ def tangent_pair(rng, m: int, n: int, scale: float = 1.0):
 
 
 def partial_isometry(rng, m: int, n: int, r: int) -> np.ndarray:
+    _check_rank(m, n, r)
     if r == 0:
         return np.zeros((m, n), dtype=complex)
     return unitary(rng, m)[:, :r] @ unitary(rng, n)[:, :r].conj().T

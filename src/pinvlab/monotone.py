@@ -578,10 +578,10 @@ def perturbation_bound(f: MonotoneFunction, c, d,
 class RiemannSumReport:
     """Dyadic Riemann sum of ∫ h dν against its quadrature reference.
 
-    ``bound`` = (eta / 2^p) ∫ r dν with the Lipschitz majorant
-    r(t) = ||D-C||_g ((t+γ_C)(t+γ_D))^{-1} ((t+γ_C)^{-1} + (t+γ_D)^{-1})
-    of h'(t), and eta the measured cell-sampling inflation of r; the gap
-    satisfies gap_gauge <= bound (1 + 1e-6) on the truncated domain.
+    ``bound`` = 2^-p Σ_m r(t_{m-1}) ν([t_{m-1}, t_m)), r(t) = ||D-C||_g
+    ((t+γ_C)(t+γ_D))^{-1} ((t+γ_C)^{-1} + (t+γ_D)^{-1}): as h' = -(tI+C)^{-1} h
+    - h (tI+D)^{-1}, ||XYZ||_g <= ||X|| ||Y||_g ||Z|| bounds ||h'(t)||_g by
+    r(t), which decreases in t, so gap_gauge <= bound (1 + 1e-6) on [0, t_max).
     """
 
     p: int
@@ -590,57 +590,52 @@ class RiemannSumReport:
     reference: np.ndarray
     gap_gauge: float
     bound: float
-    eta: float
+
+
+def _dyadic_cells(p, t_max: float) -> tuple:
+    """(2^-p, the count of such cells in [0, t_max)); PreconditionError unless
+    p >= 0, 0 < t_max < inf, 2^-p > 0 and the count <= ``RIEMANN_MAX_CELLS``."""
+    width = 2.0 ** -min(p, 1075) if p >= 0 else math.nan    # 0 from p = 1075 on
+    if not (0 < t_max < math.inf and width > 0 and t_max / width <= RIEMANN_MAX_CELLS):
+        raise PreconditionError(f"p = {p}, t_max = {t_max}: need p >= 0, finite "
+                                f"t_max > 0 and at most {RIEMANN_MAX_CELLS} cells")
+    return width, math.ceil(t_max / width)
 
 
 def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
                 g: GaugeNorm = OP_NORM) -> RiemannSumReport:
     """Dyadic Riemann sum R_p of ∫ h dν, h(t) = (tI+C)^{-1}(D-C)(tI+D)^{-1}.
 
-    Cells [(m-1)/2^p, m/2^p) tile [0, t_max); each contributes its exact
-    measure mass times h at the right endpoint.  The truncation tail of
-    q(t) = ||D-C||_g/((t+γ_C)(t+γ_D)) beyond t_max must stay below the
-    relative allowance ``RIEMANN_TAIL_REL``; the reference integral is
-    taken on the same truncated domain as the sum.  Both run on the
-    Daleckii-Krein form h(t) = Q_C (K(t) ∘ X) Q_D* with X = Q_C*(D-C)Q_D
-    and K_ij(t) = 1/((t+λ_i)(t+μ_j)) for the eigenpairs of C and D.  The
-    cells are summed ``_RIEMANN_CHUNK`` at a time, in O(chunk d) memory
-    at any depth; more than ``RIEMANN_MAX_CELLS`` cells raise
-    PreconditionError before any is allocated.  C and D are matrices or
-    their psd_eighs.
+    Cells [(m-1)/2^p, m/2^p) tile [0, t_max); each adds its exact mass times
+    h at its right end to the sum, and times r, which bounds ||h'||_g and
+    decreases in t, at its left end to the bound 2^-p Σ_m r(t_{m-1}) ν(cell_m).
+    Sum and reference run on the Daleckii-Krein form h(t) = Q_C (K(t) ∘ X) Q_D*,
+    X = Q_C*(D-C)Q_D, K_ij(t) = 1/((t+λ_i)(t+μ_j)) over the ascending eigenpairs
+    of C and D; the tail ||D-C||_g ∫_{t_max}^inf K_00 dν, read off the
+    reference, must stay below the relative ``RIEMANN_TAIL_REL``.  Cells go
+    ``_RIEMANN_CHUNK`` at a time, in O(chunk d) memory.  ``_dyadic_cells``
+    refuses a depth before C and D, matrices or their psd_eighs, are factorized.
     """
-    if not p >= 0:      # NaN fails too
-        raise PreconditionError("dyadic depth must be nonnegative")
-    if not 0 < t_max < math.inf:
-        raise PreconditionError("t_max must be positive and finite")
-    width = 2.0 ** (-p)
-    n_cells = math.ceil(t_max / width)
-    if n_cells > RIEMANN_MAX_CELLS:
-        raise PreconditionError(
-            f"{n_cells} cells at p = {p}, t_max = {t_max} exceed "
-            f"the cap of {RIEMANN_MAX_CELLS}")
+    width, n_cells = _dyadic_cells(p, t_max)
     same_shape(c, d)
     ec, ed = _pd_eigh(c), _pd_eigh(d)
     qc, wc, qd, wd = ec.Q, ec.w, ed.Q, ed.w
-    gamma_c, gamma_d = float(wc[0]), float(wd[0])
     diff = ed.matrix - ec.matrix
     dist = gauge_norm(diff, g)
     x = qc.conj().T @ diff @ qd
 
-    def q(t):
-        return dist / ((t + gamma_c) * (t + gamma_d))
+    def k00(t):
+        return 1.0 / ((t + wc[0]) * (t + wd[0]))
 
-    tail = float(measure_integral(f, q)) - float(
-        measure_integral(f, q, t_max=t_max))
+    k_ref = measure_integral(
+        f, lambda t: 1.0 / ((t[:, None, None] + wc[:, None])
+                            * (t[:, None, None] + wd)), t_max=t_max)
+    # wc, wd ascend, so K_00 = k00: its tail is its half-line integral less k_ref[0, 0]
+    tail = dist * (float(measure_integral(f, k00)) - float(k_ref[0, 0]))
     if tail > RIEMANN_TAIL_REL * max(dist, RESIDUAL_ABS):
         raise PreconditionError(
             f"truncation tail {tail:.3e} beyond t_max = {t_max} exceeds "
-            f"the relative allowance {RIEMANN_TAIL_REL}"
-        )
-
-    def r(t):
-        inv = 1.0 / ((t + gamma_c) * (t + gamma_d))
-        return dist * inv * (1.0 / (t + gamma_c) + 1.0 / (t + gamma_d))
+            f"the relative allowance {RIEMANN_TAIL_REL}")
 
     k_sum = np.zeros((len(wc), len(wd)))
     r_cells = 0.0
@@ -654,28 +649,25 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
         np.divide(masses[:, None], res_c, out=res_c)
         np.divide(1.0, res_d, out=res_d)
         k_sum += res_c.T @ res_d
-        r_cells += float(np.dot(r(lefts), masses))
         del res_c, res_d
-    k_ref = measure_integral(
-        f, lambda t: 1.0 / ((t[:, None, None] + wc[:, None])
-                            * (t[:, None, None] + wd)), t_max=t_max)
+        r = dist * k00(lefts) * (1.0 / (lefts + wc[0]) + 1.0 / (lefts + wd[0]))
+        r_cells += float(np.dot(r, masses))
     value = qc @ (k_sum * x) @ qd.conj().T
     reference = qc @ (k_ref * x) @ qd.conj().T
     gap = gauge_norm(value - reference, g)
-    r_integral = float(measure_integral(f, r, t_max=t_max))
-    eta = max(1.0, r_cells / r_integral) if r_integral > 0 else 1.0
-    bound = (eta / 2.0**p) * r_integral
-    return RiemannSumReport(p, t_max, value, reference, gap, bound, eta)
+    return RiemannSumReport(p, t_max, value, reference, gap, width * r_cells)
 
 
 def riemann_decay_slope(f: MonotoneFunction, c, d, ps, t_max: float,
                         g: GaugeNorm = OP_NORM) -> float:
     """Least-squares slope of log2(gap) against p; about -1 for h Lipschitz.
-    PreconditionError unless ``ps`` holds at least two distinct depths.
-    C and D, matrices or their psd_eighs, are factorized once for every p."""
+    PreconditionError before C and D (matrices or psd_eighs) are factorized,
+    once for every p, unless ``ps`` holds two distinct depths riemann_sum takes."""
     ps = list(ps)
     if len(set(ps)) < 2:
         raise PreconditionError(f"a slope needs two distinct depths, got {ps!r}")
+    for p in ps:
+        _dyadic_cells(p, t_max)
     ec, ed = _pd_eigh(c), _pd_eigh(d)
     gaps = [riemann_sum(f, ec, ed, p, t_max, g).gap_gauge for p in ps]
     if any(gap <= 0 for gap in gaps):

@@ -90,14 +90,13 @@ def test_in_stratum_family_counts(count, inputs):
     a, _, _ = inputs
     rng = generate.rng_from_seed(1)
     # two near_identity factors per term, each scaled by its Frobenius
-    # norm, which takes no factorization (was 8 * 2 operator-norm SVDs)
+    # norm, which takes no factorization
     assert count(lambda: generate.in_stratum_family(rng, a, 8)) == {}
 
 
 def test_stratum_index_counts(count, inputs):
     a, b, _ = inputs
-    # one SVD of each matrix, whose ranks give the index; no eigh (was 6:
-    # four principal-angle SVDs cross-checked the rank difference)
+    # one SVD of each matrix, whose ranks give the index; no eigh
     assert count(lambda: strata.stratum_index(b, a)) == {"svd": 2}
 
 
@@ -106,10 +105,7 @@ def test_continuity_report_counts(count, inputs):
     # B once; per term its SVD, the one SVD of the cross block
     # N(B)* N(B_n)^perp, values only, and the pseudoinverse gap; the last
     # input gap.  The null-projector gaps are read off the cross block's
-    # values by the CS decomposition, with the intersection (was
-    # 1 + 8*4 + 1, with an SVD of the d x d difference of the null
-    # projectors per term; 1 + 8*7 + 1 with four principal-angle SVDs per
-    # term for the index)
+    # values by the CS decomposition, with the intersection
     report = count(lambda: strata.continuity_report(a, seq, n0=2, g=OP_NORM))
     assert report == {"svd": 1 + 8 * 3 + 1}
 
@@ -125,15 +121,9 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
     # rank and C0^+), forward also A once, and hands both to fiber
     # membership, where k0 = rank(A) - rank(C0) as N(|A|) = N(A); each
     # chart unitary is the direct rotation of R(C0) onto R(|B|), one SVD
-    # of the cross block of the range bases (was one SVD of the d x d
-    # W = QP + (I-Q)(I-P)).  Forward reads R(|B|) off the SVD of B and
-    # returns |B| as that psd_eigh, so the inverse takes no eigh of |B|,
-    # but it takes the rotation again, from C0 and |B| (was 3 eigh, when
-    # forward returned |B| as a matrix and the inverse took its eigh; 4
-    # eigh when forward took an eigh of |B| too; 7 svd when the chart took
-    # the positive section's SVD of S and then the SVD of the section for
-    # its polar factor; 13 before that, when the index of X took four
-    # principal angles and k0 two)
+    # of the cross block of the range bases.  Forward reads R(|B|) off the
+    # SVD of B and returns |B| as that psd_eigh, so the inverse takes no
+    # eigh of |B|, but it takes the rotation again, from C0 and |B|
     assert count(round_trip) == {"svd": 5, "eigh": 2}
 
 
@@ -145,15 +135,11 @@ def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
     def round_trip():
         mod, fib = polar.trivialize_alpha(b, c0, res_a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
-    # per chart the SVD of the range bases' cross block (was of W) for the
-    # direct rotation of R(C0) onto R(|B|): the unpacked point hands on
-    # |B| as its psd_eigh, and the inverse takes the rotation again;
-    # forward also the SVD of B, which gives R(|B|), and fiber
-    # membership the SVD of X, whose rank gives its index (was 1 eigh, when
-    # the inverse was given |B| as a matrix; 2 eigh when forward took one
-    # of |B| too; 6 svd when the chart built the positive section and took
-    # its SVD for the polar factor; 12 before that, with four principal
-    # angles for the index and two for k0)
+    # per chart the SVD of the range bases' cross block for the direct
+    # rotation of R(C0) onto R(|B|): the unpacked point hands on |B| as its
+    # psd_eigh, and the inverse takes the rotation again; forward also the
+    # SVD of B, which gives R(|B|), and fiber membership the SVD of X,
+    # whose rank gives its index
     assert count(round_trip) == {"svd": 4}
 
 
@@ -178,10 +164,7 @@ def test_trivialize_v_round_trip_counts(count, inputs):
     # the SVD of B and one direct rotation, of the initial projectors, per
     # chart; ranks are traces of V*V, so a matrix V0 costs no SVD, and the
     # rotation is one SVD of the cross block, V0 against B's row basis
-    # forward and V0 V* inverse, which also gives its gap (was one SVD of
-    # the d x d W; 2 eigh of I - (P - Q)^2 in its place before that; 4
-    # eigh before that, when each chart built the orbit witness's
-    # final-space rotation and threw it away)
+    # forward and V0 V* inverse, which also gives its gap
     assert count(round_trip) == {"svd": 3}
 
 
@@ -190,8 +173,7 @@ def test_trivialize_v_round_trip_through_the_point_counts(count, inputs):
     v0 = polar.polar_decompose(a).polar_factor
     # the SVD of B and the forward cross block's for W, with which back()
     # undoes the chart: no SVD of the m x m cross block V0 V*, which the
-    # inverse takes (was 2 only for V0 given as a PartialIsometry, which
-    # the inverse was handed again with the point)
+    # inverse takes
     assert count(lambda: polar.trivialize_v(b, v0).back()) == {"svd": 2}
 
 
@@ -199,7 +181,7 @@ def test_trivialize_v_counts(count, inputs):
     a, b, _ = inputs
     v0 = polar.polar_decompose(a).polar_factor
     # the SVD of B and the one SVD of the cross block of V0 and B's row
-    # basis for the rotation (was of W; an eigh of I - (P - Q)^2 before)
+    # basis for the rotation
     assert count(lambda: polar.trivialize_v(b, v0)) == {"svd": 2}
 
 
@@ -208,8 +190,7 @@ def test_isometry_orbit_witness_counts(count, inputs):
     v0 = polar.polar_decompose(a).polar_factor
     v = polar.polar_decompose(b).polar_factor
     # one SVD of each partial isometry, whose unitary factors give U and
-    # W (was one SVD each of W for two direct rotations; an eigh each
-    # before that); no further SVD for the ranks
+    # W; no further SVD for the ranks
     assert count(lambda: polar.isometry_orbit_witness(v0, v)) == {"svd": 2}
 
 
@@ -230,22 +211,21 @@ def test_wedin_residual_counts(count, inputs):
 def test_mp_map_counts(count, inputs):
     a, b, _ = inputs
     # one SVD of B; rank(B^+) = rank(B) by construction, so no SVD of B^+
-    # or A^+, and A only fixes the shape (was 2 with an SVD of A; 4 before)
+    # or A^+, and A only fixes the shape
     assert count(lambda: strata.mp_map(b, a)) == {"svd": 1}
 
 
 def test_modulus_map_counts(count, inputs):
     a, b, _ = inputs
     # one SVD of B; |B| is read from it, whose rank it has, so no SVD of
-    # either modulus, and A only fixes the shape (was 2 with an SVD of A;
-    # 4 before)
+    # either modulus, and A only fixes the shape
     assert count(lambda: polar.modulus_map(b, a)) == {"svd": 1}
 
 
 def test_polar_factor_map_counts(count, inputs):
     a, b, _ = inputs
     # as modulus_map, with |A|^+ = A^+ V_A read from the same SVD; no SVD
-    # of V_B or V_A (was 4)
+    # of V_B or V_A
     assert count(lambda: polar.polar_factor_map(b, a)) == {"svd": 2}
 
 
@@ -259,7 +239,6 @@ def test_cmd_polar_counts(count, inputs, tmp_path):
     path = tmp_path / "a.json"
     save_matrix(a, path)
     # one SVD of A gives both polar parts and the modulus rank, rank(A)
-    # (was 2: the rank came from an SVD of |A|)
     assert count(lambda: _cli("polar", "--input", path)) == {"svd": 1}
 
 
@@ -282,7 +261,7 @@ def test_cmd_stratify_counts(count, inputs, tmp_path):
     save_matrix(a, paths[0])
     save_matrix(b, paths[1])
     # one SVD of each matrix: A's gives its rank for the index and the
-    # range of indices (was 3, with a second SVD of A for the range)
+    # range of indices
     assert count(lambda: _cli("stratify", "--a", paths[0], "--b", paths[1])) == {"svd": 2}
 
 
@@ -294,24 +273,14 @@ def test_cmd_fiber_counts(count):
     # that also gives its gap, taken forward and handed to the inverse
     # with the chart point: 1 + 4 * 4, the SVD of A and per trial the SVD
     # of B, fiber membership's of X and two cross blocks; near_identity
-    # scales by the Frobenius norm, which takes none (was 25, with two
-    # operator norms of near_identity per trial; 33 when each inverse took
-    # its rotation again; 9 eigh: one of C0 and two of |B| per trial; 17
-    # when the modulus charts took two SVDs each, for the positive section
-    # and its polar factor, and the polar-factor rotations an eigh each;
-    # 57 svd and 25 eigh before that, with per trial four principal angles
-    # for the index of X, two for k0, and the final-space rotation of both
-    # polar-factor charts)
+    # scales by the Frobenius norm, which takes none
     assert count(lambda: _cli("fiber", "--dim", D, "--trials", 4)) == {"svd": 17}
 
 
 def test_cmd_continuity_counts(count):
     # an in-stratum family: the generator takes no SVD, so only the report
     # (B once, three SVDs per term, the last input gap); a jump family:
-    # one SVD of B serves all eight jumps and the report.  68 when the
-    # generator took two operator norms per term; 84 when the report took
-    # an SVD of the d x d null-projector difference per term; 92 when a
-    # jump family took 8 + 1 SVDs of B
+    # one SVD of B serves all eight jumps and the report
     in_stratum = 1 + 8 * 3 + 1
     jump = 1 + 8 * 3 + 1
     assert count(lambda: _cli("continuity", "--dim", D, "--trials", 2)) == {
@@ -321,7 +290,6 @@ def test_cmd_continuity_counts(count):
 def test_cmd_continuity_s2_counts(count):
     # as above, with the Schatten-2 pseudoinverse and input gaps read from
     # the entries: per term only its SVD and the cross block's remain
-    # (was 50, with the generator's two operator norms per in-stratum term)
     in_stratum = 1 + 8 * 2
     jump = 1 + 8 * 2
     assert count(lambda: _cli("continuity", "--dim", D, "--trials", 2,
@@ -331,9 +299,7 @@ def test_cmd_continuity_s2_counts(count):
 def test_cmd_taylor_counts(count):
     # one eigh of C serves gamma, the radius check, f(C) and the six terms,
     # one more gives f(C + Delta); the SVDs are the gauge norms of Delta
-    # before and after its scaling and of the six remainders (was 9 SVDs,
-    # with the scaled Delta's norm taken twice; 10 eigh with gamma from
-    # eigvalsh and a factorization of C per call before that)
+    # before and after its scaling and of the six remainders
     assert count(lambda: _cli("taylor", "--dim", D)) == {"eigh": 2, "svd": 8}
 
 
@@ -347,17 +313,14 @@ def test_cmd_taylor_atomic_counts(count, tmp_path):
 
 def test_cmd_census_counts(count):
     # A once; per sample its SVD and its gauge distance, the generator none;
-    # the index is a rank difference (was 1 + 4*4 with the generator's two
-    # operator norms per sample; 1 + 4*4 + 14 before that: 14 principal
-    # angles in all)
+    # the index is a rank difference
     assert count(lambda: _cli("census", "--dim", D, "--trials", 4)) == {
         "svd": 1 + 4 * 2}
 
 
 def test_cmd_census_s2_counts(count):
     # as above, with the Schatten-2 gauge distance read from the entries
-    # of B - A, which takes no SVD (was 1 + 4*3, with the generator's two
-    # operator norms per sample)
+    # of B - A, which takes no SVD
     assert count(lambda: _cli("census", "--dim", D, "--trials", 4,
                               "--gauge", "s2")) == {"svd": 1 + 4 * 1}
 
@@ -373,7 +336,7 @@ def test_matrix_eval_integral_counts(count):
     f = monotone.make_sqrt()
     # one eigh for the rank check; the Householder reduction to tridiagonal
     # form calls no numpy.linalg factorization, and each node's shifted
-    # solve is an LDL* of that tridiagonal (was one solve per node, 65)
+    # solve is an LDL* of that tridiagonal
     assert count(lambda: monotone.matrix_eval_integral(f, c)) == {"eigh": 1}
 
 
@@ -397,7 +360,7 @@ def test_matrix_eval_integral_singular_counts(count, semidefinite):
     f = monotone.make_sqrt()
     # one eigh gives the rank and the null projector; C is integrated
     # whole with its null block set to w_max I, through its tridiagonal
-    # form (was 2 eigh, then one solve per node)
+    # form
     assert count(lambda: monotone.matrix_eval_integral(f, c)) == {"eigh": 1}
 
 
@@ -415,13 +378,80 @@ def test_riemann_decay_slope_counts(count, positive, ps):
     f = monotone.make_sqrt()
     out = {}
     # one eigh of C and of D for every depth, and a riemann_sum's two gauge
-    # norms per depth (was 2 eigh per depth); the slope is the one the
-    # per-depth sums on the matrices give, bit for bit
+    # norms per depth; the slope is the one the per-depth sums on the
+    # matrices give, bit for bit
     report = count(lambda: out.setdefault(
         "slope", monotone.riemann_decay_slope(f, c, d, ps, 64.0)))
     assert report == {"eigh": 2, "svd": 2 * len(ps)}
     gaps = [monotone.riemann_sum(f, c, d, p, 64.0).gap_gauge for p in ps]
     assert out["slope"] == float(np.polyfit(list(ps), np.log2(gaps), 1)[0])
+
+
+@pytest.fixture
+def quadratures(monkeypatch):
+    """run(call) -> (measure_integral calls, integrand nodes) of the call."""
+    nodes = []
+    integral = monotone.measure_integral
+
+    def counted(f, fn, t_max=None):
+        nodes.append(0)
+
+        def fn_counted(t):
+            nodes[-1] += len(t)
+            return fn(t)
+        return integral(f, fn_counted, t_max)
+    monkeypatch.setattr(monotone, "measure_integral", counted)
+
+    def run(call):
+        nodes.clear()
+        call()
+        return len(nodes), sum(nodes)
+    return run
+
+
+def test_riemann_sum_node_count(quadratures, positive):
+    c, d, _ = positive
+    # the reference kernel K(t) on [0, t_max) and K_00 on the half-line,
+    # whose difference with the reference's entry is the truncation tail;
+    # the bound sums its majorant over the cells and takes no quadrature
+    sqrt = monotone.make_sqrt()
+    assert quadratures(lambda: monotone.riemann_sum(sqrt, c, d, 7, 64.0)) == (2, 322)
+    atomic = monotone.make_atomic(0.25, 0.5, [(0.5, 0.4), (3.0, 1.0)])
+    assert quadratures(lambda: monotone.riemann_sum(atomic, c, d, 7, 64.0))[0] == 2
+
+
+@pytest.mark.parametrize("ps", [range(4, 6), range(4, 9)])
+def test_riemann_decay_slope_node_count(quadratures, positive, ps):
+    c, d, _ = positive
+    f = monotone.make_sqrt()
+    # a riemann_sum's two per depth
+    calls, _ = quadratures(lambda: monotone.riemann_decay_slope(f, c, d, ps, 64.0))
+    assert calls == 2 * len(ps)
+
+
+# name -> (call on the positive fixture and f = sqrt, measure_integral calls)
+QUADRATURES = {
+    "matrix_eval_integral": (lambda f, c, d, delta: monotone.matrix_eval_integral(f, c), 1),
+    "scalar_eval": (lambda f, c, d, delta: monotone.scalar_eval(f, [0.5, 2.7]), 1),
+    "taylor_term": (lambda f, c, d, delta: monotone.taylor_term(f, c, delta, 3), 1),
+    "taylor_remainder_bound": (
+        lambda f, c, d, delta: monotone.taylor_remainder_bound(f, c, delta, 3), 1),
+    "taylor_tail_bounds": (
+        lambda f, c, d, delta: monotone.taylor_tail_bounds(f, c, delta, 6), 1),
+    "perturbation_bound": (lambda f, c, d, delta: monotone.perturbation_bound(f, c, d), 1),
+    # the closed form and the coefficient recursion of sqrt take none
+    "matrix_eval_spectral": (lambda f, c, d, delta: monotone.matrix_eval_spectral(f, c), 0),
+    "sqrt_taylor_terms": (lambda f, c, d, delta: monotone.sqrt_taylor_terms(c, delta, 6), 0),
+    "continuity_in_stratum": (lambda f, c, d, delta: monotone.continuity_in_stratum(
+        f, c, [c + (d - c) / 2**k for k in range(4)]), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURES))
+def test_monotone_quadrature_calls(quadratures, positive, name):
+    call, calls = QUADRATURES[name]
+    f = monotone.make_sqrt()
+    assert quadratures(lambda: call(f, *positive))[0] == calls
 
 
 def test_taylor_term_counts(count, positive):
@@ -444,9 +474,7 @@ def test_continuity_in_stratum_counts(count, positive):
     f = monotone.make_sqrt()
     # one eigh of C and of each term gives its f and its rank, whose
     # difference is the term's index; per term the gauge norms of the
-    # input and value gaps (was 1 + 4 * 3 svd, with an SVD of C and of
-    # each term for the index; one SVD of C per term, and four principal
-    # angles per index, before that)
+    # input and value gaps
     report = count(lambda: monotone.continuity_in_stratum(f, c, seq))
     assert report == {"eigh": 1 + 4, "svd": 4 * 2}
 
@@ -460,8 +488,7 @@ def test_sqrt_spectral_route_counts(count, monkeypatch, positive, semidefinite):
     monkeypatch.setattr(monotone, "_sqrt_integral", no_quadrature)
     f = monotone.make_sqrt()
     # f(0) and the spectral f(C) read the closed form of the sqrt density:
-    # one eigh per matrix and no quadrature node (was one quadrature per
-    # call, and one for f(0))
+    # one eigh per matrix and no quadrature node
     assert count(lambda: f.f0) == {}
     assert count(lambda: monotone.matrix_eval_spectral(f, c)) == {"eigh": 1}
     assert count(lambda: monotone.matrix_eval_spectral(f, semidefinite[0])) == {"eigh": 1}
@@ -478,15 +505,13 @@ def test_perturbation_bound_counts(count, positive):
 
 def test_congruence_witness_counts(count, semidefinite):
     c, d = semidefinite
-    # one eigh of C and of D, whose bases G is read off (was 1 svd more,
-    # of W for the direct rotation of the null projectors; the eigh of
-    # I - (P - Q)^2 before that)
+    # one eigh of C and of D, whose bases G is read off
     assert count(lambda: polar.congruence_witness(c, d)) == {"eigh": 2}
 
 
 def test_congruence_witness_orthogonal_nulls_counts(count):
-    # N(C) and N(D) orthogonal: the gap is 1, where a rotation of the
-    # null projectors fell back to an eigh of each (was 4 eigh, 1 svd)
+    # N(C) and N(D) orthogonal, at gap 1: G is still read off the one
+    # eigh of C and of D
     q = generate.unitary(generate.rng_from_seed(0), 8)
     c = (q[:, 2:] * np.linspace(0.5, 2.0, 6)) @ q[:, 2:].conj().T
     keep = q[:, [0, 1, 4, 5, 6, 7]]

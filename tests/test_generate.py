@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pinvlab import generate
+from pinvlab.errors import PreconditionError
 from pinvlab.matcore import svd
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -31,3 +33,26 @@ def test_rank_preserving_perturbation_keeps_the_rank(seed, m, n, r, scale):
     # ||(I + X) B (I + Y) - B|| <= (||X|| + ||Y|| + ||X|| ||Y||) ||B||
     norm_b = np.linalg.norm(b, 2)
     assert np.linalg.norm(out - b, 2) <= scale * (2 + scale) * norm_b + 1e-12 * norm_b
+
+
+
+# every shape of rank at most 2
+GENERATORS = {
+    "fixed_rank": lambda rng, r: generate.fixed_rank(rng, 2, 3, r),
+    "psd_fixed_rank": lambda rng, r: generate.psd_fixed_rank(rng, 2, r),
+    "partial_isometry": lambda rng, r: generate.partial_isometry(rng, 2, 3, r),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("r", [-1, 3, 1.5, np.float64(1.0), True])
+def test_generators_refuse_an_infeasible_rank_before_any_draw(name, r):
+    # these raised numpy's ValueError or a TypeError, or gave a partial
+    # isometry of another rank (True, and -1 on a square shape)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(PreconditionError, match="rank"):
+        GENERATORS[name](rng, r)
+    assert rng.bit_generator.state == state
+    for ok in (0, 1, np.int64(2)):
+        assert svd(GENERATORS[name](rng, ok)).rank == ok

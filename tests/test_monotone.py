@@ -14,7 +14,9 @@ from pinvlab.errors import (
     OutsideNeighborhoodError,
     PreconditionError,
 )
-from pinvlab.matcore import OP_NORM, RANK_REL, RIEMANN_MAX_CELLS, gauge_norm, psd_eigh
+from pinvlab.matcore import (
+    OP_NORM, RANK_REL, RIEMANN_MAX_CELLS, RIEMANN_TAIL_REL, GaugeNorm, gauge_norm, psd_eigh,
+)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -413,7 +415,8 @@ def test_taylor_term_matches_resolvent_products(rng, f):
 
 def test_riemann_matches_resolvent_products(rng):
     # R_p = Σ m_i (t_i I + C)^{-1} (D - C) (t_i I + D)^{-1}, t_i the right
-    # endpoints; at p = 9 the 32768 cells are summed in four blocks
+    # endpoints; at p = 9 the 32768 cells are summed in four blocks, and at
+    # p = 2.5 the last cell is cut at t_max
     c = generate.positive_definite(rng, 4)
     d = generate.positive_definite(rng, 4)
 
@@ -421,10 +424,10 @@ def test_riemann_matches_resolvent_products(rng):
         return _inv_resolvents(t, c) @ (d - c) @ _inv_resolvents(t, d)
     t_max = 64.0
     reference = monotone.measure_integral(SQRT, h, t_max=t_max)
-    for p in (3, 9):
+    for p in (True, 2.5, 3, 9):
         report = monotone.riemann_sum(SQRT, c, d, p, t_max)
         width = 2.0**-p
-        rights = width * np.arange(1, int(t_max / width) + 1)
+        rights = width * np.arange(1, math.ceil(t_max / width) + 1)
         masses = monotone.measure_mass(SQRT, rights - width, np.minimum(rights, t_max))
         value = np.einsum("m,mij->ij", masses, h(rights))
         assert np.linalg.norm(report.value - value) <= 1e-10 * np.linalg.norm(value)
@@ -607,7 +610,6 @@ def test_riemann_gap_below_bound(seed):
     for p in (4, 7):
         report = monotone.riemann_sum(SQRT, c, d, p, 64.0)
         assert report.gap_gauge <= report.bound * (1 + 1e-6)
-        assert report.eta >= 1.0
 
 
 def test_riemann_scalar_oracle():
@@ -686,6 +688,66 @@ def test_riemann_truncation_error(rng):
     d = 2.0 * c
     with pytest.raises(PreconditionError):
         monotone.riemann_sum(SQRT, c, d, 4, 0.5)
+
+
+@pytest.mark.parametrize("f", [SQRT, ATOMIC], ids=["sqrt", "atomic"])
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("gauge", ["op", "s2"])
+def test_riemann_bound_is_the_cell_sum_of_the_majorant(rng, f, p, gauge):
+    # bound = 2^-p ||D-C||_g Σ_m r̂(t_{m-1}) ν(cell_m), with the majorant
+    # r̂(t) = ((t+γ_C)(t+γ_D))^{-1} ((t+γ_C)^{-1} + (t+γ_D)^{-1}) of ||h'||_g
+    c = generate.positive_definite(rng, 4)
+    d = generate.positive_definite(rng, 4)
+    gamma_c, gamma_d = np.linalg.eigvalsh(c)[0], np.linalg.eigvalsh(d)[0]
+    dist = np.linalg.norm(d - c, 2 if gauge == "op" else "fro")
+    width, t_max = 2.0**-p, 64.0
+    lefts = width * np.arange(int(t_max / width))
+    masses = monotone.measure_mass(f, lefts, lefts + width)
+    r_hat = ((1 / (lefts + gamma_c) + 1 / (lefts + gamma_d))
+             / ((lefts + gamma_c) * (lefts + gamma_d)))
+    report = monotone.riemann_sum(f, c, d, p, t_max, GaugeNorm.parse(gauge))
+    assert report.bound == pytest.approx(width * dist * np.dot(r_hat, masses), rel=1e-12)
+    assert report.gap_gauge <= report.bound * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("f", [SQRT, ATOMIC], ids=["sqrt", "atomic"])
+def test_riemann_tail_verdicts_follow_the_tail(rng, f):
+    # refused exactly where ||D-C|| ∫_{t_max}^inf dν/((t+γ_C)(t+γ_D)),
+    # taken here as the half-line integral less the truncated one, exceeds
+    # RIEMANN_TAIL_REL ||D-C||
+    c = generate.positive_definite(rng, 3)
+    d = generate.positive_definite(rng, 3)
+    gamma_c, gamma_d = np.linalg.eigvalsh(c)[0], np.linalg.eigvalsh(d)[0]
+    dist = np.linalg.norm(d - c, 2)
+
+    def q(t):
+        return dist / ((t + gamma_c) * (t + gamma_d))
+    verdicts = []
+    for t_max in 2.0 ** np.arange(-4.0, 12.0):
+        tail = monotone.measure_integral(f, q) - monotone.measure_integral(f, q, t_max)
+        refused = tail > RIEMANN_TAIL_REL * dist
+        try:
+            monotone.riemann_sum(f, c, d, 0, t_max)
+        except PreconditionError as exc:
+            assert refused and "truncation tail" in str(exc)
+        else:
+            assert not refused
+        verdicts.append(refused)
+    assert verdicts[0] and not verdicts[-1]
+
+
+@pytest.mark.parametrize("p", [1020, 1075, 2000, math.inf])
+def test_riemann_refuses_depths_past_a_double(monkeypatch, p):
+    # t_max / 2^-p = 2^1026 overflows to inf at p = 1020 (math.ceil raised
+    # OverflowError), and from p = 1075 on 2^-p is 0 (ZeroDivisionError)
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("factorized before the depth was checked")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    c, d = np.diag([1.0, 2.0]), np.diag([1.1, 2.2])
+    with pytest.raises(PreconditionError, match="cells"):
+        monotone.riemann_sum(SQRT, c, d, p, 64.0)
+    with pytest.raises(PreconditionError, match="cells"):
+        monotone.riemann_decay_slope(SQRT, c, d, [3, p], 64.0)
 
 
 def test_continuity_in_stratum_scalar_families():
