@@ -42,14 +42,14 @@ def _check_rank(m: int, n: int, r) -> None:
         raise PreconditionError(f"rank {r!r} infeasible for shape {(m, n)}")
 
 
-def fixed_rank(rng, m: int, n: int, r: int, sv_range=(0.5, 2.0)) -> np.ndarray:
-    """Random m x n matrix of exact rank r with singular values in sv_range."""
+def fixed_rank(rng, m: int, n: int, r: int) -> np.ndarray:
+    """Random m x n matrix of exact rank r with singular values in [0.5, 2]."""
     _check_rank(m, n, r)
     if r == 0:
         return np.zeros((m, n), dtype=complex)
     u = unitary(rng, m)[:, :r]
     v = unitary(rng, n)[:, :r]
-    s = np.sort(rng.uniform(*sv_range, size=r))[::-1]
+    s = np.sort(rng.uniform(0.5, 2.0, size=r))[::-1]
     return (u * s) @ v.conj().T
 
 
@@ -110,25 +110,23 @@ def rank_jump_perturbation(b, eps: float) -> np.ndarray:
     return res.matrix + eps * np.outer(left, right.conj())
 
 
-def in_stratum_family(rng, b, length: int, scale: float = 0.2) -> list:
-    """Convergent sequence B_n -> B staying in the zero stratum of B."""
-    return [rank_preserving_perturbation(rng, b, scale * 0.5**k)
+def in_stratum_family(rng, b, length: int) -> list:
+    """B_n -> B in the zero stratum of B, B_n at Frobenius scale 0.2 * 2^-n."""
+    return [rank_preserving_perturbation(rng, b, 0.2 * 0.5**k)
             for k in range(length)]
 
 
-def jump_family(b, length: int, scale: float = 0.2) -> list:
-    """Convergent sequence B_n -> B whose tail sits in a lower stratum.
-
-    B is a matrix or its SVD, which is taken once for every term.
-    """
+def jump_family(b, length: int) -> list:
+    """B_n -> B in a lower stratum, B_n at distance 0.2 * 2^-n from B; B is a
+    matrix or its SVD, which is taken once for every term."""
     res = svd(b)
-    return [rank_jump_perturbation(res, scale * 0.5**k)
+    return [rank_jump_perturbation(res, 0.2 * 0.5**k)
             for k in range(length)]
 
 
-def tangent_pair(rng, m: int, n: int, scale: float = 1.0):
-    """Directions (X, Y) generating the tangent vector X B - B Y at any B."""
-    return ginibre(rng, m, m) * scale, ginibre(rng, n, n) * scale
+def tangent_pair(rng, m: int, n: int):
+    """Ginibre directions (X, Y) generating the tangent vector X B - B Y at any B."""
+    return ginibre(rng, m, m), ginibre(rng, n, n)
 
 
 def partial_isometry(rng, m: int, n: int, r: int) -> np.ndarray:

@@ -506,9 +506,10 @@ def sqrt_taylor_terms(c, delta, n: int) -> list:
 
 
 def _series_radius(c, delta, g: GaugeNorm) -> tuple:
-    """(gamma_C, ||Delta||_g), OutsideNeighborhoodError unless
-    ||Delta||_g < gamma_C, the radius of the Taylor series around C."""
+    """(gamma_C, ||Delta||_g) for Hermitian Delta (PreconditionError otherwise);
+    OutsideNeighborhoodError unless ||Delta||_g < gamma_C, the series radius."""
     same_shape(c, delta)
+    delta = hermitian_checked(delta, "Delta")
     gamma = float(_pd_eigh(c).w[0])
     dist = gauge_norm(delta, g)
     if dist >= gamma:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .matcore import GaugeNorm, SvdResult, gauge_norm, same_shape, svd
+from .matcore import GaugeNorm, SvdResult, as_matrix, gauge_norm, same_shape, svd
 
 
 @dataclass(frozen=True)
@@ -24,29 +24,32 @@ def moore_penrose(a) -> SvdResult:
     return svd(a)
 
 
-def wedin_residual(a, b, g: GaugeNorm) -> float:
-    """Gauge norm of the defect in the algebraic identity relating A^+ - B^+
-    to A - B through the range and nullspace projectors.
+def wedin_terms(a, b, x) -> np.ndarray:
+    """-A^+ X B^+ + (A*A)^+ X* (I - BB^+) + (I - A^+A) X* (BB*)^+.
 
-    The identity is exact, so the return value is pure roundoff.  The
-    Gram pseudoinverses (A*A)^+ = A^+ A^+* and (BB*)^+ = B^+* B^+ are
-    read from the two SVDs: an SVD of a Gram matrix would cut off
-    sigma_r^2 as soon as sigma_r falls below the root of the cutoff.
+    At X = A - B the terms sum to A^+ - B^+ (Wedin's identity); at A = B
+    they are the derivative of B -> B^+ along X.  A and B are matrices or
+    their SVDs, X of their shape (PreconditionError otherwise).  Each
+    factor is read off the two SVDs, (A*A)^+ = A^+ A^+*, (BB*)^+ = B^+* B^+,
+    I - BB^+ = U_c U_c* and I - A^+A = V_n V_n*, so no identity is formed
+    and no Gram matrix factorized, whose SVD would cut off sigma_r^2.
     """
+    same_shape(a, b, x)
+    ra, rb, x = svd(a), svd(b), as_matrix(x)
+    a_pinv, b_pinv, u_c, v_n = ra.pinv, rb.pinv, rb.corange_basis, ra.null_basis
+    return (
+        -a_pinv @ x @ b_pinv
+        + a_pinv @ a_pinv.conj().T @ x.conj().T @ u_c @ u_c.conj().T
+        + v_n @ (v_n.conj().T @ x.conj().T @ b_pinv.conj().T @ b_pinv)
+    )
+
+
+def wedin_residual(a, b, g: GaugeNorm) -> float:
+    """Gauge norm of A^+ - B^+ - ``wedin_terms(A, B, A - B)``: pure roundoff,
+    as the identity is exact.  A and B are matrices or their SVDs."""
     same_shape(a, b)
     ra, rb = moore_penrose(a), moore_penrose(b)
-    a, b = ra.matrix, rb.matrix
-    ident = np.eye(a.shape[0], dtype=complex)
-    ident_n = np.eye(a.shape[1], dtype=complex)
-    ata_p = ra.pinv @ ra.pinv.conj().T
-    bbs_p = rb.pinv.conj().T @ rb.pinv
-    lhs = ra.pinv - rb.pinv
-    rhs = (
-        -ra.pinv @ (a - b) @ rb.pinv
-        + ata_p @ (a - b).conj().T @ (ident - b @ rb.pinv)
-        + (ident_n - ra.pinv @ a) @ (a - b).conj().T @ bbs_p
-    )
-    return gauge_norm(lhs - rhs, g)
+    return gauge_norm(ra.pinv - rb.pinv - wedin_terms(ra, rb, ra.matrix - rb.matrix), g)
 
 
 def same_rank_bound(a, b) -> BoundReport:

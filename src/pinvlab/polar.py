@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codim, strata
+from . import codim
 from .errors import (
     ConsistencyError,
     GapTooLargeError,
@@ -185,28 +185,29 @@ def polar_factor_map(b, a) -> SvdResult:
     return factor
 
 
-def _base_point(c0, a):
-    """psd_eigh(C0) and svd(A), once C0 is checked to be n x n for an m x n A."""
+def _base_point(c0, a) -> PsdEig:
+    """psd_eigh(C0), once C0 is checked to be n x n for an m x n A, which
+    only fixes the shape: it is not factorized."""
     if as_matrix(c0).shape != (as_matrix(a).shape[1],) * 2:
         raise PreconditionError("C0 must be n x n for an m x n matrix A")
-    return psd_eigh(c0), svd(a)
+    return psd_eigh(c0)
 
 
 def fiber_membership_alpha(x, c0, a) -> bool:
     """Does X lie in the modulus fiber over C0 within the stratum of C0?
 
     That is, |X| = C0 and the index of X relative to A is the index k0
-    of C0 relative to |A|; c0 and a are as in trivialize_alpha.  As
-    N(|A|) = N(A), k0 = rank(A) - rank(C0), read off svd(A) and
-    psd_eigh(C0).
+    of C0 relative to |A|; c0 and a are as in trivialize_alpha, and A
+    only fixes the shape.  X is a matrix or its SVD.
     """
-    eig, sa = _base_point(c0, a)
-    same_shape(x, sa)
+    eig = _base_point(c0, a)
+    same_shape(x, a)
     rx = svd(x)
     scale = max(1.0, float(np.linalg.norm(eig.matrix)))
     if np.linalg.norm(rx.modulus - eig.matrix) > IDENTITY_REL * scale:
         return False
-    return sa.rank - eig.rank == strata.stratum_index(rx, sa)
+    # N(|A|) = N(A), so rank(A) - rank(X) = rank(A) - rank(C0) is rank(X) = rank(C0)
+    return rx.rank == eig.rank
 
 
 def trivialize_alpha(b, c0, a) -> ChartPoint:
@@ -214,19 +215,20 @@ def trivialize_alpha(b, c0, a) -> ChartPoint:
 
     U is the direct rotation of R(C0) onto R(|B|); as V_B*V_B = P_R(|B|)
     and U*P_R(|B|)U = P_R(C0), the second component keeps modulus exactly
-    C0.  B and A are matrices or their SVDs, C0 a matrix or its psd_eigh;
-    a run that serves many B from one base point factorizes C0 and A once.
+    C0.  B is a matrix or its SVD and C0 a matrix or its psd_eigh, so a
+    run that serves many B from one base point factorizes C0 once; A only
+    fixes the shape.
     R(|B|) is read off the SVD of B (``SvdResult.modulus_eig``), so |B|
     takes no eigh, and |B| is returned as that psd_eigh, in a ChartPoint
     whose ``back()`` undoes the chart with U.  Inverted by
     trivialize_alpha_inverse.
     """
-    eig, sa = _base_point(c0, a)
-    same_shape(b, sa)
+    eig = _base_point(c0, a)
+    same_shape(b, a)
     sb = svd(b)
     u = _chart_unitary(eig, sb.modulus_eig)
     fiber_elem = sb.polar_factor @ u @ eig.matrix
-    if not fiber_membership_alpha(fiber_elem, eig, sa):
+    if not fiber_membership_alpha(fiber_elem, eig, a):
         raise ConsistencyError("chart output left the fiber over C0")
     mod = sb.modulus_eig
     return ChartPoint(mod, fiber_elem, lambda: _alpha_back(mod, fiber_elem, eig, u))

@@ -36,7 +36,7 @@ from .matcore import (
     same_shape,
     svd,
 )
-from .pinv import moore_penrose
+from .pinv import moore_penrose, wedin_terms
 
 
 @dataclass(frozen=True)
@@ -392,19 +392,12 @@ def _tangent(b, z):
 
 
 def mp_tangent(b, v) -> np.ndarray:
-    """Derivative of the pseudoinverse map at B in the tangent direction V.
-
-    -B^+ V B^+ + (B*B)^+ V* (I - B B^+) + (I - B^+ B) V* (B B*)^+, with
-    (B*B)^+ = B^+ B^+*, (BB*)^+ = B^+* B^+, I - BB^+ = U_c U_c* and
-    I - B^+B = V_n V_n* read from the one SVD of B, which also checks that
-    V is tangent (PreconditionError otherwise).
+    """Derivative of the pseudoinverse map at B in the tangent direction V:
+    ``pinv.wedin_terms(B, B, V)``, -B^+ V B^+ + (B*B)^+ V* (I - B B^+) +
+    (I - B^+ B) V* (B B*)^+, read off the one SVD of B, which also checks
+    that V is tangent (PreconditionError otherwise).
     """
     rb, v, tangent = _tangent(b, v)
     if not tangent:
         raise PreconditionError("V is not tangent at B (corner block nonzero)")
-    b_pinv, u_c, v_n = rb.pinv, rb.corange_basis, rb.null_basis
-    return (
-        -b_pinv @ v @ b_pinv
-        + b_pinv @ b_pinv.conj().T @ v.conj().T @ u_c @ u_c.conj().T
-        + v_n @ (v_n.conj().T @ v.conj().T @ b_pinv.conj().T @ b_pinv)
-    )
+    return wedin_terms(rb, rb, v)

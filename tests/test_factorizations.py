@@ -118,13 +118,13 @@ def test_trivialize_alpha_round_trip_counts(count, inputs):
         mod, fib = polar.trivialize_alpha(b, c0, a)
         polar.trivialize_alpha_inverse(mod, fib, c0)
     # each chart factorizes C0 once (its eigh gives the range basis, the
-    # rank and C0^+), forward also A once, and hands both to fiber
-    # membership, where k0 = rank(A) - rank(C0) as N(|A|) = N(A); each
-    # chart unitary is the direct rotation of R(C0) onto R(|B|), one SVD
-    # of the cross block of the range bases.  Forward reads R(|B|) off the
-    # SVD of B and returns |B| as that psd_eigh, so the inverse takes no
-    # eigh of |B|, but it takes the rotation again, from C0 and |B|
-    assert count(round_trip) == {"svd": 5, "eigh": 2}
+    # rank and C0^+); A only fixes the shape, as fiber membership compares
+    # rank(X) with rank(C0).  Each chart unitary is the direct rotation of
+    # R(C0) onto R(|B|), one SVD of the cross block of the range bases.
+    # Forward also takes the SVD of B, which gives R(|B|), and fiber
+    # membership the SVD of X; forward returns |B| as its psd_eigh, so the
+    # inverse takes no eigh of |B|, but it takes the rotation again
+    assert count(round_trip) == {"svd": 4, "eigh": 2}
 
 
 def test_trivialize_alpha_round_trip_on_warm_base_counts(count, inputs):
@@ -206,6 +206,13 @@ def test_wedin_residual_counts(count, inputs):
     a, b, _ = inputs
     # one SVD of A and of B, the gauge norm of the defect
     assert count(lambda: pinv.wedin_residual(a, b, OP_NORM)) == {"svd": 3}
+
+
+def test_wedin_terms_on_two_svds_counts(count, inputs):
+    a, b, _ = inputs
+    ra, rb = svd(a), svd(b)
+    # the pseudoinverses and the complement bases are read off the two SVDs
+    assert count(lambda: pinv.wedin_terms(ra, rb, a - b)) == {}
 
 
 def test_mp_map_counts(count, inputs):
@@ -340,19 +347,13 @@ def test_matrix_eval_integral_counts(count):
     assert count(lambda: monotone.matrix_eval_integral(f, c)) == {"eigh": 1}
 
 
-def test_matrix_eval_integral_node_count(monkeypatch):
+def test_matrix_eval_integral_node_count(quadratures):
     c = generate.positive_definite(generate.rng_from_seed(0), 8)
     f = monotone.make_sqrt()
-    nodes = []
-    integral = monotone.measure_integral
-
-    def counted(f, fn, t_max=None):
-        return integral(f, lambda t: (nodes.append(len(t)), fn(t))[1], t_max)
-    monkeypatch.setattr(monotone, "measure_integral", counted)
-    monotone.matrix_eval_integral(f, c)
-    # the first level's 33 nodes and the 32 midpoints of the one halving
-    # that converges: the rule compares Frobenius norms, which T's basis keeps
-    assert sum(nodes) == 65
+    # one quadrature: the first level's 33 nodes and the 32 midpoints of the
+    # one halving that converges: the rule compares Frobenius norms, which
+    # T's basis keeps
+    assert quadratures(lambda: monotone.matrix_eval_integral(f, c)) == (1, 65)
 
 
 def test_matrix_eval_integral_singular_counts(count, semidefinite):
@@ -569,19 +570,16 @@ PASS_THROUGH = {
                            lambda o: (o["f"], o["c"], o["delta"], 3), {1: "eigh"}),
     "sqrt_taylor_terms": (monotone.sqrt_taylor_terms,
                           lambda o: (o["c"], o["delta"], 3), {0: "eigh"}),
-    "trivialize_alpha": (polar.trivialize_alpha, lambda o: (o["b"], o["c0"], o["a"]),
-                         {0: "svd", 1: "eigh", 2: "svd"}),
     "trivialize_alpha_inverse": (polar.trivialize_alpha_inverse,
                                  lambda o: (o["mod"], o["fib"], o["c0"]),
                                  {0: "eigh", 2: "eigh"}),
-    "fiber_membership_alpha": (polar.fiber_membership_alpha,
-                               lambda o: (o["fib"], o["c0"], o["a"]),
-                               {0: "svd", 1: "eigh", 2: "svd"}),
     "trivialize_v": (polar.trivialize_v, lambda o: (o["b"], o["v0"]), {0: "svd"}),
     "isometry_orbit_witness": (polar.isometry_orbit_witness, lambda o: (o["v0"], o["v"]),
                                {0: "svd", 1: "svd"}),
     "wedin_residual": (pinv.wedin_residual, lambda o: (o["a"], o["b"], OP_NORM),
                        {0: "svd", 1: "svd"}),
+    "wedin_terms": (pinv.wedin_terms, lambda o: (o["a"], o["b"], o["a"] - o["b"]),
+                    {0: "svd", 1: "svd"}),
     "same_rank_bound": (pinv.same_rank_bound, lambda o: (o["a"], o["b"]),
                         {0: "svd", 1: "svd"}),
     "transitivity_witness": (strata.transitivity_witness, lambda o: (o["a"], o["b"]),
@@ -591,11 +589,17 @@ PASS_THROUGH = {
     "tangent_membership": (strata.tangent_membership, lambda o: (o["b"], o["tan"], True),
                            {0: "svd"}),
     "mp_tangent": (strata.mp_tangent, lambda o: (o["b"], o["tan"]), {0: "svd"}),
-    # A only fixes the shape of B^+, |B| and V_B, so only B is factorized
-    "mp_map": (strata.mp_map, lambda o: (o["b"], o["a"]), {0: "svd"}),
-    "modulus_map": (polar.modulus_map, lambda o: (o["b"], o["a"]), {0: "svd"}),
     "polar_factor_map": (polar.polar_factor_map, lambda o: (o["b"], o["a"]),
                          {0: "svd", 1: "svd"}),
+    # A only fixes the shape of B^+, |B| and the modulus chart, so it is
+    # not factorized
+    "mp_map": (strata.mp_map, lambda o: (o["b"], o["a"]), {0: "svd"}),
+    "modulus_map": (polar.modulus_map, lambda o: (o["b"], o["a"]), {0: "svd"}),
+    "trivialize_alpha": (polar.trivialize_alpha, lambda o: (o["b"], o["c0"], o["a"]),
+                         {0: "svd", 1: "eigh"}),
+    "fiber_membership_alpha": (polar.fiber_membership_alpha,
+                               lambda o: (o["fib"], o["c0"], o["a"]),
+                               {0: "svd", 1: "eigh"}),
 }
 
 

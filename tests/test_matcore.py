@@ -1,7 +1,12 @@
+import ast
+import dataclasses
+import importlib
 import inspect
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -105,6 +110,95 @@ def test_import_pulls_in_no_heavy_or_test_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# the package-internal imports of each module: the stack matcore -> pinv
+# -> codim -> strata -> monotone / polar, with errors beneath every layer,
+# generate on matcore alone and the CLI and the package over them all
+_TOP = {"codim", "errors", "generate", "matcore", "monotone", "pinv", "polar", "strata"}
+INTERNAL_IMPORTS = {
+    "errors": set(),
+    "matcore": {"errors"},
+    "pinv": {"errors", "matcore"},
+    "codim": {"errors", "matcore"},
+    "strata": {"codim", "errors", "matcore", "pinv"},
+    "monotone": {"errors", "matcore", "pinv"},
+    "polar": {"codim", "errors", "matcore"},
+    "generate": {"errors", "matcore"},
+    "cli": _TOP,
+    "__init__": _TOP,
+}
+
+
+def _internal_imports(source: str) -> set:
+    """The pinvlab modules that the source imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("pinvlab.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "pinvlab" and not module.startswith("pinvlab."):
+                    continue
+                module = module.partition(".")[2]
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return found
+
+
+def test_modules_import_only_the_layers_below_them():
+    package = Path(pinvlab.__file__).parent
+    got = {path.stem: _internal_imports(path.read_text("utf-8"))
+           for path in package.glob("*.py")}
+    assert got == INTERNAL_IMPORTS
+    stack = list(INTERNAL_IMPORTS)
+    for module, imports in INTERNAL_IMPORTS.items():
+        assert all(stack.index(i) < stack.index(module) for i in imports), module
+
+
+def _public_class_members() -> set:
+    """The fields, attributes and __init__ parameters of pinvlab's public classes."""
+    members = set()
+    for info in pkgutil.iter_modules(pinvlab.__path__):
+        for name, cls in vars(importlib.import_module(f"pinvlab.{info.name}")).items():
+            if inspect.isclass(cls) and cls.__module__.startswith("pinvlab") and name[0] != "_":
+                members |= set(dir(cls)) | set(inspect.signature(cls.__init__).parameters)
+                if dataclasses.is_dataclass(cls):
+                    members |= {f.name for f in dataclasses.fields(cls)}
+    return members
+
+
+def _resolves(name: str, module) -> bool:
+    """Whether the dotted name is reached from the module, from pinvlab or by import."""
+    head, *rest = name.split(".")
+    roots = [getattr(module, head, None), getattr(pinvlab, head, None)]
+    try:
+        roots.append(importlib.import_module(head))
+    except ImportError:
+        pass
+    for obj in roots:
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_module_table_names_resolve():
+    # a backticked name, or a call such as `svd(a)`, in a module's row is
+    # an attribute of that module, a member of a public class, or an
+    # importable dotted path; a command line such as `pinvlab taylor` is not a name
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    rows = re.findall(r"^\| `pinvlab\.(\w+)` \| (.*) \|$", readme, re.M)
+    assert [module for module, _ in rows] == [
+        "matcore", "pinv", "codim", "strata", "monotone", "polar", "generate", "cli"]
+    members = _public_class_members()
+    for module, cell in rows:
+        mod = importlib.import_module(f"pinvlab.{module}")
+        names = [m.group(1) for m in (re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?", tok)
+                                      for tok in re.findall(r"`([^`]*)`", cell)) if m]
+        unresolved = [n for n in names if n not in members and not _resolves(n, mod)]
+        assert names and not unresolved, (module, unresolved)
 
 
 @given(seeds, dims, dims)

@@ -376,6 +376,28 @@ def test_taylor_delta_check_is_scale_free(rng, s):
     assert np.linalg.norm(monotone.taylor_term(SQRT, s * c, s * h, 1)) > 0
 
 
+def test_taylor_bounds_refuse_a_non_hermitian_delta(rng, monkeypatch):
+    # Delta = 0.01 e1 e2* has no expansion around C: both bounds refuse it
+    # before any factorization, and on Hermitian Delta the check moves no bit
+    c = generate.positive_definite(rng, 3)
+    skew = np.zeros((3, 3))
+    skew[0, 1] = 0.01
+    delta = generate.hermitian(rng, 3, 0.05)
+
+    def bounds(d):
+        return (monotone.taylor_remainder_bound(SQRT, c, d, 2),
+                monotone.taylor_tail_bounds(SQRT, c, d, 3))
+    checked = bounds(delta)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", None)
+        for call in (lambda: monotone.taylor_remainder_bound(SQRT, c, skew, 2),
+                     lambda: monotone.taylor_tail_bounds(SQRT, c, skew, 3)):
+            with pytest.raises(PreconditionError, match="Delta is not Hermitian"):
+                call()
+    monkeypatch.setattr(monotone, "hermitian_checked", lambda h, name: h)
+    assert bounds(delta) == checked
+
+
 def test_taylor_zero_delta(rng):
     c = generate.positive_definite(rng, 3)
     for n in (1, 2, 3):

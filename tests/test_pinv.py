@@ -11,6 +11,7 @@ from pinvlab.pinv import (
     moore_penrose,
     same_rank_bound,
     wedin_residual,
+    wedin_terms,
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -87,6 +88,13 @@ def test_wedin_identity_at_small_gamma(seed):
 def test_wedin_shape_mismatch():
     with pytest.raises(PreconditionError):
         wedin_residual(np.eye(2), np.eye(3), OP_NORM)
+
+
+@pytest.mark.parametrize("x_shape", [(4, 5), (5, 3), (1, 4)])
+def test_wedin_terms_refuses_a_misfit_x(x_shape):
+    a = generate.fixed_rank(np.random.default_rng(0), 5, 4, 2)
+    with pytest.raises(PreconditionError):
+        wedin_terms(svd(a), a, np.ones(x_shape))
 
 
 def test_same_rank_bound_tight_case():
