@@ -192,7 +192,7 @@ def cmd_taylor(args) -> int:
     if f.density == "sqrt":
         terms = monotone.sqrt_taylor_terms(eig, delta, args.mmax)
     else:
-        terms = [monotone.taylor_term(f, eig, delta, m) for m in range(1, args.mmax + 1)]
+        terms = monotone.taylor_terms(f, eig, delta, args.mmax)
     partial = fc.copy()
     # a remainder at the roundoff of the two evaluations passes at any
     # ratio; against a zero bound the ratio is reported as inf

@@ -77,7 +77,7 @@ def as_matrix(a) -> np.ndarray:
         raise PreconditionError(f"expected a 2-d array, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise PreconditionError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():     # a complex entry is finite if both parts are
         raise PreconditionError("matrix entries must be finite")
     return m
 
@@ -444,7 +444,11 @@ def eigh(h):
     The input is symmetrized internally; inputs that ``hermitian_checked``
     refuses are rejected.  Returns (Q, eigenvalues) with eigenvalues ascending.
     """
-    m = hermitian_checked(h)
+    return _eigh_checked(hermitian_checked(h))
+
+
+def _eigh_checked(m: np.ndarray):
+    """``eigh`` of a matrix that ``hermitian_checked`` has passed."""
     sym = 0.5 * (m + m.conj().T)
     try:
         w, q = np.linalg.eigh(sym)
@@ -514,8 +518,8 @@ def psd_eigh(c) -> PsdEig:
     """
     if isinstance(c, PsdEig):
         return c
-    c = as_matrix(c)
-    q, w = eigh(c)
+    c = hermitian_checked(c)
+    q, w = _eigh_checked(c)
     scale = float(np.max(np.abs(w)))
     if w[0] < -HERMITIAN_REL * scale:
         raise PreconditionError(

@@ -18,11 +18,12 @@ code with it.  Atomic measures take exact sums on every route.
 Taylor terms of the matrix map C -> f(C), their gauge-norm bounds and the
 bound on the tail after each order, a first-order perturbation bound and
 dyadic Riemann operator sums with a proved O(2^-p) gap complete the module.
-The Taylor terms have two routes as well: ``taylor_term`` integrates the
-resolvent products of any f, and for f = sqrt ``sqrt_taylor_terms`` reads
-every term up to an order off the coefficient recursion of Y^2 = C + Delta,
-with no quadrature; ``pinvlab taylor --function sqrt`` runs the recursion,
-and ``taylor_term`` is its oracle.
+The Taylor terms have two routes as well, each giving every term up to an
+order from one check of Delta and one eigh of C: ``taylor_terms``
+integrates the resolvent products of any f, and for f = sqrt
+``sqrt_taylor_terms`` reads them off the coefficient recursion of
+Y^2 = C + Delta, with no quadrature; ``pinvlab taylor --function sqrt``
+runs the recursion, and ``taylor_terms`` is its oracle.
 
 Each positive matrix is factorized once, by ``matcore.psd_eigh``, and the
 Taylor, perturbation and Riemann integrands run in its eigenbasis, where
@@ -113,7 +114,8 @@ def _sqrt_closed_form(f: MonotoneFunction, lam):
 _HALF_LINE_WINDOW = (-4.5, 5.0)     # t = exp(pi/2 sinh x) on (0, inf)
 _TRUNCATED_WINDOW = (-3.5, 3.5)     # tanh-sinh in s = sqrt(t) on [0, t_max)
 _CHUNK = 64                         # nodes per call of the integrand
-_FIRST_INTERVALS = 32               # intervals of the window at the first level
+_FIRST_INTERVALS = 32               # intervals of the window at the first level;
+                                    # their nodes must fit one chunk
 _MAX_INTERVALS = 8192               # no halving past this many intervals
 _RIEMANN_CHUNK = 2**13              # cells per block of a dyadic Riemann sum
 
@@ -145,8 +147,9 @@ def _sqrt_integral(fn, t_max: float | None = None):
     integrand decays double exponentially in x, and the trapezoid rule
     converges at that rate.  The first level splits the window
     into ``_FIRST_INTERVALS`` and evaluates its nodes, the two ends
-    included, in one pass; each halving of the step evaluates only the
-    new midpoints, ``_CHUNK`` nodes per call of ``fn``, and adds them to
+    included, in one call of ``fn``, which gives the end term as well;
+    each halving of the step evaluates only the new midpoints, which
+    never include an end, ``_CHUNK`` nodes per call, and adds them to
     one running sum.  The allowance is ``QUAD_TOL`` times the mass
     ∫‖fn‖dν, summed alongside: relative for a one-signed integrand, and
     the rounding scale of the sum when it cancels.  ConvergenceError,
@@ -164,31 +167,29 @@ def _sqrt_integral(fn, t_max: float | None = None):
         def grid(x):
             return _truncated_nodes(x, s_max)
 
-    def level(x):
-        """Σ c w fn(t) and Σ c w ‖fn(t)‖ over the nodes x, _CHUNK at a time,
-        with the trapezoid factor c = 1/2 at the window's ends and 1 elsewhere,
-        and the largest w ‖fn(t)‖ at an end (0 if x holds neither)."""
-        total, mass, end = 0.0, 0.0, 0.0
+    def level(x, c):
+        """Σ c w fn(t) and Σ c w ‖fn(t)‖ over the nodes x with trapezoid
+        factors c, _CHUNK at a time, and the w ‖fn(t)‖ of the last chunk."""
+        total, mass = 0.0, 0.0
         for k in range(0, len(x), _CHUNK):
-            xs = x[k:k + _CHUNK]
-            t, w = grid(xs)
+            t, w = grid(x[k:k + _CHUNK])
             vals = fn(t)
             norms = w * np.linalg.norm(vals.reshape(len(t), -1), axis=1)
-            at_end = (xs == lo) | (xs == hi)
-            c = np.where(at_end, 0.5, 1.0)
-            total = total + np.tensordot(c * w, vals, axes=(0, 0))
-            mass += float(c @ norms)
-            end = max(end, float(norms[at_end].max(initial=0.0)))
-        return total, mass, end
+            total = total + np.tensordot(c[k:k + _CHUNK] * w, vals, axes=(0, 0))
+            mass += float(c[k:k + _CHUNK] @ norms)
+        return total, mass, norms
 
     n = _FIRST_INTERVALS
     h = (hi - lo) / n
-    acc, mass, end = level(np.linspace(lo, hi, n + 1))
+    ends = np.ones(n + 1)
+    ends[[0, -1]] = 0.5
+    acc, mass, norms = level(np.linspace(lo, hi, n + 1), ends)
+    end = max(norms[0], norms[-1])      # the first level is one chunk
     prev = h * acc
     while 2 * n <= _MAX_INTERVALS:
         n *= 2
         h *= 0.5
-        new, new_mass, _ = level(lo + h * np.arange(1, n, 2))
+        new, new_mass, _ = level(lo + h * np.arange(1, n, 2), np.ones(n // 2))
         acc = acc + new
         mass += new_mass
         cur = h * acc
@@ -444,14 +445,16 @@ def _check_order(n):
         raise PreconditionError(f"term order must be an integer >= 1, got {n!r}")
 
 
-def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
-    """n-th term of the expansion of f(C + Delta) around positive definite C.
+def taylor_terms(f: MonotoneFunction, c, delta, n: int) -> list:
+    """Terms of orders 1..n of the expansion of f(C + Delta) around
+    positive definite C, by resolvent quadrature.
 
-    f_1(D) = beta D + ∫ R D R dν and, for n >= 2,
-    f_n(D) = (-1)^{n+1} ∫ (R D)^n R dν with R = (tI+C)^{-1}.  The
-    integrand is (R X)^n R in the eigenbasis Q of C, where R is diagonal
-    and X = Q* Delta Q; the integral is conjugated back once.  C is a
-    matrix or its psd_eigh.
+    f_1(D) = beta D + ∫ R D R dν and, for m >= 2,
+    f_m(D) = (-1)^{m+1} ∫ (R D)^m R dν with R = (tI+C)^{-1}.  Delta is
+    checked, C factorized and X = Q* Delta Q formed once for every order;
+    each order takes its own quadrature of (R X)^m R in the eigenbasis Q
+    of C, where R is diagonal, conjugated back once.  C is a matrix or its
+    psd_eigh.
     """
     _check_order(n)
     same_shape(c, delta)
@@ -460,20 +463,21 @@ def taylor_term(f: MonotoneFunction, c, delta, n: int) -> np.ndarray:
     q, w = eig.Q, eig.w
     x = q.conj().T @ delta @ q
 
-    def fn(t):
-        r = 1.0 / (t[:, None] + w)
-        prod = r[:, :, None] * x
-        acc = prod
-        for _ in range(n - 1):
-            acc = acc @ prod
-        return acc * r[:, None, :]
+    def term(m):
+        def fn(t):
+            r = 1.0 / (t[:, None] + w)
+            prod = r[:, :, None] * x
+            acc = prod
+            for _ in range(m - 1):
+                acc = acc @ prod
+            return acc * r[:, None, :]
 
-    integral = q @ measure_integral(f, fn) @ q.conj().T
-    sign = 1.0 if n % 2 == 1 else -1.0
-    out = sign * integral
-    if n == 1:
-        out = f.beta * delta + out
-    return 0.5 * (out + out.conj().T)
+        out = (1.0 if m % 2 == 1 else -1.0) * (q @ measure_integral(f, fn) @ q.conj().T)
+        if m == 1:
+            out = f.beta * delta + out
+        return 0.5 * (out + out.conj().T)
+
+    return [term(m) for m in range(1, n + 1)]
 
 
 def sqrt_taylor_terms(c, delta, n: int) -> list:
@@ -486,7 +490,7 @@ def sqrt_taylor_terms(c, delta, n: int) -> list:
     eigenbasis Q of C, S = diag(s) with s = sqrt(w), so each solve is an
     entrywise division by s_i + s_j of the right-hand side, which starts
     from X = Q* Delta Q (the Daleckii-Krein form at l = 1).  Each R_l is
-    conjugated back once.  The integral route ``taylor_term(make_sqrt(),
+    conjugated back once.  The integral route ``taylor_terms(make_sqrt(),
     ...)`` is the oracle of this one.  C is a matrix or its psd_eigh.
     """
     _check_order(n)
@@ -710,8 +714,12 @@ def continuity_in_stratum(f: MonotoneFunction, c, seq,
     gap alongside the input gap is exactly the index-zero phenomenon;
     a tail that jumps stratum shows a value gap of larger order.  Each
     matrix takes one psd_eigh, which gives its f and its rank: the index
-    is rank(C) - rank(D_n).  C and the terms are matrices or their psd_eighs.
+    is rank(C) - rank(D_n).  C and the terms are matrices or their psd_eighs;
+    an empty sequence is refused before C is factorized.
     """
+    seq = list(seq)
+    if not seq:
+        raise PreconditionError("sequence must be nonempty")
     eig_c = psd_eigh(c)
     c = eig_c.matrix
     fc = matrix_eval_spectral(f, eig_c)
@@ -723,6 +731,4 @@ def continuity_in_stratum(f: MonotoneFunction, c, seq,
         rows.append(StratumContinuityRow(n, eig_c.rank - eig_d.rank,
                                          gauge_norm(eig_d.matrix - c, g),
                                          gauge_norm(fd - fc, g)))
-    if not rows:
-        raise PreconditionError("sequence must be nonempty")
     return StratumContinuityReport(rows)

@@ -196,8 +196,8 @@ def test_criterion_08_taylor_remainders():
     target = monotone.matrix_eval_spectral(f, c + delta)
     partial = monotone.matrix_eval_spectral(f, c)
     remainders = []
-    for m in range(1, 7):
-        partial = partial + monotone.taylor_term(f, c, delta, m)
+    for term in monotone.taylor_terms(f, c, delta, 6):
+        partial = partial + term
         remainders.append(np.linalg.norm(target - partial, 2))
     ratios = [remainders[i + 1] / remainders[i] for i in range(5)]
     ok = all(abs(r - q) <= 0.15 * q for r in ratios)
@@ -213,8 +213,8 @@ def test_criterion_08_taylor_remainders():
         for g in GAUGES:
             dn = delta * (0.3 * gamma_c / gauge_norm(delta, g))
             recursion = monotone.sqrt_taylor_terms(c, dn, 6)
-            for n in range(1, 7):
-                integral = monotone.taylor_term(sqrt, c, dn, n)
+            integrals = monotone.taylor_terms(sqrt, c, dn, 6)
+            for n, integral in enumerate(integrals, start=1):
                 term = gauge_norm(integral, g)
                 bound = monotone.taylor_remainder_bound(sqrt, c, dn, n, g)
                 ok = ok and term <= bound * (1 + 1e-6)
@@ -223,7 +223,7 @@ def test_criterion_08_taylor_remainders():
     d = 4
     delta = generate.hermitian(rng, d)
     delta *= 0.2 / np.linalg.norm(delta, 2)
-    first = monotone.taylor_term(sqrt, np.eye(d), delta, 1)
+    [first] = monotone.taylor_terms(sqrt, np.eye(d), delta, 1)
     ok = ok and np.linalg.norm(first - delta / 2) <= 1e-8
     assert _verdict(8, "Taylor remainders decay geometrically within "
                        "certified bounds", ok)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from pinvlab import cli, codim, generate, matcore, monotone, pinv, polar, strata
+from pinvlab.errors import PreconditionError
 from pinvlab.matcore import (
     OP_NORM, PsdEig, SvdResult, as_matrix, psd_eigh, save_matrix, svd,
 )
@@ -311,7 +312,7 @@ def test_cmd_taylor_counts(count):
 
 
 def test_cmd_taylor_atomic_counts(count, tmp_path):
-    # as above: the atomic terms by taylor_term, all from the one eigh of C
+    # as above: the atomic terms by taylor_terms, all from the one eigh of C
     path = tmp_path / "f.json"
     path.write_text('{"alpha": 0.5, "beta": 0.1, "atoms": [[1.0, 1.0]]}')
     assert count(lambda: _cli("taylor", "--dim", D, "--function", f"atomic:{path}")) == {
@@ -434,7 +435,8 @@ def test_riemann_decay_slope_node_count(quadratures, positive, ps):
 QUADRATURES = {
     "matrix_eval_integral": (lambda f, c, d, delta: monotone.matrix_eval_integral(f, c), 1),
     "scalar_eval": (lambda f, c, d, delta: monotone.scalar_eval(f, [0.5, 2.7]), 1),
-    "taylor_term": (lambda f, c, d, delta: monotone.taylor_term(f, c, delta, 3), 1),
+    # one per order
+    "taylor_terms": (lambda f, c, d, delta: monotone.taylor_terms(f, c, delta, 3), 3),
     "taylor_remainder_bound": (
         lambda f, c, d, delta: monotone.taylor_remainder_bound(f, c, delta, 3), 1),
     "taylor_tail_bounds": (
@@ -458,7 +460,34 @@ def test_monotone_quadrature_calls(quadratures, positive, name):
 def test_taylor_term_counts(count, positive):
     c, _, delta = positive
     f = monotone.make_sqrt()
-    assert count(lambda: monotone.taylor_term(f, c, delta, 3)) == {"eigh": 1}
+    # every term up to order 6 from one eigh of C, and none from its psd_eigh
+    assert count(lambda: monotone.taylor_terms(f, c, delta, 6)) == {"eigh": 1}
+    eig = psd_eigh(c)
+    assert count(lambda: monotone.taylor_terms(f, eig, delta, 6)) == {}
+
+
+def test_inputs_are_checked_once(monkeypatch, positive):
+    c, _, delta = positive
+    hermitian, matrix = Counter(), Counter()
+    hermitian_checked, as_matrix = matcore.hermitian_checked, matcore.as_matrix
+
+    def counted_hermitian(h, name="matrix"):
+        hermitian[name] += 1
+        return hermitian_checked(h, name)
+
+    def counted_matrix(a):
+        matrix["as_matrix"] += 1
+        return as_matrix(a)
+    for module in (matcore, monotone):
+        monkeypatch.setattr(module, "hermitian_checked", counted_hermitian)
+    monkeypatch.setattr(matcore, "as_matrix", counted_matrix)
+    # a raw matrix is validated and checked Hermitian once by psd_eigh
+    eig = psd_eigh(c)
+    assert (hermitian, matrix) == ({"matrix": 1}, {"as_matrix": 1})
+    # Delta is checked once for every order, C not at all once factorized
+    hermitian.clear()
+    monotone.taylor_terms(monotone.make_sqrt(), eig, delta, 6)
+    assert hermitian == {"Delta": 1}
 
 
 def test_sqrt_taylor_terms_counts(count, positive):
@@ -478,6 +507,12 @@ def test_continuity_in_stratum_counts(count, positive):
     # input and value gaps
     report = count(lambda: monotone.continuity_in_stratum(f, c, seq))
     assert report == {"eigh": 1 + 4, "svd": 4 * 2}
+
+    def empty():
+        with pytest.raises(PreconditionError, match="nonempty"):
+            monotone.continuity_in_stratum(f, c, iter([]))
+    # an empty sequence is refused before C is factorized or f(C) evaluated
+    assert count(empty) == {}
 
 
 def test_sqrt_spectral_route_counts(count, monkeypatch, positive, semidefinite):
@@ -562,8 +597,8 @@ PASS_THROUGH = {
                          {0: "eigh", 1: "eigh"}),
     "matrix_eval_spectral": (monotone.matrix_eval_spectral, lambda o: (o["f"], o["c"]),
                              {1: "eigh"}),
-    "taylor_term": (monotone.taylor_term, lambda o: (o["f"], o["c"], o["delta"], 2),
-                    {1: "eigh"}),
+    "taylor_terms": (monotone.taylor_terms, lambda o: (o["f"], o["c"], o["delta"], 2),
+                     {1: "eigh"}),
     "taylor_remainder_bound": (monotone.taylor_remainder_bound,
                                lambda o: (o["f"], o["c"], o["delta"], 2), {1: "eigh"}),
     "taylor_tail_bounds": (monotone.taylor_tail_bounds,

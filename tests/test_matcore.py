@@ -61,6 +61,23 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix(np.array([[np.inf * 1j, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_as_matrix_refuses_a_nonfinite_part_alone(part, bad):
+    # complex(re, im) builds the entry exactly: the other part stays 0
+    m = np.zeros((2, 2), dtype=complex)
+    m[1, 0] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    with pytest.raises(PreconditionError, match="finite"):
+        as_matrix(m)
+
+
+def test_as_matrix_accepts_extreme_finite_entries():
+    big = np.finfo(float).max
+    m = np.array([[complex(big, -big), complex(-big, big)], [complex(-0.0, -0.0), 0.0]])
+    out = as_matrix(m)
+    assert np.array_equal(out, m) and math.copysign(1.0, out[1, 0].real) == -1.0
+
+
 def test_as_matrix_rejects_empty():
     with pytest.raises(PreconditionError):
         as_matrix(np.zeros((0, 2)))
@@ -610,7 +627,7 @@ MISMATCHED = {
     "mp_map": lambda: strata.mp_map(_D3, _D4),
     "tangent_membership": lambda: strata.tangent_membership(_D4, _D3),
     "mp_tangent": lambda: strata.mp_tangent(_D4, _D3),
-    "taylor_term": lambda: monotone.taylor_term(_SQRT, _I4, _D3, 1),
+    "taylor_terms": lambda: monotone.taylor_terms(_SQRT, _I4, _D3, 1),
     "taylor_remainder_bound": lambda: monotone.taylor_remainder_bound(
         _SQRT, 2 * _I4, 0.1 * _I3, 1),
     "taylor_tail_bounds": lambda: monotone.taylor_tail_bounds(

@@ -362,7 +362,7 @@ def test_monotonicity_spot_check(seed):
 
 def test_taylor_first_term_at_identity(rng):
     delta = generate.hermitian(rng, 4, 0.3)
-    t1 = monotone.taylor_term(SQRT, np.eye(4), delta, 1)
+    [t1] = monotone.taylor_terms(SQRT, np.eye(4), delta, 1)
     assert np.linalg.norm(t1 - delta / 2) <= 1e-8
 
 
@@ -372,8 +372,8 @@ def test_taylor_delta_check_is_scale_free(rng, s):
     c = generate.positive_definite(rng, 4)
     h, k = generate.hermitian(rng, 4), generate.hermitian(rng, 4)
     with pytest.raises(PreconditionError, match="Delta is not Hermitian"):
-        monotone.taylor_term(SQRT, s * c, s * (h + 1e-3j * k), 1)
-    assert np.linalg.norm(monotone.taylor_term(SQRT, s * c, s * h, 1)) > 0
+        monotone.taylor_terms(SQRT, s * c, s * (h + 1e-3j * k), 1)
+    assert np.linalg.norm(monotone.taylor_terms(SQRT, s * c, s * h, 1)[0]) > 0
 
 
 def test_taylor_bounds_refuse_a_non_hermitian_delta(rng, monkeypatch):
@@ -400,15 +400,17 @@ def test_taylor_bounds_refuse_a_non_hermitian_delta(rng, monkeypatch):
 
 def test_taylor_zero_delta(rng):
     c = generate.positive_definite(rng, 3)
-    for n in (1, 2, 3):
-        assert np.linalg.norm(monotone.taylor_term(SQRT, c, np.zeros((3, 3)), n)) < 1e-12
+    terms = monotone.taylor_terms(SQRT, c, np.zeros((3, 3)), 3)
+    assert len(terms) == 3
+    for term in terms:
+        assert np.linalg.norm(term) < 1e-12
 
 
 def test_taylor_atomic_scalar_example():
     # single atom at t0 = 1, C = I, Delta = eps I: second term -eps^2/8 I
     f = monotone.make_atomic(0.5, 0.0, [(1.0, 1.0)])
     eps = 0.1
-    t2 = monotone.taylor_term(f, np.eye(3), eps * np.eye(3), 2)
+    t2 = monotone.taylor_terms(f, np.eye(3), eps * np.eye(3), 2)[1]
     assert np.linalg.norm(t2 - (-(eps**2) / 8) * np.eye(3)) < 1e-12
 
 
@@ -424,14 +426,15 @@ ATOMIC = monotone.make_atomic(0.25, 0.5, [(0.5, 0.4), (3.0, 1.0)])
 def test_taylor_term_matches_resolvent_products(rng, f):
     c = generate.positive_definite(rng, 4)
     delta = generate.hermitian(rng, 4, 0.2)
-    for n in (1, 2, 3):
+    terms = monotone.taylor_terms(f, c, delta, 3)
+    assert len(terms) == 3
+    for n, term in enumerate(terms, start=1):
         def fn(t):
             r = _inv_resolvents(t, c)
             return np.linalg.matrix_power(r @ delta, n) @ r
         expected = (-1.0) ** (n + 1) * monotone.measure_integral(f, fn)
         if n == 1:
             expected = expected + f.beta * delta
-        term = monotone.taylor_term(f, c, delta, n)
         assert np.linalg.norm(term - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -473,25 +476,24 @@ def test_taylor_term_validation(rng):
     # the order is an integer >= 1, not a bool: True is not order 1
     for n in (0, -1, 2.5, 1.0, True, "1", None):
         with pytest.raises(PreconditionError, match="term order"):
-            monotone.taylor_term(SQRT, c, delta, n)
+            monotone.taylor_terms(SQRT, c, delta, n)
     with pytest.raises(PreconditionError):
-        monotone.taylor_term(SQRT, np.diag([1.0, 0.0, 1.0]), delta, 1)
+        monotone.taylor_terms(SQRT, np.diag([1.0, 0.0, 1.0]), delta, 1)
     with pytest.raises(PreconditionError):
-        monotone.taylor_term(SQRT, c, generate.ginibre(rng, 3, 3), 1)
+        monotone.taylor_terms(SQRT, c, generate.ginibre(rng, 3, 3), 1)
 
 
 @given(seeds, st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=8),
        st.sampled_from([(0.5, 2.0), (1e-3, 1e3)]), st.booleans())
 def test_sqrt_recursion_matches_the_integral_route(seed, d, n, ev_range, factorized):
     # the coefficient recursion against its oracle, the resolvent quadrature
-    # of taylor_term, at every order up to n; C as a matrix or its psd_eigh
+    # of taylor_terms, at every order up to n; C as a matrix or its psd_eigh
     rng = np.random.default_rng(seed)
     c = generate.positive_definite(rng, d, ev_range)
     delta = generate.hermitian(rng, d)
     terms = monotone.sqrt_taylor_terms(psd_eigh(c) if factorized else c, delta, n)
     assert len(terms) == n
-    for order, term in enumerate(terms, start=1):
-        oracle = monotone.taylor_term(SQRT, c, delta, order)
+    for term, oracle in zip(terms, monotone.taylor_terms(SQRT, c, delta, n)):
         assert np.linalg.norm(term - oracle) <= 1e-12 * np.linalg.norm(oracle)
     first = monotone.sqrt_taylor_terms(np.eye(d), delta, 1)[0]
     assert np.linalg.norm(first - delta / 2) <= 1e-15 * np.linalg.norm(delta)
@@ -561,8 +563,7 @@ def test_terms_below_bounds_and_series_tail(seed):
     tail_coeff = float(monotone.measure_integral(SQRT, lambda t: (t + gamma) ** -2.0))
     q = dist / gamma
     tails = monotone.taylor_tail_bounds(SQRT, c, delta, 6)
-    for m in range(1, 7):
-        term = monotone.taylor_term(SQRT, c, delta, m)
+    for m, term in enumerate(monotone.taylor_terms(SQRT, c, delta, 6), start=1):
         bound = monotone.taylor_remainder_bound(SQRT, c, delta, m)
         assert np.linalg.norm(term, 2) <= bound * (1 + 1e-6)
         partial = partial + term
