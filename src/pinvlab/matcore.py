@@ -59,8 +59,9 @@ TAYLOR_RATIO_SLACK = 1e-6   # a Taylor remainder passes at remainder/bound <= 1 
 TAYLOR_ROUNDOFF_REL = 1e-12 # or, at any ratio, when it is at most this times
                             # ||f(C + Delta)||_F: it is then roundoff
 ROUND_TRIP_ABS = 1e-7       # a chart round trip passes at ||back - B||_F <= this
-RIEMANN_MAX_CELLS = 2**18   # most cells a dyadic Riemann sum allocates (p = 12
-                            # at t_max = 64); a request for more is refused
+RIEMANN_MAX_CELLS = 2**18   # most cells a dyadic Riemann sum evaluates (p = 12
+                            # at t_max = 64), which bounds its time, as its
+                            # memory is one block; a request for more is refused
 RIEMANN_TAIL_REL = 0.1      # a Riemann sum's truncation tail beyond t_max stays
                             # below this times ||D - C||_g
 
@@ -544,7 +545,11 @@ def tridiagonalize(h) -> tuple:
     ``hermitian_checked`` and reduced symmetrized and scaled by a power of
     two, so no norm overflows; T is scaled back exactly.
     """
-    m = hermitian_checked(h)
+    return _tridiagonalize_checked(hermitian_checked(h))
+
+
+def _tridiagonalize_checked(m: np.ndarray) -> tuple:
+    """``tridiagonalize`` of a matrix that ``hermitian_checked`` has passed."""
     scaled, e = _pow2_scaled(m)
     a = 0.5 * (scaled + scaled.conj().T)
     d = a.shape[0]

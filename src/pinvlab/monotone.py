@@ -68,7 +68,7 @@ from .matcore import (
     hermitian_checked,
     psd_eigh,
     same_shape,
-    tridiagonalize,
+    _tridiagonalize_checked,
 )
 from .pinv import BoundReport
 
@@ -117,7 +117,8 @@ _CHUNK = 64                         # nodes per call of the integrand
 _FIRST_INTERVALS = 32               # intervals of the window at the first level;
                                     # their nodes must fit one chunk
 _MAX_INTERVALS = 8192               # no halving past this many intervals
-_RIEMANN_CHUNK = 2**13              # cells per block of a dyadic Riemann sum
+_RIEMANN_BLOCK_BYTES = 2**19        # bytes of the two resolvent-sample buffers of
+                                    # a dyadic Riemann sum's block of cells
 
 
 def _half_line_nodes(x):
@@ -390,7 +391,9 @@ def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
     integrated with its null block set to w_max I, which makes it positive
     definite as sC gives s times it, and the value's null block is then
     replaced by f(0) I; the eigh, the one factorization, gives only that
-    null projector and the rank.  C is a matrix or its psd_eigh.
+    null projector and the rank.  C is a matrix or its psd_eigh, and a
+    matrix is checked Hermitian once, by ``psd_eigh``, not again by the
+    reduction.
     """
     eig = psd_eigh(c)
     c = eig.matrix
@@ -401,7 +404,7 @@ def matrix_eval_integral(f: MonotoneFunction, c) -> np.ndarray:
     if eig.rank < d:
         null_proj = eig.null_proj()
         c = c + eig.w[-1] * null_proj
-    q, diag, off = tridiagonalize(c)
+    q, diag, off = _tridiagonalize_checked(c)
     minus_t = -(np.diag(diag.astype(complex)) + np.diag(off, -1) + np.diag(off.conj(), 1))
     off_sq = (off.conj() * off).real.tolist()
     rows = np.arange(d)
@@ -617,8 +620,10 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
     Sum and reference run on the Daleckii-Krein form h(t) = Q_C (K(t) ∘ X) Q_D*,
     X = Q_C*(D-C)Q_D, K_ij(t) = 1/((t+λ_i)(t+μ_j)) over the ascending eigenpairs
     of C and D; the tail ||D-C||_g ∫_{t_max}^inf K_00 dν, read off the
-    reference, must stay below the relative ``RIEMANN_TAIL_REL``.  Cells go
-    ``_RIEMANN_CHUNK`` at a time, in O(chunk d) memory.  ``_dyadic_cells``
+    reference, must stay below the relative ``RIEMANN_TAIL_REL``.  Cells go a
+    block at a time through two resolvent-sample buffers, allocated once per
+    call and ``_RIEMANN_BLOCK_BYTES`` in all, so memory does not grow with p
+    and a block stays cache-sized at every d.  ``_dyadic_cells``
     refuses a depth before C and D, matrices or their psd_eighs, are factorized.
     """
     width, n_cells = _dyadic_cells(p, t_max)
@@ -644,19 +649,27 @@ def riemann_sum(f: MonotoneFunction, c, d, p: int, t_max: float,
 
     k_sum = np.zeros((len(wc), len(wd)))
     r_cells = 0.0
-    for start in range(0, n_cells, _RIEMANN_CHUNK):
-        lefts = width * np.arange(start, min(start + _RIEMANN_CHUNK, n_cells))
+    block = max(1, min(n_cells, _RIEMANN_BLOCK_BYTES // (8 * (len(wc) + len(wd)))))
+    buf_c, buf_d = np.empty((block, len(wc))), np.empty((block, len(wd)))
+    for start in range(0, n_cells, block):
+        lefts = width * np.arange(start, min(start + block, n_cells))
         masses = measure_mass(f, lefts, np.minimum(lefts + width, t_max))
+        # the bound's r(t_{m-1}), formed and freed before the samples, so its
+        # temporaries and the block's samples are not held at once
+        r = dist * k00(lefts) * (1.0 / (lefts + wc[0]) + 1.0 / (lefts + wd[0]))
+        r_cells += float(np.dot(r, masses))
+        del r
         samples = (lefts + width)[:, None]
         # Σ m K(t_m) over the block as one product of the sampled diagonal
-        # resolvents of C and D, formed in place and freed before the next
-        res_c, res_d = samples + wc, samples + wd
+        # resolvents of C and D, formed in place in the reused buffers
+        res_c, res_d = buf_c[:len(lefts)], buf_d[:len(lefts)]
+        np.add(samples, wc, out=res_c)
+        np.add(samples, wd, out=res_d)
         np.divide(masses[:, None], res_c, out=res_c)
         np.divide(1.0, res_d, out=res_d)
         k_sum += res_c.T @ res_d
-        del res_c, res_d
-        r = dist * k00(lefts) * (1.0 / (lefts + wc[0]) + 1.0 / (lefts + wd[0]))
-        r_cells += float(np.dot(r, masses))
+        # freed before the next block's are formed, not after
+        del lefts, masses, samples
     value = qc @ (k_sum * x) @ qd.conj().T
     reference = qc @ (k_ref * x) @ qd.conj().T
     gap = gauge_norm(value - reference, g)

@@ -466,7 +466,7 @@ def test_taylor_term_counts(count, positive):
     assert count(lambda: monotone.taylor_terms(f, eig, delta, 6)) == {}
 
 
-def test_inputs_are_checked_once(monkeypatch, positive):
+def test_inputs_are_checked_once(monkeypatch, positive, semidefinite):
     c, _, delta = positive
     hermitian, matrix = Counter(), Counter()
     hermitian_checked, as_matrix = matcore.hermitian_checked, matcore.as_matrix
@@ -488,6 +488,12 @@ def test_inputs_are_checked_once(monkeypatch, positive):
     hermitian.clear()
     monotone.taylor_terms(monotone.make_sqrt(), eig, delta, 6)
     assert hermitian == {"Delta": 1}
+    # the integral route checks a raw C once, in psd_eigh, and reduces that
+    # array (or it with its null block filled) to tridiagonal form unchecked
+    for raw in (c, semidefinite[0]):
+        hermitian.clear()
+        monotone.matrix_eval_integral(monotone.make_sqrt(), raw)
+        assert hermitian == {"matrix": 1}
 
 
 def test_sqrt_taylor_terms_counts(count, positive):
